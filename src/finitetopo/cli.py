@@ -10,7 +10,6 @@ and FINITETOPO_OUT; an explicit flag always wins.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import glob
 import json
 import os
@@ -367,12 +366,10 @@ def _verify_batch(args, report: RunReport) -> None:
     if not os.path.isdir(directory):
         raise InputError(f"not a directory: {directory}")
     files = sorted(glob.glob(os.path.join(directory, "*.json")))
+    report.add_input("batch", payload=[os.path.basename(p) for p in files])
     if not files:
         raise InputError(f"no fixture files in {directory}")
-    only = args.theorem
-    with concurrent.futures.ThreadPoolExecutor(max_workers=min(8, len(files))) as pool:
-        results = list(pool.map(lambda p: _run_fixture_file(p, args.budget, only), files))
-    results.sort(key=lambda e: e["file"])
+    results = [_run_fixture_file(p, args.budget, args.theorem) for p in files]
     report.detail["fixtures"] = results
     ran = [e for e in results if e["status"] != "Skipped"]
     report.detail["counts"] = {
@@ -398,9 +395,6 @@ def _verify_batch(args, report: RunReport) -> None:
 def cmd_verify(args) -> Tuple[RunReport, Optional[str]]:
     report = RunReport("verify" + (f" {args.theorem}" if args.theorem else ""))
     if args.batch:
-        report.add_input("batch", payload=sorted(
-            os.path.basename(p) for p in glob.glob(os.path.join(args.batch, "*.json"))
-        ) if os.path.isdir(args.batch) else args.batch)
         _verify_batch(args, report)
         return report, None
     if not args.theorem or not args.input:
@@ -716,10 +710,24 @@ def _generated_payload(recipe: str, rng: random.Random, name: str) -> Dict[str, 
 
 # ------------------------------------------------------------------ parser
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: they exit 3, not argparse's 2 (Unknown)."""
+
+    def error(self, message: str):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=int,
-                        default=_env("BUDGET", int, DEFAULT_BUDGET),
+    common = _Parser(add_help=False)
+    common.add_argument("--budget", type=non_negative_int,
+                        default=_env("BUDGET", non_negative_int, DEFAULT_BUDGET),
                         help="search node budget for oracle calls")
     common.add_argument("--seed", type=int, default=_env("SEED", int, None),
                         help="seed for randomized commands")
@@ -728,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=_env("OUT", str, None),
                         help="write output to this path instead of stdout")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="finitetopo",
         description="homotopy tools for finite posets: reductions, relation "
                     "cylinders, nerves, completions, homology, mapper",
@@ -831,13 +839,9 @@ def _write_output(text: str, out: Optional[str]) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    try:
+        # the parser reads FINITETOPO_* defaults, so building it can fail too
+        args = build_parser().parse_args(argv)
         report, dot = args.func(args)
         report.finalize()
         if args.format == "dot":

@@ -155,7 +155,16 @@ def barycentric_poset(p: Poset) -> Poset:
 
 
 def barycentric_complex(k: SimplicialComplex) -> SimplicialComplex:
-    return order_complex(face_poset(k))
+    """Order complex of the face poset.
+
+    A face becomes a vertex named from its vertex indices, as in
+    barycentric_poset, so the result can be subdivided again.
+    """
+    idx = {v: i for i, v in enumerate(k.vertices)}
+    name = {cell_id(f): "c" + ".".join(str(idx[v]) for v in f) for f in k.faces}
+    return SimplicialComplex(
+        [name[c] for c in chain] for chain in order_complex(face_poset(k)).facets
+    )
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ same data self-contained.  Parse errors cite the offending line.
 from __future__ import annotations
 
 import json
-from typing import Optional
 
 from .certificates import ReductionCertificate
 from .complexes import RegularCWComplex, SimplicialComplex, cw_from_face_poset
@@ -105,20 +104,6 @@ def cw_from_json(data, where: str = "<input>") -> RegularCWComplex:
 
 # -------------------------------------------------------------- relations
 
-def parse_relation_pairs_text(text: str, where: str = "<input>") -> list[tuple[str, str]]:
-    """Lines "x ~ y"."""
-    pairs = []
-    for no, line in _lines(text):
-        if "~" not in line:
-            raise InputError(f"{where}:{no}: expected 'x ~ y', got {line!r}")
-        x, _, y = line.partition("~")
-        x, y = x.strip(), y.strip()
-        if not x or not y:
-            raise InputError(f"{where}:{no}: expected 'x ~ y', got {line!r}")
-        pairs.append((x, y))
-    return pairs
-
-
 def relation_to_json(r: Relation) -> dict:
     return {
         "source": poset_to_json(r.source),
@@ -139,28 +124,6 @@ def relation_from_json(data, where: str = "<input>") -> Relation:
 
 
 # ----------------------------------------------------------------- covers
-
-def parse_cover_parts_text(text: str, where: str = "<input>") -> dict[str, list[str]]:
-    """"part <name>" headers, one member element per following line."""
-    parts: dict[str, list[str]] = {}
-    current: Optional[str] = None
-    for no, line in _lines(text):
-        if line.startswith("part ") or line == "part":
-            name = line[5:].strip()
-            if not name:
-                raise InputError(f"{where}:{no}: part header needs a name")
-            if name in parts:
-                raise InputError(f"{where}:{no}: duplicate part {name!r}")
-            parts[name] = []
-            current = name
-        else:
-            if current is None:
-                raise InputError(f"{where}:{no}: member line before any 'part <name>' header")
-            parts[current].append(line)
-    if not parts:
-        raise InputError(f"{where}: no parts found")
-    return parts
-
 
 def poset_cover_to_json(c: PosetCover) -> dict:
     return {
@@ -279,36 +242,3 @@ def read_complex(path: str) -> SimplicialComplex:
     if path.endswith(".json"):
         return complex_from_json(load_json_file(path), path)
     return parse_complex_text(read_text_file(path), path)
-
-
-def read_relation(path: str, source: Optional[str] = None, target: Optional[str] = None) -> Relation:
-    """JSON relations are self-contained; text pair lists need the two
-    poset files alongside."""
-    if path.endswith(".json"):
-        return relation_from_json(load_json_file(path), path)
-    if source is None or target is None:
-        raise InputError("text relation files need --source and --target poset files")
-    pairs = parse_relation_pairs_text(read_text_file(path), path)
-    return Relation.of(read_poset(source), read_poset(target), pairs)
-
-
-def read_poset_cover(path: str, base: Optional[str] = None, open_hulls: bool = False) -> PosetCover:
-    if path.endswith(".json"):
-        return poset_cover_from_json(load_json_file(path), path)
-    if base is None:
-        raise InputError("text cover files need a --base poset file")
-    parts = parse_cover_parts_text(read_text_file(path), path)
-    return PosetCover(read_poset(base), {k: set(v) for k, v in parts.items()}, open_hulls)
-
-
-def read_complex_cover(path: str, base: Optional[str] = None) -> ComplexCover:
-    if path.endswith(".json"):
-        return complex_cover_from_json(load_json_file(path), path)
-    if base is None:
-        raise InputError("text cover files need a --base complex file")
-    parts = parse_cover_parts_text(read_text_file(path), path)
-    base_complex = read_complex(base)
-    return ComplexCover(
-        base_complex,
-        {k: SimplicialComplex(tuple(line.split()) for line in v) for k, v in parts.items()},
-    )

@@ -18,10 +18,10 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
-from .complexes import EMPTY_COMPLEX, RegularCWComplex, SimplicialComplex
+from .complexes import RegularCWComplex, SimplicialComplex
 from .errors import InputError
 from .homology import HomologyProfile, homology
-from .nerve import CompletionPoset, PosetCover, completion_poset
+from .nerve import CompletionPoset, PosetCover, completion_poset, intersecting_families
 from .poset import Poset
 
 
@@ -174,8 +174,8 @@ def pullback_cover(pc: PointCloud, f: FilterSpec, ic: IntervalCover) -> dict[str
 def epsilon_components(pc: PointCloud, ids: Iterable[str], epsilon: float) -> list[frozenset[str]]:
     """Components of the epsilon-neighborhood graph on the given points,
     sorted by least member."""
-    if epsilon <= 0:
-        raise InputError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise InputError(f"epsilon must be a positive finite number, got {epsilon!r}")
     pool = sorted(set(ids))
     for pid in pool:
         pc.coord(pid)
@@ -196,46 +196,6 @@ def epsilon_components(pc: PointCloud, ids: Iterable[str], epsilon: float) -> li
                 queue.append(q)
         out.append(frozenset(comp))
     return sorted(out, key=min)
-
-
-def component_split(
-    pc: PointCloud, parts: dict[str, frozenset[str]], epsilon: float
-) -> dict[str, list[frozenset[str]]]:
-    """Component lists for each part and each 2- or 3-fold intersection."""
-    out: dict[str, list[frozenset[str]]] = {}
-    names = sorted(parts)
-    singles = [(name,) for name in names]
-    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
-    triples = [
-        (a, b, c)
-        for i, a in enumerate(names)
-        for j, b in enumerate(names[i + 1 :], i + 1)
-        for c in names[j + 1 :]
-    ]
-    for group in singles + pairs + triples:
-        common = frozenset.intersection(*(parts[name] for name in group))
-        if common:
-            out[",".join(group)] = epsilon_components(pc, common, epsilon)
-    return out
-
-
-def _nerve_of_sets(named: dict[str, frozenset[str]]) -> SimplicialComplex:
-    names = sorted(n for n, s in named.items() if s)
-    if not names:
-        return EMPTY_COMPLEX
-    simplices: list[tuple[str, ...]] = []
-    layer = [((n,), named[n]) for n in names]
-    position = {n: i for i, n in enumerate(names)}
-    while layer:
-        grown = []
-        for tup, common in layer:
-            simplices.append(tup)
-            for n2 in names[position[tup[-1]] + 1 :]:
-                c2 = common & named[n2]
-                if c2:
-                    grown.append((tup + (n2,), c2))
-        layer = grown
-    return SimplicialComplex(simplices)
 
 
 @dataclass(eq=False)
@@ -289,13 +249,9 @@ def mapper_completion(
     comp = completion_poset(cover, split)
     cw = comp.as_cw()
     plain = cover.nerve()
-    all_components = {
-        f"{name}|{min(piece)}": piece
-        for name in sorted(parts)
-        for piece in epsilon_components(pc, parts[name], epsilon)
-        if parts[name]
-    }
-    comp_nerve = _nerve_of_sets(all_components)
+    # the completion's 0-cells are the parts' components, labelled "name|least point"
+    vertices = {lab: cell.mask for lab, cell in comp.cells.items() if comp.dim[lab] == 0}
+    comp_nerve = SimplicialComplex(intersecting_families(vertices))
     return MapperResult(
         pc,
         values,

@@ -17,11 +17,10 @@ W_J whose least element is c).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Union
+from typing import Any, Callable, Iterable, Mapping, Optional, Union
 
 from .certificates import TrivialityVerdict
 from .complexes import (
-    EMPTY_COMPLEX,
     RegularCWComplex,
     SimplicialComplex,
     cell_id,
@@ -51,8 +50,32 @@ def component_label(jid: str, comp: ElementSet) -> str:
     return jid + "|" + min(comp.members)
 
 
+def intersecting_families(named: Mapping[str, Any]) -> list[tuple[str, ...]]:
+    """Sorted name tuples whose values have a non-empty common "&".
+
+    Values may be int masks or frozensets.  Families are grown layer by
+    layer: one is tried only when the family without its largest name
+    already intersects.  They come out by size, lexicographically within
+    a size.
+    """
+    names = sorted(n for n, v in named.items() if v)
+    position = {n: i for i, n in enumerate(names)}
+    out: list[tuple[str, ...]] = []
+    layer = [((n,), named[n]) for n in names]
+    while layer:
+        grown = []
+        for tup, common in layer:
+            out.append(tup)
+            for n2 in names[position[tup[-1]] + 1 :]:
+                c2 = common & named[n2]
+                if c2:
+                    grown.append((tup + (n2,), c2))
+        layer = grown
+    return out
+
+
 class PosetCover:
-    """Named down-sets covering a poset, with cached subfamily intersections.
+    """Named down-sets covering a poset, with its intersecting subfamilies cached.
 
     Parts given as arbitrary subsets are rejected unless open_hulls=True,
     which replaces each part by its open hull instead.
@@ -83,7 +106,7 @@ class PosetCover:
             missing = sorted(set(base.elements) - covered)
             raise InputError(f"cover misses elements: {', '.join(missing[:6])}")
         self.parts = named
-        self._masks: Optional[dict[frozenset[str], int]] = None
+        self._intersecting: Optional[list[tuple[str, ...]]] = None
         self._nerve: Optional[SimplicialComplex] = None
         self._nerve_poset: Optional[Poset] = None
 
@@ -96,35 +119,14 @@ class PosetCover:
             raise InputError(f"unknown cover part {name!r}")
         return self.parts[name]
 
-    def _intersection_masks(self) -> dict[frozenset[str], int]:
-        # incremental expansion: a subfamily is considered only when the
-        # subfamily missing its largest name already intersects
-        if self._masks is None:
-            names = self.part_names
-            found: dict[frozenset[str], int] = {}
-            layer: list[tuple[tuple[str, ...], int]] = []
-            for pos, n in enumerate(names):
-                m = self.parts[n].mask
-                if m:
-                    found[frozenset((n,))] = m
-                    layer.append(((n,), m))
-            position = {n: i for i, n in enumerate(names)}
-            while layer:
-                grown: list[tuple[tuple[str, ...], int]] = []
-                for tup, m in layer:
-                    for n2 in names[position[tup[-1]] + 1 :]:
-                        m2 = m & self.parts[n2].mask
-                        if m2:
-                            t2 = tup + (n2,)
-                            found[frozenset(t2)] = m2
-                            grown.append((t2, m2))
-                layer = grown
-            self._masks = found
-        return self._masks
+    def _families(self) -> list[tuple[str, ...]]:
+        if self._intersecting is None:
+            self._intersecting = intersecting_families({n: sub.mask for n, sub in self.parts.items()})
+        return self._intersecting
 
     def simplices(self) -> list[frozenset[str]]:
         """Subfamilies with non-empty intersection, smallest first."""
-        return sorted(self._intersection_masks(), key=lambda J: (len(J), sorted(J)))
+        return [frozenset(t) for t in self._families()]
 
     def intersection(self, names: Iterable[str]) -> ElementSet:
         J = set(names)
@@ -140,8 +142,7 @@ class PosetCover:
 
     def nerve(self) -> SimplicialComplex:
         if self._nerve is None:
-            sims = self._intersection_masks()
-            self._nerve = SimplicialComplex(tuple(sorted(J)) for J in sims) if sims else EMPTY_COMPLEX
+            self._nerve = SimplicialComplex(self._families())
         return self._nerve
 
     def nerve_poset(self) -> Poset:

@@ -262,11 +262,7 @@ def triviality_oracle(p: Poset, budget: int = DEFAULT_BUDGET) -> TrivialityVerdi
     cert = _dismantling_cert(p, p.full_mask())
     if cert is not None:
         return TrivialityVerdict("trivial", "dismantling", cert)
-    steps, nodes, complete = _collapse_dfs(p, p.full_mask(), None, budget)
-    if steps is not None:
-        return TrivialityVerdict("trivial", "collapse", ReductionCertificate(tuple(steps)), detail={"nodes": nodes})
-    reason = "no-collapse" if complete else "budget"
-    return TrivialityVerdict("unknown", reason, detail={"nodes": nodes})
+    return is_collapsible(p, budget)
 
 
 def find_gamma_points(

@@ -218,8 +218,46 @@ class TestMapperCommand:
         assert code == 0
 
     def test_epsilon_is_required(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["mapper", "circle-60", "--filter", "x"])
+        assert main(["mapper", "circle-60", "--filter", "x"]) == 3
+        assert "error:" in capsys.readouterr().err
+
+    def test_nan_epsilon_is_input_error(self, capsys):
+        assert main(["mapper", "circle-60", "--epsilon", "nan"]) == 3
+        assert "epsilon" in capsys.readouterr().err
+
+
+class TestInputErrorsExitThree:
+    """Problems found before a command runs are input errors, not verdicts."""
+
+    def expect_input_error(self, capsys, *argv):
+        assert main(list(argv)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+
+    def test_bad_budget_environment_value(self, capsys, monkeypatch):
+        monkeypatch.setenv("FINITETOPO_BUDGET", "abc")
+        self.expect_input_error(capsys, "homology", "six-cycle")
+
+    @pytest.mark.parametrize("argv", [
+        ["mapper", "circle-60", "--epsilon", "0.15", "--intervals", "abc"],
+        ["verify", "thm-z", "certified-relation"],
+    ])
+    def test_usage_error(self, capsys, argv):
+        self.expect_input_error(capsys, *argv)
+
+    def test_negative_budget_flag(self, capsys):
+        self.expect_input_error(capsys, "homology", "six-cycle", "--budget", "-5")
+
+    def test_negative_budget_environment_value(self, capsys, monkeypatch):
+        monkeypatch.setenv("FINITETOPO_BUDGET", "-5")
+        self.expect_input_error(capsys, "reduce", "six-cycle")
+
+    def test_zero_budget_is_accepted(self, capsys):
+        code, doc = run_json(capsys, "collapse", "collapsible-noncontractible", "--budget", "0")
+        assert code == 2
+        assert doc["detail"]["oracle"]["reason"] == "budget"
 
 
 class TestFixturesCommand:

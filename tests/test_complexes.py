@@ -104,6 +104,15 @@ class TestBarycentric:
         assert sd.f_vector() == (6, 6)
         assert same_homology(homology(sd), homology(k))[0]
 
+    def test_complex_subdivides_twice(self):
+        from finitetopo.fixtures import torus
+
+        k = torus()
+        sd2 = barycentric_complex(barycentric_complex(k))
+        assert len(sd2) == 1512
+        assert same_homology(homology(sd2), homology(k))[0]
+        assert homology(face_poset(barycentric_complex(k))).betti == (1, 2, 1)
+
     def test_poset_subdivision_matches_chain_count(self):
         p = diamond()
         sd = barycentric_poset(p)

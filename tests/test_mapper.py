@@ -142,6 +142,11 @@ class TestEpsilonComponents:
     def test_empty_selection(self):
         assert epsilon_components(square_cloud(), [], 1.0) == []
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf])
+    def test_epsilon_must_be_positive_and_finite(self, epsilon):
+        with pytest.raises(InputError, match="epsilon"):
+            epsilon_components(square_cloud(), ["p0", "p1"], epsilon)
+
 
 class TestMapperPipeline:
     def setup_method(self):
@@ -169,6 +174,29 @@ class TestMapperPipeline:
         assert d["points"] == 60
         assert d["completion_f_vector"] == [6, 6]
         assert len(d["intervals"]) == 4
+
+    def test_components_are_computed_once_per_intersection(self, monkeypatch):
+        import itertools
+        from collections import Counter
+
+        from finitetopo import mapper
+
+        calls = []
+
+        def counting(pc, ids, epsilon):
+            calls.append(frozenset(ids))
+            return epsilon_components(pc, ids, epsilon)
+
+        monkeypatch.setattr(mapper, "epsilon_components", counting)
+        pc, f, ic = figure_eight_sample(), parse_filter("x"), IntervalCover(6, 0.6)
+        mapper_completion(pc, f, ic, 0.2)
+        parts = pullback_cover(pc, f, ic)
+        intersections = [
+            frozenset.intersection(*(parts[n] for n in group))
+            for k in range(1, len(parts) + 1)
+            for group in itertools.combinations(sorted(parts), k)
+        ]
+        assert Counter(calls) == Counter(w for w in intersections if w)
 
     def test_figure_eight_has_two_loops(self):
         res = mapper_completion(

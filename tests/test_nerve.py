@@ -22,6 +22,7 @@ from finitetopo import (
     verify_nerve_theorem,
 )
 from finitetopo import fixtures as fx
+from finitetopo.nerve import intersecting_families
 
 
 def star_cover() -> PosetCover:
@@ -240,6 +241,32 @@ class TestVerifyCorollaryCompletion:
 
 
 # -- randomized cover laws ----------------------------------------------------
+
+
+def _brute_force_families(named):
+    import itertools
+    from functools import reduce
+
+    names = sorted(named)
+    return [
+        group
+        for k in range(1, len(names) + 1)
+        for group in itertools.combinations(names, k)
+        if reduce(lambda a, b: a & b, (named[n] for n in group))
+    ]
+
+
+_NAMES = st.sampled_from(["a", "b", "c", "d", "e", "f"])
+
+
+@given(st.dictionaries(_NAMES, st.frozensets(st.integers(0, 5), max_size=4), max_size=6))
+def test_intersecting_families_of_sets_match_brute_force(named):
+    assert intersecting_families(named) == _brute_force_families(named)
+
+
+@given(st.dictionaries(_NAMES, st.integers(0, 63), max_size=6))
+def test_intersecting_families_of_masks_match_brute_force(named):
+    assert intersecting_families(named) == _brute_force_families(named)
 
 
 @given(st.integers(0, 2**32 - 1))
