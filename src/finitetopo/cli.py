@@ -2,7 +2,7 @@
 
 Every command prints a run report as JSON (or a text rendering) and
 exits 0 for Certified or plain success, 1 for Refuted, 2 for Unknown,
-and 3 for input problems.  Flags can be defaulted through environment
+and 3 for input problems and internal errors.  Flags can be defaulted through environment
 variables named FINITETOPO_BUDGET, FINITETOPO_SEED, FINITETOPO_FORMAT
 and FINITETOPO_OUT; an explicit flag always wins.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import glob
-import json
 import os
 import random
 import sys
@@ -20,6 +19,7 @@ from typing import Any, Dict, Optional, Tuple
 from . import fixtures as fixtures_mod
 from .complexes import RegularCWComplex, SimplicialComplex, face_poset
 from .cylinder import (
+    EquivalenceReport,
     Relation,
     build_cylinder,
     check_source_retraction,
@@ -31,6 +31,7 @@ from .cylinder import (
     verify_homology_equivalence,
 )
 from .errors import InputError, NotCertified, ReplayError, ValidationError
+from .fixtures import object_from_fixture, read_fixture_file
 from .formats import (
     complex_cover_from_json,
     complex_to_json,
@@ -38,7 +39,6 @@ from .formats import (
     dot_complex,
     dot_cw,
     dot_poset,
-    load_json_file,
     parse_complex_text,
     parse_poset_text,
     poset_cover_from_json,
@@ -123,37 +123,6 @@ def profile_json(prof: HomologyProfile) -> Dict[str, Any]:
 
 # ------------------------------------------------------------ input loading
 
-def _load_wrapper(path: str) -> Tuple[Optional[dict], Any]:
-    """Returns (fixture wrapper or None, raw payload)."""
-    data = load_json_file(path)
-    if isinstance(data, dict) and "kind" in data and "data" in data:
-        return data, data["data"]
-    return None, data
-
-
-def object_from_fixture(kind: str, data: Any, where: str) -> Any:
-    if kind == "poset":
-        return poset_from_json(data, where)
-    if kind == "complex":
-        return complex_from_json(data, where)
-    if kind == "relation":
-        return relation_from_json(data, where)
-    if kind == "monotone-map":
-        for key in ("source", "target", "map"):
-            if not isinstance(data, dict) or key not in data:
-                raise InputError(f"{where}: monotone map needs 'source', 'target', 'map'")
-        return (
-            poset_from_json(data["source"], where),
-            poset_from_json(data["target"], where),
-            {str(k): str(v) for k, v in data["map"].items()},
-        )
-    if kind == "poset-cover":
-        return poset_cover_from_json(data, where)
-    if kind == "complex-cover":
-        return complex_cover_from_json(data, where)
-    raise InputError(f"{where}: cannot build a {kind!r} fixture object")
-
-
 def _object_from_raw_json(data: Any, where: str) -> Any:
     """Shape detection for plain (non fixture) JSON files."""
     if not isinstance(data, dict):
@@ -182,7 +151,7 @@ def load_object(path: str) -> Tuple[Optional[dict], Any]:
     either a poset (lines with '<') or a complex (facet per line).
     """
     if path.endswith(".json"):
-        wrapper, data = _load_wrapper(path)
+        wrapper, data = read_fixture_file(path)
         if wrapper is not None:
             return wrapper, object_from_fixture(wrapper["kind"], data, path)
         return None, _object_from_raw_json(data, path)
@@ -196,15 +165,17 @@ def load_object(path: str) -> Tuple[Optional[dict], Any]:
     return None, parse_complex_text(text, path)
 
 
-def _resolve_input(token: str) -> Tuple[Optional[dict], Any, Optional[str]]:
-    """Path, path with extension, or built in fixture name.
+def _load_input(token: str, report: RunReport) -> Tuple[Optional[dict], Any]:
+    """Path, path with extension, or built in fixture name; records the
+    input's hash on the report.
 
-    Returns (fixture wrapper or None, object, file path or None).
+    Returns (fixture wrapper or None, object).
     """
     for candidate in (token, token + ".json"):
         if os.path.isfile(candidate):
-            wrapper, obj = load_object(candidate)
-            return wrapper, obj, candidate
+            loaded = load_object(candidate)
+            report.add_input("input", path=candidate)
+            return loaded
     if token in fixtures_mod.REGISTRY:
         f = fixtures_mod.get_fixture(token)
         wrapper = {
@@ -214,21 +185,12 @@ def _resolve_input(token: str) -> Tuple[Optional[dict], Any, Optional[str]]:
             "expected_status": f.expected_status,
             "params": dict(f.params),
         }
-        if f.kind == "point-cloud":
-            return wrapper, f.build(), None
-        payload = fixtures_mod.fixture_payload(f)["data"]
-        return wrapper, object_from_fixture(f.kind, payload, token), None
-    raise InputError(f"no such file or fixture: {token}")
-
-
-def _stamp_input(report: RunReport, token: str, wrapper: Optional[dict],
-                 path: Optional[str]) -> None:
-    if path is not None:
-        report.add_input("input", path=path)
-    elif wrapper is not None:
         report.add_input("input", payload=wrapper)
-    else:
-        report.add_input("input", payload=token)
+        if f.kind == "point-cloud":
+            return wrapper, f.build()
+        payload = fixtures_mod.fixture_payload(f)["data"]
+        return wrapper, object_from_fixture(f.kind, payload, token)
+    raise InputError(f"no such file or fixture: {token}")
 
 
 def _as_relation(obj: Any, where: str) -> Relation:
@@ -248,46 +210,51 @@ def _as_cover(obj: Any, where: str):
 
 # ----------------------------------------------------------- verify targets
 
+def _attach_collapses(report: RunReport, eq: Optional[EquivalenceReport],
+                      source_label: str, target_label: str) -> None:
+    """Both collapse certificates of a certified equivalence, on its cylinder."""
+    if eq is not None and eq.cylinder is not None:
+        report.add_certificate(source_label, eq.to_source, eq.cylinder.poset)
+        report.add_certificate(target_label, eq.to_target, eq.cylinder.poset)
+
+
 def run_theorem(theorem: str, obj: Any, params: Dict[str, Any],
                 budget: int, report: RunReport, where: str = "<input>") -> None:
     """Run one verification target and fill the report in place."""
-    if theorem in ("prop-2.4", "prop-2.5", "thm-a", "prop-homology"):
+    if theorem in ("prop-2.4", "prop-2.5"):
         r = _as_relation(obj, where)
-        if theorem == "prop-2.4":
-            rep = check_source_retraction(r, budget)
-            report.detail["hypotheses"] = rep.to_json_dict()
-            report.set_status(_STATUS_WORD[rep.status])
-            if rep.status == "certified":
-                cyl = build_cylinder(r)
-                cert = collapse_cylinder_to_source(cyl, budget, rep)
-                report.add_certificate("collapse-to-source", cert, cyl.poset)
-        elif theorem == "prop-2.5":
-            rep = check_target_retraction(r, budget)
-            report.detail["hypotheses"] = rep.to_json_dict()
-            report.set_status(_STATUS_WORD[rep.status])
-            if rep.status == "certified":
-                cyl = build_cylinder(r)
-                cert = collapse_cylinder_to_target(cyl, budget, rep)
-                report.add_certificate("collapse-to-target", cert, cyl.poset)
-        elif theorem == "thm-a":
-            rep = verify_equivalence(r, budget)
-            report.detail["equivalence"] = rep.to_json_dict()
-            report.set_status(_STATUS_WORD[rep.status])
-            if rep.to_source is not None:
-                cyl = build_cylinder(r)
-                report.add_certificate("collapse-to-source", rep.to_source, cyl.poset)
-                report.add_certificate("collapse-to-target", rep.to_target, cyl.poset)
-            if rep.source_homology is not None:
-                report.add_homology("source", profile_json(rep.source_homology))
-                report.add_homology("target", profile_json(rep.target_homology))
-        else:
+        to_source = theorem == "prop-2.4"
+        rep = (check_source_retraction if to_source else check_target_retraction)(r, budget)
+        report.detail["hypotheses"] = rep.to_json_dict()
+        report.set_status(_STATUS_WORD[rep.status])
+        if rep.status == "certified":
+            cyl = build_cylinder(r)
+            collapse = collapse_cylinder_to_source if to_source else collapse_cylinder_to_target
+            report.add_certificate("collapse-to-" + rep.side, collapse(cyl, budget, rep), cyl.poset)
+        return
+
+    if theorem == "thm-a":
+        rep = verify_equivalence(_as_relation(obj, where), budget)
+        report.detail["equivalence"] = rep.to_json_dict()
+        report.set_status(_STATUS_WORD[rep.status])
+        _attach_collapses(report, rep, "collapse-to-source", "collapse-to-target")
+        if rep.source_homology is not None:
+            report.add_homology("source", profile_json(rep.source_homology))
+            report.add_homology("target", profile_json(rep.target_homology))
+        return
+
+    if theorem == "prop-homology":
+        r = _as_relation(obj, where)
+        try:
             degree = int(params.get("degree", 1))
-            rep = verify_homology_equivalence(r, degree, budget)
-            report.detail["homology_version"] = rep.to_json_dict()
-            report.set_status(_STATUS_WORD[rep.status])
-            if rep.source_homology is not None:
-                report.add_homology("source", profile_json(rep.source_homology))
-                report.add_homology("target", profile_json(rep.target_homology))
+        except (TypeError, ValueError):
+            raise InputError(f"{where}: degree must be an integer") from None
+        rep = verify_homology_equivalence(r, degree, budget)
+        report.detail["homology_version"] = rep.to_json_dict()
+        report.set_status(_STATUS_WORD[rep.status])
+        if rep.source_homology is not None:
+            report.add_homology("source", profile_json(rep.source_homology))
+            report.add_homology("target", profile_json(rep.target_homology))
         return
 
     if theorem in _NERVE_VARIANT:
@@ -295,11 +262,7 @@ def run_theorem(theorem: str, obj: Any, params: Dict[str, Any],
         rep = verify_nerve_theorem(cover, _NERVE_VARIANT[theorem], budget)
         report.detail["nerve_theorem"] = rep.to_json_dict()
         report.set_status(_STATUS_WORD[rep.status])
-        eq = rep.equivalence
-        if eq is not None and eq.to_source is not None and eq.relation is not None:
-            cyl = build_cylinder(eq.relation)
-            report.add_certificate("collapse-to-base", eq.to_source, cyl.poset)
-            report.add_certificate("collapse-to-nerve", eq.to_target, cyl.poset)
+        _attach_collapses(report, rep.equivalence, "collapse-to-base", "collapse-to-nerve")
         if rep.base_homology is not None:
             report.add_homology("base", profile_json(rep.base_homology))
             report.add_homology("nerve-side", profile_json(rep.nerve_homology))
@@ -312,11 +275,8 @@ def run_theorem(theorem: str, obj: Any, params: Dict[str, Any],
         rep = verify_corollary_completion(cover, budget)
         report.detail["completion_corollary"] = rep.to_json_dict()
         report.set_status(_STATUS_WORD[rep.status])
-        eq = rep.nerve_report.equivalence
-        if eq is not None and eq.to_source is not None and eq.relation is not None:
-            cyl = build_cylinder(eq.relation)
-            report.add_certificate("collapse-to-base", eq.to_source, cyl.poset)
-            report.add_certificate("collapse-to-completion", eq.to_target, cyl.poset)
+        _attach_collapses(report, rep.nerve_report.equivalence,
+                          "collapse-to-base", "collapse-to-completion")
         if rep.base_homology is not None:
             report.add_homology("base", profile_json(rep.base_homology))
             report.add_homology("completion", profile_json(rep.completion_homology))
@@ -336,7 +296,7 @@ def run_theorem(theorem: str, obj: Any, params: Dict[str, Any],
 def _run_fixture_file(path: str, budget: int, only: Optional[str]) -> Dict[str, Any]:
     entry: Dict[str, Any] = {"file": os.path.basename(path)}
     try:
-        wrapper, data = _load_wrapper(path)
+        wrapper, data = read_fixture_file(path)
         if wrapper is None:
             entry.update(status="Error", error="not a fixture file")
             return entry
@@ -392,15 +352,17 @@ def _verify_batch(args, report: RunReport) -> None:
 
 # ---------------------------------------------------------------- commands
 
-def cmd_verify(args) -> Tuple[RunReport, Optional[str]]:
+# Each command returns its report and the object that --format dot draws:
+# a Poset, a SimplicialComplex, a RegularCWComplex, or None for no drawing.
+
+def cmd_verify(args) -> Tuple[RunReport, Any]:
     report = RunReport("verify" + (f" {args.theorem}" if args.theorem else ""))
     if args.batch:
         _verify_batch(args, report)
         return report, None
     if not args.theorem or not args.input:
         raise InputError("verify needs a theorem id and an input file, or --batch <dir>")
-    wrapper, obj, path = _resolve_input(args.input)
-    _stamp_input(report, args.input, wrapper, path)
+    wrapper, obj = _load_input(args.input, report)
     params: Dict[str, Any] = dict(wrapper.get("params") or {}) if wrapper else {}
     if args.degree is not None:
         params["degree"] = args.degree
@@ -408,33 +370,25 @@ def cmd_verify(args) -> Tuple[RunReport, Optional[str]]:
     return report, None
 
 
-def cmd_homology(args) -> Tuple[RunReport, Optional[str]]:
+def cmd_homology(args) -> Tuple[RunReport, Any]:
     report = RunReport("homology")
-    wrapper, obj, path = _resolve_input(args.input)
-    _stamp_input(report, args.input, wrapper, path)
-    if isinstance(obj, tuple):
+    _, obj = _load_input(args.input, report)
+    if not isinstance(obj, (Poset, SimplicialComplex, RegularCWComplex)):
         raise InputError("homology takes a poset, complex, or CW complex")
     prof = homology(obj, reduced=args.reduced)
     report.add_homology("input", profile_json(prof))
     report.detail["euler_characteristic"] = euler_characteristic(obj)
     report.set_status("Certified")
-    dot = None
-    if args.format == "dot":
-        if isinstance(obj, Poset):
-            dot = dot_poset(obj)
-        elif isinstance(obj, SimplicialComplex):
-            dot = dot_complex(obj)
-        elif isinstance(obj, RegularCWComplex):
-            dot = dot_cw(obj)
-    return report, dot
+    return report, obj
 
 
-def _require_poset(obj: Any, where: str) -> Poset:
+def _load_poset(token: str, report: RunReport) -> Poset:
+    _, obj = _load_input(token, report)
     if isinstance(obj, Poset):
         return obj
     if isinstance(obj, SimplicialComplex):
         return face_poset(obj)
-    raise InputError(f"{where}: expected a poset (a complex is accepted as its face poset)")
+    raise InputError(f"{token}: expected a poset (a complex is accepted as its face poset)")
 
 
 def _verdict_status(report: RunReport, verdict) -> None:
@@ -446,11 +400,9 @@ def _verdict_status(report: RunReport, verdict) -> None:
         report.set_status("Unknown")
 
 
-def cmd_reduce(args) -> Tuple[RunReport, Optional[str]]:
+def cmd_reduce(args) -> Tuple[RunReport, Any]:
     report = RunReport("reduce")
-    wrapper, obj, path = _resolve_input(args.input)
-    p = _require_poset(obj, args.input)
-    _stamp_input(report, args.input, wrapper, path)
+    p = _load_poset(args.input, report)
     beats = find_beat_points(p)
     weaks = find_weak_points(p)
     gammas, unknowns = find_gamma_points(p, args.budget)
@@ -469,29 +421,23 @@ def cmd_reduce(args) -> Tuple[RunReport, Optional[str]]:
     if verdict.certificate is not None:
         report.add_certificate("oracle", verdict.certificate, p)
     _verdict_status(report, verdict)
-    dot = dot_poset(q) if args.format == "dot" else None
-    return report, dot
+    return report, q
 
 
-def cmd_core(args) -> Tuple[RunReport, Optional[str]]:
+def cmd_core(args) -> Tuple[RunReport, Any]:
     report = RunReport("core")
-    wrapper, obj, path = _resolve_input(args.input)
-    p = _require_poset(obj, args.input)
-    _stamp_input(report, args.input, wrapper, path)
+    p = _load_poset(args.input, report)
     q, cert = core(p)
     report.detail["core"] = poset_to_json(q)
     report.detail["removed"] = len(p) - len(q)
     report.add_certificate("core", cert, p)
     report.set_status("Certified")
-    dot = dot_poset(q) if args.format == "dot" else None
-    return report, dot
+    return report, q
 
 
-def cmd_collapse(args) -> Tuple[RunReport, Optional[str]]:
+def cmd_collapse(args) -> Tuple[RunReport, Any]:
     report = RunReport("collapse")
-    wrapper, obj, path = _resolve_input(args.input)
-    p = _require_poset(obj, args.input)
-    _stamp_input(report, args.input, wrapper, path)
+    p = _load_poset(args.input, report)
     if args.target:
         cert, stats = collapse_search(p, args.target, args.budget)
         report.detail["search"] = stats
@@ -509,21 +455,13 @@ def cmd_collapse(args) -> Tuple[RunReport, Optional[str]]:
     return report, None
 
 
-def cmd_cylinder(args) -> Tuple[RunReport, Optional[str]]:
+def cmd_cylinder(args) -> Tuple[RunReport, Any]:
     report = RunReport(f"cylinder {args.action}")
-    wrapper, obj, path = _resolve_input(args.input)
-    _stamp_input(report, args.input, wrapper, path)
-    if isinstance(obj, tuple):
-        source, target, mapping = obj
-        r = Relation.from_monotone_map(source, target, mapping)
-        is_map = True
-    else:
-        r = _as_relation(obj, args.input)
-        is_map = False
-    dot = None
+    _, obj = _load_input(args.input, report)
+    r = _as_relation(obj, args.input)
     if args.action == "build":
-        if is_map:
-            cyl = mapping_cylinder(source, target, mapping)
+        if isinstance(obj, tuple):
+            cyl = mapping_cylinder(*obj)
             if cyl.retraction_certificate is not None:
                 report.add_certificate("beat-retraction", cyl.retraction_certificate, cyl.poset)
         else:
@@ -532,27 +470,23 @@ def cmd_cylinder(args) -> Tuple[RunReport, Optional[str]]:
         report.detail["source_part"] = sorted(cyl.source_part.members)
         report.detail["target_part"] = sorted(cyl.target_part.members)
         report.set_status("Certified")
-        dot = dot_poset(cyl.poset) if args.format == "dot" else None
-    elif args.action == "check-x":
-        rep = check_source_retraction(r, args.budget)
-        report.detail["hypotheses"] = rep.to_json_dict()
-        report.set_status(_STATUS_WORD[rep.status])
-    elif args.action == "check-y":
-        rep = check_target_retraction(r, args.budget)
+        return report, cyl.poset
+    if args.action in ("check-x", "check-y"):
+        rep = (check_source_retraction if args.action == "check-x" else check_target_retraction)(r, args.budget)
         report.detail["hypotheses"] = rep.to_json_dict()
         report.set_status(_STATUS_WORD[rep.status])
     elif args.action == "verify-a":
         run_theorem("thm-a", r, {}, args.budget, report, args.input)
-    elif args.action == "verify-homology":
-        run_theorem("prop-homology", r, {"degree": args.degree or 1}, args.budget, report, args.input)
-    return report, dot
+    else:
+        degree = 1 if args.degree is None else args.degree
+        run_theorem("prop-homology", r, {"degree": degree}, args.budget, report, args.input)
+    return report, None
 
 
-def cmd_nerve(args) -> Tuple[RunReport, Optional[str]]:
+def cmd_nerve(args) -> Tuple[RunReport, Any]:
     report = RunReport("nerve")
-    wrapper, obj, path = _resolve_input(args.input)
+    _, obj = _load_input(args.input, report)
     cover = _as_cover(obj, args.input)
-    _stamp_input(report, args.input, wrapper, path)
     nerve_complex = cover.nerve()
     cls = classify_cover(cover, args.budget)
     report.detail["nerve"] = complex_to_json(nerve_complex)
@@ -560,15 +494,13 @@ def cmd_nerve(args) -> Tuple[RunReport, Optional[str]]:
     report.add_homology("nerve", profile_json(homology(nerve_complex)))
     report.add_homology("base", profile_json(homology(cover.base)))
     report.set_status("Unknown" if cls.status == "unknown" else "Certified")
-    dot = dot_complex(nerve_complex) if args.format == "dot" else None
-    return report, dot
+    return report, nerve_complex
 
 
-def cmd_completion(args) -> Tuple[RunReport, Optional[str]]:
+def cmd_completion(args) -> Tuple[RunReport, Any]:
     report = RunReport("completion")
-    wrapper, obj, path = _resolve_input(args.input)
+    _, obj = _load_input(args.input, report)
     cover = _as_cover(obj, args.input)
-    _stamp_input(report, args.input, wrapper, path)
     comp = completion_poset(cover)
     report.detail["completion"] = poset_to_json(comp.poset)
     report.detail["cells_by_dim"] = {
@@ -580,11 +512,10 @@ def cmd_completion(args) -> Tuple[RunReport, Optional[str]]:
     report.add_homology("completion", profile_json(homology(cw)))
     report.add_homology("base", profile_json(homology(cover.base)))
     report.set_status("Certified")
-    dot = dot_cw(cw) if args.format == "dot" else None
-    return report, dot
+    return report, cw
 
 
-def cmd_mapper(args) -> Tuple[RunReport, Optional[str]]:
+def cmd_mapper(args) -> Tuple[RunReport, Any]:
     report = RunReport("mapper")
     if os.path.isfile(args.input):
         cloud = PointCloud.from_csv(args.input)
@@ -605,20 +536,15 @@ def cmd_mapper(args) -> Tuple[RunReport, Optional[str]]:
     report.add_homology("nerve", profile_json(result.nerve_homology))
     report.add_homology("component-nerve", profile_json(result.component_nerve_homology))
     report.set_status("Certified")
-    dot = None
     if args.emit == "completion":
         report.detail["emitted"] = cw_to_json(result.complex)
-        dot = dot_cw(result.complex) if args.format == "dot" else None
-    elif args.emit == "nerve":
-        report.detail["emitted"] = complex_to_json(result.nerve)
-        dot = dot_complex(result.nerve) if args.format == "dot" else None
-    else:
-        report.detail["emitted"] = complex_to_json(result.component_nerve)
-        dot = dot_complex(result.component_nerve) if args.format == "dot" else None
-    return report, dot
+        return report, result.complex
+    shown = result.nerve if args.emit == "nerve" else result.component_nerve
+    report.detail["emitted"] = complex_to_json(shown)
+    return report, shown
 
 
-def cmd_fixtures(args) -> Tuple[RunReport, Optional[str]]:
+def cmd_fixtures(args) -> Tuple[RunReport, Any]:
     report = RunReport(f"fixtures {args.action}")
     if args.action == "list":
         report.detail["fixtures"] = [
@@ -631,81 +557,25 @@ def cmd_fixtures(args) -> Tuple[RunReport, Optional[str]]:
             }
             for f in fixtures_mod.all_fixtures()
         ]
-        report.set_status("Certified")
-        return report, None
-    if args.action == "emit":
+    elif args.action == "emit":
         names = [args.name] if args.name else sorted(fixtures_mod.REGISTRY)
-        written = []
-        for name in names:
-            written.append(fixtures_mod.write_fixture(fixtures_mod.get_fixture(name), args.dir))
-        report.detail["written"] = written
-        report.set_status("Certified")
-        return report, None
-    if args.action == "generate":
+        report.detail["written"] = [
+            fixtures_mod.write_fixture(fixtures_mod.get_fixture(name), args.dir) for name in names
+        ]
+    else:
         if args.seed is None:
             raise InputError("fixtures generate needs an explicit --seed")
+        if args.recipe is None:
+            raise InputError("fixtures generate needs a --recipe")
         rng = random.Random(args.seed)
-        written = []
-        os.makedirs(args.dir, exist_ok=True)
-        for k in range(args.count):
-            name = f"{args.recipe}-{args.seed}-{k:03d}"
-            payload = _generated_payload(args.recipe, rng, name)
-            path = os.path.join(args.dir, f"{name}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            written.append(path)
-        report.detail["written"] = written
-        report.set_status("Certified")
-        return report, None
-    raise InputError(f"unknown fixtures action {args.action!r}")
-
-
-def _generated_payload(recipe: str, rng: random.Random, name: str) -> Dict[str, Any]:
-    from .formats import (
-        poset_cover_to_json,
-        poset_to_json as p2j,
-        relation_to_json as r2j,
-        complex_to_json as c2j,
-    )
-    if recipe == "poset":
-        data = p2j(fixtures_mod.random_poset(rng, rng.randint(4, 9)))
-        kind, theorem, expected = "poset", "dictionary", "Certified"
-    elif recipe == "dismantlable":
-        data = p2j(fixtures_mod.random_dismantlable_poset(rng, rng.randint(3, 9)))
-        kind, theorem, expected = "poset", "dictionary", "Certified"
-    elif recipe == "complex":
-        data = c2j(fixtures_mod.random_complex(rng))
-        kind, theorem, expected = "complex", "dictionary", "Certified"
-    elif recipe == "monotone-map":
-        source, target, mapping = fixtures_mod.random_monotone_map(
-            rng, rng.randint(2, 8), rng.randint(2, 8))
-        data = {
-            "source": p2j(source),
-            "target": p2j(target),
-            "map": dict(sorted(mapping.items())),
-        }
-        kind, theorem, expected = "monotone-map", "prop-2.5", "Certified"
-    elif recipe == "relation":
-        data = r2j(fixtures_mod.beat_retraction_relation(rng, rng.randint(3, 8)))
-        kind, theorem, expected = "relation", "thm-a", "Certified"
-    elif recipe == "good-cover":
-        data = poset_cover_to_json(fixtures_mod.random_good_cover(rng))
-        kind, theorem, expected = "poset-cover", "nerve-good", "Certified"
-    elif recipe == "quasi-good-cover":
-        data = poset_cover_to_json(fixtures_mod.random_quasi_good_cover(rng))
-        kind, theorem, expected = "poset-cover", "nerve-quasigood", "Certified"
-    else:
-        raise InputError(f"unknown recipe {recipe!r}")
-    return {
-        "kind": kind,
-        "name": name,
-        "description": f"generated by recipe {recipe}",
-        "theorem": theorem,
-        "expected_status": expected,
-        "params": {},
-        "data": data,
-    }
+        report.detail["written"] = [
+            fixtures_mod.write_fixture(
+                fixtures_mod.generated_fixture(args.recipe, rng, f"{args.recipe}-{args.seed}-{k:03d}"),
+                args.dir)
+            for k in range(args.count)
+        ]
+    report.set_status("Certified")
+    return report, None
 
 
 # ------------------------------------------------------------------ parser
@@ -761,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cylinder", parents=[common], help="relation cylinder operations")
     p.add_argument("action", choices=("build", "check-x", "check-y", "verify-a", "verify-homology"))
     p.add_argument("input")
-    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--degree", type=non_negative_int, default=None)
     p.set_defaults(func=cmd_cylinder)
 
     p = sub.add_parser("nerve", parents=[common], help="nerve and cover classification")
@@ -782,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("theorem", nargs="?", choices=THEOREMS)
     p.add_argument("input", nargs="?")
     p.add_argument("--batch", help="run every fixture file in a directory")
-    p.add_argument("--degree", type=int, default=None,
+    p.add_argument("--degree", type=non_negative_int, default=None,
                    help="degree bound for prop-homology")
     p.set_defaults(func=cmd_verify)
 
@@ -800,11 +670,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("list", "emit", "generate"))
     p.add_argument("--name", help="emit only this fixture")
     p.add_argument("--dir", default="fixtures")
-    p.add_argument("--recipe",
-                   choices=("poset", "dismantlable", "complex", "monotone-map",
-                            "relation", "good-cover", "quasi-good-cover"),
+    p.add_argument("--recipe", choices=tuple(fixtures_mod.RECIPES),
                    help="generator recipe for the generate action")
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=non_negative_int, default=1)
     p.set_defaults(func=cmd_fixtures)
 
     return parser
@@ -842,16 +710,22 @@ def main(argv=None) -> int:
     try:
         # the parser reads FINITETOPO_* defaults, so building it can fail too
         args = build_parser().parse_args(argv)
-        report, dot = args.func(args)
+        report, shown = args.func(args)
         report.finalize()
         if args.format == "dot":
-            if dot is None:
+            if isinstance(shown, Poset):
+                text = dot_poset(shown)
+            elif isinstance(shown, SimplicialComplex):
+                text = dot_complex(shown)
+            elif isinstance(shown, RegularCWComplex):
+                text = dot_cw(shown)
+            else:
                 raise InputError(f"{args.command} has no dot output for this action")
-            _write_output(dot, args.out)
         elif args.format == "text":
-            _write_output(_render_text(report), args.out)
+            text = _render_text(report)
         else:
-            _write_output(report.to_json(), args.out)
+            text = report.to_json()
+        _write_output(text, args.out)
         return report.exit_code
     except (InputError, ValidationError, ReplayError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -859,6 +733,11 @@ def main(argv=None) -> int:
     except NotCertified as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a failed soundness check or any other crash is not a verdict:
+        # exit 1 stays reserved for Refuted
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -173,6 +173,12 @@ def _strip(prefix: str, name: str) -> str:
     return name[len(prefix) :]
 
 
+def _certificate_of(verdict: TrivialityVerdict, element: str) -> ReductionCertificate:
+    if verdict.certificate is None:
+        raise ValidationError(f"the trivial verdict for {element!r} carries no certificate")
+    return verdict.certificate
+
+
 def collapse_cylinder_to_source(
     c: CylinderPoset, budget: int = DEFAULT_BUDGET, report: Optional[HypothesisReport] = None
 ) -> ReductionCertificate:
@@ -199,9 +205,7 @@ def collapse_cylinder_to_source(
             raise ValidationError(
                 f"punctured down-set of {yname!r} does not match its local source data"
             )
-        verdict = report.verdicts[y]
-        assert verdict.certificate is not None
-        evidence = verdict.certificate.rename(source_name)
+        evidence = _certificate_of(report.verdicts[y], y).rename(source_name)
         steps.append(ReductionStep("gamma-down", (yname,), evidence=evidence))
         removed.add(yname)
     return ReductionCertificate(tuple(steps))
@@ -229,9 +233,7 @@ def collapse_cylinder_to_target(
             raise ValidationError(
                 f"punctured up-set of {xname!r} does not match its local target data"
             )
-        verdict = report.verdicts[x]
-        assert verdict.certificate is not None
-        evidence = verdict.certificate.rename(target_name)
+        evidence = _certificate_of(report.verdicts[x], x).rename(target_name)
         steps.append(ReductionStep("gamma-up", (xname,), evidence=evidence))
         removed.add(xname)
     return ReductionCertificate(tuple(steps))
@@ -247,8 +249,8 @@ class EquivalenceReport:
     source_homology: Optional[HomologyProfile] = None
     target_homology: Optional[HomologyProfile] = None
     homology_equal: Optional[bool] = None
-    # kept so callers can rebuild the cylinder the certificates act on
-    relation: Optional[Relation] = None
+    # the cylinder both certificates act on; set only when certified
+    cylinder: Optional[CylinderPoset] = None
 
     def to_json_dict(self) -> dict:
         out: dict = {
@@ -279,9 +281,9 @@ def verify_equivalence(r: Relation, budget: int = DEFAULT_BUDGET) -> Equivalence
     src = check_source_retraction(r, budget)
     tgt = check_target_retraction(r, budget)
     if src.status == "refuted" or tgt.status == "refuted":
-        return EquivalenceReport("refuted", src, tgt, relation=r)
+        return EquivalenceReport("refuted", src, tgt)
     if src.status == "unknown" or tgt.status == "unknown":
-        return EquivalenceReport("unknown", src, tgt, relation=r)
+        return EquivalenceReport("unknown", src, tgt)
     cyl = build_cylinder(r)
     to_source = collapse_cylinder_to_source(cyl, budget, src)
     to_target = collapse_cylinder_to_target(cyl, budget, tgt)
@@ -290,7 +292,7 @@ def verify_equivalence(r: Relation, budget: int = DEFAULT_BUDGET) -> Equivalence
     equal, diffs = same_homology(hx, hy)
     if not equal:
         raise AssertionError(f"certified relation with unequal homology: {diffs}")
-    return EquivalenceReport("certified", src, tgt, to_source, to_target, hx, hy, equal, relation=r)
+    return EquivalenceReport("certified", src, tgt, to_source, to_target, hx, hy, equal, cyl)
 
 
 @dataclass(frozen=True)
@@ -330,6 +332,8 @@ def verify_homology_equivalence(r: Relation, n: int, budget: int = DEFAULT_BUDGE
     every local piece either vanishes or it does not.  Empty local data
     fails, matching the connectivity reading of the hypothesis.
     """
+    if n < 0:
+        raise InputError(f"degree bound must be non-negative, got {n}")
     failing: dict[str, list[str]] = {"source": [], "target": []}
     for y in r.target.elements:
         if not _reduced_vanishes_through(source_local_data(r, y), n):

@@ -25,10 +25,16 @@ from .complexes import SimplicialComplex, face_poset
 from .cylinder import Relation
 from .errors import InputError
 from .formats import (
+    complex_cover_from_json,
     complex_cover_to_json,
+    complex_from_json,
     complex_to_json,
+    load_json_file,
+    poset_cover_from_json,
     poset_cover_to_json,
+    poset_from_json,
     poset_to_json,
+    relation_from_json,
     relation_to_json,
 )
 from .mapper import PointCloud, circle_sample, figure_eight_sample
@@ -280,6 +286,38 @@ def fixture_payload(f: Fixture) -> Dict[str, Any]:
     }
 
 
+def read_fixture_file(path: str) -> Tuple[Optional[dict], Any]:
+    """Returns (fixture wrapper or None, raw payload)."""
+    data = load_json_file(path)
+    if isinstance(data, dict) and "kind" in data and "data" in data:
+        return data, data["data"]
+    return None, data
+
+
+def object_from_fixture(kind: str, data: Any, where: str) -> Any:
+    """The domain object of a fixture payload: the inverse of _data_payload."""
+    if kind == "poset":
+        return poset_from_json(data, where)
+    if kind == "complex":
+        return complex_from_json(data, where)
+    if kind == "relation":
+        return relation_from_json(data, where)
+    if kind == "monotone-map":
+        for key in ("source", "target", "map"):
+            if not isinstance(data, dict) or key not in data:
+                raise InputError(f"{where}: monotone map needs 'source', 'target', 'map'")
+        return (
+            poset_from_json(data["source"], where),
+            poset_from_json(data["target"], where),
+            {str(k): str(v) for k, v in data["map"].items()},
+        )
+    if kind == "poset-cover":
+        return poset_cover_from_json(data, where)
+    if kind == "complex-cover":
+        return complex_cover_from_json(data, where)
+    raise InputError(f"{where}: cannot build a {kind!r} fixture object")
+
+
 def _cloud_csv(f: Fixture) -> str:
     cloud: PointCloud = f.build()
     lines = [f"# fixture {f.name}: {f.description}"]
@@ -457,3 +495,26 @@ def random_quasi_good_cover(rng: random.Random, max_size: int = 12,
         return good
     p = random_dismantlable_poset(rng, rng.randint(3, 6))
     return PosetCover(p, {"U0": set(p.elements)})
+
+
+# recipe -> (fixture kind, theorem, builder drawing from a seeded rng); every
+# recipe's instances are expected to certify
+RECIPES: Dict[str, Tuple[str, str, Callable[[random.Random], Any]]] = {
+    "poset": ("poset", "dictionary", lambda rng: random_poset(rng, rng.randint(4, 9))),
+    "dismantlable": ("poset", "dictionary",
+                     lambda rng: random_dismantlable_poset(rng, rng.randint(3, 9))),
+    "complex": ("complex", "dictionary", random_complex),
+    "monotone-map": ("monotone-map", "prop-2.5",
+                     lambda rng: random_monotone_map(rng, rng.randint(2, 8), rng.randint(2, 8))),
+    "relation": ("relation", "thm-a", lambda rng: beat_retraction_relation(rng, rng.randint(3, 8))),
+    "good-cover": ("poset-cover", "nerve-good", random_good_cover),
+    "quasi-good-cover": ("poset-cover", "nerve-quasigood", random_quasi_good_cover),
+}
+
+
+def generated_fixture(recipe: str, rng: random.Random, name: str) -> Fixture:
+    """One instance of a recipe, drawn now, as a fixture ready for write_fixture."""
+    kind, theorem, build = RECIPES[recipe]
+    obj = build(rng)
+    return Fixture(name, kind, f"generated by recipe {recipe}", lambda: obj,
+                   theorem=theorem, expected_status="Certified")

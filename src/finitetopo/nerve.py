@@ -410,6 +410,8 @@ class NerveTheoremReport:
     base_homology: Optional[HomologyProfile] = None
     nerve_homology: Optional[HomologyProfile] = None
     homology_equal: Optional[bool] = None
+    # the completion the quasi-good variant relates the base to
+    completion: Optional[CompletionPoset] = None
 
     def to_json_dict(self) -> dict:
         out: dict = {
@@ -447,6 +449,7 @@ def verify_nerve_theorem(c: AnyCover, variant: str, budget: int = DEFAULT_BUDGET
         raise InputError(f"unknown nerve theorem variant {variant!r}; expected one of {NERVE_VARIANTS}")
     c = _as_poset_cover(c)
     classification = classify_cover(c, budget)
+    comp: Optional[CompletionPoset] = None
 
     if variant == "good-poset":
         if not classification.is_good:
@@ -488,7 +491,7 @@ def verify_nerve_theorem(c: AnyCover, variant: str, budget: int = DEFAULT_BUDGET
         equal, diffs = same_homology(base_h, nerve_h)
         if not equal:
             raise AssertionError(f"nerve theorem certified with unequal homology: {diffs}")
-    return NerveTheoremReport(variant, eq.status, classification, {}, eq, base_h, nerve_h, equal)
+    return NerveTheoremReport(variant, eq.status, classification, {}, eq, base_h, nerve_h, equal, comp)
 
 
 @dataclass(eq=False)
@@ -523,7 +526,7 @@ def verify_corollary_completion(c: ComplexCover, budget: int = DEFAULT_BUDGET) -
     if not isinstance(c, ComplexCover):
         raise InputError("completion corollary expects a cover of a simplicial complex")
     inner = verify_nerve_theorem(c.poset_cover(), "quasi-good", budget)
-    cw = completion_cw(c)
+    cw = completion_cw(c) if inner.completion is None else inner.completion.as_cw()
     base_h = homology(c.base)
     comp_h = homology(cw)
     equal: Optional[bool] = None

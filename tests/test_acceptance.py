@@ -99,7 +99,7 @@ def test_criterion_1_two_part_cover_of_the_triangle_boundary(acceptance_log):
 
         eq = rep.nerve_report.equivalence
         assert eq is not None and eq.status == "certified"
-        cylinder = build_cylinder(eq.relation).poset
+        cylinder = eq.cylinder.poset
         LEDGER.append((cylinder, eq.to_source, "corollary to_source"))
         LEDGER.append((cylinder, eq.to_target, "corollary to_target"))
 
@@ -175,7 +175,7 @@ def test_criterion_4_nerve_theorems_on_seeded_covers(acceptance_log):
                 assert point_subnerve(sub, x).maximum() is not None, (i, x)
 
             eq = rep.equivalence
-            cylinder = build_cylinder(eq.relation).poset
+            cylinder = eq.cylinder.poset
             LEDGER.append((cylinder, eq.to_source, f"good cover {i} to_source"))
             LEDGER.append((cylinder, eq.to_target, f"good cover {i} to_target"))
 
@@ -193,7 +193,7 @@ def test_criterion_4_nerve_theorems_on_seeded_covers(acceptance_log):
             assert ok, (i, diffs)
 
             eq = rep.equivalence
-            cylinder = build_cylinder(eq.relation).poset
+            cylinder = eq.cylinder.poset
             LEDGER.append((cylinder, eq.to_source, f"quasi cover {i} to_source"))
             LEDGER.append((cylinder, eq.to_target, f"quasi cover {i} to_target"))
 

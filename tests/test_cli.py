@@ -1,11 +1,18 @@
+import importlib
 import json
 import os
 
 import pytest
 
 from finitetopo import Poset, Relation
+from finitetopo import cli
 from finitetopo import fixtures as fx
 from finitetopo.cli import main
+
+# the package exports functions named after these modules, so the modules
+# themselves are looked up by their dotted names
+cylinder_mod = importlib.import_module("finitetopo.cylinder")
+nerve_mod = importlib.import_module("finitetopo.nerve")
 from finitetopo.formats import relation_to_json
 
 
@@ -73,6 +80,11 @@ class TestVerify:
         code, doc = run_json(capsys, "verify", "thm-a", str(path), "--budget", "1")
         assert code == 2
         assert doc["status"] == "Unknown"
+
+    def test_zero_degree_reaches_the_cylinder_check(self, capsys):
+        code, doc = run_json(capsys, "cylinder", "verify-homology", "certified-relation", "--degree", "0")
+        assert code == 0
+        assert doc["detail"]["homology_version"]["through_degree"] == 0
 
     def test_input_hash_is_recorded(self, capsys, tmp_path):
         code, doc = run_json(capsys, "verify", "thm-a", "certified-relation")
@@ -243,6 +255,9 @@ class TestInputErrorsExitThree:
     @pytest.mark.parametrize("argv", [
         ["mapper", "circle-60", "--epsilon", "0.15", "--intervals", "abc"],
         ["verify", "thm-z", "certified-relation"],
+        ["verify", "prop-homology", "homology-relation", "--degree", "-2"],
+        ["cylinder", "verify-homology", "certified-relation", "--degree", "-1"],
+        ["homology", "two-arc-cover-six-cycle"],
     ])
     def test_usage_error(self, capsys, argv):
         self.expect_input_error(capsys, *argv)
@@ -253,6 +268,24 @@ class TestInputErrorsExitThree:
     def test_negative_budget_environment_value(self, capsys, monkeypatch):
         monkeypatch.setenv("FINITETOPO_BUDGET", "-5")
         self.expect_input_error(capsys, "reduce", "six-cycle")
+
+    @pytest.mark.parametrize("degree", [-1, "abc"])
+    def test_bad_degree_in_fixture_params(self, capsys, tmp_path, degree):
+        payload = fx.fixture_payload(fx.get_fixture("homology-relation"))
+        payload["params"]["degree"] = degree
+        path = tmp_path / "bad-degree.json"
+        path.write_text(json.dumps(payload))
+        self.expect_input_error(capsys, "verify", "prop-homology", str(path))
+        # in a batch the file is one failed entry, not a failed run
+        code, doc = run_json(capsys, "verify", "--batch", str(tmp_path))
+        assert code == 3
+        assert doc["detail"]["fixtures"][0]["status"] == "Error"
+
+    def test_negative_count(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        self.expect_input_error(capsys, "fixtures", "generate", "--recipe", "poset",
+                                "--count", "-3", "--seed", "1", "--dir", str(out))
+        assert not out.exists()
 
     def test_zero_budget_is_accepted(self, capsys):
         code, doc = run_json(capsys, "collapse", "collapsible-noncontractible", "--budget", "0")
@@ -308,3 +341,51 @@ class TestOutputPlumbing:
     def test_dot_unsupported_action_errors(self, capsys):
         code = main(["verify", "thm-a", "certified-relation", "--format", "dot"])
         assert code == 3
+
+
+class TestInternalErrorsExitThree:
+    """A crash is not a verdict: exit 1 stays reserved for Refuted."""
+
+    @pytest.mark.parametrize("exc", [
+        AssertionError("certified relation with unequal homology"),
+        RecursionError("maximum recursion depth exceeded"),
+    ], ids=["assertion", "recursion"])
+    def test_unexpected_exception(self, capsys, monkeypatch, exc):
+        def crash(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "verify_equivalence", crash)
+        assert main(["verify", "thm-a", "certified-relation"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: internal error: {type(exc).__name__}: ")
+        assert "Traceback" not in captured.err
+
+
+class TestEachObjectBuiltOnce:
+    """The report carries what the verification built; nothing is rebuilt."""
+
+    @staticmethod
+    def count_calls(monkeypatch, name, *modules):
+        calls = []
+        original = getattr(modules[0], name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_cor_completion_builds_the_completion_once(self, capsys, monkeypatch):
+        calls = self.count_calls(monkeypatch, "completion_poset", nerve_mod, cli)
+        code, doc = run_json(capsys, "verify", "cor-completion", "example-3-12")
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_thm_a_builds_the_cylinder_once(self, capsys, monkeypatch):
+        calls = self.count_calls(monkeypatch, "build_cylinder", cylinder_mod, cli)
+        code, doc = run_json(capsys, "verify", "thm-a", "certified-relation")
+        assert code == 0
+        assert len(calls) == 1

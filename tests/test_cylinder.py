@@ -23,6 +23,8 @@ from finitetopo import (
     verify_homology_equivalence,
 )
 from finitetopo import fixtures as fx
+from finitetopo.certificates import TrivialityVerdict
+from finitetopo.cylinder import HypothesisReport
 from tests.test_poset import posets
 
 
@@ -187,6 +189,17 @@ class TestCollapseCertificates:
         with pytest.raises((ValidationError, KeyError)):
             collapse_cylinder_to_source(cyl, report=good)
 
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_trivial_verdict_without_certificate_is_rejected(self, side):
+        # a hand-built report that says "trivial" everywhere but carries no
+        # evidence: the collapse has nothing to attach to its gamma steps
+        r = fx._certified_relation()
+        elements = r.target.elements if side == "source" else r.source.elements
+        report = HypothesisReport(side, {e: TrivialityVerdict("trivial", "hand-built") for e in elements})
+        collapse = collapse_cylinder_to_source if side == "source" else collapse_cylinder_to_target
+        with pytest.raises(ValidationError, match="carries no certificate"):
+            collapse(build_cylinder(r), report=report)
+
 
 class TestVerifyEquivalence:
     def test_certified(self):
@@ -194,12 +207,13 @@ class TestVerifyEquivalence:
         assert rep.status == "certified"
         assert rep.homology_equal is True
         assert rep.to_source is not None and rep.to_target is not None
-        assert rep.relation is not None
+        assert rep.cylinder is not None
 
     def test_refuted(self):
         rep = verify_equivalence(fx._refutation_relation())
         assert rep.status == "refuted"
         assert rep.to_source is None
+        assert rep.cylinder is None
         assert rep.target_report.failing == ["x"]
 
     def test_unknown_on_budget_exhaustion(self):
@@ -211,9 +225,16 @@ class TestVerifyEquivalence:
         rep = verify_equivalence(r, budget=1)
         assert rep.status == "unknown"
 
+    def test_certified_report_replays_on_its_cylinder(self):
+        r = fx._certified_relation()
+        rep = verify_equivalence(r)
+        assert rep.cylinder.relation == r
+        final = replay_poset_certificate(rep.cylinder.poset, rep.to_source)
+        assert set(final.elements) == set(rep.cylinder.source_part)
+
     def test_certified_report_replays_on_rebuilt_cylinder(self):
         rep = verify_equivalence(fx._certified_relation())
-        cyl = build_cylinder(rep.relation)
+        cyl = build_cylinder(rep.cylinder.relation)
         final = replay_poset_certificate(cyl.poset, rep.to_target)
         assert set(final.elements) == set(cyl.target_part)
 
@@ -225,6 +246,10 @@ class TestVerifyHomologyEquivalence:
         assert rep.status == "certified"
         assert rep.homology_equal is True
         assert rep.through_degree == 1
+
+    def test_negative_degree_is_input_error(self):
+        with pytest.raises(InputError, match="non-negative"):
+            verify_homology_equivalence(fx._certified_relation(), -1)
 
     def test_no_unknown_even_at_zero_budget(self):
         r = fx._certified_relation()

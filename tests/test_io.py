@@ -153,7 +153,7 @@ class TestDotOutput:
 
 class TestFixturePayloads:
     def test_every_registry_entry_emits_and_rebuilds(self, tmp_path):
-        from finitetopo.cli import object_from_fixture
+        from finitetopo.fixtures import object_from_fixture
 
         for f in fx.all_fixtures():
             if f.kind == "point-cloud":

@@ -7,7 +7,6 @@ from finitetopo import (
     InputError,
     PosetCover,
     SimplicialComplex,
-    build_cylinder,
     classify_cover,
     completion_cw,
     completion_poset,
@@ -208,7 +207,7 @@ class TestVerifyNerveTheorem:
     def test_certificates_replay_on_membership_cylinder(self):
         rep = verify_nerve_theorem(star_cover(), "good-poset")
         eq = rep.equivalence
-        cyl = build_cylinder(eq.relation)
+        cyl = eq.cylinder
         base_final = replay_poset_certificate(cyl.poset, eq.to_source)
         nerve_final = replay_poset_certificate(cyl.poset, eq.to_target)
         assert set(base_final.elements) == set(cyl.source_part)
