@@ -17,6 +17,7 @@ searches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Callable, Iterable, Optional
 
 POSET_STEP_KINDS = ("up-beat", "down-beat", "up-weak", "down-weak", "gamma-up", "gamma-down")
@@ -161,3 +162,28 @@ class TrivialityVerdict:
             certificate=ReductionCertificate.from_json_dict(cert) if cert is not None else None,
             detail=dict(data.get("detail", {})),
         )
+
+
+class Status(str, Enum):
+    """Outcome of a statement check or a command run: the value is the word
+    every report prints, ``exit_code`` the command line contract."""
+
+    CERTIFIED = "Certified"
+    REFUTED = "Refuted"
+    UNKNOWN = "Unknown"
+    ERROR = "Error"
+
+    def __str__(self) -> str:
+        return self.value
+
+    @property
+    def exit_code(self) -> int:
+        return {"Certified": 0, "Refuted": 1, "Unknown": 2, "Error": 3}[self.value]
+
+    @classmethod
+    def of_verdicts(cls, verdicts: Iterable[TrivialityVerdict]) -> "Status":
+        """Refuted if any verdict is non-trivial, else Unknown if any is unknown."""
+        words = {v.status for v in verdicts}
+        if "nontrivial" in words:
+            return cls.REFUTED
+        return cls.UNKNOWN if "unknown" in words else cls.CERTIFIED

@@ -1,8 +1,9 @@
 """Command line runner.
 
-Every command prints a run report as JSON (or a text rendering) and
-exits 0 for Certified or plain success, 1 for Refuted, 2 for Unknown,
-and 3 for input problems and internal errors.  Flags can be defaulted through environment
+Every command prints a run report as JSON (or a text rendering) whose
+status is a ``Status``: Certified (also plain success), Refuted, Unknown,
+or Error for input problems and internal errors; ``Status.exit_code``
+turns it into 0, 1, 2 or 3.  Flags can be defaulted through environment
 variables named FINITETOPO_BUDGET, FINITETOPO_SEED, FINITETOPO_FORMAT
 and FINITETOPO_OUT; an explicit flag always wins.
 """
@@ -17,6 +18,7 @@ import sys
 from typing import Any, Dict, Optional, Tuple
 
 from . import fixtures as fixtures_mod
+from .certificates import Status
 from .complexes import RegularCWComplex, SimplicialComplex, face_poset
 from .cylinder import (
     EquivalenceReport,
@@ -90,15 +92,6 @@ _NERVE_VARIANT = {
     "nerve-good": "good-poset",
     "nerve-x0": "x-zero",
     "nerve-quasigood": "quasi-good",
-}
-
-_STATUS_WORD = {
-    "certified": "Certified",
-    "refuted": "Refuted",
-    "unknown": "Unknown",
-    "Certified": "Certified",
-    "Refuted": "Refuted",
-    "Unknown": "Unknown",
 }
 
 
@@ -226,8 +219,8 @@ def run_theorem(theorem: str, obj: Any, params: Dict[str, Any],
         to_source = theorem == "prop-2.4"
         rep = (check_source_retraction if to_source else check_target_retraction)(r, budget)
         report.detail["hypotheses"] = rep.to_json_dict()
-        report.set_status(_STATUS_WORD[rep.status])
-        if rep.status == "certified":
+        report.set_status(rep.status)
+        if rep.status is Status.CERTIFIED:
             cyl = build_cylinder(r)
             collapse = collapse_cylinder_to_source if to_source else collapse_cylinder_to_target
             report.add_certificate("collapse-to-" + rep.side, collapse(cyl, budget, rep), cyl.poset)
@@ -236,7 +229,7 @@ def run_theorem(theorem: str, obj: Any, params: Dict[str, Any],
     if theorem == "thm-a":
         rep = verify_equivalence(_as_relation(obj, where), budget)
         report.detail["equivalence"] = rep.to_json_dict()
-        report.set_status(_STATUS_WORD[rep.status])
+        report.set_status(rep.status)
         _attach_collapses(report, rep, "collapse-to-source", "collapse-to-target")
         if rep.source_homology is not None:
             report.add_homology("source", profile_json(rep.source_homology))
@@ -251,7 +244,7 @@ def run_theorem(theorem: str, obj: Any, params: Dict[str, Any],
             raise InputError(f"{where}: degree must be an integer") from None
         rep = verify_homology_equivalence(r, degree, budget)
         report.detail["homology_version"] = rep.to_json_dict()
-        report.set_status(_STATUS_WORD[rep.status])
+        report.set_status(rep.status)
         if rep.source_homology is not None:
             report.add_homology("source", profile_json(rep.source_homology))
             report.add_homology("target", profile_json(rep.target_homology))
@@ -261,7 +254,7 @@ def run_theorem(theorem: str, obj: Any, params: Dict[str, Any],
         cover = _as_cover(obj, where)
         rep = verify_nerve_theorem(cover, _NERVE_VARIANT[theorem], budget)
         report.detail["nerve_theorem"] = rep.to_json_dict()
-        report.set_status(_STATUS_WORD[rep.status])
+        report.set_status(rep.status)
         _attach_collapses(report, rep.equivalence, "collapse-to-base", "collapse-to-nerve")
         if rep.base_homology is not None:
             report.add_homology("base", profile_json(rep.base_homology))
@@ -274,7 +267,7 @@ def run_theorem(theorem: str, obj: Any, params: Dict[str, Any],
             raise InputError(f"{where}: the completion corollary takes a complex cover")
         rep = verify_corollary_completion(cover, budget)
         report.detail["completion_corollary"] = rep.to_json_dict()
-        report.set_status(_STATUS_WORD[rep.status])
+        report.set_status(rep.status)
         _attach_collapses(report, rep.nerve_report.equivalence,
                           "collapse-to-base", "collapse-to-completion")
         if rep.base_homology is not None:
@@ -287,7 +280,7 @@ def run_theorem(theorem: str, obj: Any, params: Dict[str, Any],
             raise InputError(f"{where}: the dictionary checks take a poset or a complex")
         rep = verify_dictionary(obj, budget)
         report.detail["dictionary"] = rep.to_json_dict()
-        report.set_status(_STATUS_WORD[rep.status])
+        report.set_status(rep.status)
         return
 
     raise InputError(f"unknown theorem id {theorem!r}; expected one of {', '.join(THEOREMS)}")
@@ -298,7 +291,7 @@ def _run_fixture_file(path: str, budget: int, only: Optional[str]) -> Dict[str, 
     try:
         wrapper, data = read_fixture_file(path)
         if wrapper is None:
-            entry.update(status="Error", error="not a fixture file")
+            entry.update(status=Status.ERROR, error="not a fixture file")
             return entry
         theorem = wrapper.get("theorem")
         entry["name"] = wrapper.get("name")
@@ -317,7 +310,11 @@ def _run_fixture_file(path: str, budget: int, only: Optional[str]) -> Dict[str, 
         if expected is not None:
             entry["match"] = sub.status == expected
     except (InputError, ValidationError, ReplayError, NotCertified) as exc:
-        entry.update(status="Error", error=str(exc))
+        entry.update(status=Status.ERROR, error=str(exc))
+    except Exception as exc:
+        # a failed soundness check or any other crash is this file's error;
+        # the other files still run
+        entry.update(status=Status.ERROR, internal_error=f"{type(exc).__name__}: {exc}")
     return entry
 
 
@@ -336,18 +333,16 @@ def _verify_batch(args, report: RunReport) -> None:
         "total": len(results),
         "ran": len(ran),
         "mismatched": sum(1 for e in ran if e.get("match") is False),
-        "errors": sum(1 for e in ran if e["status"] == "Error"),
+        "errors": sum(1 for e in ran if e["status"] is Status.ERROR),
     }
-    if any(e["status"] == "Error" for e in ran):
-        report.set_status("Error")
+    if any(e["status"] is Status.ERROR for e in ran):
+        report.set_status(Status.ERROR)
     elif any(e.get("match") is False for e in ran):
-        report.set_status("Refuted")
-    elif any(e["status"] == "Unknown" and e.get("expected") is None for e in ran):
-        report.set_status("Unknown")
-    elif not ran:
-        report.set_status("Unknown")
+        report.set_status(Status.REFUTED)
+    elif not ran or any(e["status"] is Status.UNKNOWN and e.get("expected") is None for e in ran):
+        report.set_status(Status.UNKNOWN)
     else:
-        report.set_status("Certified")
+        report.set_status(Status.CERTIFIED)
 
 
 # ---------------------------------------------------------------- commands
@@ -378,7 +373,7 @@ def cmd_homology(args) -> Tuple[RunReport, Any]:
     prof = homology(obj, reduced=args.reduced)
     report.add_homology("input", profile_json(prof))
     report.detail["euler_characteristic"] = euler_characteristic(obj)
-    report.set_status("Certified")
+    report.set_status(Status.CERTIFIED)
     return report, obj
 
 
@@ -389,15 +384,6 @@ def _load_poset(token: str, report: RunReport) -> Poset:
     if isinstance(obj, SimplicialComplex):
         return face_poset(obj)
     raise InputError(f"{token}: expected a poset (a complex is accepted as its face poset)")
-
-
-def _verdict_status(report: RunReport, verdict) -> None:
-    if verdict.is_trivial:
-        report.set_status("Certified")
-    elif verdict.is_nontrivial:
-        report.set_status("Refuted")
-    else:
-        report.set_status("Unknown")
 
 
 def cmd_reduce(args) -> Tuple[RunReport, Any]:
@@ -420,7 +406,7 @@ def cmd_reduce(args) -> Tuple[RunReport, Any]:
     report.add_certificate("core", cert, p)
     if verdict.certificate is not None:
         report.add_certificate("oracle", verdict.certificate, p)
-    _verdict_status(report, verdict)
+    report.set_status(Status.of_verdicts([verdict]))
     return report, q
 
 
@@ -431,7 +417,7 @@ def cmd_core(args) -> Tuple[RunReport, Any]:
     report.detail["core"] = poset_to_json(q)
     report.detail["removed"] = len(p) - len(q)
     report.add_certificate("core", cert, p)
-    report.set_status("Certified")
+    report.set_status(Status.CERTIFIED)
     return report, q
 
 
@@ -442,16 +428,16 @@ def cmd_collapse(args) -> Tuple[RunReport, Any]:
         cert, stats = collapse_search(p, args.target, args.budget)
         report.detail["search"] = stats
         if cert is None:
-            report.set_status("Unknown")
+            report.set_status(Status.UNKNOWN)
         else:
             report.add_certificate("collapse", cert, p)
-            report.set_status("Certified")
+            report.set_status(Status.CERTIFIED)
         return report, None
     verdict = triviality_oracle(p, args.budget)
     report.detail["oracle"] = verdict.to_json_dict()
     if verdict.certificate is not None:
         report.add_certificate("oracle", verdict.certificate, p)
-    _verdict_status(report, verdict)
+    report.set_status(Status.of_verdicts([verdict]))
     return report, None
 
 
@@ -469,12 +455,12 @@ def cmd_cylinder(args) -> Tuple[RunReport, Any]:
         report.detail["cylinder"] = poset_to_json(cyl.poset)
         report.detail["source_part"] = sorted(cyl.source_part.members)
         report.detail["target_part"] = sorted(cyl.target_part.members)
-        report.set_status("Certified")
+        report.set_status(Status.CERTIFIED)
         return report, cyl.poset
     if args.action in ("check-x", "check-y"):
         rep = (check_source_retraction if args.action == "check-x" else check_target_retraction)(r, args.budget)
         report.detail["hypotheses"] = rep.to_json_dict()
-        report.set_status(_STATUS_WORD[rep.status])
+        report.set_status(rep.status)
     elif args.action == "verify-a":
         run_theorem("thm-a", r, {}, args.budget, report, args.input)
     else:
@@ -493,7 +479,7 @@ def cmd_nerve(args) -> Tuple[RunReport, Any]:
     report.detail["classification"] = cls.to_json_dict()
     report.add_homology("nerve", profile_json(homology(nerve_complex)))
     report.add_homology("base", profile_json(homology(cover.base)))
-    report.set_status("Unknown" if cls.status == "unknown" else "Certified")
+    report.set_status(Status.UNKNOWN if cls.status == "unknown" else Status.CERTIFIED)
     return report, nerve_complex
 
 
@@ -511,7 +497,7 @@ def cmd_completion(args) -> Tuple[RunReport, Any]:
     report.detail["f_vector"] = list(cw.f_vector())
     report.add_homology("completion", profile_json(homology(cw)))
     report.add_homology("base", profile_json(homology(cover.base)))
-    report.set_status("Certified")
+    report.set_status(Status.CERTIFIED)
     return report, cw
 
 
@@ -535,7 +521,7 @@ def cmd_mapper(args) -> Tuple[RunReport, Any]:
     report.add_homology("completion", profile_json(result.completion_homology))
     report.add_homology("nerve", profile_json(result.nerve_homology))
     report.add_homology("component-nerve", profile_json(result.component_nerve_homology))
-    report.set_status("Certified")
+    report.set_status(Status.CERTIFIED)
     if args.emit == "completion":
         report.detail["emitted"] = cw_to_json(result.complex)
         return report, result.complex
@@ -574,7 +560,7 @@ def cmd_fixtures(args) -> Tuple[RunReport, Any]:
                 args.dir)
             for k in range(args.count)
         ]
-    report.set_status("Certified")
+    report.set_status(Status.CERTIFIED)
     return report, None
 
 

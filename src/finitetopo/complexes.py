@@ -29,7 +29,14 @@ class SimplicialComplex:
                 if not isinstance(v, str) or v == "":
                     raise InputError(f"vertex identifiers must be non-empty strings, got {v!r}")
             seen.add(t)
-        facets = [t for t in seen if not any(t != u and set(t) <= set(u) for u in seen)]
+        # only a strictly larger simplex can contain another, so each one is
+        # tested against the kept facets of larger size, largest size first
+        facets: list[tuple[str, ...]] = []
+        larger: list[frozenset[str]] = []
+        for size in sorted({len(t) for t in seen}, reverse=True):
+            kept = [t for t in seen if len(t) == size and not any(u.issuperset(t) for u in larger)]
+            facets.extend(kept)
+            larger.extend(map(frozenset, kept))
         self.facets: tuple[tuple[str, ...], ...] = tuple(sorted(facets))
         self._faces: frozenset[tuple[str, ...]] | None = None
 

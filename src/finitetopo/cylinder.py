@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .certificates import ReductionCertificate, ReductionStep, TrivialityVerdict
+from .certificates import ReductionCertificate, ReductionStep, Status, TrivialityVerdict
 from .errors import InputError, NotCertified, ValidationError
 from .homology import HomologyProfile, homology, same_homology
 from .poset import ElementSet, Poset
@@ -120,12 +120,8 @@ class HypothesisReport:
     verdicts: dict[str, TrivialityVerdict]
 
     @property
-    def status(self) -> str:
-        if any(v.is_nontrivial for v in self.verdicts.values()):
-            return "refuted"
-        if any(v.is_unknown for v in self.verdicts.values()):
-            return "unknown"
-        return "certified"
+    def status(self) -> Status:
+        return Status.of_verdicts(self.verdicts.values())
 
     @property
     def failing(self) -> list[str]:
@@ -169,10 +165,6 @@ def check_target_retraction(r: Relation, budget: int = DEFAULT_BUDGET) -> Hypoth
     return HypothesisReport("target", verdicts)
 
 
-def _strip(prefix: str, name: str) -> str:
-    return name[len(prefix) :]
-
-
 def _certificate_of(verdict: TrivialityVerdict, element: str) -> ReductionCertificate:
     if verdict.certificate is None:
         raise ValidationError(f"the trivial verdict for {element!r} carries no certificate")
@@ -189,7 +181,7 @@ def collapse_cylinder_to_source(
     """
     if report is None:
         report = check_source_retraction(c.relation, budget)
-    if report.status != "certified":
+    if report.status is not Status.CERTIFIED:
         raise NotCertified(
             f"source retraction is {report.status}", failing=report.failing or None
         )
@@ -217,7 +209,7 @@ def collapse_cylinder_to_target(
     """Gamma-delete the source part in reverse linear-extension order."""
     if report is None:
         report = check_target_retraction(c.relation, budget)
-    if report.status != "certified":
+    if report.status is not Status.CERTIFIED:
         raise NotCertified(
             f"target retraction is {report.status}", failing=report.failing or None
         )
@@ -241,7 +233,7 @@ def collapse_cylinder_to_target(
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    status: str  # "certified" | "refuted" | "unknown"
+    status: Status
     source_report: HypothesisReport
     target_report: HypothesisReport
     to_source: Optional[ReductionCertificate] = None
@@ -280,10 +272,9 @@ def verify_equivalence(r: Relation, budget: int = DEFAULT_BUDGET) -> Equivalence
     """
     src = check_source_retraction(r, budget)
     tgt = check_target_retraction(r, budget)
-    if src.status == "refuted" or tgt.status == "refuted":
-        return EquivalenceReport("refuted", src, tgt)
-    if src.status == "unknown" or tgt.status == "unknown":
-        return EquivalenceReport("unknown", src, tgt)
+    status = Status.of_verdicts([*src.verdicts.values(), *tgt.verdicts.values()])
+    if status is not Status.CERTIFIED:
+        return EquivalenceReport(status, src, tgt)
     cyl = build_cylinder(r)
     to_source = collapse_cylinder_to_source(cyl, budget, src)
     to_target = collapse_cylinder_to_target(cyl, budget, tgt)
@@ -292,12 +283,12 @@ def verify_equivalence(r: Relation, budget: int = DEFAULT_BUDGET) -> Equivalence
     equal, diffs = same_homology(hx, hy)
     if not equal:
         raise AssertionError(f"certified relation with unequal homology: {diffs}")
-    return EquivalenceReport("certified", src, tgt, to_source, to_target, hx, hy, equal, cyl)
+    return EquivalenceReport(status, src, tgt, to_source, to_target, hx, hy, equal, cyl)
 
 
 @dataclass(frozen=True)
 class HomologyEquivalenceReport:
-    status: str  # "certified" | "refuted"
+    status: Status  # never Unknown: the check is exact
     through_degree: int
     failing: dict[str, list[str]] = field(default_factory=dict)
     source_homology: Optional[HomologyProfile] = None
@@ -343,10 +334,10 @@ def verify_homology_equivalence(r: Relation, n: int, budget: int = DEFAULT_BUDGE
             failing["target"].append(x)
     failing = {k: v for k, v in failing.items() if v}
     if failing:
-        return HomologyEquivalenceReport("refuted", n, failing)
+        return HomologyEquivalenceReport(Status.REFUTED, n, failing)
     hx = homology(r.source)
     hy = homology(r.target)
     equal, diffs = same_homology(hx, hy, through_degree=n)
     if not equal:
         raise AssertionError(f"certified homology hypothesis with unequal homology: {diffs}")
-    return HomologyEquivalenceReport("certified", n, {}, hx, hy, equal)
+    return HomologyEquivalenceReport(Status.CERTIFIED, n, {}, hx, hy, equal)

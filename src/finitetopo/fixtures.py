@@ -344,10 +344,6 @@ def write_fixture(f: Fixture, directory: str) -> str:
     return path
 
 
-def write_all(directory: str) -> List[str]:
-    return [write_fixture(f, directory) for f in all_fixtures()]
-
-
 # --------------------------------------------------------------- generators
 
 def random_poset(rng: random.Random, size: int, density: float = 0.3) -> Poset:

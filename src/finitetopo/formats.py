@@ -155,10 +155,6 @@ def complex_cover_from_json(data, where: str = "<input>") -> ComplexCover:
 
 # ----------------------------------------------------------- certificates
 
-def certificate_to_json(cert: ReductionCertificate) -> dict:
-    return cert.to_json_dict()
-
-
 def certificate_from_json(data, where: str = "<input>") -> ReductionCertificate:
     try:
         return ReductionCertificate.from_json_dict(data)

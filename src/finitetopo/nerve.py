@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Optional, Union
 
-from .certificates import TrivialityVerdict
+from .certificates import Status, TrivialityVerdict
 from .complexes import (
     RegularCWComplex,
     SimplicialComplex,
@@ -403,7 +403,7 @@ NERVE_VARIANTS = ("good-poset", "x-zero", "quasi-good")
 @dataclass(eq=False)
 class NerveTheoremReport:
     variant: str
-    status: str
+    status: Status
     classification: CoverClassification
     detail: dict = field(default_factory=dict)
     equivalence: Optional[EquivalenceReport] = None
@@ -452,31 +452,31 @@ def verify_nerve_theorem(c: AnyCover, variant: str, budget: int = DEFAULT_BUDGET
     comp: Optional[CompletionPoset] = None
 
     if variant == "good-poset":
-        if not classification.is_good:
+        status = Status.of_verdicts(classification.whole.values())
+        if status is not Status.CERTIFIED:
             bad = sorted(k for k, v in classification.whole.items() if v.is_nontrivial)
-            status = "refuted" if bad else "unknown"
             return NerveTheoremReport(variant, status, classification, {"failing": bad})
         target = c.nerve_poset()
         member_of = {jid: c.intersection_of_label(jid) for jid in target.elements}
     elif variant == "x-zero":
         sub = trivial_subnerve(c, budget, classification)
         if not sub.decided:
-            return NerveTheoremReport(variant, "unknown", classification, {"undecided": list(sub.undecided)})
+            return NerveTheoremReport(variant, Status.UNKNOWN, classification, {"undecided": list(sub.undecided)})
         membership_verdicts: dict[str, TrivialityVerdict] = {}
         for x in c.base.elements:
             membership_verdicts[x] = triviality_oracle(point_subnerve(sub, x).induced(), budget)
-        bad = sorted(x for x, v in membership_verdicts.items() if v.is_nontrivial)
-        open_q = sorted(x for x, v in membership_verdicts.items() if v.is_unknown)
-        if bad or open_q:
-            status = "refuted" if bad else "unknown"
+        status = Status.of_verdicts(membership_verdicts.values())
+        if status is not Status.CERTIFIED:
+            bad = sorted(x for x, v in membership_verdicts.items() if v.is_nontrivial)
+            open_q = sorted(x for x, v in membership_verdicts.items() if v.is_unknown)
             return NerveTheoremReport(
                 variant, status, classification, {"failing": bad, "undecided": open_q}
             )
         target = sub.poset
         member_of = {jid: c.intersection_of_label(jid) for jid in target.elements}
     else:
-        if not classification.is_quasi_good:
-            status = "refuted" if classification.status == "neither" else "unknown"
+        status = Status.of_verdicts(classification.components.values())
+        if status is not Status.CERTIFIED:
             return NerveTheoremReport(variant, status, classification, {"failing": classification.failing})
         comp = completion_poset(c)
         target = comp.poset
@@ -487,7 +487,7 @@ def verify_nerve_theorem(c: AnyCover, variant: str, budget: int = DEFAULT_BUDGET
     base_h = homology(c.base)
     nerve_h = homology(target)
     equal: Optional[bool] = None
-    if eq.status == "certified":
+    if eq.status is Status.CERTIFIED:
         equal, diffs = same_homology(base_h, nerve_h)
         if not equal:
             raise AssertionError(f"nerve theorem certified with unequal homology: {diffs}")
@@ -496,7 +496,7 @@ def verify_nerve_theorem(c: AnyCover, variant: str, budget: int = DEFAULT_BUDGET
 
 @dataclass(eq=False)
 class CompletionCorollaryReport:
-    status: str
+    status: Status
     nerve_report: NerveTheoremReport
     completion: Optional[RegularCWComplex] = None
     base_homology: Optional[HomologyProfile] = None
@@ -530,7 +530,7 @@ def verify_corollary_completion(c: ComplexCover, budget: int = DEFAULT_BUDGET) -
     base_h = homology(c.base)
     comp_h = homology(cw)
     equal: Optional[bool] = None
-    if inner.status == "certified":
+    if inner.status is Status.CERTIFIED:
         equal, diffs = same_homology(base_h, comp_h)
         if not equal:
             raise AssertionError(f"completion corollary certified with unequal homology: {diffs}")

@@ -9,7 +9,7 @@ witness data, and no search is ever invoked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .certificates import (
     BEAT_KINDS,
@@ -17,6 +17,7 @@ from .certificates import (
     WEAK_KINDS,
     ReductionCertificate,
     ReductionStep,
+    Status,
     TrivialityVerdict,
 )
 from .complexes import (
@@ -137,12 +138,8 @@ def _weak_move(p: Poset, mask: int, i: int) -> Optional[tuple[str, ReductionCert
     return None
 
 
-def find_weak_points(p: Poset, contractible: Optional[Callable[[Poset], bool]] = None) -> list[tuple[str, str]]:
-    """(element, kind) pairs whose punctured up/down set is contractible.
-
-    Contractibility of the punctured set is the dismantlability check unless
-    a custom predicate is supplied.
-    """
+def find_weak_points(p: Poset) -> list[tuple[str, str]]:
+    """(element, kind) pairs whose punctured up/down set is dismantlable."""
     out = []
     mask = p.full_mask()
     for i, e in enumerate(p.elements):
@@ -150,11 +147,7 @@ def find_weak_points(p: Poset, contractible: Optional[Callable[[Poset], bool]] =
             sub = puncture & ~(1 << i) & mask
             if not sub:
                 continue
-            if contractible is None:
-                ok = _dismantling_cert(p, sub) is not None
-            else:
-                ok = contractible(p.induced(p._names(sub)))
-            if ok:
+            if _dismantling_cert(p, sub) is not None:
                 out.append((e, kind))
     return out
 
@@ -266,15 +259,12 @@ def triviality_oracle(p: Poset, budget: int = DEFAULT_BUDGET) -> TrivialityVerdi
 
 
 def find_gamma_points(
-    p: Poset,
-    budget: int = DEFAULT_BUDGET,
-    oracle: Optional[Callable[[Poset, int], TrivialityVerdict]] = None,
+    p: Poset, budget: int = DEFAULT_BUDGET
 ) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
     """(element, kind) pairs whose punctured set is homotopy trivial.
 
     Sides whose verdict is Unknown are reported separately, never classified.
     """
-    oracle = oracle or triviality_oracle
     gammas = []
     unknowns = []
     for i, e in enumerate(p.elements):
@@ -282,7 +272,7 @@ def find_gamma_points(
             sub = puncture & ~(1 << i)
             if not sub:
                 continue
-            verdict = oracle(p.induced(p._names(sub)), budget)
+            verdict = triviality_oracle(p.induced(p._names(sub)), budget)
             if verdict.is_trivial:
                 gammas.append((e, kind))
             elif verdict.is_unknown:
@@ -554,7 +544,7 @@ class DictionaryReport:
 
     subject: str
     checks: dict
-    status: str
+    status: Status
     detail: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -599,5 +589,5 @@ def verify_dictionary(obj, budget: int = DEFAULT_BUDGET) -> DictionaryReport:
         subject = "complex"
     else:
         raise InputError(f"no correspondence checks for {type(obj).__name__}")
-    status = "Certified" if all(checks.values()) else "Refuted"
+    status = Status.CERTIFIED if all(checks.values()) else Status.REFUTED
     return DictionaryReport(subject, checks, status, detail)

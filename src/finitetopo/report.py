@@ -13,15 +13,10 @@ import json
 import time
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from .certificates import ReductionCertificate
+from .certificates import ReductionCertificate, Status
 from .complexes import SimplicialComplex
 from .errors import ReplayError, ValidationError
 from .poset import Poset
-
-STATUSES = ("Certified", "Refuted", "Unknown", "Error")
-
-# Exit codes are part of the command line contract.
-EXIT_CODES = {"Certified": 0, "Refuted": 1, "Unknown": 2, "Error": 3}
 
 ReplayTarget = Union[Poset, SimplicialComplex]
 
@@ -51,7 +46,7 @@ class RunReport:
 
     def __init__(self, command: str) -> None:
         self.command = command
-        self.status: str = "Unknown"
+        self.status = Status.UNKNOWN
         self.inputs: Dict[str, str] = {}
         self.detail: Dict[str, Any] = {}
         self.homology: List[Dict[str, Any]] = []
@@ -68,9 +63,7 @@ class RunReport:
             self.inputs[name] = hash_json(payload)
 
     def set_status(self, status: str) -> None:
-        if status not in STATUSES:
-            raise ValueError(f"unknown status {status!r}")
-        self.status = status
+        self.status = Status(status)
 
     def add_certificate(self, label: str, certificate: ReductionCertificate,
                         target: Optional[ReplayTarget] = None) -> None:
@@ -113,15 +106,15 @@ class RunReport:
         if failures:
             self.detail["replay_failures"] = failures
             # A broken certificate is a soundness problem, not a mere unknown.
-            if self.status == "Certified":
-                self.status = "Error"
+            if self.status is Status.CERTIFIED:
+                self.status = Status.ERROR
         self._elapsed = time.monotonic() - self._started
         self._finalized = True
         return self
 
     @property
     def exit_code(self) -> int:
-        return EXIT_CODES[self.status]
+        return self.status.exit_code
 
     def to_json_dict(self) -> Dict[str, Any]:
         if not self._finalized:

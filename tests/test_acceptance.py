@@ -23,6 +23,7 @@ from finitetopo import (
     Poset,
     ReductionCertificate,
     SimplicialComplex,
+    Status,
     build_cylinder,
     chain_complex,
     circle_sample,
@@ -94,11 +95,11 @@ def test_criterion_1_two_part_cover_of_the_triangle_boundary(acceptance_log):
         assert homology(k, reduced=True).is_zero()
 
         rep = verify_corollary_completion(cov)
-        assert rep.status == "certified"
+        assert rep.status is Status.CERTIFIED
         assert rep.homology_equal is True
 
         eq = rep.nerve_report.equivalence
-        assert eq is not None and eq.status == "certified"
+        assert eq is not None and eq.status is Status.CERTIFIED
         cylinder = eq.cylinder.poset
         LEDGER.append((cylinder, eq.to_source, "corollary to_source"))
         LEDGER.append((cylinder, eq.to_target, "corollary to_target"))
@@ -134,7 +135,7 @@ def test_criterion_3_certified_relations_and_the_refutation_fixture(acceptance_l
         for i in range(100):
             rel = fx.beat_retraction_relation(rng, rng.randint(2, 8))
             rep = verify_equivalence(rel)
-            assert rep.status == "certified", (i, rep.status)
+            assert rep.status is Status.CERTIFIED, (i, rep.status)
             assert rep.to_source is not None and rep.to_target is not None
 
             cyl = build_cylinder(rel)
@@ -149,7 +150,7 @@ def test_criterion_3_certified_relations_and_the_refutation_fixture(acceptance_l
             LEDGER.append((cyl.poset, rep.to_target, f"relation {i} to_target"))
 
         refuted = verify_equivalence(fx.REGISTRY["thm-a-refutation"].build())
-        assert refuted.status == "refuted"
+        assert refuted.status is Status.REFUTED
         assert refuted.to_source is None and refuted.to_target is None
 
 
@@ -160,7 +161,7 @@ def test_criterion_4_nerve_theorems_on_seeded_covers(acceptance_log):
             cov = fx.random_good_cover(rng)
             assert len(cov.base) <= 12
             rep = verify_nerve_theorem(cov, "good-poset")
-            assert rep.status == "certified", (i, rep.status)
+            assert rep.status is Status.CERTIFIED, (i, rep.status)
             assert rep.homology_equal is True
 
             # recomputed, not read off the report
@@ -184,7 +185,7 @@ def test_criterion_4_nerve_theorems_on_seeded_covers(acceptance_log):
             cov = fx.random_quasi_good_cover(rng)
             assert len(cov.base) <= 12
             rep = verify_nerve_theorem(cov, "quasi-good")
-            assert rep.status == "certified", (i, rep.status)
+            assert rep.status is Status.CERTIFIED, (i, rep.status)
             assert rep.homology_equal is True
 
             ok, diffs = same_homology(

@@ -109,6 +109,39 @@ class TestBatch:
         code = main(["verify", "--batch", str(tmp_path)])
         assert code == 3
 
+    @pytest.mark.parametrize("exc", [
+        AssertionError("certified relation with unequal homology"),
+        RecursionError("maximum recursion depth exceeded"),
+    ], ids=["assertion", "recursion"])
+    def test_internal_error_stays_in_its_entry(self, capsys, monkeypatch, tmp_path, exc):
+        emit_dir = str(tmp_path / "fx")
+        assert main(["fixtures", "emit", "--dir", emit_dir, "--out", os.devnull]) == 0
+        run_theorem = cli.run_theorem
+
+        def crash_on_refutation(theorem, obj, params, budget, report, where="<input>"):
+            if where.endswith("thm-a-refutation.json"):
+                raise exc
+            return run_theorem(theorem, obj, params, budget, report, where)
+
+        monkeypatch.setattr(cli, "run_theorem", crash_on_refutation)
+        code, doc = run_json(capsys, "verify", "--batch", emit_dir)
+        assert code == 3 and doc["status"] == "Error"
+        entries = {e["name"]: e for e in doc["detail"]["fixtures"]}
+        crashed = entries.pop("thm-a-refutation")
+        assert crashed["status"] == "Error"
+        assert crashed["internal_error"] == f"{type(exc).__name__}: {exc}"
+        assert doc["detail"]["counts"]["errors"] == 1
+        ran = [e for e in entries.values() if e["status"] != "Skipped"]
+        assert ran and all(e["match"] for e in ran)
+
+
+@pytest.mark.parametrize("fixture", [f for f in fx.all_fixtures() if f.theorem], ids=lambda f: f.name)
+def test_statement_report_speaks_the_run_status(capsys, fixture):
+    """The statement's own report and the run report use one word for the outcome."""
+    code, doc = run_json(capsys, "verify", fixture.theorem, fixture.name)
+    (statement,) = doc["detail"].values()
+    assert statement["status"] == doc["status"] == fixture.expected_status
+
 
 class TestHomologyCommand:
     def test_fixture_by_name(self, capsys):

@@ -214,3 +214,10 @@ def test_chain_complex_boundaries_compose_to_zero(k: SimplicialComplex):
     chain = chain_complex(k)
     for a, b in zip(chain.boundaries, chain.boundaries[1:]):
         assert a.compose(b).is_zero()
+
+
+@given(st.lists(st.sets(st.sampled_from("abcdef"), min_size=1, max_size=5), max_size=12))
+def test_facets_match_the_brute_force_filter(family):
+    simplices = {tuple(sorted(s)) for s in family}
+    brute = sorted(t for t in simplices if not any(t != u and set(t) <= set(u) for u in simplices))
+    assert list(SimplicialComplex(family).facets) == brute

@@ -7,6 +7,7 @@ from finitetopo import (
     NotCertified,
     Poset,
     Relation,
+    Status,
     ValidationError,
     build_cylinder,
     check_source_retraction,
@@ -136,7 +137,7 @@ class TestHypothesisCheckers:
         src, tgt, f = fence_map()
         r = Relation.from_monotone_map(src, tgt, f)
         rep = check_target_retraction(r)
-        assert rep.status == "certified"
+        assert rep.status is Status.CERTIFIED
         assert rep.failing == []
 
     def test_fence_map_refutes_source_side(self):
@@ -144,20 +145,20 @@ class TestHypothesisCheckers:
         src, tgt, f = fence_map()
         r = Relation.from_monotone_map(src, tgt, f)
         rep = check_source_retraction(r)
-        assert rep.status == "refuted"
+        assert rep.status is Status.REFUTED
         assert rep.failing == ["u"]
 
     def test_refutation_fixture_fails_target_side(self):
         r = fx._refutation_relation()
         rep = check_target_retraction(r)
-        assert rep.status == "refuted"
+        assert rep.status is Status.REFUTED
         assert rep.failing == ["x"]
 
     def test_json_shape(self):
         r = fx._refutation_relation()
         d = check_target_retraction(r).to_json_dict()
         assert d["side"] == "target"
-        assert d["status"] == "refuted"
+        assert d["status"] == "Refuted"
         assert set(d["verdicts"]) == set(r.source.elements)
 
 
@@ -204,14 +205,14 @@ class TestCollapseCertificates:
 class TestVerifyEquivalence:
     def test_certified(self):
         rep = verify_equivalence(fx._certified_relation())
-        assert rep.status == "certified"
+        assert rep.status is Status.CERTIFIED
         assert rep.homology_equal is True
         assert rep.to_source is not None and rep.to_target is not None
         assert rep.cylinder is not None
 
     def test_refuted(self):
         rep = verify_equivalence(fx._refutation_relation())
-        assert rep.status == "refuted"
+        assert rep.status is Status.REFUTED
         assert rep.to_source is None
         assert rep.cylinder is None
         assert rep.target_report.failing == ["x"]
@@ -223,7 +224,7 @@ class TestVerifyEquivalence:
         point = Poset(["w"])
         r = Relation.of(disc, point, [(x, "w") for x in disc.elements])
         rep = verify_equivalence(r, budget=1)
-        assert rep.status == "unknown"
+        assert rep.status is Status.UNKNOWN
 
     def test_certified_report_replays_on_its_cylinder(self):
         r = fx._certified_relation()
@@ -243,7 +244,7 @@ class TestVerifyHomologyEquivalence:
     def test_certified_fixture(self):
         r = fx._certified_relation()
         rep = verify_homology_equivalence(r, 1)
-        assert rep.status == "certified"
+        assert rep.status is Status.CERTIFIED
         assert rep.homology_equal is True
         assert rep.through_degree == 1
 
@@ -254,12 +255,12 @@ class TestVerifyHomologyEquivalence:
     def test_no_unknown_even_at_zero_budget(self):
         r = fx._certified_relation()
         rep = verify_homology_equivalence(r, 1, budget=0)
-        assert rep.status in ("certified", "refuted")
+        assert rep.status in (Status.CERTIFIED, Status.REFUTED)
 
     def test_refuted_names_failing_elements(self):
         r = fx._refutation_relation()
         rep = verify_homology_equivalence(r, 1)
-        assert rep.status == "refuted"
+        assert rep.status is Status.REFUTED
         assert rep.failing == {"target": ["x"]}
 
     def test_empty_local_data_refutes(self):
@@ -268,7 +269,7 @@ class TestVerifyHomologyEquivalence:
         tgt = Poset(["y0", "y1"], [("y0", "y1")])
         r = Relation.of(src, tgt, [("x", "y1")])
         rep = verify_homology_equivalence(r, 0)
-        assert rep.status == "refuted"
+        assert rep.status is Status.REFUTED
         assert "y0" in rep.failing["source"]
 
 
@@ -295,7 +296,7 @@ def test_generated_monotone_maps_always_certify_target_side(seed: int):
     src, tgt, f = fx.random_monotone_map(rng, 6, 6)
     r = Relation.from_monotone_map(src, tgt, f)
     rep = check_target_retraction(r)
-    assert rep.status == "certified"
+    assert rep.status is Status.CERTIFIED
     cyl = mapping_cylinder(src, tgt, f)
     final = replay_poset_certificate(cyl.poset, cyl.retraction_certificate)
     assert set(final.elements) == set(cyl.target_part)
@@ -310,5 +311,5 @@ def test_generated_relations_certify_and_match_homology(seed: int):
     rng = random.Random(seed)
     r = fx.beat_retraction_relation(rng, 7)
     rep = verify_equivalence(r)
-    assert rep.status == "certified"
+    assert rep.status is Status.CERTIFIED
     assert same_homology(homology(r.source), homology(r.target))[0]

@@ -14,6 +14,7 @@ review the diff:
 import glob
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -113,6 +114,20 @@ def rendered(argv, tmp):
 @pytest.mark.parametrize("name,argv", cases(), ids=[name for name, _ in cases()])
 def test_report_matches_golden(name, argv, tmp_path):
     assert rendered(argv, str(tmp_path)) == _read(os.path.join(GOLDEN, name))
+
+
+def test_batch_report_is_the_same_under_python_O():
+    """No control flow rests on an `assert`, which `python -O` strips."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("FINITETOPO_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "finitetopo.cli", "verify", "--batch", "fixtures/"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    doc.pop("timing")
+    assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == _read(os.path.join(GOLDEN, "verify-batch.json"))
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from finitetopo import (
     InputError,
@@ -8,13 +10,14 @@ from finitetopo import (
     ReductionStep,
     RunReport,
     SimplicialComplex,
+    Status,
+    TrivialityVerdict,
     core,
     is_collapsible,
 )
 from finitetopo import fixtures as fx
 from finitetopo.formats import (
     certificate_from_json,
-    certificate_to_json,
     complex_cover_from_json,
     complex_cover_to_json,
     complex_from_json,
@@ -36,7 +39,7 @@ from finitetopo.formats import (
     relation_from_json,
     relation_to_json,
 )
-from finitetopo.report import EXIT_CODES, content_hash, hash_json
+from finitetopo.report import content_hash, hash_json
 from tests.test_poset import diamond
 
 
@@ -110,7 +113,7 @@ class TestJsonRoundTrips:
     def test_certificate_with_nested_evidence(self):
         p = fx.REGISTRY["collapsible-noncontractible"].build()
         v = is_collapsible(p)
-        data = certificate_to_json(v.certificate)
+        data = v.certificate.to_json_dict()
         back = certificate_from_json(json.loads(json.dumps(data)))
         assert back == v.certificate
 
@@ -177,7 +180,9 @@ class TestFixturePayloads:
 
 class TestRunReport:
     def test_exit_codes_table(self):
-        assert EXIT_CODES == {"Certified": 0, "Refuted": 1, "Unknown": 2, "Error": 3}
+        assert {str(s): s.exit_code for s in Status} == {
+            "Certified": 0, "Refuted": 1, "Unknown": 2, "Error": 3,
+        }
 
     def test_status_validation(self):
         rep = RunReport("demo")
@@ -234,3 +239,38 @@ class TestRunReport:
     def test_hashes_are_stable(self):
         assert content_hash(b"abc") == content_hash(b"abc")
         assert hash_json({"a": 1, "b": 2}) == hash_json({"b": 2, "a": 1})
+
+
+verdict_lists = st.lists(
+    st.sampled_from(("trivial", "nontrivial", "unknown")).map(lambda w: TrivialityVerdict(w, "test")),
+    max_size=6,
+)
+
+
+class TestStatus:
+    @pytest.mark.parametrize("status", list(Status), ids=str)
+    def test_every_rendering_prints_the_word(self, status):
+        assert str(status) == status.value
+        assert f"{status}" == "{}".format(status) == status.value
+        assert json.dumps({"status": status}) == json.dumps({"status": status.value})
+
+    def test_an_unknown_word_is_rejected(self):
+        with pytest.raises(ValueError):
+            Status("certified")
+
+    @given(verdict_lists)
+    def test_precedence_of_verdicts(self, verdicts):
+        words = {v.status for v in verdicts}
+        expected = (
+            Status.REFUTED if "nontrivial" in words
+            else Status.UNKNOWN if "unknown" in words
+            else Status.CERTIFIED
+        )
+        assert Status.of_verdicts(verdicts) is expected
+        assert Status.of_verdicts(iter(verdicts)) is expected
+
+    @given(verdict_lists, verdict_lists)
+    def test_precedence_is_the_worse_of_two_parts(self, left, right):
+        rank = [Status.CERTIFIED, Status.UNKNOWN, Status.REFUTED]
+        worse = max(Status.of_verdicts(left), Status.of_verdicts(right), key=rank.index)
+        assert Status.of_verdicts(left + right) is worse

@@ -7,6 +7,7 @@ from finitetopo import (
     InputError,
     PosetCover,
     SimplicialComplex,
+    Status,
     classify_cover,
     completion_cw,
     completion_poset,
@@ -177,24 +178,24 @@ class TestVerifyNerveTheorem:
 
     def test_good_poset_variant_certifies_star_cover(self):
         rep = verify_nerve_theorem(star_cover(), "good-poset")
-        assert rep.status == "certified"
+        assert rep.status is Status.CERTIFIED
         assert rep.homology_equal is True
         assert rep.base_homology.betti == (1, 1)
         assert rep.nerve_homology.betti == (1, 1)
 
     def test_x_zero_variant_certifies_star_cover(self):
         rep = verify_nerve_theorem(star_cover(), "x-zero")
-        assert rep.status == "certified"
+        assert rep.status is Status.CERTIFIED
         assert rep.homology_equal is True
 
     def test_quasi_good_variant_certifies_two_arc_cover(self):
         rep = verify_nerve_theorem(two_arc_cover(), "quasi-good")
-        assert rep.status == "certified"
+        assert rep.status is Status.CERTIFIED
         assert rep.homology_equal is True
 
     def test_good_variant_rejects_merely_quasi_good_cover(self):
         rep = verify_nerve_theorem(two_arc_cover(), "good-poset")
-        assert rep.status == "refuted"
+        assert rep.status is Status.REFUTED
         assert rep.detail["failing"] == ["A,B"]
 
     def test_refuted_on_cover_that_is_neither(self):
@@ -202,7 +203,7 @@ class TestVerifyNerveTheorem:
         cov = PosetCover(p, {"A": list(p.elements)})
         for variant in ("good-poset", "quasi-good"):
             rep = verify_nerve_theorem(cov, variant)
-            assert rep.status == "refuted"
+            assert rep.status is Status.REFUTED
 
     def test_certificates_replay_on_membership_cylinder(self):
         rep = verify_nerve_theorem(star_cover(), "good-poset")
@@ -215,19 +216,19 @@ class TestVerifyNerveTheorem:
 
     def test_complex_cover_is_normalized(self):
         rep = verify_nerve_theorem(fx.example_3_12_cover(), "quasi-good")
-        assert rep.status == "certified"
+        assert rep.status is Status.CERTIFIED
 
     def test_json_shape(self):
         d = verify_nerve_theorem(star_cover(), "good-poset").to_json_dict()
         assert d["variant"] == "good-poset"
-        assert d["status"] == "certified"
+        assert d["status"] == "Certified"
         assert "equivalence" in d and "classification" in d
 
 
 class TestVerifyCorollaryCompletion:
     def test_example_3_12(self):
         rep = verify_corollary_completion(fx.example_3_12_cover())
-        assert rep.status == "certified"
+        assert rep.status is Status.CERTIFIED
         assert rep.completion.f_vector() == (2, 2)
         assert rep.base_homology.betti == (1, 1)
         assert rep.completion_homology.betti == (1, 1)
@@ -281,7 +282,7 @@ def test_random_good_covers_satisfy_both_statements(seed: int):
     for x in cov.base.elements:
         assert point_subnerve(sub, x).maximum() is not None
     rep = verify_nerve_theorem(cov, "good-poset")
-    assert rep.status == "certified" and rep.homology_equal
+    assert rep.status is Status.CERTIFIED and rep.homology_equal
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -291,4 +292,4 @@ def test_random_quasi_good_covers_match_completion(seed: int):
 
     cov = fx.random_quasi_good_cover(random.Random(seed))
     rep = verify_nerve_theorem(cov, "quasi-good")
-    assert rep.status == "certified" and rep.homology_equal
+    assert rep.status is Status.CERTIFIED and rep.homology_equal

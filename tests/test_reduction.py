@@ -109,11 +109,6 @@ class TestWeakPoints:
         assert "x" not in beats
         assert weaks.get("x") == "down-weak"
 
-    def test_custom_contractibility_predicate(self):
-        p = weak_not_beat()
-        none_found = find_weak_points(p, contractible=lambda q: False)
-        assert none_found == []
-
 
 class TestGammaPoints:
     def test_gamma_subsumes_weak(self):

@@ -11,6 +11,7 @@ import pytest
 
 import finitetopo.fixtures as fx
 from finitetopo import (
+    Status,
     build_cylinder,
     homology,
     mapping_cylinder,
@@ -40,7 +41,7 @@ def test_relation_equivalence_sweep():
     for i in range(400):
         rel = fx.beat_retraction_relation(rng, rng.randint(2, 10))
         rep = verify_equivalence(rel)
-        assert rep.status == "certified", (i, rep.status)
+        assert rep.status is Status.CERTIFIED, (i, rep.status)
         cyl = build_cylinder(rel)
         down = replay_poset_certificate(cyl.poset, rep.to_source)
         assert set(down.elements) == set(cyl.source_part.members), i
@@ -50,10 +51,10 @@ def test_cover_sweep():
     rng = random.Random(777003)
     for i in range(250):
         rep = verify_nerve_theorem(fx.random_good_cover(rng), "good-poset")
-        assert rep.status == "certified" and rep.homology_equal, i
+        assert rep.status is Status.CERTIFIED and rep.homology_equal, i
     for i in range(250):
         rep = verify_nerve_theorem(fx.random_quasi_good_cover(rng), "quasi-good")
-        assert rep.status == "certified" and rep.homology_equal, i
+        assert rep.status is Status.CERTIFIED and rep.homology_equal, i
 
 
 def test_dictionary_sweep():
