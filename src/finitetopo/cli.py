@@ -299,16 +299,22 @@ def _run_fixture_file(path: str, budget: int, only: Optional[str]) -> Dict[str, 
         if theorem is None or (only is not None and theorem != only):
             entry["status"] = "Skipped"
             return entry
+        expected = wrapper.get("expected_status")
+        if expected is not None:
+            try:
+                expected = Status(expected)
+            except ValueError:
+                words = ", ".join(s.value for s in Status)
+                raise InputError(f"{path}: expected_status {expected!r} is not one of {words}") from None
         obj = object_from_fixture(wrapper["kind"], data, path)
         sub = RunReport(f"verify {theorem}")
         params = wrapper.get("params") or {}
         run_theorem(theorem, obj, params, budget, sub, path)
         sub.finalize()
         entry["status"] = sub.status
-        expected = wrapper.get("expected_status")
         entry["expected"] = expected
         if expected is not None:
-            entry["match"] = sub.status == expected
+            entry["match"] = sub.status is expected
     except (InputError, ValidationError, ReplayError, NotCertified) as exc:
         entry.update(status=Status.ERROR, error=str(exc))
     except Exception as exc:

@@ -72,6 +72,8 @@ class Poset:
         for i in range(n):
             for j in _iter_bits(self._succ_masks[i]):
                 self._pred_masks[j] |= 1 << i
+        # posets key the homology and order complex caches; hash once
+        self._hash = hash((self.elements, self.cover_pairs))
 
     def _lookup(self, e: str) -> int:
         try:
@@ -129,7 +131,7 @@ class Poset:
         return self.elements == other.elements and self.cover_pairs == other.cover_pairs
 
     def __hash__(self) -> int:
-        return hash((self.elements, self.cover_pairs))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Poset({len(self)} elements, {len(self.cover_pairs)} cover pairs)"

@@ -311,7 +311,7 @@ def test_criterion_8_mapper_completion_sees_the_circle(acceptance_log):
 def test_criterion_6_every_certificate_is_stepwise_sound(acceptance_log):
     if not LEDGER:
         pytest.skip("certificate pool is empty; run the whole acceptance module")
-    with criterion(acceptance_log, 6, "stepwise homology and Euler invariance of every certificate"):
+    with criterion(acceptance_log, 6, "stepwise homology and Euler invariance of every certificate", budget=30.0):
         # the shipped disc fixture contributes weak point steps
         disc = fx.REGISTRY["collapsible-noncontractible"].build()
         verdict = is_collapsible(disc)

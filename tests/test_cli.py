@@ -109,6 +109,17 @@ class TestBatch:
         code = main(["verify", "--batch", str(tmp_path)])
         assert code == 3
 
+    @pytest.mark.parametrize("word", ["certified", "Proved", 0])
+    def test_expected_status_outside_the_status_words_is_input_error(self, capsys, tmp_path, word):
+        payload = fx.fixture_payload(fx.get_fixture("certified-relation"))
+        payload["expected_status"] = word
+        (tmp_path / "bad-expected.json").write_text(json.dumps(payload))
+        code, doc = run_json(capsys, "verify", "--batch", str(tmp_path))
+        assert code == 3 and doc["status"] == "Error"
+        (entry,) = doc["detail"]["fixtures"]
+        assert entry["status"] == "Error"
+        assert "expected_status" in entry["error"] and "match" not in entry
+
     @pytest.mark.parametrize("exc", [
         AssertionError("certified relation with unequal homology"),
         RecursionError("maximum recursion depth exceeded"),

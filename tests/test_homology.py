@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from finitetopo import (
     IntegerMatrix,
@@ -17,6 +18,7 @@ from finitetopo import (
     smith_normal_form,
 )
 from finitetopo import fixtures as fx
+from tests.reference_snf import reference_smith_normal_form
 from tests.test_complexes import complexes, triangle_boundary
 from tests.test_poset import posets
 
@@ -202,3 +204,54 @@ def test_torsion_visible_in_mod_p_rank_gap():
     d2 = chain.boundaries[1]
     assert fraction_free_rank(d2) == rank_mod_p(d2, 3)
     assert rank_mod_p(d2, 2) == fraction_free_rank(d2) - 1
+
+
+# -- the sparse engine against the reference and the dense product -----------
+
+ENTRIES = st.sampled_from([0, 1, -1, 2, -2, 3, -3, 4, 6])
+
+
+def dense_matrices(rows: int, cols: int):
+    return st.lists(st.lists(ENTRIES, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+def from_rows(data: list[list[int]], rows: int, cols: int) -> IntegerMatrix:
+    # from_dense cannot say how many columns a matrix without rows has
+    return IntegerMatrix(rows, cols, {(r, c): v for r, row in enumerate(data) for c, v in enumerate(row)})
+
+
+@st.composite
+def integer_matrices(draw, max_side=7):
+    rows = draw(st.integers(0, max_side))
+    cols = draw(st.integers(0, max_side))
+    return from_rows(draw(dense_matrices(rows, cols)), rows, cols)
+
+
+@given(integer_matrices())
+def test_smith_normal_form_matches_reference(m: IntegerMatrix):
+    factors, rank = smith_normal_form(m)
+    assert (factors, rank) == reference_smith_normal_form(m)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+
+
+@given(posets(max_size=7))
+def test_smith_normal_form_matches_reference_on_boundaries(p: Poset):
+    for d in chain_complex(order_complex(p)).boundaries:
+        assert smith_normal_form(d) == reference_smith_normal_form(d)
+
+
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_compose_is_the_dense_product(rows: int, inner: int, cols: int, data):
+    a = data.draw(dense_matrices(rows, inner))
+    b = data.draw(dense_matrices(inner, cols))
+    c = from_rows(a, rows, inner).compose(from_rows(b, inner, cols))
+    assert (c.rows, c.cols) == (rows, cols)
+    assert c.to_dense() == [[sum(a[r][k] * b[k][j] for k in range(inner)) for j in range(cols)] for r in range(rows)]
+
+
+@given(integer_matrices(max_side=5), integer_matrices(max_side=5))
+def test_compose_rejects_a_shape_mismatch(a: IntegerMatrix, b: IntegerMatrix):
+    if a.cols == b.rows:
+        b = IntegerMatrix(b.rows + 1, b.cols, b.entries)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        a.compose(b)
