@@ -13,7 +13,9 @@ graph at a single user-supplied scale; no clustering heuristics.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Iterable
@@ -34,6 +36,9 @@ class PointCloud:
         self.coords = tuple(tuple(float(v) for v in row) for row in coords)
         if len(self.ids) != len(self.coords):
             raise InputError("point cloud needs one identifier per coordinate row")
+        for pid, row in zip(self.ids, self.coords):
+            if not all(map(math.isfinite, row)):
+                raise InputError(f"point {pid!r} has a non-finite coordinate: {row!r}")
         if len(set(self.ids)) != len(self.ids):
             raise InputError("point identifiers must be unique")
         dims = {len(row) for row in self.coords}
@@ -76,9 +81,12 @@ class PointCloud:
                     ident = cells[0]
                     values = cells[1:]
                 try:
-                    coords.append([float(v) for v in values])
+                    row_coords = [float(v) for v in values]
                 except ValueError as exc:
                     raise InputError(f"{path}:{row_no + 1}: bad coordinate in {row!r}") from exc
+                if not all(map(math.isfinite, row_coords)):
+                    raise InputError(f"{path}:{row_no + 1}: point {ident!r} has a non-finite coordinate in {row!r}")
+                coords.append(row_coords)
                 ids.append(ident)
         return cls(ids, coords)
 
@@ -172,30 +180,82 @@ def pullback_cover(pc: PointCloud, f: FilterSpec, ic: IntervalCover) -> dict[str
 
 
 def epsilon_components(pc: PointCloud, ids: Iterable[str], epsilon: float) -> list[frozenset[str]]:
-    """Components of the epsilon-neighborhood graph on the given points,
-    sorted by least member."""
+    """Components of the epsilon-neighborhood graph on the given points, in
+    which two points are linked when ``math.dist(a, b) <= epsilon``; sorted
+    by least member.
+
+    The points are bucketed in a uniform grid of cells of side
+
+        side = epsilon * (1 + 1e-9) + 4 * (ulp(m) + ulp(epsilon)),
+
+    where m is the largest |coordinate| among them, and a pair is tested
+    only when its cells differ by at most one in every coordinate.  The
+    grid only prunes: every pair it keeps is decided by ``math.dist``.
+
+    Pruning is sound for all finite coordinates.  If two cells differ by
+    two or more in some coordinate, the two points differ there by more
+    than ``side`` less the rounding of ``v / side`` for each of them, which
+    is at most ulp(m) per point; by the choice of ``side`` that difference
+    exceeds the float after epsilon (the 1e-9 term absorbs the rounding of
+    ``side`` itself).  A faithfully rounded ``math.dist`` (CPython's is)
+    is never below the absolute difference in any one coordinate rounded
+    down, so such a pair fails the predicate.  A fixed margin, as in
+    ``side = epsilon * (1 + 1e-9)``, covers that rounding only while
+    |v| / epsilon stays below about 4e6.
+
+    The search runs from each least unseen point.  Cells hold only unseen
+    points, so each pop tests only the unseen points of its neighbouring
+    cells.
+    """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise InputError(f"epsilon must be a positive finite number, got {epsilon!r}")
-    pool = sorted(set(ids))
-    for pid in pool:
-        pc.coord(pid)
-    unseen = set(pool)
+    points = {pid: pc.coord(pid) for pid in sorted(set(ids))}
+    if not points:
+        return []
+    largest = max(map(abs, itertools.chain.from_iterable(points.values())))
+    side = epsilon * (1 + 1e-9) + 4 * (math.ulp(largest) + math.ulp(epsilon))
+    cell_of = {pid: tuple([math.floor(v / side) for v in row]) for pid, row in points.items()}
+    cells: dict[tuple[int, ...], dict[str, tuple[float, ...]]] = {}
+    for pid, key in cell_of.items():
+        cells.setdefault(key, {})[pid] = points[pid]
+    near = _touching_cells(cells)
     out: list[frozenset[str]] = []
-    for start in pool:
-        if start not in unseen:
+    for start, key in cell_of.items():
+        if start not in cells[key]:
             continue
+        del cells[key][start]
+        comp = [start]
         queue = [start]
-        unseen.discard(start)
-        comp = {start}
         while queue:
             cur = queue.pop()
-            near = [q for q in unseen if pc.distance(cur, q) <= epsilon]
-            for q in near:
-                unseen.discard(q)
-                comp.add(q)
+            a = points[cur]
+            hits = [(cell, q) for cell in near[cell_of[cur]] for q, b in cell.items() if math.dist(a, b) <= epsilon]
+            for cell, q in hits:
+                del cell[q]
+                comp.append(q)
                 queue.append(q)
+        # every smaller point was seen before start, so start is the least member
         out.append(frozenset(comp))
-    return sorted(out, key=min)
+    return out
+
+
+def _touching_cells(cells: dict[tuple[int, ...], dict]) -> dict[tuple[int, ...], list[dict]]:
+    """For each occupied cell, the occupied cells (itself included) whose
+    index differs from its own by at most one in every coordinate: looked
+    up among the 3^d offsets, or found by testing every occupied cell when
+    there are fewer of those than offsets, as in high dimensions."""
+    keys = list(cells)
+    dim = len(keys[0])
+    if 3**dim <= len(keys):
+        offsets = list(itertools.product((-1, 0, 1), repeat=dim))
+        return {
+            key: [cells[n] for n in (tuple(map(operator.add, key, off)) for off in offsets) if n in cells]
+            for key in keys
+        }
+    return {
+        key: [cells[n] for n in keys if all(abs(x - y) <= 1 for x, y in zip(key, n))]
+        for key in keys
+    }
 
 
 @dataclass(eq=False)

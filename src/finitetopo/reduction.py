@@ -9,7 +9,7 @@ witness data, and no search is ever invoked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .certificates import (
     BEAT_KINDS,
@@ -171,35 +171,63 @@ def _collapse_moves(p: Poset, mask: int, keep: int):
             yield step, mask ^ (1 << i)
 
 
+@dataclass
+class _Frame:
+    """One mask on the current DFS path, with the moves not yet tried."""
+
+    mask: int
+    moves: Iterator[tuple[ReductionStep, int]]
+    complete: bool = True
+    step: Optional[ReductionStep] = None
+
+
 def _collapse_dfs(p: Poset, start: int, target: Optional[int], budget: int):
-    """DFS over weak-point deletions.  Returns (steps or None, nodes, complete)."""
+    """DFS over weak-point deletions.  Returns (steps or None, nodes, complete).
+
+    The path is an explicit stack of frames, so a collapse longer than the
+    interpreter's recursion limit is still found."""
     failed: set[int] = set()
-    counter = [0]
+    nodes = 0
     keep = target if target is not None else 0
+    path: list[_Frame] = []
 
     def done(mask: int) -> bool:
         return mask == target if target is not None else _popcount(mask) == 1
 
-    def dfs(mask: int):
+    def visit(mask: int):
+        """(steps or None, complete) when mask is decided at once; otherwise
+        None, after opening a frame for it."""
+        nonlocal nodes
         if done(mask):
             return [], True
         if mask in failed:
             return None, True
-        counter[0] += 1
-        if counter[0] > budget:
+        nodes += 1
+        if nodes > budget:
             return None, False
-        complete = True
-        for step, nm in _collapse_moves(p, mask, keep):
-            sub, sub_complete = dfs(nm)
-            if sub is not None:
-                return [step] + sub, True
-            complete = complete and sub_complete
-        if complete:
-            failed.add(mask)
-        return None, complete
+        path.append(_Frame(mask, _collapse_moves(p, mask, keep)))
+        return None
 
-    steps, complete = dfs(start)
-    return steps, counter[0], complete
+    answer = visit(start)
+    while path:
+        frame = path[-1]
+        move = next(frame.moves, None)
+        if move is None:
+            path.pop()
+            if frame.complete:
+                failed.add(frame.mask)
+            answer = None, frame.complete
+        else:
+            frame.step, nm = move
+            answer = visit(nm)
+            if answer is None:
+                continue
+            if answer[0] is not None:
+                return [f.step for f in path] + answer[0], nodes, True
+        if path:
+            path[-1].complete = path[-1].complete and answer[1]
+    steps, complete = answer
+    return steps, nodes, complete
 
 
 def is_collapsible(p: Poset, budget: int = DEFAULT_BUDGET) -> TrivialityVerdict:

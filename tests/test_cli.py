@@ -281,6 +281,12 @@ class TestMapperCommand:
         assert main(["mapper", "circle-60", "--epsilon", "nan"]) == 3
         assert "epsilon" in capsys.readouterr().err
 
+    def test_non_finite_coordinate_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "cloud.csv"
+        path.write_text("a,0,0\nb,nan,0\nc,0.1,0\nd,inf,1\n")
+        assert main(["mapper", str(path), "--epsilon", "0.5"]) == 3
+        assert "cloud.csv:2: point 'b' has a non-finite coordinate" in capsys.readouterr().err
+
 
 class TestInputErrorsExitThree:
     """Problems found before a command runs are input errors, not verdicts."""

@@ -16,6 +16,7 @@ from finitetopo import (
     parse_filter,
     pullback_cover,
 )
+from tests.reference_epsilon import reference_epsilon_components
 
 
 def square_cloud() -> PointCloud:
@@ -37,6 +38,17 @@ class TestPointCloud:
     def test_mismatched_dimensions_rejected(self):
         with pytest.raises(InputError):
             PointCloud(["a", "b"], [(0, 0), (1,)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate_rejected(self, bad):
+        with pytest.raises(InputError, match="point 'b' has a non-finite coordinate"):
+            PointCloud(["a", "b"], [(0, 0), (1, bad)])
+
+    def test_csv_non_finite_coordinate_names_row_and_point(self, tmp_path):
+        path = tmp_path / "cloud.csv"
+        path.write_text("a,0,0\nb,nan,0\nc,0.1,0\nd,inf,1\n")
+        with pytest.raises(InputError, match=r"cloud\.csv:2: point 'b' has a non-finite coordinate"):
+            PointCloud.from_csv(str(path))
 
     def test_csv_round_trip(self, tmp_path):
         from finitetopo import fixtures as fx
@@ -146,6 +158,88 @@ class TestEpsilonComponents:
     def test_epsilon_must_be_positive_and_finite(self, epsilon):
         with pytest.raises(InputError, match="epsilon"):
             epsilon_components(square_cloud(), ["p0", "p1"], epsilon)
+
+
+def _nudge(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@st.composite
+def component_cases(draw):
+    """A cloud in 1 to 3 dimensions, an epsilon and the ids to split.  The
+    points are random, or lie on an integer lattice of spacing epsilon, at
+    most an ulp off, so that many pairs lie exactly or almost exactly
+    epsilon apart; some points are repeated, and the cloud may be
+    translated by up to 1e9 epsilon."""
+    dim = draw(st.integers(1, 3))
+    epsilon = 10.0 ** draw(st.floats(-3, 3))
+    n = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        rows = [
+            tuple(_nudge(draw(st.integers(-2, 2)) * epsilon, draw(st.integers(-1, 1))) for _ in range(dim))
+            for _ in range(n)
+        ]
+    else:
+        rows = [tuple(draw(st.floats(-4, 4)) * epsilon for _ in range(dim)) for _ in range(n)]
+    rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    if draw(st.booleans()):
+        reach = draw(st.sampled_from([1e3, 1e6, 1e9]))
+        shift = [draw(st.floats(-reach, reach)) * epsilon for _ in range(dim)]
+        rows = [tuple(v + t for v, t in zip(row, shift)) for row in rows]
+    ids = [f"q{k:02d}" for k in range(len(rows))]
+    chosen = draw(st.one_of(st.just(ids), st.lists(st.sampled_from(ids), unique=True)))
+    return PointCloud(ids, rows), chosen, epsilon
+
+
+class TestGridMatchesReference:
+    """The grid prunes pairs only; components equal the old all-pairs BFS."""
+
+    @given(component_cases())
+    @settings(max_examples=400)
+    def test_same_components_as_reference(self, case):
+        pc, ids, epsilon = case
+        assert epsilon_components(pc, ids, epsilon) == reference_epsilon_components(pc, ids, epsilon)
+
+    @pytest.mark.parametrize("epsilon", [0.1, 0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6, 1e9, -1e9])
+    def test_translated_lattice(self, epsilon, offset):
+        # a 6x6 lattice of spacing epsilon, up to 1e9 epsilon from the origin
+        rows = [(offset * epsilon + i * epsilon, -offset * epsilon + j * epsilon) for i in range(6) for j in range(6)]
+        pc = PointCloud([f"q{k:02d}" for k in range(len(rows))], rows)
+        assert epsilon_components(pc, pc.ids, epsilon) == reference_epsilon_components(pc, pc.ids, epsilon)
+
+    def test_integer_chain_far_from_origin_is_one_component(self):
+        rows = [(1e9 + k,) for k in range(50)]
+        pc = PointCloud([f"q{k:02d}" for k in range(50)], rows)
+        assert epsilon_components(pc, pc.ids, 1.0) == [frozenset(pc.ids)]
+
+    def test_pair_straddling_a_cell_exactly_epsilon_apart(self):
+        # the distance rounds to epsilon exactly although the cells of side
+        # epsilon would be two apart
+        pc = PointCloud(["a", "b"], [(-5e-324, 0.0), (0.1, 0.0)])
+        assert pc.distance("a", "b") == 0.1
+        assert epsilon_components(pc, pc.ids, 0.1) == [frozenset({"a", "b"})]
+
+    def test_diagonal_neighbours_are_linked(self):
+        pc = PointCloud(["a", "b"], [(0.95, 0.95), (1.05, 1.05)])
+        assert epsilon_components(pc, pc.ids, 0.5) == [frozenset({"a", "b"})]
+
+    def test_high_dimensional_cloud(self):
+        # 3^40 neighbouring offsets per cell would never finish
+        import random
+
+        rng = random.Random(3)
+        rows = [tuple(rng.uniform(0, 1) for _ in range(40)) for _ in range(30)]
+        pc = PointCloud([f"q{k:02d}" for k in range(30)], rows)
+        for epsilon in (0.5, 1.5, 2.5):
+            assert epsilon_components(pc, pc.ids, epsilon) == reference_epsilon_components(pc, pc.ids, epsilon)
+
+    def test_extreme_coordinates(self):
+        pc = PointCloud(["a", "b", "c", "d"], [(1.7e308,), (-1.7e308,), (1.7e308 - 2e292,), (5e-324,)])
+        for epsilon in (5e-324, 1e-300, 1.0, 1e300):
+            assert epsilon_components(pc, pc.ids, epsilon) == reference_epsilon_components(pc, pc.ids, epsilon)
 
 
 class TestMapperPipeline:

@@ -145,6 +145,19 @@ class TestCollapseSearch:
         assert cert is None
         assert report["complete"] is False
 
+    def test_collapse_longer_than_the_recursion_limit(self):
+        import sys
+
+        p = chain(1200)
+        assert len(p) > sys.getrecursionlimit()
+        v = is_collapsible(p)
+        assert v.is_trivial
+        assert len(v.certificate.steps) == 1199
+        assert len(replay_poset_certificate(p, v.certificate)) == 1
+        cert, report = collapse_search(p, ["c0"])
+        assert replay_poset_certificate(p, cert).elements == ("c0",)
+        assert report["complete"] is True
+
 
 class TestTrivialityOracle:
     def test_point(self):
