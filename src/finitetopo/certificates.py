@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 POSET_STEP_KINDS = ("up-beat", "down-beat", "up-weak", "down-weak", "gamma-up", "gamma-down")
 SIMPLICIAL_STEP_KIND = "simplicial-collapse"
@@ -187,3 +187,29 @@ class Status(str, Enum):
         if "nontrivial" in words:
             return cls.REFUTED
         return cls.UNKNOWN if "unknown" in words else cls.CERTIFIED
+
+
+class StatementReport:
+    """What a statement check yields besides its JSON form: the collapses it
+    certified, each with the object it reduces, and the homology profiles
+    it compared, which a subclass names in ``HOMOLOGY`` as (label,
+    attribute) pairs."""
+
+    HOMOLOGY: tuple[tuple[str, str], ...] = ()
+    homology_equal: Optional[bool] = None
+
+    def certificates(self) -> Iterator[tuple[str, ReductionCertificate, Any]]:
+        """(label, certificate, replay target) per certified collapse."""
+        return iter(())
+
+    def homology_profiles(self) -> Iterator[tuple[str, Any]]:
+        """(label, HomologyProfile) per profile the check computed."""
+        return ((label, getattr(self, attr)) for label, attr in self.HOMOLOGY if getattr(self, attr) is not None)
+
+    def homology_json(self) -> dict:
+        """The ``<attribute>: describe()`` and ``homology_equal`` entries."""
+        attrs = dict(self.HOMOLOGY)
+        out: dict = {attrs[label]: prof.describe() for label, prof in self.homology_profiles()}
+        if self.homology_equal is not None:
+            out["homology_equal"] = self.homology_equal
+        return out

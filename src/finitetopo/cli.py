@@ -21,16 +21,15 @@ from . import fixtures as fixtures_mod
 from .certificates import Status
 from .complexes import RegularCWComplex, SimplicialComplex, face_poset
 from .cylinder import (
-    EquivalenceReport,
     Relation,
     build_cylinder,
     check_source_retraction,
     check_target_retraction,
-    collapse_cylinder_to_source,
-    collapse_cylinder_to_target,
     mapping_cylinder,
     verify_equivalence,
     verify_homology_equivalence,
+    verify_source_retraction,
+    verify_target_retraction,
 )
 from .errors import InputError, NotCertified, ReplayError, ValidationError
 from .fixtures import object_from_fixture, read_fixture_file
@@ -75,24 +74,6 @@ from .reduction import (
 from .report import RunReport
 
 ENV_PREFIX = "FINITETOPO_"
-
-THEOREMS = (
-    "prop-2.4",
-    "prop-2.5",
-    "thm-a",
-    "prop-homology",
-    "nerve-good",
-    "nerve-x0",
-    "nerve-quasigood",
-    "cor-completion",
-    "dictionary",
-)
-
-_NERVE_VARIANT = {
-    "nerve-good": "good-poset",
-    "nerve-x0": "x-zero",
-    "nerve-quasigood": "quasi-good",
-}
 
 
 def _env(name: str, cast, fallback):
@@ -203,87 +184,61 @@ def _as_cover(obj: Any, where: str):
 
 # ----------------------------------------------------------- verify targets
 
-def _attach_collapses(report: RunReport, eq: Optional[EquivalenceReport],
-                      source_label: str, target_label: str) -> None:
-    """Both collapse certificates of a certified equivalence, on its cylinder."""
-    if eq is not None and eq.cylinder is not None:
-        report.add_certificate(source_label, eq.to_source, eq.cylinder.poset)
-        report.add_certificate(target_label, eq.to_target, eq.cylinder.poset)
+def _homology_version(obj: Any, params: Dict[str, Any], budget: int, where: str):
+    r = _as_relation(obj, where)
+    try:
+        degree = int(params.get("degree", 1))
+    except (TypeError, ValueError):
+        raise InputError(f"{where}: degree must be an integer") from None
+    return verify_homology_equivalence(r, degree, budget)
+
+
+def _nerve(variant: str):
+    return lambda obj, _, budget, where: verify_nerve_theorem(_as_cover(obj, where), variant, budget)
+
+
+def _completion_corollary(obj: Any, params: Dict[str, Any], budget: int, where: str):
+    cover = _as_cover(obj, where)
+    if not isinstance(cover, ComplexCover):
+        raise InputError(f"{where}: the completion corollary takes a complex cover")
+    return verify_corollary_completion(cover, budget)
+
+
+def _dictionary(obj: Any, params: Dict[str, Any], budget: int, where: str):
+    if not isinstance(obj, (Poset, SimplicialComplex)):
+        raise InputError(f"{where}: the dictionary checks take a poset or a complex")
+    return verify_dictionary(obj, budget)
+
+
+# theorem id -> (check taking input, params, budget and where; detail key).
+# Each check returns a report that yields its own certificates and homology.
+STATEMENTS = {
+    "prop-2.4": (lambda o, _, b, w: verify_source_retraction(_as_relation(o, w), b), "hypotheses"),
+    "prop-2.5": (lambda o, _, b, w: verify_target_retraction(_as_relation(o, w), b), "hypotheses"),
+    "thm-a": (lambda o, _, b, w: verify_equivalence(_as_relation(o, w), b), "equivalence"),
+    "prop-homology": (_homology_version, "homology_version"),
+    "nerve-good": (_nerve("good-poset"), "nerve_theorem"),
+    "nerve-x0": (_nerve("x-zero"), "nerve_theorem"),
+    "nerve-quasigood": (_nerve("quasi-good"), "nerve_theorem"),
+    "cor-completion": (_completion_corollary, "completion_corollary"),
+    "dictionary": (_dictionary, "dictionary"),
+}
+THEOREMS = tuple(STATEMENTS)
 
 
 def run_theorem(theorem: str, obj: Any, params: Dict[str, Any],
                 budget: int, report: RunReport, where: str = "<input>") -> None:
     """Run one verification target and fill the report in place."""
-    if theorem in ("prop-2.4", "prop-2.5"):
-        r = _as_relation(obj, where)
-        to_source = theorem == "prop-2.4"
-        rep = (check_source_retraction if to_source else check_target_retraction)(r, budget)
-        report.detail["hypotheses"] = rep.to_json_dict()
-        report.set_status(rep.status)
-        if rep.status is Status.CERTIFIED:
-            cyl = build_cylinder(r)
-            collapse = collapse_cylinder_to_source if to_source else collapse_cylinder_to_target
-            report.add_certificate("collapse-to-" + rep.side, collapse(cyl, budget, rep), cyl.poset)
-        return
-
-    if theorem == "thm-a":
-        rep = verify_equivalence(_as_relation(obj, where), budget)
-        report.detail["equivalence"] = rep.to_json_dict()
-        report.set_status(rep.status)
-        _attach_collapses(report, rep, "collapse-to-source", "collapse-to-target")
-        if rep.source_homology is not None:
-            report.add_homology("source", profile_json(rep.source_homology))
-            report.add_homology("target", profile_json(rep.target_homology))
-        return
-
-    if theorem == "prop-homology":
-        r = _as_relation(obj, where)
-        try:
-            degree = int(params.get("degree", 1))
-        except (TypeError, ValueError):
-            raise InputError(f"{where}: degree must be an integer") from None
-        rep = verify_homology_equivalence(r, degree, budget)
-        report.detail["homology_version"] = rep.to_json_dict()
-        report.set_status(rep.status)
-        if rep.source_homology is not None:
-            report.add_homology("source", profile_json(rep.source_homology))
-            report.add_homology("target", profile_json(rep.target_homology))
-        return
-
-    if theorem in _NERVE_VARIANT:
-        cover = _as_cover(obj, where)
-        rep = verify_nerve_theorem(cover, _NERVE_VARIANT[theorem], budget)
-        report.detail["nerve_theorem"] = rep.to_json_dict()
-        report.set_status(rep.status)
-        _attach_collapses(report, rep.equivalence, "collapse-to-base", "collapse-to-nerve")
-        if rep.base_homology is not None:
-            report.add_homology("base", profile_json(rep.base_homology))
-            report.add_homology("nerve-side", profile_json(rep.nerve_homology))
-        return
-
-    if theorem == "cor-completion":
-        cover = _as_cover(obj, where)
-        if not isinstance(cover, ComplexCover):
-            raise InputError(f"{where}: the completion corollary takes a complex cover")
-        rep = verify_corollary_completion(cover, budget)
-        report.detail["completion_corollary"] = rep.to_json_dict()
-        report.set_status(rep.status)
-        _attach_collapses(report, rep.nerve_report.equivalence,
-                          "collapse-to-base", "collapse-to-completion")
-        if rep.base_homology is not None:
-            report.add_homology("base", profile_json(rep.base_homology))
-            report.add_homology("completion", profile_json(rep.completion_homology))
-        return
-
-    if theorem == "dictionary":
-        if not isinstance(obj, (Poset, SimplicialComplex)):
-            raise InputError(f"{where}: the dictionary checks take a poset or a complex")
-        rep = verify_dictionary(obj, budget)
-        report.detail["dictionary"] = rep.to_json_dict()
-        report.set_status(rep.status)
-        return
-
-    raise InputError(f"unknown theorem id {theorem!r}; expected one of {', '.join(THEOREMS)}")
+    if theorem not in STATEMENTS:
+        raise InputError(f"unknown theorem id {theorem!r}; expected one of {', '.join(THEOREMS)}")
+    check, key = STATEMENTS[theorem]
+    rep = check(obj, params, budget, where)
+    report.detail[key] = rep.to_json_dict()
+    report.set_status(rep.status)
+    for label, certificate, target in rep.certificates():
+        report.add_certificate(label, certificate, target)
+    for label, profile in rep.homology_profiles():
+        report.add_homology(label, profile_json(profile))
 
 
 def _run_fixture_file(path: str, budget: int, only: Optional[str]) -> Dict[str, Any]:

@@ -13,10 +13,10 @@ the factors have the same weak homotopy type and equal homology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .certificates import ReductionCertificate, ReductionStep, Status, TrivialityVerdict
+from .certificates import ReductionCertificate, ReductionStep, StatementReport, Status, TrivialityVerdict
 from .errors import InputError, NotCertified, ValidationError
 from .homology import HomologyProfile, homology, same_homology
 from .poset import ElementSet, Poset
@@ -113,11 +113,19 @@ def mapping_cylinder(source: Poset, target: Poset, f: dict[str, str]) -> Cylinde
 
 
 @dataclass(frozen=True)
-class HypothesisReport:
-    """Per-element triviality verdicts for one side's local data."""
+class HypothesisReport(StatementReport):
+    """Per-element triviality verdicts for one side's local data; a
+    one-sided statement also carries its collapse onto that side."""
 
     side: str  # "source" or "target"
     verdicts: dict[str, TrivialityVerdict]
+    collapse: Optional[ReductionCertificate] = None
+    # the cylinder the collapse acts on
+    cylinder: Optional[CylinderPoset] = None
+
+    def certificates(self):
+        if self.collapse is not None:
+            yield "collapse-to-" + self.side, self.collapse, self.cylinder.poset
 
     @property
     def status(self) -> Status:
@@ -231,8 +239,26 @@ def collapse_cylinder_to_target(
     return ReductionCertificate(tuple(steps))
 
 
+def _with_collapse(r: Relation, report: HypothesisReport, collapse) -> HypothesisReport:
+    if report.status is not Status.CERTIFIED:
+        return report
+    cyl = build_cylinder(r)
+    return replace(report, collapse=collapse(cyl, report=report), cylinder=cyl)
+
+
+def verify_source_retraction(r: Relation, budget: int = DEFAULT_BUDGET) -> HypothesisReport:
+    """Proposition 2.4: certified source local data collapse the cylinder
+    onto its source; the report carries that collapse."""
+    return _with_collapse(r, check_source_retraction(r, budget), collapse_cylinder_to_source)
+
+
+def verify_target_retraction(r: Relation, budget: int = DEFAULT_BUDGET) -> HypothesisReport:
+    """Proposition 2.5: the same onto the target."""
+    return _with_collapse(r, check_target_retraction(r, budget), collapse_cylinder_to_target)
+
+
 @dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(StatementReport):
     status: Status
     source_report: HypothesisReport
     target_report: HypothesisReport
@@ -244,6 +270,17 @@ class EquivalenceReport:
     # the cylinder both certificates act on; set only when certified
     cylinder: Optional[CylinderPoset] = None
 
+    HOMOLOGY = (("source", "source_homology"), ("target", "target_homology"))
+
+    def certificates(self):
+        return self.collapses("source", "target")
+
+    def collapses(self, source_side: str, target_side: str):
+        """Both collapse certificates, labelled by the sides' names in the statement."""
+        if self.cylinder is not None:
+            yield "collapse-to-" + source_side, self.to_source, self.cylinder.poset
+            yield "collapse-to-" + target_side, self.to_target, self.cylinder.poset
+
     def to_json_dict(self) -> dict:
         out: dict = {
             "status": self.status,
@@ -254,13 +291,7 @@ class EquivalenceReport:
             out["to_source"] = self.to_source.to_json_dict()
         if self.to_target is not None:
             out["to_target"] = self.to_target.to_json_dict()
-        if self.source_homology is not None:
-            out["source_homology"] = self.source_homology.describe()
-        if self.target_homology is not None:
-            out["target_homology"] = self.target_homology.describe()
-        if self.homology_equal is not None:
-            out["homology_equal"] = self.homology_equal
-        return out
+        return {**out, **self.homology_json()}
 
 
 def verify_equivalence(r: Relation, budget: int = DEFAULT_BUDGET) -> EquivalenceReport:
@@ -287,7 +318,7 @@ def verify_equivalence(r: Relation, budget: int = DEFAULT_BUDGET) -> Equivalence
 
 
 @dataclass(frozen=True)
-class HomologyEquivalenceReport:
+class HomologyEquivalenceReport(StatementReport):
     status: Status  # never Unknown: the check is exact
     through_degree: int
     failing: dict[str, list[str]] = field(default_factory=dict)
@@ -295,17 +326,13 @@ class HomologyEquivalenceReport:
     target_homology: Optional[HomologyProfile] = None
     homology_equal: Optional[bool] = None
 
+    HOMOLOGY = EquivalenceReport.HOMOLOGY
+
     def to_json_dict(self) -> dict:
         out: dict = {"status": self.status, "through_degree": self.through_degree}
         if self.failing:
             out["failing"] = {k: list(v) for k, v in sorted(self.failing.items())}
-        if self.source_homology is not None:
-            out["source_homology"] = self.source_homology.describe()
-        if self.target_homology is not None:
-            out["target_homology"] = self.target_homology.describe()
-        if self.homology_equal is not None:
-            out["homology_equal"] = self.homology_equal
-        return out
+        return {**out, **self.homology_json()}
 
 
 def _reduced_vanishes_through(members: ElementSet, n: int) -> bool:

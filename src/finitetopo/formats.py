@@ -45,13 +45,6 @@ def parse_poset_text(text: str, where: str = "<input>") -> Poset:
     return Poset(elements, relations)
 
 
-def poset_to_text(p: Poset) -> str:
-    lines = [f"{a} < {b}" for a, b in sorted(p.cover_pairs)]
-    related = {e for pair in p.cover_pairs for e in pair}
-    lines.extend(e for e in p.elements if e not in related)
-    return "\n".join(lines) + "\n"
-
-
 def poset_to_json(p: Poset) -> dict:
     return {"elements": list(p.elements), "relations": [list(pair) for pair in sorted(p.cover_pairs)]}
 
@@ -76,10 +69,6 @@ def parse_complex_text(text: str, where: str = "<input>") -> SimplicialComplex:
     for no, line in _lines(text):
         facets.append(tuple(line.split()))
     return SimplicialComplex(facets)
-
-
-def complex_to_text(k: SimplicialComplex) -> str:
-    return "\n".join(" ".join(f) for f in k.facets) + "\n"
 
 
 def complex_to_json(k: SimplicialComplex) -> dict:
@@ -227,14 +216,3 @@ def read_text_file(path: str) -> str:
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
-
-def read_poset(path: str) -> Poset:
-    if path.endswith(".json"):
-        return poset_from_json(load_json_file(path), path)
-    return parse_poset_text(read_text_file(path), path)
-
-
-def read_complex(path: str) -> SimplicialComplex:
-    if path.endswith(".json"):
-        return complex_from_json(load_json_file(path), path)
-    return parse_complex_text(read_text_file(path), path)

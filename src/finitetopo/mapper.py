@@ -170,13 +170,16 @@ def _part_name(k: int, n: int) -> str:
 def pullback_cover(pc: PointCloud, f: FilterSpec, ic: IntervalCover) -> dict[str, frozenset[str]]:
     """Points grouped by which interval their filter value lands in."""
     values = f.values(pc)
-    spans = ic.of_range(min(values), max(values))
-    parts: dict[str, frozenset[str]] = {}
-    for k, (a, b) in enumerate(spans):
-        parts[_part_name(k, len(spans))] = frozenset(
-            pid for pid, v in zip(pc.ids, values) if a <= v <= b
-        )
-    return parts
+    return _pullback(pc.ids, values, ic.of_range(min(values), max(values)))
+
+
+def _pullback(
+    ids: tuple[str, ...], values: tuple[float, ...], spans: list[tuple[float, float]]
+) -> dict[str, frozenset[str]]:
+    return {
+        _part_name(k, len(spans)): frozenset(pid for pid, v in zip(ids, values) if a <= v <= b)
+        for k, (a, b) in enumerate(spans)
+    }
 
 
 def epsilon_components(pc: PointCloud, ids: Iterable[str], epsilon: float) -> list[frozenset[str]]:
@@ -299,7 +302,7 @@ def mapper_completion(
     """
     values = f.values(pc)
     spans = ic.of_range(min(values), max(values))
-    parts = pullback_cover(pc, f, ic)
+    parts = _pullback(pc.ids, values, spans)
     discrete = Poset(pc.ids, ())
     cover = PosetCover(discrete, {name: set(members) for name, members in parts.items()})
 

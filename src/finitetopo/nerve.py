@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Optional, Union
 
-from .certificates import Status, TrivialityVerdict
+from .certificates import StatementReport, Status, TrivialityVerdict
 from .complexes import (
     RegularCWComplex,
     SimplicialComplex,
@@ -401,7 +401,7 @@ NERVE_VARIANTS = ("good-poset", "x-zero", "quasi-good")
 
 
 @dataclass(eq=False)
-class NerveTheoremReport:
+class NerveTheoremReport(StatementReport):
     variant: str
     status: Status
     classification: CoverClassification
@@ -413,6 +413,11 @@ class NerveTheoremReport:
     # the completion the quasi-good variant relates the base to
     completion: Optional[CompletionPoset] = None
 
+    HOMOLOGY = (("base", "base_homology"), ("nerve-side", "nerve_homology"))
+
+    def certificates(self):
+        return self.equivalence.collapses("base", "nerve") if self.equivalence is not None else iter(())
+
     def to_json_dict(self) -> dict:
         out: dict = {
             "variant": self.variant,
@@ -423,13 +428,7 @@ class NerveTheoremReport:
             out["detail"] = dict(self.detail)
         if self.equivalence is not None:
             out["equivalence"] = self.equivalence.to_json_dict()
-        if self.base_homology is not None:
-            out["base_homology"] = self.base_homology.describe()
-        if self.nerve_homology is not None:
-            out["nerve_homology"] = self.nerve_homology.describe()
-        if self.homology_equal is not None:
-            out["homology_equal"] = self.homology_equal
-        return out
+        return {**out, **self.homology_json()}
 
 
 def _membership_relation(c: PosetCover, target: Poset, member_of: dict[str, ElementSet]) -> Relation:
@@ -495,7 +494,7 @@ def verify_nerve_theorem(c: AnyCover, variant: str, budget: int = DEFAULT_BUDGET
 
 
 @dataclass(eq=False)
-class CompletionCorollaryReport:
+class CompletionCorollaryReport(StatementReport):
     status: Status
     nerve_report: NerveTheoremReport
     completion: Optional[RegularCWComplex] = None
@@ -503,17 +502,17 @@ class CompletionCorollaryReport:
     completion_homology: Optional[HomologyProfile] = None
     homology_equal: Optional[bool] = None
 
+    HOMOLOGY = (("base", "base_homology"), ("completion", "completion_homology"))
+
+    def certificates(self):
+        eq = self.nerve_report.equivalence
+        return eq.collapses("base", "completion") if eq is not None else iter(())
+
     def to_json_dict(self) -> dict:
         out: dict = {"status": self.status, "nerve_theorem": self.nerve_report.to_json_dict()}
         if self.completion is not None:
             out["completion_f_vector"] = list(self.completion.f_vector())
-        if self.base_homology is not None:
-            out["base_homology"] = self.base_homology.describe()
-        if self.completion_homology is not None:
-            out["completion_homology"] = self.completion_homology.describe()
-        if self.homology_equal is not None:
-            out["homology_equal"] = self.homology_equal
-        return out
+        return {**out, **self.homology_json()}
 
 
 def verify_corollary_completion(c: ComplexCover, budget: int = DEFAULT_BUDGET) -> CompletionCorollaryReport:

@@ -9,7 +9,7 @@ witness data, and no search is ever invoked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Any, Callable, Hashable, Iterable, Iterator, Optional
 
 from .certificates import (
     BEAT_KINDS,
@@ -17,6 +17,7 @@ from .certificates import (
     WEAK_KINDS,
     ReductionCertificate,
     ReductionStep,
+    StatementReport,
     Status,
     TrivialityVerdict,
 )
@@ -173,39 +174,39 @@ def _collapse_moves(p: Poset, mask: int, keep: int):
 
 @dataclass
 class _Frame:
-    """One mask on the current DFS path, with the moves not yet tried."""
+    """One state on the current DFS path, with the moves not yet tried."""
 
-    mask: int
-    moves: Iterator[tuple[ReductionStep, int]]
+    state: Hashable
+    moves: Iterator[tuple[Any, Hashable]]
     complete: bool = True
-    step: Optional[ReductionStep] = None
+    step: Any = None
 
 
-def _collapse_dfs(p: Poset, start: int, target: Optional[int], budget: int):
-    """DFS over weak-point deletions.  Returns (steps or None, nodes, complete).
+def _collapse_dfs(start: Hashable, done: Callable[[Any], bool],
+                  moves: Callable[[Any], Iterator[tuple[Any, Hashable]]], budget: int):
+    """DFS from start to a state where done holds; moves(state) yields
+    (step, next state) in the order they are tried.  Returns (steps or
+    None, nodes, complete); a state whose search finished without success
+    is not expanded again.
 
     The path is an explicit stack of frames, so a collapse longer than the
     interpreter's recursion limit is still found."""
-    failed: set[int] = set()
+    failed: set = set()
     nodes = 0
-    keep = target if target is not None else 0
     path: list[_Frame] = []
 
-    def done(mask: int) -> bool:
-        return mask == target if target is not None else _popcount(mask) == 1
-
-    def visit(mask: int):
-        """(steps or None, complete) when mask is decided at once; otherwise
-        None, after opening a frame for it."""
+    def visit(state):
+        """(steps or None, complete) when the state is decided at once;
+        otherwise None, after opening a frame for it."""
         nonlocal nodes
-        if done(mask):
+        if done(state):
             return [], True
-        if mask in failed:
+        if state in failed:
             return None, True
         nodes += 1
         if nodes > budget:
             return None, False
-        path.append(_Frame(mask, _collapse_moves(p, mask, keep)))
+        path.append(_Frame(state, moves(state)))
         return None
 
     answer = visit(start)
@@ -215,7 +216,7 @@ def _collapse_dfs(p: Poset, start: int, target: Optional[int], budget: int):
         if move is None:
             path.pop()
             if frame.complete:
-                failed.add(frame.mask)
+                failed.add(frame.state)
             answer = None, frame.complete
         else:
             frame.step, nm = move
@@ -234,7 +235,8 @@ def is_collapsible(p: Poset, budget: int = DEFAULT_BUDGET) -> TrivialityVerdict:
     """Trivial iff a weak-point deletion sequence to a point is found within budget."""
     if len(p) == 0:
         return TrivialityVerdict("nontrivial", "empty")
-    steps, nodes, complete = _collapse_dfs(p, p.full_mask(), None, budget)
+    steps, nodes, complete = _collapse_dfs(
+        p.full_mask(), lambda mask: _popcount(mask) == 1, lambda mask: _collapse_moves(p, mask, 0), budget)
     if steps is not None:
         return TrivialityVerdict("trivial", "collapse", ReductionCertificate(tuple(steps)), detail={"nodes": nodes})
     reason = "no-collapse" if complete else "budget"
@@ -253,7 +255,8 @@ def collapse_search(p: Poset, target, budget: int = DEFAULT_BUDGET) -> tuple[Opt
     if isinstance(target, Poset) and p.induced(members) != target:
         raise InputError("target order disagrees with the induced order")
     tmask = p._mask_of(members)
-    steps, nodes, complete = _collapse_dfs(p, p.full_mask(), tmask, budget)
+    steps, nodes, complete = _collapse_dfs(
+        p.full_mask(), lambda mask: mask == tmask, lambda mask: _collapse_moves(p, mask, tmask), budget)
     report = {"nodes": nodes, "complete": complete}
     if steps is None:
         return None, report
@@ -375,13 +378,20 @@ def _proper_cofaces(faces: set[tuple[str, ...]], s: tuple[str, ...]) -> list[tup
 
 
 def free_pairs(faces: Iterable[tuple[str, ...]]) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
-    fs = set(faces)
-    out = []
-    for s in sorted(fs):
-        cof = _proper_cofaces(fs, s)
-        if len(cof) == 1:
-            out.append((s, cof[0]))
-    return out
+    """(free face, its coface) in face order, for all faces of a complex.
+
+    A free face has exactly one proper coface, hence exactly one of
+    codimension 1; in a complex the converse holds, as a larger coface
+    would contain two.  So counting those takes O(faces * dimension)."""
+    count: dict[tuple[str, ...], int] = {}
+    coface: dict[tuple[str, ...], tuple[str, ...]] = {}
+    for t in faces:
+        if len(t) > 1:
+            for i in range(len(t)):
+                s = t[:i] + t[i + 1:]
+                count[s] = count.get(s, 0) + 1
+                coface[s] = t
+    return sorted((s, coface[s]) for s, n in count.items() if n == 1)
 
 
 def simplex_token(simplex: Iterable[str]) -> str:
@@ -407,41 +417,24 @@ def simplicial_collapse_search(
         keep = frozenset(target.faces)
         if not keep <= start:
             raise InputError("target is not a subcomplex")
-    failed: set[frozenset] = set()
-    counter = [0]
 
     def done(faces: frozenset) -> bool:
         if target is not None:
             return faces == keep
         return len(faces) == 1 and len(next(iter(faces))) == 1
 
-    def dfs(faces: frozenset):
-        if done(faces):
-            return [], True
-        if faces in failed:
-            return None, True
-        counter[0] += 1
-        if counter[0] > budget:
-            return None, False
-        complete = True
+    def moves(faces: frozenset):
         for s, t in free_pairs(faces):
-            if s in keep or t in keep:
-                continue
-            nf = faces - {s, t}
-            sub, sub_complete = dfs(nf)
-            if sub is not None:
-                step = ReductionStep("simplicial-collapse", (simplex_token(s), simplex_token(t)))
-                return [step] + sub, True
-            complete = complete and sub_complete
-        if complete:
-            failed.add(faces)
-        return None, complete
+            if s not in keep and t not in keep:
+                yield (s, t), faces - {s, t}
 
-    steps, complete = dfs(start)
-    report = {"nodes": counter[0], "complete": complete}
-    if steps is None:
+    pairs, nodes, complete = _collapse_dfs(start, done, moves, budget)
+    report = {"nodes": nodes, "complete": complete}
+    if pairs is None:
         return None, report
-    return ReductionCertificate(tuple(steps)), report
+    return ReductionCertificate(tuple(
+        ReductionStep("simplicial-collapse", (simplex_token(s), simplex_token(t))) for s, t in pairs
+    )), report
 
 
 def replay_simplicial_certificate(k: SimplicialComplex, cert: ReductionCertificate) -> frozenset:
@@ -567,7 +560,7 @@ def collapse_to_simplicial(p: Poset, cert: ReductionCertificate) -> ReductionCer
 
 
 @dataclass(frozen=True)
-class DictionaryReport:
+class DictionaryReport(StatementReport):
     """Outcome of the poset/complex correspondence checks on one object."""
 
     subject: str

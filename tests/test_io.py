@@ -16,13 +16,13 @@ from finitetopo import (
     is_collapsible,
 )
 from finitetopo import fixtures as fx
+from finitetopo.cli import load_object
 from finitetopo.formats import (
     certificate_from_json,
     complex_cover_from_json,
     complex_cover_to_json,
     complex_from_json,
     complex_to_json,
-    complex_to_text,
     cw_from_json,
     cw_to_json,
     dot_complex,
@@ -33,14 +33,15 @@ from finitetopo.formats import (
     poset_cover_to_json,
     poset_from_json,
     poset_to_json,
-    poset_to_text,
-    read_complex,
-    read_poset,
     relation_from_json,
     relation_to_json,
 )
 from finitetopo.report import content_hash, hash_json
 from tests.test_poset import diamond
+
+
+# the diamond's cover relations, one per line
+DIAMOND_TEXT = "a < b\na < c\nb < d\nc < d\n"
 
 
 class TestPosetText:
@@ -51,8 +52,7 @@ class TestPosetText:
         assert len(p) == 4
 
     def test_round_trip(self):
-        p = diamond()
-        assert parse_poset_text(poset_to_text(p)) == p
+        assert parse_poset_text(DIAMOND_TEXT) == diamond()
 
     def test_bad_line_reports_location(self):
         with pytest.raises(InputError, match="input.txt:2"):
@@ -66,7 +66,7 @@ class TestComplexText:
 
     def test_round_trip(self):
         k = SimplicialComplex([("a", "b"), ("b", "c")])
-        assert parse_complex_text(complex_to_text(k)) == k
+        assert parse_complex_text("a b\nb c\n") == k
 
 
 class TestJsonRoundTrips:
@@ -127,20 +127,24 @@ class TestFileReaders:
         p = diamond()
         jpath = tmp_path / "p.json"
         jpath.write_text(json.dumps(poset_to_json(p)))
-        assert read_poset(str(jpath)) == p
+        assert load_object(str(jpath)) == (None, p)
         tpath = tmp_path / "p.txt"
-        tpath.write_text(poset_to_text(p))
-        assert read_poset(str(tpath)) == p
+        tpath.write_text(DIAMOND_TEXT)
+        assert load_object(str(tpath)) == (None, p)
 
     def test_read_complex(self, tmp_path):
         k = SimplicialComplex([("a", "b")])
         path = tmp_path / "k.json"
         path.write_text(json.dumps(complex_to_json(k)))
-        assert read_complex(str(path)) == k
+        assert load_object(str(path)) == (None, k)
+        tpath = tmp_path / "k.txt"
+        tpath.write_text("a b\n")
+        assert load_object(str(tpath)) == (None, k)
 
     def test_missing_file_becomes_input_error(self):
-        with pytest.raises(InputError, match="cannot read"):
-            read_poset("/nonexistent/nope.json")
+        for name in ("nope.json", "nope.txt"):
+            with pytest.raises(InputError, match="cannot read"):
+                load_object("/nonexistent/" + name)
 
 
 class TestDotOutput:

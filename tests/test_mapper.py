@@ -292,6 +292,18 @@ class TestMapperPipeline:
         ]
         assert Counter(calls) == Counter(w for w in intersections if w)
 
+    def test_filter_is_evaluated_once(self, monkeypatch):
+        calls = []
+        values = FilterSpec.values
+
+        def counting(self, pc):
+            calls.append(self)
+            return values(self, pc)
+
+        monkeypatch.setattr(FilterSpec, "values", counting)
+        mapper_completion(figure_eight_sample(), parse_filter("eccentricity"), IntervalCover(4, 0.3), 0.2)
+        assert len(calls) == 1
+
     def test_figure_eight_has_two_loops(self):
         res = mapper_completion(
             figure_eight_sample(), parse_filter("x"), IntervalCover(6, 0.3), 0.2

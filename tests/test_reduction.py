@@ -1,5 +1,9 @@
+import inspect
+import sys
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finitetopo import (
     InputError,
@@ -27,6 +31,8 @@ from finitetopo import (
     verify_dictionary,
 )
 from finitetopo import fixtures as fx
+from tests.reference_simplicial_collapse import reference_simplicial_collapse_search
+from tests.test_complexes import complexes
 from tests.test_poset import diamond, posets
 
 
@@ -283,6 +289,20 @@ class TestSimplicialCollapse:
         with pytest.raises(InputError, match="subcomplex"):
             simplicial_collapse_search(k, SimplicialComplex([("a", "z")]))
 
+    def test_collapse_longer_than_the_recursion_limit(self):
+        depth = len(inspect.stack())
+        n = depth + 200
+        k = SimplicialComplex([(f"v{i:04d}", f"v{i + 1:04d}") for i in range(n)])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            cert, report = simplicial_collapse_search(k)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert report == {"nodes": n, "complete": True}
+        assert len(cert) == n > depth + 100
+        assert len(replay_simplicial_certificate(k, cert)) == 1
+
     def test_tampered_simplicial_certificate(self):
         k = SimplicialComplex([("a", "b", "c")])
         cert, _ = simplicial_collapse_search(k)
@@ -371,3 +391,22 @@ def test_weak_point_deletion_preserves_homology(p: Poset):
         rest = p.induced([x for x in p.elements if x != e])
         assert same_homology(homology(p), homology(rest))[0]
         break  # one deletion per example keeps the sweep fast
+
+
+@st.composite
+def complexes_with_targets(draw):
+    """A complex and, half the time, a subcomplex of it to collapse onto."""
+    k = draw(complexes(max_vertices=5))
+    if not draw(st.booleans()):
+        return k, None
+    faces = draw(st.lists(st.sampled_from(sorted(k.faces)), min_size=1, max_size=3))
+    return k, SimplicialComplex(faces)
+
+
+@given(complexes_with_targets(), st.integers(min_value=0, max_value=80))
+@settings(max_examples=80)
+def test_simplicial_collapse_search_matches_recursive_reference(case, budget):
+    # small budgets run out, so the node count and the complete flag of a
+    # cut-off search are compared too
+    k, target = case
+    assert simplicial_collapse_search(k, target, budget) == reference_simplicial_collapse_search(k, target, budget)
