@@ -115,9 +115,6 @@ class ReductionCertificate:
         return cls(tuple(steps))
 
 
-EMPTY_CERTIFICATE = ReductionCertificate(())
-
-
 @dataclass(frozen=True)
 class TrivialityVerdict:
     """Three-valued homotopy-triviality answer with replayable or checkable evidence.

@@ -34,7 +34,6 @@ from .cylinder import (
 from .errors import InputError, NotCertified, ReplayError, ValidationError
 from .fixtures import object_from_fixture, read_fixture_file
 from .formats import (
-    complex_cover_from_json,
     complex_to_json,
     cw_to_json,
     dot_complex,
@@ -42,13 +41,8 @@ from .formats import (
     dot_poset,
     parse_complex_text,
     parse_poset_text,
-    poset_cover_from_json,
-    poset_from_json,
     poset_to_json,
-    complex_from_json,
-    cw_from_json,
     read_text_file,
-    relation_from_json,
 )
 from .homology import HomologyProfile, euler_characteristic, homology
 from .mapper import IntervalCover, PointCloud, mapper_completion, parse_filter
@@ -97,24 +91,25 @@ def profile_json(prof: HomologyProfile) -> Dict[str, Any]:
 
 # ------------------------------------------------------------ input loading
 
+# (kind, keys that identify it), tried in order
+_RAW_JSON_SHAPES = (
+    ("relation", {"pairs", "source"}),
+    ("monotone-map", {"map", "source"}),
+    ("cw", {"poset", "dim"}),
+    ("poset-cover", {"poset", "parts"}),
+    ("complex-cover", {"complex", "parts"}),
+    ("poset", {"elements"}),
+    ("complex", {"facets"}),
+)
+
+
 def _object_from_raw_json(data: Any, where: str) -> Any:
     """Shape detection for plain (non fixture) JSON files."""
     if not isinstance(data, dict):
         raise InputError(f"{where}: expected a JSON object")
-    if "pairs" in data and "source" in data:
-        return relation_from_json(data, where)
-    if "map" in data and "source" in data:
-        return object_from_fixture("monotone-map", data, where)
-    if "poset" in data and "dim" in data:
-        return cw_from_json(data, where)
-    if "poset" in data and "parts" in data:
-        return poset_cover_from_json(data, where)
-    if "complex" in data and "parts" in data:
-        return complex_cover_from_json(data, where)
-    if "elements" in data:
-        return poset_from_json(data, where)
-    if "facets" in data:
-        return complex_from_json(data, where)
+    for kind, keys in _RAW_JSON_SHAPES:
+        if keys <= data.keys():
+            return object_from_fixture(kind, data, where)
     raise InputError(f"{where}: unrecognized JSON shape")
 
 
@@ -386,7 +381,7 @@ def cmd_collapse(args) -> Tuple[RunReport, Any]:
     report = RunReport("collapse")
     p = _load_poset(args.input, report)
     if args.target:
-        cert, stats = collapse_search(p, args.target, args.budget)
+        cert, stats = collapse_search(p, [args.target], args.budget)
         report.detail["search"] = stats
         if cert is None:
             report.set_status(Status.UNKNOWN)

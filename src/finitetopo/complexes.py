@@ -96,9 +96,6 @@ class SimplicialComplex:
         return f"SimplicialComplex({len(self.facets)} facets, dim {self.dim()})"
 
 
-EMPTY_COMPLEX = SimplicialComplex(())
-
-
 @lru_cache(maxsize=4096)
 def order_complex(p: Poset) -> SimplicialComplex:
     """The complex of non-empty chains; facets are the maximal chains."""

@@ -29,7 +29,9 @@ from .formats import (
     complex_cover_to_json,
     complex_from_json,
     complex_to_json,
+    cw_from_json,
     load_json_file,
+    malformed_json,
     poset_cover_from_json,
     poset_cover_to_json,
     poset_from_json,
@@ -41,17 +43,6 @@ from .mapper import PointCloud, circle_sample, figure_eight_sample
 from .nerve import ComplexCover, PosetCover, classify_cover
 from .poset import Poset
 from .reduction import find_beat_points
-
-FIXTURE_KINDS = (
-    "poset",
-    "complex",
-    "relation",
-    "monotone-map",
-    "poset-cover",
-    "complex-cover",
-    "point-cloud",
-)
-
 
 @dataclass(frozen=True)
 class Fixture:
@@ -295,7 +286,14 @@ def read_fixture_file(path: str) -> Tuple[Optional[dict], Any]:
 
 
 def object_from_fixture(kind: str, data: Any, where: str) -> Any:
-    """The domain object of a fixture payload: the inverse of _data_payload."""
+    """The domain object of a fixture payload (the inverse of _data_payload)
+    or of a plain JSON file of the given kind; malformed data is an
+    InputError that names the file."""
+    with malformed_json(kind, where):
+        return _object_of_kind(kind, data, where)
+
+
+def _object_of_kind(kind: str, data: Any, where: str) -> Any:
     if kind == "poset":
         return poset_from_json(data, where)
     if kind == "complex":
@@ -315,6 +313,8 @@ def object_from_fixture(kind: str, data: Any, where: str) -> Any:
         return poset_cover_from_json(data, where)
     if kind == "complex-cover":
         return complex_cover_from_json(data, where)
+    if kind == "cw":
+        return cw_from_json(data, where)
     raise InputError(f"{where}: cannot build a {kind!r} fixture object")
 
 

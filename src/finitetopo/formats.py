@@ -7,11 +7,12 @@ same data self-contained.  Parse errors cite the offending line.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 from .certificates import ReductionCertificate
 from .complexes import RegularCWComplex, SimplicialComplex, cw_from_face_poset
 from .cylinder import Relation
-from .errors import InputError
+from .errors import InputError, ValidationError
 from .nerve import ComplexCover, PosetCover
 from .poset import Poset
 
@@ -21,6 +22,31 @@ def _lines(text: str):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield no, line
+
+
+@contextmanager
+def malformed_json(kind: str, where: str):
+    """Turn a wrong type, a wrong length or a missing key met while building
+    an object from JSON data into an InputError that names the file."""
+    try:
+        yield
+    except (InputError, ValidationError):
+        raise
+    except (TypeError, ValueError, KeyError, AttributeError) as exc:
+        raise InputError(f"{where}: malformed {kind} JSON: {exc}") from exc
+
+
+def _list(value, what: str, where: str) -> list:
+    """A JSON list, such as a list of identifiers; a string is refused
+    rather than split into its characters."""
+    if not isinstance(value, (list, tuple)):
+        raise InputError(f"{where}: {what} must be a list, got {value!r}")
+    return value
+
+
+def _tuples(value, what: str, where: str) -> list[tuple]:
+    """A JSON list of lists, such as facets or relation pairs, as tuples."""
+    return [tuple(_list(item, f"each of {what}", where)) for item in _list(value, what, where)]
 
 
 # ---------------------------------------------------------------- posets
@@ -52,13 +78,8 @@ def poset_to_json(p: Poset) -> dict:
 def poset_from_json(data, where: str = "<input>") -> Poset:
     if not isinstance(data, dict) or "elements" not in data:
         raise InputError(f"{where}: poset JSON needs an 'elements' list")
-    rels = data.get("relations", [])
-    try:
-        return Poset(data["elements"], [(a, b) for a, b in rels])
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(f"{where}: malformed poset JSON: {exc}") from exc
+    elements = _list(data["elements"], "'elements'", where)
+    return Poset(elements, [(a, b) for a, b in _tuples(data.get("relations", []), "'relations'", where)])
 
 
 # -------------------------------------------------------------- complexes
@@ -78,7 +99,7 @@ def complex_to_json(k: SimplicialComplex) -> dict:
 def complex_from_json(data, where: str = "<input>") -> SimplicialComplex:
     if not isinstance(data, dict) or "facets" not in data:
         raise InputError(f"{where}: complex JSON needs a 'facets' list")
-    return SimplicialComplex(tuple(f) for f in data["facets"])
+    return SimplicialComplex(_tuples(data["facets"], "'facets'", where))
 
 
 def cw_to_json(c: RegularCWComplex) -> dict:
@@ -108,7 +129,7 @@ def relation_from_json(data, where: str = "<input>") -> Relation:
     return Relation.of(
         poset_from_json(data["source"], where),
         poset_from_json(data["target"], where),
-        [(x, y) for x, y in data["pairs"]],
+        [(x, y) for x, y in _tuples(data["pairs"], "'pairs'", where)],
     )
 
 
@@ -125,7 +146,8 @@ def poset_cover_from_json(data, where: str = "<input>") -> PosetCover:
     if not isinstance(data, dict) or "poset" not in data or "parts" not in data:
         raise InputError(f"{where}: poset cover JSON needs 'poset' and 'parts'")
     base = poset_from_json(data["poset"], where)
-    return PosetCover(base, {str(k): set(v) for k, v in data["parts"].items()}, bool(data.get("open_hulls", False)))
+    parts = {str(k): set(_list(v, f"part {k!r}", where)) for k, v in data["parts"].items()}
+    return PosetCover(base, parts, bool(data.get("open_hulls", False)))
 
 
 def complex_cover_to_json(c: ComplexCover) -> dict:
@@ -139,18 +161,15 @@ def complex_cover_from_json(data, where: str = "<input>") -> ComplexCover:
     if not isinstance(data, dict) or "complex" not in data or "parts" not in data:
         raise InputError(f"{where}: complex cover JSON needs 'complex' and 'parts'")
     base = complex_from_json(data["complex"], where)
-    return ComplexCover(base, {str(k): SimplicialComplex(tuple(f) for f in v) for k, v in data["parts"].items()})
+    parts = {str(k): SimplicialComplex(_tuples(v, f"part {k!r}", where)) for k, v in data["parts"].items()}
+    return ComplexCover(base, parts)
 
 
 # ----------------------------------------------------------- certificates
 
 def certificate_from_json(data, where: str = "<input>") -> ReductionCertificate:
-    try:
+    with malformed_json("certificate", where):
         return ReductionCertificate.from_json_dict(data)
-    except (TypeError, KeyError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(f"{where}: malformed certificate JSON: {exc}") from exc
 
 
 # -------------------------------------------------------------------- DOT

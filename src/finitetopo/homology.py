@@ -14,7 +14,8 @@ Two checks stay on.  `chain_complex` tests ∂∂=0 on every pair of
 boundary matrices with `IntegerMatrix.compose`, a sparse product over
 column supports.  On matrices up to 50x50 the rank is re-derived by
 fraction-free elimination as an independent cross-check (on demand
-otherwise); `rank_mod_p` exhibits torsion.
+otherwise).  `rank_mod_p` is a rank over Z/p that tells torsion apart
+from rank; nothing in the package calls it, only the tests do.
 """
 
 from __future__ import annotations

@@ -26,6 +26,15 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def extremum(reach: list[int], subset: int) -> int | None:
+    """The index in subset whose reach (the up-sets for a minimum, the
+    down-sets for a maximum) contains all of subset, if there is one."""
+    for j in _iter_bits(subset):
+        if subset & ~reach[j] == 0:
+            return j
+    return None
+
+
 class Poset:
     def __init__(self, elements: Iterable[str], relations: Iterable[tuple[str, str]] = ()):
         elems = sorted(set(elements))
@@ -43,6 +52,8 @@ class Poset:
                 succ[ia].add(ib)
 
         order = self._topological_order(succ)
+        # the least linear extension depends only on the transitive closure
+        self._order = tuple(order)
         up = [0] * n
         for i in reversed(order):
             m = 1 << i
@@ -225,19 +236,7 @@ class Poset:
 
     def linear_extension(self) -> tuple[str, ...]:
         """Topological order; ties are broken by identifier (codepoint) order."""
-        n = len(self.elements)
-        indeg = [bin(self._pred_masks[i]).count("1") for i in range(n)]
-        ready = [i for i in range(n) if indeg[i] == 0]
-        heapq.heapify(ready)
-        out = []
-        while ready:
-            i = heapq.heappop(ready)
-            out.append(self.elements[i])
-            for j in _iter_bits(self._succ_masks[i]):
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    heapq.heappush(ready, j)
-        return tuple(out)
+        return tuple(self.elements[i] for i in self._order)
 
     def connected_components(self, members: Iterable[str] | None = None) -> list["ElementSet"]:
         """Components of the comparability graph restricted to the given subset.
@@ -339,15 +338,9 @@ class ElementSet:
 
     def maximum(self) -> str | None:
         """The greatest member, if the subset has one under the induced order."""
-        p = self.poset
-        for e in self.members:
-            if self.mask & ~p._down[p._lookup(e)] == 0:
-                return e
-        return None
+        j = extremum(self.poset._down, self.mask)
+        return None if j is None else self.poset.elements[j]
 
     def minimum(self) -> str | None:
-        p = self.poset
-        for e in self.members:
-            if self.mask & ~p._up[p._lookup(e)] == 0:
-                return e
-        return None
+        j = extremum(self.poset._up, self.mask)
+        return None if j is None else self.poset.elements[j]

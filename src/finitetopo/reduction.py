@@ -8,6 +8,7 @@ witness data, and no search is ever invoked.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Iterator, Optional
 
@@ -30,7 +31,7 @@ from .complexes import (
 )
 from .errors import InputError, ReplayError
 from .homology import homology, same_homology
-from .poset import Poset, _iter_bits
+from .poset import Poset, _iter_bits, extremum
 
 DEFAULT_BUDGET = 100_000
 
@@ -39,32 +40,29 @@ def _popcount(mask: int) -> int:
     return bin(mask).count("1")
 
 
-def _min_index_of(p: Poset, subset: int) -> Optional[int]:
-    for j in _iter_bits(subset):
-        if subset & ~p._up[j] == 0:
-            return j
-    return None
-
-def _max_index_of(p: Poset, subset: int) -> Optional[int]:
-    for j in _iter_bits(subset):
-        if subset & ~p._down[j] == 0:
-            return j
-    return None
+def _punctured(p: Poset, mask: int, i: int) -> tuple[tuple[str, int], tuple[str, int]]:
+    """("up", punctured up-set) and ("down", punctured down-set) of i within mask."""
+    rest = mask & ~(1 << i)
+    return ("up", p._up[i] & rest), ("down", p._down[i] & rest)
 
 
-def _beat_move(p: Poset, mask: int, i: int) -> Optional[tuple[str, int]]:
-    """(kind, witness index) if element i is a beat point within mask; up first."""
-    up = p._up[i] & ~(1 << i) & mask
-    if up:
-        m = _min_index_of(p, up)
-        if m is not None:
-            return ("up-beat", m)
-    down = p._down[i] & ~(1 << i) & mask
-    if down:
-        m = _max_index_of(p, down)
-        if m is not None:
-            return ("down-beat", m)
-    return None
+def _beat_moves(p: Poset, mask: int, i: int) -> Iterator[tuple[str, int]]:
+    """(kind, witness index) for each side on which i is a beat point within
+    mask, up first: the witness is the punctured set's minimum or maximum."""
+    for side, sub in _punctured(p, mask, i):
+        w = extremum(p._up if side == "up" else p._down, sub)
+        if w is not None:
+            yield side + "-beat", w
+
+
+def _weak_moves(p: Poset, mask: int, i: int) -> Iterator[tuple[str, ReductionCertificate]]:
+    """(kind, dismantling evidence) for each side on which i is a weak point
+    within mask, up first."""
+    for side, sub in _punctured(p, mask, i):
+        if sub:
+            cert = _dismantling_cert(p, sub)
+            if cert is not None:
+                yield side + "-weak", cert
 
 
 def _greedy_core(p: Poset, mask: int) -> tuple[int, list[ReductionStep]]:
@@ -74,7 +72,7 @@ def _greedy_core(p: Poset, mask: int) -> tuple[int, list[ReductionStep]]:
     while changed:
         changed = False
         for i in _iter_bits(mask):
-            move = _beat_move(p, mask, i)
+            move = next(_beat_moves(p, mask, i), None)
             if move is not None:
                 kind, w = move
                 steps.append(ReductionStep(kind, (p.elements[i],), witness=p.elements[w]))
@@ -93,20 +91,8 @@ def _dismantling_cert(p: Poset, mask: int) -> Optional[ReductionCertificate]:
 
 def find_beat_points(p: Poset) -> list[tuple[str, str, str]]:
     """All (element, kind, witness) triples; an element may appear for both kinds."""
-    out = []
     mask = p.full_mask()
-    for i, e in enumerate(p.elements):
-        up = p._up[i] & ~(1 << i) & mask
-        if up:
-            m = _min_index_of(p, up)
-            if m is not None:
-                out.append((e, "up-beat", p.elements[m]))
-        down = p._down[i] & ~(1 << i) & mask
-        if down:
-            m = _max_index_of(p, down)
-            if m is not None:
-                out.append((e, "down-beat", p.elements[m]))
-    return out
+    return [(e, kind, p.elements[w]) for i, e in enumerate(p.elements) for kind, w in _beat_moves(p, mask, i)]
 
 
 def core(p: Poset) -> tuple[Poset, ReductionCertificate]:
@@ -124,40 +110,17 @@ def is_dismantlable(p: Poset) -> TrivialityVerdict:
     return TrivialityVerdict("unknown", "core", detail={"core_size": _popcount(mask), "core": list(p._names(mask))})
 
 
-def _weak_move(p: Poset, mask: int, i: int) -> Optional[tuple[str, ReductionCertificate]]:
-    """(kind, dismantling evidence) if i is a weak point within mask; up side first."""
-    up = p._up[i] & ~(1 << i) & mask
-    if up:
-        cert = _dismantling_cert(p, up)
-        if cert is not None:
-            return ("up-weak", cert)
-    down = p._down[i] & ~(1 << i) & mask
-    if down:
-        cert = _dismantling_cert(p, down)
-        if cert is not None:
-            return ("down-weak", cert)
-    return None
-
-
 def find_weak_points(p: Poset) -> list[tuple[str, str]]:
     """(element, kind) pairs whose punctured up/down set is dismantlable."""
-    out = []
     mask = p.full_mask()
-    for i, e in enumerate(p.elements):
-        for kind, puncture in (("up-weak", p._up[i]), ("down-weak", p._down[i])):
-            sub = puncture & ~(1 << i) & mask
-            if not sub:
-                continue
-            if _dismantling_cert(p, sub) is not None:
-                out.append((e, kind))
-    return out
+    return [(e, kind) for i, e in enumerate(p.elements) for kind, _ in _weak_moves(p, mask, i)]
 
 
 def _collapse_moves(p: Poset, mask: int, keep: int):
     """Yield (step, new mask) moves: beat removals first, weak-only after."""
     weak_only = []
     for i in _iter_bits(mask & ~keep):
-        move = _beat_move(p, mask, i)
+        move = next(_beat_moves(p, mask, i), None)
         if move is not None:
             kind, w = move
             step = ReductionStep(kind, (p.elements[i],), witness=p.elements[w])
@@ -165,7 +128,7 @@ def _collapse_moves(p: Poset, mask: int, keep: int):
         else:
             weak_only.append(i)
     for i in weak_only:
-        move = _weak_move(p, mask, i)
+        move = next(_weak_moves(p, mask, i), None)
         if move is not None:
             kind, cert = move
             step = ReductionStep(kind, (p.elements[i],), evidence=cert)
@@ -298,16 +261,16 @@ def find_gamma_points(
     """
     gammas = []
     unknowns = []
+    mask = p.full_mask()
     for i, e in enumerate(p.elements):
-        for kind, puncture in (("gamma-up", p._up[i]), ("gamma-down", p._down[i])):
-            sub = puncture & ~(1 << i)
+        for side, sub in _punctured(p, mask, i):
             if not sub:
                 continue
             verdict = triviality_oracle(p.induced(p._names(sub)), budget)
             if verdict.is_trivial:
-                gammas.append((e, kind))
+                gammas.append((e, "gamma-" + side))
             elif verdict.is_unknown:
-                unknowns.append((e, kind))
+                unknowns.append((e, "gamma-" + side))
     return gammas, unknowns
 
 
@@ -322,23 +285,16 @@ def _replay_on_mask(p: Poset, mask: int, cert: ReductionCertificate) -> int:
         i = p._index[x]
         if not mask & (1 << i):
             raise ReplayError(f"certificate removes {x!r} which is not present")
+        side = "up" if "up" in step.kind.split("-") else "down"
+        sub = dict(_punctured(p, mask, i))[side]
         if step.kind in BEAT_KINDS:
             if step.witness not in p._index:
                 raise ReplayError(f"witness {step.witness!r} is not an element")
             w = p._index[step.witness]
-            if step.kind == "up-beat":
-                sub = p._up[i] & ~(1 << i) & mask
-                ok = bool(sub & (1 << w)) and sub & ~p._up[w] == 0
-            else:
-                sub = p._down[i] & ~(1 << i) & mask
-                ok = bool(sub & (1 << w)) and sub & ~p._down[w] == 0
-            if not ok:
+            reach = p._up if side == "up" else p._down
+            if not sub & (1 << w) or sub & ~reach[w]:
                 raise ReplayError(f"{step.kind} witness {step.witness!r} fails for {x!r}")
         elif step.kind in WEAK_KINDS + GAMMA_KINDS:
-            if step.kind in ("up-weak", "gamma-up"):
-                sub = p._up[i] & ~(1 << i) & mask
-            else:
-                sub = p._down[i] & ~(1 << i) & mask
             if not sub:
                 raise ReplayError(f"{step.kind} step on {x!r} has an empty punctured set")
             ev = step.evidence
@@ -395,16 +351,11 @@ def free_pairs(faces: Iterable[tuple[str, ...]]) -> list[tuple[tuple[str, ...], 
 
 
 def simplex_token(simplex: Iterable[str]) -> str:
-    import json
-
     return json.dumps(sorted(simplex), separators=(",", ":"))
 
 
 def token_simplex(token: str) -> tuple[str, ...]:
-    import json
-
-    data = json.loads(token)
-    return tuple(data)
+    return tuple(json.loads(token))
 
 
 def simplicial_collapse_search(
@@ -460,103 +411,72 @@ def replay_simplicial_certificate(k: SimplicialComplex, cert: ReductionCertifica
 
 def _chains_in(p: Poset, mask: int) -> list[frozenset[int]]:
     """All non-empty chains (as index sets) inside the masked subposet."""
-    out: list[frozenset[int]] = []
-    idxs = list(_iter_bits(mask))
-
-    def extend(chain: list[int], above: int) -> None:
-        for j in _iter_bits(above):
-            chain.append(j)
-            out.append(frozenset(chain))
-            extend(chain, above & p._up[j] & ~(1 << j))
-            chain.pop()
-
-    for i in idxs:
-        out.append(frozenset([i]))
-        extend([i], mask & p._up[i] & ~(1 << i))
-    return out
+    return [frozenset(p._index[e] for e in face) for face in order_complex(p.induced(p._names(mask))).faces]
 
 
 def _desc(chains: Iterable[frozenset[int]]) -> list[frozenset[int]]:
-    return sorted(chains, key=lambda s: (-len(s), sorted(s)))
+    """The chains largest first, then the empty chain."""
+    return sorted(chains, key=lambda s: (-len(s), sorted(s))) + [frozenset()]
 
 
 def collapse_to_simplicial(p: Poset, cert: ReductionCertificate) -> ReductionCertificate:
     """Translate a beat/weak deletion sequence into simplicial collapses of the order complex.
 
     Each poset step expands into the explicit free-face pairs that collapse
-    the star of the removed element; freeness is asserted while building.
-    Gamma steps carry no collapse data and are rejected.
+    the star of the removed element.  The translation is replayed on the
+    order complex before it is returned, so every pair is checked free, in
+    order, and the replay must end at the order complex of the final
+    subposet.  Gamma steps carry no collapse data and are rejected.
     """
-    faces: set[tuple[str, ...]] = set(order_complex(p).faces)
-    out: list[ReductionStep] = []
-
-    def name(chain: frozenset[int]) -> tuple[str, ...]:
-        return tuple(sorted(p.elements[j] for j in chain))
-
-    def emit(sigma: frozenset[int], tau: frozenset[int]) -> None:
-        s, t = name(sigma), name(tau)
-        if s not in faces or t not in faces:
-            raise ReplayError(f"translation produced a missing face {s} or {t}")
-        cof = _proper_cofaces(faces, s)
-        if cof != [t]:
-            raise ReplayError(f"translation broke freeness at {s}")
-        faces.discard(s)
-        faces.discard(t)
-        out.append(ReductionStep("simplicial-collapse", (simplex_token(s), simplex_token(t))))
-
-    def beat_pairs(i: int, w: int, rest: int) -> None:
-        # collapse every chain through i onto its w-extension
-        compatible = [s for s in _chains_in(p, rest)]
-        for s in _desc(compatible) + [frozenset()]:
-            emit(s | {i}, s | {i, w})
-
+    pairs: list[tuple[frozenset[int], frozenset[int]]] = []
     mask = p.full_mask()
     for step in cert.steps:
         x = step.removed[0]
         i = p._index[x]
         if not mask & (1 << i):
             raise ReplayError(f"certificate removes {x!r} which is not present")
-        up = p._up[i] & ~(1 << i) & mask
-        down = p._down[i] & ~(1 << i) & mask
+        (_, up), (_, down) = _punctured(p, mask, i)
         if step.kind in BEAT_KINDS:
+            # collapse every chain through i onto its w-extension
             w = p._index[step.witness]  # type: ignore[arg-type]
-            beat_pairs(i, w, (up | down) & ~(1 << w))
+            for s in _desc(_chains_in(p, (up | down) & ~(1 << w))):
+                pairs.append((s | {i}, s | {i, w}))
         elif step.kind in WEAK_KINDS:
-            side = up if step.kind == "up-weak" else down
-            other = down if step.kind == "up-weak" else up
+            side, other = (up, down) if step.kind == "up-weak" else (down, up)
             ev = step.evidence
             assert ev is not None
             if not ev.is_dismantling():
                 raise InputError("weak step evidence must be a dismantling certificate")
-            other_chains = _desc(_chains_in(p, other)) + [frozenset()]
-            lk_pairs: list[tuple[frozenset[int], frozenset[int]]] = []
-            side_cur = side
+            # dismantle the link of i: each beat step of the evidence,
+            # joined with every chain of the other side
+            other_chains = _desc(_chains_in(p, other))
             for bstep in ev.steps:
                 b = p._index[bstep.removed[0]]
                 wb = p._index[bstep.witness]  # type: ignore[arg-type]
-                rest = side_cur & ~(1 << b) & ~(1 << wb)
-                compat = [s for s in _chains_in(p, rest) if all((p._up[b] | p._down[b]) & (1 << j) for j in s)]
-                for s in _desc(compat) + [frozenset()]:
-                    alpha = s | {b}
-                    beta = s | {b, wb}
+                star = side & (p._up[b] | p._down[b]) & ~(1 << b) & ~(1 << wb)
+                for s in _desc(_chains_in(p, star)):
                     for u in other_chains:
-                        lk_pairs.append((alpha | u, beta | u))
-                side_cur ^= 1 << b
-            if _popcount(side_cur) != 1:
+                        pairs.append((s | u | {b, i}, s | u | {b, wb, i}))
+                side ^= 1 << b
+            if _popcount(side) != 1:
                 raise ReplayError(f"weak evidence for {x!r} does not dismantle to a point")
-            q = side_cur.bit_length() - 1
-            for u in _desc(_chains_in(p, other)):
-                lk_pairs.append((u, u | {q}))
-            for alpha, beta in lk_pairs:
-                emit(alpha | {i}, beta | {i})
-            emit(frozenset([i]), frozenset([i, q]))
+            q = side.bit_length() - 1
+            for u in other_chains:
+                pairs.append((u | {i}, u | {i, q}))
         else:
             raise InputError(f"{step.kind} steps do not translate to simplicial collapses")
         mask ^= 1 << i
-    expected = set(order_complex(p.induced(p._names(mask))).faces)
-    if faces != expected:
+
+    def token(chain: frozenset[int]) -> str:
+        return simplex_token(p.elements[j] for j in chain)
+
+    out = ReductionCertificate(tuple(
+        ReductionStep("simplicial-collapse", (token(s), token(t))) for s, t in pairs
+    ))
+    remaining = replay_simplicial_certificate(order_complex(p), out)
+    if remaining != order_complex(p.induced(p._names(mask))).faces:
         raise ReplayError("translated collapse does not end at the order complex of the final poset")
-    return ReductionCertificate(tuple(out))
+    return out
 
 
 @dataclass(frozen=True)

@@ -204,6 +204,15 @@ class TestReductionCommands:
         code, doc = run_json(capsys, "collapse", str(path), "--target", "a")
         assert code == 0
 
+    def test_collapse_onto_a_multi_character_target(self, capsys, tmp_path):
+        # the target is one element, not the set of its characters
+        path = tmp_path / "p.txt"
+        path.write_text("x0 < x1 < x2\nx0 < y1 < x2\n")
+        code, doc = run_json(capsys, "collapse", str(path), "--target", "x0")
+        assert code == 0 and doc["status"] == "Certified"
+        (cert,) = doc["certificates"]
+        assert sorted(s["removed"][0] for s in cert["certificate"]["steps"]) == ["x1", "x2", "y1"]
+
     def test_dot_format(self, capsys):
         code, out = run(capsys, "core", "six-cycle", "--format", "dot")
         assert code == 0
@@ -391,6 +400,58 @@ class TestOutputPlumbing:
     def test_dot_unsupported_action_errors(self, capsys):
         code = main(["verify", "thm-a", "certified-relation", "--format", "dot"])
         assert code == 3
+
+
+class TestMalformedJson:
+    """Malformed JSON is an input error whose line names the file."""
+
+    RELATION = {
+        "source": {"elements": ["a", "b"]},
+        "target": {"elements": ["a", "b"]},
+    }
+    CASES = {
+        "facet-of-mixed-types": ("homology", {"facets": [[1, "a"]]}, "complex"),
+        "facets-not-a-list": ("homology", {"facets": 5}, "complex"),
+        "facet-as-string": ("homology", {"facets": ["ab"]}, "complex"),
+        "elements-as-string": ("homology", {"elements": "ab"}, "poset"),
+        "relation-pair-as-string": ("homology", {"elements": ["a", "b"], "relations": ["ab"]}, "poset"),
+        "relation-pair-of-three": ("cylinder", dict(RELATION, pairs=[["a", "b", "c"]]), "relation"),
+        "cover-part-as-string": ("nerve", {"poset": {"elements": ["a", "b", "ab"]}, "parts": {"U": "ab"}},
+                                 "poset-cover"),
+        "map-not-an-object": ("cylinder", {"source": {"elements": ["a"]}, "target": {"elements": ["b"]},
+                                           "map": [["a", "b"]]}, "monotone-map"),
+    }
+
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["raw", "fixture"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_is_input_error_naming_the_file(self, capsys, tmp_path, case, wrapped):
+        command, data, kind = self.CASES[case]
+        if wrapped:
+            data = {"kind": kind, "data": data}
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(data))
+        argv = [command, "build", str(path)] if command == "cylinder" else [command, str(path)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ")
+        assert "internal error" not in captured.err
+
+    def test_pair_of_three_is_named_malformed_relation(self, capsys, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(dict(self.RELATION, pairs=[["a", "b", "c"]])))
+        assert main(["cylinder", "build", str(path)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {path}: malformed relation JSON: ")
+
+    def test_in_a_batch_the_file_is_one_input_error(self, capsys, tmp_path):
+        (tmp_path / "bad.json").write_text(json.dumps(
+            {"kind": "complex", "theorem": "dictionary", "expected_status": "Certified",
+             "data": {"facets": [[1, "a"]]}}))
+        code, doc = run_json(capsys, "verify", "--batch", str(tmp_path))
+        assert code == 3
+        (entry,) = doc["detail"]["fixtures"]
+        assert entry["status"] == "Error" and "internal_error" not in entry
+        assert "malformed complex JSON" in entry["error"]
 
 
 class TestInternalErrorsExitThree:

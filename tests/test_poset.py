@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -182,6 +184,28 @@ def test_linear_extension_is_order_preserving(p: Poset):
         for b in p.elements:
             if p.lt(a, b):
                 assert pos[a] < pos[b]
+
+
+@st.composite
+def shuffled_posets(draw, max_size: int = 6) -> Poset:
+    """Like posets(), but the order runs against identifier order as often as with it."""
+    n = draw(st.integers(min_value=1, max_value=max_size))
+    rank = draw(st.permutations(range(n)))
+    names = [f"e{i}" for i in range(n)]
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    return Poset(names, [(names[rank[i]], names[rank[j]]) for i, j in pairs if i < j])
+
+
+@given(shuffled_posets())
+def test_linear_extension_is_the_least_one(p: Poset):
+    # brute force: every permutation of the elements that preserves the
+    # order, compared as sequences of identifiers
+    below = [(a, b) for a in p.elements for b in p.elements if p.lt(a, b)]
+    least = min(
+        ext for ext in itertools.permutations(p.elements)
+        if all(ext.index(a) < ext.index(b) for a, b in below)
+    )
+    assert p.linear_extension() == least
 
 
 @given(posets())

@@ -33,7 +33,7 @@ from finitetopo import (
 from finitetopo import fixtures as fx
 from tests.reference_simplicial_collapse import reference_simplicial_collapse_search
 from tests.test_complexes import complexes
-from tests.test_poset import diamond, posets
+from tests.test_poset import diamond, posets, shuffled_posets
 
 
 def chain(n: int) -> Poset:
@@ -319,6 +319,14 @@ class TestCollapseTranslation:
         final = replay_simplicial_certificate(order_complex(p), simp)
         assert final == frozenset(order_complex(q).faces)
 
+    def test_collapse_certificate_with_a_weak_step_translates(self):
+        p = fx.REGISTRY["collapsible-noncontractible"].build()
+        cert = is_collapsible(p).certificate
+        assert "down-weak" in cert.kinds()
+        simp = collapse_to_simplicial(p, cert)
+        (vertex,) = replay_simplicial_certificate(order_complex(p), simp)
+        assert len(vertex) == 1
+
     def test_each_poset_step_becomes_a_collapse_run(self):
         p = chain(3)
         q, cert = core(p)
@@ -352,6 +360,27 @@ def test_beat_points_are_weak_points(p: Poset):
     weak = set(find_weak_points(p))
     for e, kind, _ in find_beat_points(p):
         assert (e, kind.replace("beat", "weak")) in weak
+
+
+@given(shuffled_posets(max_size=7))
+def test_beat_points_match_their_definition(p: Poset):
+    expected = []
+    for e in p.elements:
+        up, down = p.punctured_up(e).minimum(), p.punctured_down(e).maximum()
+        expected += [(e, "up-beat", up)] if up is not None else []
+        expected += [(e, "down-beat", down)] if down is not None else []
+    assert find_beat_points(p) == expected
+
+
+@given(shuffled_posets(max_size=6))
+@settings(max_examples=60)
+def test_weak_points_match_their_definition(p: Poset):
+    expected = []
+    for e in p.elements:
+        for kind, punctured in (("up-weak", p.punctured_up(e)), ("down-weak", p.punctured_down(e))):
+            if len(punctured) and is_dismantlable(punctured.induced()).is_trivial:
+                expected.append((e, kind))
+    assert find_weak_points(p) == expected
 
 
 @given(posets(max_size=6))
