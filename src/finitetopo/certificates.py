@@ -110,10 +110,6 @@ class ReductionCertificate:
     def from_json_dict(cls, data: dict) -> "ReductionCertificate":
         return cls(tuple(ReductionStep.from_json_dict(s) for s in data["steps"]))
 
-    @classmethod
-    def of(cls, steps: Iterable[ReductionStep]) -> "ReductionCertificate":
-        return cls(tuple(steps))
-
 
 @dataclass(frozen=True)
 class TrivialityVerdict:
@@ -149,16 +145,6 @@ class TrivialityVerdict:
         if self.detail:
             out["detail"] = self.detail
         return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TrivialityVerdict":
-        cert = data.get("certificate")
-        return cls(
-            status=data["status"],
-            reason=data["reason"],
-            certificate=ReductionCertificate.from_json_dict(cert) if cert is not None else None,
-            detail=dict(data.get("detail", {})),
-        )
 
 
 class Status(str, Enum):

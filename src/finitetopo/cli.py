@@ -32,13 +32,14 @@ from .cylinder import (
     verify_target_retraction,
 )
 from .errors import InputError, NotCertified, ReplayError, ValidationError
-from .fixtures import object_from_fixture, read_fixture_file
+from .fixtures import read_fixture_file
 from .formats import (
     complex_to_json,
     cw_to_json,
     dot_complex,
     dot_cw,
     dot_poset,
+    object_from_json,
     parse_complex_text,
     parse_poset_text,
     poset_to_json,
@@ -91,28 +92,6 @@ def profile_json(prof: HomologyProfile) -> Dict[str, Any]:
 
 # ------------------------------------------------------------ input loading
 
-# (kind, keys that identify it), tried in order
-_RAW_JSON_SHAPES = (
-    ("relation", {"pairs", "source"}),
-    ("monotone-map", {"map", "source"}),
-    ("cw", {"poset", "dim"}),
-    ("poset-cover", {"poset", "parts"}),
-    ("complex-cover", {"complex", "parts"}),
-    ("poset", {"elements"}),
-    ("complex", {"facets"}),
-)
-
-
-def _object_from_raw_json(data: Any, where: str) -> Any:
-    """Shape detection for plain (non fixture) JSON files."""
-    if not isinstance(data, dict):
-        raise InputError(f"{where}: expected a JSON object")
-    for kind, keys in _RAW_JSON_SHAPES:
-        if keys <= data.keys():
-            return object_from_fixture(kind, data, where)
-    raise InputError(f"{where}: unrecognized JSON shape")
-
-
 def load_object(path: str) -> Tuple[Optional[dict], Any]:
     """Load any supported input file into a domain object.
 
@@ -121,9 +100,7 @@ def load_object(path: str) -> Tuple[Optional[dict], Any]:
     """
     if path.endswith(".json"):
         wrapper, data = read_fixture_file(path)
-        if wrapper is not None:
-            return wrapper, object_from_fixture(wrapper["kind"], data, path)
-        return None, _object_from_raw_json(data, path)
+        return wrapper, object_from_json(wrapper["kind"] if wrapper else None, data, path)
     text = read_text_file(path)
     stripped = [
         line for line in text.splitlines()
@@ -147,18 +124,11 @@ def _load_input(token: str, report: RunReport) -> Tuple[Optional[dict], Any]:
             return loaded
     if token in fixtures_mod.REGISTRY:
         f = fixtures_mod.get_fixture(token)
-        wrapper = {
-            "kind": f.kind,
-            "name": f.name,
-            "theorem": f.theorem,
-            "expected_status": f.expected_status,
-            "params": dict(f.params),
-        }
+        wrapper = fixtures_mod.fixture_wrapper(f)
         report.add_input("input", payload=wrapper)
         if f.kind == "point-cloud":
             return wrapper, f.build()
-        payload = fixtures_mod.fixture_payload(f)["data"]
-        return wrapper, object_from_fixture(f.kind, payload, token)
+        return wrapper, object_from_json(f.kind, fixtures_mod.fixture_payload(f)["data"], token)
     raise InputError(f"no such file or fixture: {token}")
 
 
@@ -256,7 +226,7 @@ def _run_fixture_file(path: str, budget: int, only: Optional[str]) -> Dict[str, 
             except ValueError:
                 words = ", ".join(s.value for s in Status)
                 raise InputError(f"{path}: expected_status {expected!r} is not one of {words}") from None
-        obj = object_from_fixture(wrapper["kind"], data, path)
+        obj = object_from_json(wrapper["kind"], data, path)
         sub = RunReport(f"verify {theorem}")
         params = wrapper.get("params") or {}
         run_theorem(theorem, obj, params, budget, sub, path)

@@ -24,21 +24,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from .complexes import SimplicialComplex, face_poset
 from .cylinder import Relation
 from .errors import InputError
-from .formats import (
-    complex_cover_from_json,
-    complex_cover_to_json,
-    complex_from_json,
-    complex_to_json,
-    cw_from_json,
-    load_json_file,
-    malformed_json,
-    poset_cover_from_json,
-    poset_cover_to_json,
-    poset_from_json,
-    poset_to_json,
-    relation_from_json,
-    relation_to_json,
-)
+from .formats import KINDS, load_json_file
 from .mapper import PointCloud, circle_sample, figure_eight_sample
 from .nerve import ComplexCover, PosetCover, classify_cover
 from .poset import Poset
@@ -243,38 +229,14 @@ def get_fixture(name: str) -> Fixture:
 
 # -------------------------------------------------------------- file payload
 
-def _data_payload(f: Fixture) -> Any:
-    obj = f.build()
-    if f.kind == "poset":
-        return poset_to_json(obj)
-    if f.kind == "complex":
-        return complex_to_json(obj)
-    if f.kind == "relation":
-        return relation_to_json(obj)
-    if f.kind == "monotone-map":
-        source, target, mapping = obj
-        return {
-            "source": poset_to_json(source),
-            "target": poset_to_json(target),
-            "map": dict(sorted(mapping.items())),
-        }
-    if f.kind == "poset-cover":
-        return poset_cover_to_json(obj)
-    if f.kind == "complex-cover":
-        return complex_cover_to_json(obj)
-    raise InputError(f"fixture kind {f.kind!r} has no JSON payload")
+def fixture_wrapper(f: Fixture) -> Dict[str, Any]:
+    """What a fixture file says about its data, apart from the description."""
+    return {"kind": f.kind, "name": f.name, "theorem": f.theorem,
+            "expected_status": f.expected_status, "params": dict(f.params)}
 
 
 def fixture_payload(f: Fixture) -> Dict[str, Any]:
-    return {
-        "kind": f.kind,
-        "name": f.name,
-        "description": f.description,
-        "theorem": f.theorem,
-        "expected_status": f.expected_status,
-        "params": dict(f.params),
-        "data": _data_payload(f),
-    }
+    return dict(fixture_wrapper(f), description=f.description, data=KINDS[f.kind].write(f.build()))
 
 
 def read_fixture_file(path: str) -> Tuple[Optional[dict], Any]:
@@ -283,39 +245,6 @@ def read_fixture_file(path: str) -> Tuple[Optional[dict], Any]:
     if isinstance(data, dict) and "kind" in data and "data" in data:
         return data, data["data"]
     return None, data
-
-
-def object_from_fixture(kind: str, data: Any, where: str) -> Any:
-    """The domain object of a fixture payload (the inverse of _data_payload)
-    or of a plain JSON file of the given kind; malformed data is an
-    InputError that names the file."""
-    with malformed_json(kind, where):
-        return _object_of_kind(kind, data, where)
-
-
-def _object_of_kind(kind: str, data: Any, where: str) -> Any:
-    if kind == "poset":
-        return poset_from_json(data, where)
-    if kind == "complex":
-        return complex_from_json(data, where)
-    if kind == "relation":
-        return relation_from_json(data, where)
-    if kind == "monotone-map":
-        for key in ("source", "target", "map"):
-            if not isinstance(data, dict) or key not in data:
-                raise InputError(f"{where}: monotone map needs 'source', 'target', 'map'")
-        return (
-            poset_from_json(data["source"], where),
-            poset_from_json(data["target"], where),
-            {str(k): str(v) for k, v in data["map"].items()},
-        )
-    if kind == "poset-cover":
-        return poset_cover_from_json(data, where)
-    if kind == "complex-cover":
-        return complex_cover_from_json(data, where)
-    if kind == "cw":
-        return cw_from_json(data, where)
-    raise InputError(f"{where}: cannot build a {kind!r} fixture object")
 
 
 def _cloud_csv(f: Fixture) -> str:
@@ -459,31 +388,18 @@ def _star_union_cover(rng: random.Random, p: Poset) -> Optional[PosetCover]:
     return PosetCover(p, parts)
 
 
-def random_good_cover(rng: random.Random, max_size: int = 12,
-                      budget: int = 20_000) -> PosetCover:
-    for _ in range(120):
-        p = random_poset(rng, rng.randint(4, max_size), rng.uniform(0.2, 0.5))
-        cover = _star_union_cover(rng, p)
-        if cover is None or len(cover.parts) < 2:
-            continue
-        if classify_cover(cover, budget).is_good:
-            return cover
-    # guaranteed fallback: a single part covering a dismantlable poset
-    p = random_dismantlable_poset(rng, rng.randint(3, 6))
-    return PosetCover(p, {"U0": set(p.elements)})
-
-
-def random_quasi_good_cover(rng: random.Random, max_size: int = 12,
-                            budget: int = 20_000) -> PosetCover:
-    """Prefers covers with a disconnected intersection; accepts plain good ones."""
+def _random_cover(rng: random.Random, max_size: int, budget: int,
+                  tries: int, wanted: str) -> PosetCover:
+    """The first drawn cover of the wanted class, else the first good one,
+    else a single part covering a dismantlable poset."""
     good: Optional[PosetCover] = None
-    for _ in range(160):
+    for _ in range(tries):
         p = random_poset(rng, rng.randint(4, max_size), rng.uniform(0.2, 0.5))
         cover = _star_union_cover(rng, p)
         if cover is None or len(cover.parts) < 2:
             continue
         cls = classify_cover(cover, budget)
-        if cls.status == "quasi-good":
+        if cls.status == wanted:
             return cover
         if cls.is_good and good is None:
             good = cover
@@ -491,6 +407,17 @@ def random_quasi_good_cover(rng: random.Random, max_size: int = 12,
         return good
     p = random_dismantlable_poset(rng, rng.randint(3, 6))
     return PosetCover(p, {"U0": set(p.elements)})
+
+
+def random_good_cover(rng: random.Random, max_size: int = 12,
+                      budget: int = 20_000) -> PosetCover:
+    return _random_cover(rng, max_size, budget, 120, "good")
+
+
+def random_quasi_good_cover(rng: random.Random, max_size: int = 12,
+                            budget: int = 20_000) -> PosetCover:
+    """Prefers covers with a disconnected intersection; accepts plain good ones."""
+    return _random_cover(rng, max_size, budget, 160, "quasi-good")
 
 
 # recipe -> (fixture kind, theorem, builder drawing from a seeded rng); every

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
+from typing import Any, Callable, NamedTuple, Optional
 
 from .certificates import ReductionCertificate
 from .complexes import RegularCWComplex, SimplicialComplex, cw_from_face_poset
@@ -133,6 +134,25 @@ def relation_from_json(data, where: str = "<input>") -> Relation:
     )
 
 
+# a monotone map is the triple (source, target, mapping), whose relation
+# the mapping cylinder is built from
+
+def monotone_map_to_json(m: tuple[Poset, Poset, dict]) -> dict:
+    source, target, mapping = m
+    return {"source": poset_to_json(source), "target": poset_to_json(target), "map": dict(sorted(mapping.items()))}
+
+
+def monotone_map_from_json(data, where: str = "<input>") -> tuple[Poset, Poset, dict]:
+    for key in ("source", "target", "map"):
+        if not isinstance(data, dict) or key not in data:
+            raise InputError(f"{where}: monotone map needs 'source', 'target', 'map'")
+    return (
+        poset_from_json(data["source"], where),
+        poset_from_json(data["target"], where),
+        {str(k): str(v) for k, v in data["map"].items()},
+    )
+
+
 # ----------------------------------------------------------------- covers
 
 def poset_cover_to_json(c: PosetCover) -> dict:
@@ -163,6 +183,48 @@ def complex_cover_from_json(data, where: str = "<input>") -> ComplexCover:
     base = complex_from_json(data["complex"], where)
     parts = {str(k): SimplicialComplex(_tuples(v, f"part {k!r}", where)) for k, v in data["parts"].items()}
     return ComplexCover(base, parts)
+
+
+# ------------------------------------------------------------ input kinds
+
+class Kind(NamedTuple):
+    keys: frozenset  # keys that identify a plain JSON object of this kind
+    read: Callable[[Any, str], Any]
+    write: Callable[[Any], dict]
+
+
+# Plain JSON is matched to the first kind, in this order, whose keys it
+# holds; a new kind is one more row.  Each reader is called through its
+# module-level name, so a wrapper later bound to that name sees every load.
+KINDS: dict[str, Kind] = {
+    "relation": Kind(frozenset({"pairs", "source"}),
+                     lambda data, where: relation_from_json(data, where), relation_to_json),
+    "monotone-map": Kind(frozenset({"map", "source"}),
+                         lambda data, where: monotone_map_from_json(data, where), monotone_map_to_json),
+    "cw": Kind(frozenset({"poset", "dim"}), lambda data, where: cw_from_json(data, where), cw_to_json),
+    "poset-cover": Kind(frozenset({"poset", "parts"}),
+                        lambda data, where: poset_cover_from_json(data, where), poset_cover_to_json),
+    "complex-cover": Kind(frozenset({"complex", "parts"}),
+                          lambda data, where: complex_cover_from_json(data, where), complex_cover_to_json),
+    "poset": Kind(frozenset({"elements"}), lambda data, where: poset_from_json(data, where), poset_to_json),
+    "complex": Kind(frozenset({"facets"}), lambda data, where: complex_from_json(data, where), complex_to_json),
+}
+
+
+def object_from_json(kind: Optional[str], data, where: str) -> Any:
+    """The object that JSON data describes, read as the given kind or, when
+    kind is None, as the first kind in KINDS whose keys the data holds.
+    Malformed data is an InputError that names the file."""
+    if kind is None:
+        if not isinstance(data, dict):
+            raise InputError(f"{where}: expected a JSON object")
+        kind = next((k for k, entry in KINDS.items() if entry.keys <= data.keys()), None)
+        if kind is None:
+            raise InputError(f"{where}: unrecognized JSON shape")
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise InputError(f"{where}: cannot build a {kind!r} fixture object")
+    with malformed_json(kind, where):
+        return KINDS[kind].read(data, where)
 
 
 # ----------------------------------------------------------- certificates

@@ -373,8 +373,6 @@ def homology(obj, reduced: bool = False) -> HomologyProfile:
         return profile_from_chain_complex(chain_complex(obj), reduced)
     if isinstance(obj, RegularCWComplex):
         return _poset_homology(obj.poset, reduced)
-    if hasattr(obj, "poset"):
-        return _poset_homology(obj.poset, reduced)
     raise TypeError(f"cannot compute homology of {type(obj).__name__}")
 
 
@@ -386,8 +384,6 @@ def euler_characteristic(obj) -> int:
         return order_complex(obj).euler_characteristic()
     if isinstance(obj, (SimplicialComplex, RegularCWComplex)):
         return obj.euler_characteristic()
-    if hasattr(obj, "poset"):
-        return order_complex(obj.poset).euler_characteristic()
     raise TypeError(f"cannot compute the Euler characteristic of {type(obj).__name__}")
 
 

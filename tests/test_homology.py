@@ -157,6 +157,15 @@ class TestEulerCharacteristic:
     def test_torus_euler(self):
         assert euler_characteristic(fx.REGISTRY["torus"].build()) == 0
 
+    def test_a_subset_is_not_answered_for_its_parent_poset(self):
+        # an ElementSet's .poset is its parent, not the subset itself
+        point = fx.six_cycle().subset(["x0"])
+        with pytest.raises(TypeError, match="ElementSet"):
+            homology(point)
+        with pytest.raises(TypeError, match="ElementSet"):
+            euler_characteristic(point)
+        assert euler_characteristic(point.induced()) == 1
+
 
 # -- cross-checks between the two computation paths ---------------------------
 

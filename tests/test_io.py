@@ -18,6 +18,7 @@ from finitetopo import (
 from finitetopo import fixtures as fx
 from finitetopo.cli import load_object
 from finitetopo.formats import (
+    KINDS,
     certificate_from_json,
     complex_cover_from_json,
     complex_cover_to_json,
@@ -141,6 +142,19 @@ class TestFileReaders:
         tpath.write_text("a b\n")
         assert load_object(str(tpath)) == (None, k)
 
+    @pytest.mark.parametrize("name", [f.name for f in fx.all_fixtures() if f.kind in KINDS])
+    def test_plain_json_reads_as_its_fixture(self, tmp_path, name):
+        # the bare data of a fixture is matched to its kind by its keys
+        f = fx.get_fixture(name)
+        wrapped = fx.write_fixture(f, str(tmp_path))
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps(fx.fixture_payload(f)["data"]))
+        wrapper, from_wrapper = load_object(wrapped)
+        no_wrapper, from_plain = load_object(str(plain))
+        assert wrapper["kind"] == f.kind and no_wrapper is None
+        write = KINDS[f.kind].write
+        assert write(from_plain) == write(from_wrapper) == fx.fixture_payload(f)["data"]
+
     def test_missing_file_becomes_input_error(self):
         for name in ("nope.json", "nope.txt"):
             with pytest.raises(InputError, match="cannot read"):
@@ -160,14 +174,14 @@ class TestDotOutput:
 
 class TestFixturePayloads:
     def test_every_registry_entry_emits_and_rebuilds(self, tmp_path):
-        from finitetopo.fixtures import object_from_fixture
+        from finitetopo.formats import object_from_json
 
         for f in fx.all_fixtures():
             if f.kind == "point-cloud":
                 continue  # clouds ship as CSV, checked in the mapper tests
             payload = fx.fixture_payload(f)
             assert payload["name"] == f.name
-            obj = object_from_fixture(f.kind, payload["data"], f.name)
+            obj = object_from_json(f.kind, payload["data"], f.name)
             assert obj is not None
 
     def test_write_fixture_creates_versioned_files(self, tmp_path):

@@ -10,14 +10,14 @@ import pytest
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
-def _traced():
+def _tracer_module():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer.TRACED
+    return tracer
 
 
-@pytest.mark.parametrize("module_name, cls_name, attr", [entry[:3] for entry in _traced()])
+@pytest.mark.parametrize("module_name, cls_name, attr", [entry[:3] for entry in _tracer_module().TRACED])
 def test_every_traced_name_resolves(module_name, cls_name, attr):
     owner = importlib.import_module(module_name)
     if cls_name is not None:
@@ -25,3 +25,29 @@ def test_every_traced_name_resolves(module_name, cls_name, attr):
         assert attr in vars(getattr(owner, cls_name))
     else:
         assert callable(getattr(owner, attr))
+
+
+def test_reading_through_the_kind_table_records_every_load_span():
+    """The table calls each reader through its module-level name, so a
+    traced read records the reader's own span and those of the readers it
+    calls, as a direct call of the reader does."""
+    from finitetopo import fixtures as fx
+    from finitetopo import formats
+
+    payloads = {f.kind: fx.fixture_payload(f)["data"] for f in fx.all_fixtures() if f.kind in formats.KINDS}
+    tracer = _tracer_module().Tracer()
+
+    def load_spans(read):
+        before = len(tracer.spans)
+        read()
+        return sum(1 for record in tracer.spans[before:] if record[0] == "formats.load")
+
+    tracer.install()
+    try:
+        for kind, data in sorted(payloads.items()):
+            reader = getattr(formats, kind.replace("-", "_") + "_from_json")
+            direct = load_spans(lambda: reader(data, kind))
+            assert direct > 0
+            assert load_spans(lambda: formats.object_from_json(kind, data, kind)) == direct, kind
+    finally:
+        tracer.uninstall()
