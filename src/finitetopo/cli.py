@@ -155,7 +155,7 @@ def _homology_version(obj: Any, params: Dict[str, Any], budget: int, where: str)
         degree = int(params.get("degree", 1))
     except (TypeError, ValueError):
         raise InputError(f"{where}: degree must be an integer") from None
-    return verify_homology_equivalence(r, degree, budget)
+    return verify_homology_equivalence(r, degree)
 
 
 def _nerve(variant: str):
@@ -172,7 +172,7 @@ def _completion_corollary(obj: Any, params: Dict[str, Any], budget: int, where: 
 def _dictionary(obj: Any, params: Dict[str, Any], budget: int, where: str):
     if not isinstance(obj, (Poset, SimplicialComplex)):
         raise InputError(f"{where}: the dictionary checks take a poset or a complex")
-    return verify_dictionary(obj, budget)
+    return verify_dictionary(obj)
 
 
 # theorem id -> (check taking input, params, budget and where; detail key).
@@ -610,6 +610,17 @@ def _render_text(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_out(out: Optional[str]) -> None:
+    """Reject an --out path that cannot be written, before any work is done."""
+    if not out:
+        return
+    if os.path.isdir(out):
+        raise InputError(f"--out {out}: is a directory")
+    parent = os.path.dirname(out)
+    if parent and not os.path.isdir(parent):
+        raise InputError(f"--out {out}: no directory {parent}")
+
+
 def _write_output(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -622,6 +633,7 @@ def main(argv=None) -> int:
     try:
         # the parser reads FINITETOPO_* defaults, so building it can fail too
         args = build_parser().parse_args(argv)
+        _check_out(args.out)
         report, shown = args.func(args)
         report.finalize()
         if args.format == "dot":

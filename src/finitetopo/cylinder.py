@@ -343,7 +343,7 @@ def _reduced_vanishes_through(members: ElementSet, n: int) -> bool:
     return all(prof.degree(k) == (0, ()) for k in range(n + 1))
 
 
-def verify_homology_equivalence(r: Relation, n: int, budget: int = DEFAULT_BUDGET) -> HomologyEquivalenceReport:
+def verify_homology_equivalence(r: Relation, n: int) -> HomologyEquivalenceReport:
     """Homology-only version: local data need only vanish through degree n.
 
     This check is exact (no Unknown): reduced homology through degree n of

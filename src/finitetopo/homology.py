@@ -5,10 +5,10 @@ shortcuts on the main path.  Smith normal form runs in two phases, after
 Dumas, Saunders and Villard (J. Symbolic Comput. 32, 2001): phase 1
 eliminates every ±1 pivot by sparse Schur-complement steps in Markowitz
 order, which takes out most of the rank of a boundary matrix; phase 2
-runs the min-|entry| reduction with its divisibility fix on the block
-that is left, where torsion shows.  Both phases are purely algebraic:
-no beat points, weak points or collapses, so the oracle can audit those
-reductions.
+copies the small block that is left into a dense matrix and runs the
+min-|entry| reduction with its divisibility fix on it, where torsion
+shows.  Both phases are purely algebraic: no beat points, weak points or
+collapses, so the oracle can audit those reductions.
 
 Two checks stay on.  `chain_complex` tests ∂∂=0 on every pair of
 boundary matrices with `IntegerMatrix.compose`, a sparse product over
@@ -87,8 +87,8 @@ def smith_normal_form(m: IntegerMatrix) -> tuple[tuple[int, ...], int]:
     """Invariant factors (d1 | d2 | ...) and the rank.
 
     Phase 1 removes the ±1 pivots (`_eliminate_unit_pivots`); phase 2
-    (`_min_entry_factors`) reduces what is left.  On matrices up to 50x50
-    the rank is re-derived independently.
+    (`_min_entry_factors`) reduces the small block they leave as a dense
+    matrix.  On matrices up to 50x50 the rank is re-derived independently.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
@@ -96,7 +96,7 @@ def smith_normal_form(m: IntegerMatrix) -> tuple[tuple[int, ...], int]:
         rows.setdefault(r, {})[c] = v
         cols.setdefault(c, set()).add(r)
 
-    factors = [1] * _eliminate_unit_pivots(rows, cols) + _min_entry_factors(rows, cols)
+    factors = [1] * _eliminate_unit_pivots(rows, cols) + _min_entry_factors(rows)
 
     if m.rows <= _VERIFY_LIMIT and m.cols <= _VERIFY_LIMIT:
         if len(factors) != fraction_free_rank(m):
@@ -161,91 +161,42 @@ def _eliminate_unit_pivots(rows: dict[int, dict[int, int]], cols: dict[int, set[
     return pivots
 
 
-def _min_entry_factors(rows: dict[int, dict[int, int]], cols: dict[int, set[int]]) -> list[int]:
+def _min_entry_factors(rows: dict[int, dict[int, int]]) -> list[int]:
     """Phase 2: invariant factors of what phase 1 left, in divisibility order.
 
-    Pivots are chosen with minimal absolute value, ties broken by position;
-    an isolated pivot that does not divide every other entry pulls in a
-    row holding one it does not divide.
+    The block is small, so it is copied into a dense list of rows.  The
+    pivot is an entry of least absolute value, ties broken by position;
+    its column is cleared by row operations and its row by column
+    operations.  A remainder becomes the next pivot.  An isolated pivot
+    that does not divide every other entry pulls in a row holding one it
+    does not divide; otherwise it is recorded and its row and column go.
     """
-
-    def set_entry(r: int, c: int, v: int) -> None:
-        if v:
-            rows.setdefault(r, {})[c] = v
-            cols.setdefault(c, set()).add(r)
-        else:
-            row = rows.get(r)
-            if row and c in row:
-                del row[c]
-                if not row:
-                    del rows[r]
-                cols[c].discard(r)
-                if not cols[c]:
-                    del cols[c]
-
-    def add_multiple_of_row(target: int, source: int, q: int) -> None:
-        # row[target] += q * row[source]
-        for c, v in list(rows.get(source, {}).items()):
-            set_entry(target, c, rows.get(target, {}).get(c, 0) + q * v)
-
-    def add_multiple_of_col(target: int, source: int, q: int) -> None:
-        for r in list(cols.get(source, set())):
-            v = rows[r][source]
-            set_entry(r, target, rows.get(r, {}).get(target, 0) + q * v)
-
-    def min_entry() -> tuple[int, int] | None:
-        best = None
-        best_key = None
-        for r, row in rows.items():
-            for c, v in row.items():
-                key = (abs(v), r, c)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (r, c)
-        return best
-
+    columns = sorted({c for row in rows.values() for c in row})
+    a = [[row.get(c, 0) for c in columns] for row in rows.values()]
     factors: list[int] = []
-    while rows:
-        while True:
-            pos = min_entry()
-            if pos is None:
-                break
-            r, c = pos
-            pivot = rows[r][c]
-            dirty = False
-            for r2 in list(cols.get(c, set())):
-                if r2 == r:
-                    continue
-                q = rows[r2][c] // pivot
-                if q:
-                    add_multiple_of_row(r2, r, -q)
-                if rows.get(r2, {}).get(c):
-                    dirty = True  # remainder left, pivot will move there
-            for c2 in list(rows.get(r, {})):
-                if c2 == c:
-                    continue
-                q = rows[r][c2] // pivot
-                if q:
-                    add_multiple_of_col(c2, c, -q)
-                if rows.get(r, {}).get(c2):
-                    dirty = True
-            if not dirty and cols.get(c) == {r} and set(rows.get(r, {})) == {c}:
-                # pivot isolated; pull in any entry it does not divide yet
-                bad = None
-                for r2, row in rows.items():
-                    if r2 == r:
-                        continue
-                    for c2, v in row.items():
-                        if v % pivot:
-                            bad = r2
-                            break
-                    if bad is not None:
-                        break
-                if bad is None:
-                    factors.append(abs(pivot))
-                    set_entry(r, c, 0)
-                    break
-                add_multiple_of_row(r, bad, 1)
+    while a := [row for row in a if any(row)]:
+        _, r, c = min((abs(v), i, j) for i, row in enumerate(a) for j, v in enumerate(row) if v)
+        pivot_row = a[r]
+        p = pivot_row[c]
+        for i, row in enumerate(a):
+            if i != r and row[c]:
+                q = row[c] // p
+                a[i] = [v - q * w for v, w in zip(row, pivot_row)]
+        for j, v in enumerate(pivot_row):
+            if j != c and v:
+                q = v // p
+                for row in a:
+                    row[j] -= q * row[c]
+        if any(row[c] for i, row in enumerate(a) if i != r) or any(pivot_row[:c] + pivot_row[c + 1:]):
+            continue  # a remainder is the next pivot
+        bad = next((row for row in a if any(v % p for v in row)), None)
+        if bad is not None:
+            a[r] = [v + w for v, w in zip(pivot_row, bad)]
+            continue
+        factors.append(abs(p))
+        del a[r]
+        for row in a:
+            del row[c]
     return factors
 
 

@@ -361,26 +361,16 @@ def completion_poset(c: AnyCover, components: Optional[ComponentSplitter] = None
             dim[lab] = len(J) - 1
     relations: list[tuple[str, str]] = []
     for lab, (J, piece) in labels.items():
-        for drop in sorted(J):
-            if len(J) == 1:
-                continue
-            J2 = J - {drop}
-            containers = [
-                p2 for p2 in split[J2] if piece.mask & ~p2.mask == 0
-            ]
+        # the one-level containments generate the order; the claim is
+        # checked for every proper subfamily
+        for J2 in _proper_subfamilies(J):
+            containers = [p2 for p2 in split[J2] if piece.mask & ~p2.mask == 0]
             if len(containers) != 1:
                 raise ValidationError(
                     f"component {lab!r} lies in {len(containers)} components of {intersection_label(J2)!r}"
                 )
-            relations.append((component_label(intersection_label(J2), containers[0]), lab))
-        # the one-level containment above generates the order; the full
-        # subfamily claim is re-checked directly
-        for J2 in _proper_subfamilies(J):
-            count = sum(1 for p2 in split[J2] if piece.mask & ~p2.mask == 0)
-            if count != 1:
-                raise ValidationError(
-                    f"component {lab!r} lies in {count} components of {intersection_label(J2)!r}"
-                )
+            if len(J2) == len(J) - 1:
+                relations.append((component_label(intersection_label(J2), containers[0]), lab))
     poset = Poset(labels.keys(), relations)
     return CompletionPoset(c, poset, dim, {lab: piece for lab, (J, piece) in labels.items()})
 

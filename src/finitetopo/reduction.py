@@ -497,7 +497,7 @@ class DictionaryReport(StatementReport):
         }
 
 
-def verify_dictionary(obj, budget: int = DEFAULT_BUDGET) -> DictionaryReport:
+def verify_dictionary(obj) -> DictionaryReport:
     """Check the order-complex/face-poset correspondence laws on one object.
 
     For a poset: homology is invariant under barycentric subdivision, the

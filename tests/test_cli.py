@@ -50,6 +50,11 @@ class TestVerify:
         assert code == 0
         assert doc["detail"]["homology_version"]["through_degree"] == 1
 
+    def test_homology_version_has_no_unknown_at_zero_budget(self, capsys):
+        code, doc = run_json(capsys, "verify", "prop-homology", "homology-relation", "--budget", "0")
+        assert code == 0
+        assert doc["status"] == "Certified"
+
     def test_nerve_variants(self, capsys):
         for theorem, fixture in [
             ("nerve-good", "star-cover-six-cycle"),
@@ -345,6 +350,14 @@ class TestInputErrorsExitThree:
         self.expect_input_error(capsys, "fixtures", "generate", "--recipe", "poset",
                                 "--count", "-3", "--seed", "1", "--dir", str(out))
         assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["outdir", "missing/report.json"])
+    def test_unwritable_out_fails_before_anything_is_written(self, capsys, tmp_path, out):
+        (tmp_path / "outdir").mkdir()
+        gen = tmp_path / "gen"
+        self.expect_input_error(capsys, "fixtures", "generate", "--recipe", "poset", "--count", "2",
+                                "--seed", "5", "--dir", str(gen), "--out", str(tmp_path / out))
+        assert not gen.exists()
 
     def test_zero_budget_is_accepted(self, capsys):
         code, doc = run_json(capsys, "collapse", "collapsible-noncontractible", "--budget", "0")

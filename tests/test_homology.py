@@ -218,10 +218,12 @@ def test_torsion_visible_in_mod_p_rank_gap():
 # -- the sparse engine against the reference and the dense product -----------
 
 ENTRIES = st.sampled_from([0, 1, -1, 2, -2, 3, -3, 4, 6])
+# no ±1 entry, so phase 1 finds no pivot and phase 2 reduces the whole matrix
+NON_UNIT_ENTRIES = st.sampled_from([0, 2, -2, 3, -3, 4, -4, 6, -6])
 
 
-def dense_matrices(rows: int, cols: int):
-    return st.lists(st.lists(ENTRIES, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+def dense_matrices(rows: int, cols: int, entries=ENTRIES):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
 
 
 def from_rows(data: list[list[int]], rows: int, cols: int) -> IntegerMatrix:
@@ -230,17 +232,26 @@ def from_rows(data: list[list[int]], rows: int, cols: int) -> IntegerMatrix:
 
 
 @st.composite
-def integer_matrices(draw, max_side=7):
+def integer_matrices(draw, max_side=7, entries=ENTRIES):
     rows = draw(st.integers(0, max_side))
     cols = draw(st.integers(0, max_side))
-    return from_rows(draw(dense_matrices(rows, cols)), rows, cols)
+    return from_rows(draw(dense_matrices(rows, cols, entries)), rows, cols)
+
+
+def assert_matches_reference(m: IntegerMatrix) -> None:
+    factors, rank = smith_normal_form(m)
+    assert (factors, rank) == reference_smith_normal_form(m)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
 
 
 @given(integer_matrices())
 def test_smith_normal_form_matches_reference(m: IntegerMatrix):
-    factors, rank = smith_normal_form(m)
-    assert (factors, rank) == reference_smith_normal_form(m)
-    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    assert_matches_reference(m)
+
+
+@given(integer_matrices(max_side=8, entries=NON_UNIT_ENTRIES))
+def test_phase_two_alone_matches_reference(m: IntegerMatrix):
+    assert_matches_reference(m)
 
 
 @given(posets(max_size=7))
