@@ -40,8 +40,7 @@ from .formats import (
     dot_cw,
     dot_poset,
     object_from_json,
-    parse_complex_text,
-    parse_poset_text,
+    parse_text,
     poset_to_json,
     read_text_file,
 )
@@ -96,19 +95,15 @@ def load_object(path: str) -> Tuple[Optional[dict], Any]:
     """Load any supported input file into a domain object.
 
     JSON files may be fixture wrappers or raw payloads; text files hold
-    either a poset (lines with '<') or a complex (facet per line).
+    either a poset (lines with '<') or a complex (facet per line).  A CSV
+    point cloud is read only by `mapper`.
     """
     if path.endswith(".json"):
         wrapper, data = read_fixture_file(path)
         return wrapper, object_from_json(wrapper["kind"] if wrapper else None, data, path)
-    text = read_text_file(path)
-    stripped = [
-        line for line in text.splitlines()
-        if line.strip() and not line.strip().startswith("#")
-    ]
-    if any("<" in line for line in stripped):
-        return None, parse_poset_text(text, path)
-    return None, parse_complex_text(text, path)
+    if path.endswith(".csv"):
+        raise InputError(f"{path}: a CSV point cloud is read only by the mapper command")
+    return None, parse_text(read_text_file(path), path)
 
 
 def _load_input(token: str, report: RunReport) -> Tuple[Optional[dict], Any]:
@@ -151,10 +146,9 @@ def _as_cover(obj: Any, where: str):
 
 def _homology_version(obj: Any, params: Dict[str, Any], budget: int, where: str):
     r = _as_relation(obj, where)
-    try:
-        degree = int(params.get("degree", 1))
-    except (TypeError, ValueError):
-        raise InputError(f"{where}: degree must be an integer") from None
+    degree = params.get("degree", 1)
+    if not isinstance(degree, int) or isinstance(degree, bool):
+        raise InputError(f"{where}: degree must be an integer, got {degree!r}")
     return verify_homology_equivalence(r, degree)
 
 
@@ -430,6 +424,8 @@ def cmd_completion(args) -> Tuple[RunReport, Any]:
 def cmd_mapper(args) -> Tuple[RunReport, Any]:
     report = RunReport("mapper")
     if os.path.isfile(args.input):
+        if args.input.endswith(".json"):
+            raise InputError(f"{args.input}: mapper takes a point cloud as a CSV file or fixture name, not JSON")
         cloud = PointCloud.from_csv(args.input)
         report.add_input("input", path=args.input)
     elif args.input in fixtures_mod.REGISTRY:

@@ -6,9 +6,11 @@ y.  Identifiers are namespaced "X:" and "Y:".  A monotone map gives the
 non-Hausdorff mapping cylinder, which retracts onto its target by up-beat
 deletions.
 
-The two hypothesis checkers certify the local data that lets the cylinder
-collapse onto either factor through gamma steps; when both sides certify,
-the factors have the same weak homotopy type and equal homology.
+Both retractions, onto X (Prop. 2.4) and dually onto Y (Prop. 2.5), are
+one routine applied to either side: one check certifies the local data of
+every element of the other factor, and one gamma-collapse loop deletes
+those elements.  When both sides certify, the factors have the same weak
+homotopy type and equal homology.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Optional
 
 from .certificates import ReductionCertificate, ReductionStep, StatementReport, Status, TrivialityVerdict
 from .errors import InputError, NotCertified, ValidationError
-from .homology import HomologyProfile, homology, same_homology
+from .homology import HomologyProfile, certified_homology, homology
 from .poset import ElementSet, Poset
 from .reduction import DEFAULT_BUDGET, triviality_oracle
 
@@ -153,24 +155,21 @@ def target_local_data(r: Relation, x: str) -> ElementSet:
     return r.image(r.source.up_set(x).members).closure()
 
 
+def _check_side(side: str, r: Relation, elements, local_data, budget: int) -> HypothesisReport:
+    """Triviality verdicts for the local data of the elements this side's collapse deletes."""
+    return HypothesisReport(side, {e: triviality_oracle(local_data(r, e).induced(), budget) for e in elements})
+
+
 def check_source_retraction(r: Relation, budget: int = DEFAULT_BUDGET) -> HypothesisReport:
     """Certify that every target element's local source data is homotopy trivial.
 
     When certified, the cylinder collapses onto its source part.
     """
-    verdicts = {}
-    for y in r.target.elements:
-        hull = source_local_data(r, y)
-        verdicts[y] = triviality_oracle(hull.induced(), budget)
-    return HypothesisReport("source", verdicts)
+    return _check_side("source", r, r.target.elements, source_local_data, budget)
 
 
 def check_target_retraction(r: Relation, budget: int = DEFAULT_BUDGET) -> HypothesisReport:
-    verdicts = {}
-    for x in r.source.elements:
-        closed = target_local_data(r, x)
-        verdicts[x] = triviality_oracle(closed.induced(), budget)
-    return HypothesisReport("target", verdicts)
+    return _check_side("target", r, r.source.elements, target_local_data, budget)
 
 
 def _certificate_of(verdict: TrivialityVerdict, element: str) -> ReductionCertificate:
@@ -179,70 +178,51 @@ def _certificate_of(verdict: TrivialityVerdict, element: str) -> ReductionCertif
     return verdict.certificate
 
 
-def collapse_cylinder_to_source(
-    c: CylinderPoset, budget: int = DEFAULT_BUDGET, report: Optional[HypothesisReport] = None
-) -> ReductionCertificate:
-    """Gamma-delete the target part in linear-extension order.
+# kept side -> (name of a kept element, of a deleted one, punctured set facing the kept side)
+_SIDES = {"source": (source_name, target_name, "down"), "target": (target_name, source_name, "up")}
 
-    Each removed element's punctured down-set must coincide with its local
-    source data; both are computed and compared at every step.
-    """
-    if report is None:
-        report = check_source_retraction(c.relation, budget)
+
+def _gamma_collapse(side: str, c: CylinderPoset, report: HypothesisReport, deleted, local_data) -> ReductionCertificate:
+    """Gamma-delete the other factor's elements in the given order.  Each one's
+    punctured set facing `side` must coincide with its local data; both are
+    computed and compared at every step."""
     if report.status is not Status.CERTIFIED:
-        raise NotCertified(
-            f"source retraction is {report.status}", failing=report.failing or None
-        )
-    p = c.poset
+        raise NotCertified(f"{side} retraction is {report.status}", failing=report.failing or None)
+    kept_name, deleted_name, direction = _SIDES[side]
+    punctured = c.poset.punctured_down if direction == "down" else c.poset.punctured_up
     removed: set[str] = set()
     steps = []
-    for y in c.relation.target.linear_extension():
-        yname = target_name(y)
-        punct = {e for e in p.punctured_down(yname).members if e not in removed}
-        hull = source_local_data(c.relation, y)
-        expected = {source_name(x) for x in hull.members}
-        if punct != expected:
-            raise ValidationError(
-                f"punctured down-set of {yname!r} does not match its local source data"
-            )
-        evidence = _certificate_of(report.verdicts[y], y).rename(source_name)
-        steps.append(ReductionStep("gamma-down", (yname,), evidence=evidence))
-        removed.add(yname)
+    for e in deleted:
+        name = deleted_name(e)
+        punct = {m for m in punctured(name).members if m not in removed}
+        if punct != {kept_name(k) for k in local_data(c.relation, e).members}:
+            raise ValidationError(f"punctured {direction}-set of {name!r} does not match its local {side} data")
+        evidence = _certificate_of(report.verdicts[e], e).rename(kept_name)
+        steps.append(ReductionStep("gamma-" + direction, (name,), evidence=evidence))
+        removed.add(name)
     return ReductionCertificate(tuple(steps))
 
 
-def collapse_cylinder_to_target(
-    c: CylinderPoset, budget: int = DEFAULT_BUDGET, report: Optional[HypothesisReport] = None
-) -> ReductionCertificate:
+def collapse_cylinder_to_source(c: CylinderPoset, budget: int = DEFAULT_BUDGET,
+                                report: Optional[HypothesisReport] = None) -> ReductionCertificate:
+    """Gamma-delete the target part in linear-extension order."""
+    if report is None:
+        report = check_source_retraction(c.relation, budget)
+    return _gamma_collapse("source", c, report, c.relation.target.linear_extension(), source_local_data)
+
+
+def collapse_cylinder_to_target(c: CylinderPoset, budget: int = DEFAULT_BUDGET,
+                                report: Optional[HypothesisReport] = None) -> ReductionCertificate:
     """Gamma-delete the source part in reverse linear-extension order."""
     if report is None:
         report = check_target_retraction(c.relation, budget)
-    if report.status is not Status.CERTIFIED:
-        raise NotCertified(
-            f"target retraction is {report.status}", failing=report.failing or None
-        )
-    p = c.poset
-    removed: set[str] = set()
-    steps = []
-    for x in reversed(c.relation.source.linear_extension()):
-        xname = source_name(x)
-        punct = {e for e in p.punctured_up(xname).members if e not in removed}
-        closed = target_local_data(c.relation, x)
-        expected = {target_name(y) for y in closed.members}
-        if punct != expected:
-            raise ValidationError(
-                f"punctured up-set of {xname!r} does not match its local target data"
-            )
-        evidence = _certificate_of(report.verdicts[x], x).rename(target_name)
-        steps.append(ReductionStep("gamma-up", (xname,), evidence=evidence))
-        removed.add(xname)
-    return ReductionCertificate(tuple(steps))
+    return _gamma_collapse("target", c, report, reversed(c.relation.source.linear_extension()), target_local_data)
 
 
-def _with_collapse(r: Relation, report: HypothesisReport, collapse) -> HypothesisReport:
+def _with_collapse(r: Relation, report: HypothesisReport, collapse, cyl: Optional[CylinderPoset] = None) -> HypothesisReport:
     if report.status is not Status.CERTIFIED:
         return report
-    cyl = build_cylinder(r)
+    cyl = cyl or build_cylinder(r)
     return replace(report, collapse=collapse(cyl, report=report), cylinder=cyl)
 
 
@@ -259,18 +239,28 @@ def verify_target_retraction(r: Relation, budget: int = DEFAULT_BUDGET) -> Hypot
 
 @dataclass(frozen=True)
 class EquivalenceReport(StatementReport):
+    """When certified, each side's report carries its collapse of the one shared cylinder."""
+
     status: Status
     source_report: HypothesisReport
     target_report: HypothesisReport
-    to_source: Optional[ReductionCertificate] = None
-    to_target: Optional[ReductionCertificate] = None
     source_homology: Optional[HomologyProfile] = None
     target_homology: Optional[HomologyProfile] = None
     homology_equal: Optional[bool] = None
-    # the cylinder both certificates act on; set only when certified
-    cylinder: Optional[CylinderPoset] = None
 
     HOMOLOGY = (("source", "source_homology"), ("target", "target_homology"))
+
+    @property
+    def to_source(self) -> Optional[ReductionCertificate]:
+        return self.source_report.collapse
+
+    @property
+    def to_target(self) -> Optional[ReductionCertificate]:
+        return self.target_report.collapse
+
+    @property
+    def cylinder(self) -> Optional[CylinderPoset]:
+        return self.source_report.cylinder
 
     def certificates(self):
         return self.collapses("source", "target")
@@ -307,14 +297,9 @@ def verify_equivalence(r: Relation, budget: int = DEFAULT_BUDGET) -> Equivalence
     if status is not Status.CERTIFIED:
         return EquivalenceReport(status, src, tgt)
     cyl = build_cylinder(r)
-    to_source = collapse_cylinder_to_source(cyl, budget, src)
-    to_target = collapse_cylinder_to_target(cyl, budget, tgt)
-    hx = homology(r.source)
-    hy = homology(r.target)
-    equal, diffs = same_homology(hx, hy)
-    if not equal:
-        raise AssertionError(f"certified relation with unequal homology: {diffs}")
-    return EquivalenceReport(status, src, tgt, to_source, to_target, hx, hy, equal, cyl)
+    src = _with_collapse(r, src, collapse_cylinder_to_source, cyl)
+    tgt = _with_collapse(r, tgt, collapse_cylinder_to_target, cyl)
+    return EquivalenceReport(status, src, tgt, *certified_homology("certified relation", r.source, r.target))
 
 
 @dataclass(frozen=True)
@@ -352,19 +337,15 @@ def verify_homology_equivalence(r: Relation, n: int) -> HomologyEquivalenceRepor
     """
     if n < 0:
         raise InputError(f"degree bound must be non-negative, got {n}")
-    failing: dict[str, list[str]] = {"source": [], "target": []}
-    for y in r.target.elements:
-        if not _reduced_vanishes_through(source_local_data(r, y), n):
-            failing["source"].append(y)
-    for x in r.source.elements:
-        if not _reduced_vanishes_through(target_local_data(r, x), n):
-            failing["target"].append(x)
-    failing = {k: v for k, v in failing.items() if v}
+    failing: dict[str, list[str]] = {}
+    for side, elements, local_data in (
+        ("source", r.target.elements, source_local_data),
+        ("target", r.source.elements, target_local_data),
+    ):
+        bad = [e for e in elements if not _reduced_vanishes_through(local_data(r, e), n)]
+        if bad:
+            failing[side] = bad
     if failing:
         return HomologyEquivalenceReport(Status.REFUTED, n, failing)
-    hx = homology(r.source)
-    hy = homology(r.target)
-    equal, diffs = same_homology(hx, hy, through_degree=n)
-    if not equal:
-        raise AssertionError(f"certified homology hypothesis with unequal homology: {diffs}")
-    return HomologyEquivalenceReport(Status.CERTIFIED, n, {}, hx, hy, equal)
+    profiles = certified_homology("certified homology hypothesis", r.source, r.target, through_degree=n)
+    return HomologyEquivalenceReport(Status.CERTIFIED, n, {}, *profiles)

@@ -243,6 +243,9 @@ def read_fixture_file(path: str) -> Tuple[Optional[dict], Any]:
     """Returns (fixture wrapper or None, raw payload)."""
     data = load_json_file(path)
     if isinstance(data, dict) and "kind" in data and "data" in data:
+        for key, kind, what in (("theorem", str, "a string"), ("params", dict, "an object")):
+            if data.get(key) is not None and not isinstance(data[key], kind):
+                raise InputError(f"{path}: fixture {key!r} must be {what} or null, got {data[key]!r}")
         return data, data["data"]
     return None, data
 

@@ -72,6 +72,13 @@ def parse_poset_text(text: str, where: str = "<input>") -> Poset:
     return Poset(elements, relations)
 
 
+def parse_text(text: str, where: str = "<input>"):
+    """A poset if some line, comments dropped, holds '<'; else a complex."""
+    if any("<" in line for _, line in _lines(text)):
+        return parse_poset_text(text, where)
+    return parse_complex_text(text, where)
+
+
 def poset_to_json(p: Poset) -> dict:
     return {"elements": list(p.elements), "relations": [list(pair) for pair in sorted(p.cover_pairs)]}
 

@@ -156,8 +156,6 @@ def _eliminate_unit_pivots(rows: dict[int, dict[int, int]], cols: dict[int, set[
             if not target:
                 del rows[r2]
         pivots += 1
-    for c in [c for c, rs in cols.items() if not rs]:
-        del cols[c]
     return pivots
 
 
@@ -350,3 +348,15 @@ def same_homology(a: HomologyProfile, b: HomologyProfile, through_degree: int | 
         if a.degree(k) != b.degree(k):
             diffs.append(f"degree {k}: {a.degree(k)} vs {b.degree(k)}")
     return not diffs, diffs
+
+
+def certified_homology(what: str, a, b, certified: bool = True, through_degree: int | None = None):
+    """(homology of a, homology of b, equal or None if not certified); a
+    certified statement `what` whose two sides differ is a soundness failure."""
+    ha, hb = homology(a), homology(b)
+    if not certified:
+        return ha, hb, None
+    equal, diffs = same_homology(ha, hb, through_degree)
+    if not equal:
+        raise AssertionError(f"{what} with unequal homology: {diffs}")
+    return ha, hb, equal

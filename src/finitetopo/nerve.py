@@ -29,7 +29,7 @@ from .complexes import (
 )
 from .cylinder import EquivalenceReport, Relation, verify_equivalence
 from .errors import InputError, ValidationError
-from .homology import HomologyProfile, homology, same_homology
+from .homology import HomologyProfile, certified_homology
 from .poset import ElementSet, Poset
 from .reduction import DEFAULT_BUDGET, triviality_oracle
 
@@ -473,14 +473,8 @@ def verify_nerve_theorem(c: AnyCover, variant: str, budget: int = DEFAULT_BUDGET
 
     r = _membership_relation(c, target, member_of)
     eq = verify_equivalence(r, budget)
-    base_h = homology(c.base)
-    nerve_h = homology(target)
-    equal: Optional[bool] = None
-    if eq.status is Status.CERTIFIED:
-        equal, diffs = same_homology(base_h, nerve_h)
-        if not equal:
-            raise AssertionError(f"nerve theorem certified with unequal homology: {diffs}")
-    return NerveTheoremReport(variant, eq.status, classification, {}, eq, base_h, nerve_h, equal, comp)
+    profiles = certified_homology("nerve theorem certified", c.base, target, eq.status is Status.CERTIFIED)
+    return NerveTheoremReport(variant, eq.status, classification, {}, eq, *profiles, comp)
 
 
 @dataclass(eq=False)
@@ -516,11 +510,5 @@ def verify_corollary_completion(c: ComplexCover, budget: int = DEFAULT_BUDGET) -
         raise InputError("completion corollary expects a cover of a simplicial complex")
     inner = verify_nerve_theorem(c.poset_cover(), "quasi-good", budget)
     cw = completion_cw(c) if inner.completion is None else inner.completion.as_cw()
-    base_h = homology(c.base)
-    comp_h = homology(cw)
-    equal: Optional[bool] = None
-    if inner.status is Status.CERTIFIED:
-        equal, diffs = same_homology(base_h, comp_h)
-        if not equal:
-            raise AssertionError(f"completion corollary certified with unequal homology: {diffs}")
-    return CompletionCorollaryReport(inner.status, inner, cw, base_h, comp_h, equal)
+    profiles = certified_homology("completion corollary certified", c.base, cw, inner.status is Status.CERTIFIED)
+    return CompletionCorollaryReport(inner.status, inner, cw, *profiles)

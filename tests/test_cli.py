@@ -184,6 +184,14 @@ class TestHomologyCommand:
         assert code == 0
         assert doc["homology"][0]["betti"] == [1, 0]
 
+    def test_inline_comment_does_not_make_a_complex_a_poset(self, capsys, tmp_path):
+        # format detection drops comments as the text readers do
+        path = tmp_path / "k.txt"
+        path.write_text("a b   # the edge a<b\nb c\nc a\n")
+        code, doc = run_json(capsys, "homology", str(path))
+        assert code == 0
+        assert doc["homology"][0]["betti"] == [1, 1]
+
 
 class TestReductionCommands:
     def test_reduce_reports_points_and_core(self, capsys):
@@ -333,7 +341,7 @@ class TestInputErrorsExitThree:
         monkeypatch.setenv("FINITETOPO_BUDGET", "-5")
         self.expect_input_error(capsys, "reduce", "six-cycle")
 
-    @pytest.mark.parametrize("degree", [-1, "abc"])
+    @pytest.mark.parametrize("degree", [-1, "abc", 1.5, True])
     def test_bad_degree_in_fixture_params(self, capsys, tmp_path, degree):
         payload = fx.fixture_payload(fx.get_fixture("homology-relation"))
         payload["params"]["degree"] = degree
@@ -344,6 +352,35 @@ class TestInputErrorsExitThree:
         code, doc = run_json(capsys, "verify", "--batch", str(tmp_path))
         assert code == 3
         assert doc["detail"]["fixtures"][0]["status"] == "Error"
+
+    @pytest.mark.parametrize("key, value", [("params", ["x"]), ("theorem", ["thm-a"])], ids=["params", "theorem"])
+    @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+    def test_wrong_type_in_fixture_wrapper(self, capsys, tmp_path, key, value, batch):
+        payload = fx.fixture_payload(fx.get_fixture("homology-relation"))
+        payload[key] = value
+        path = tmp_path / "bad-wrapper.json"
+        path.write_text(json.dumps(payload))
+        if batch:
+            code, doc = run_json(capsys, "verify", "--batch", str(tmp_path))
+            (entry,) = doc["detail"]["fixtures"]
+            assert entry["status"] == "Error" and "internal_error" not in entry
+            error = entry["error"]
+        else:
+            code = main(["verify", "prop-homology", str(path)])
+            error = capsys.readouterr().err
+            assert error.startswith("error:") and "internal error" not in error
+        assert code == 3
+        assert "bad-wrapper.json" in error and f"fixture {key!r} must be" in error
+
+    def test_point_cloud_csv_is_read_only_by_mapper(self, capsys, tmp_path):
+        path = fx.write_fixture(fx.get_fixture("circle-60"), str(tmp_path))
+        assert main(["homology", path]) == 3
+        assert "only by the mapper command" in capsys.readouterr().err
+
+    def test_mapper_rejects_json(self, capsys, tmp_path):
+        path = fx.write_fixture(fx.get_fixture("six-cycle"), str(tmp_path))
+        assert main(["mapper", path, "--epsilon", "0.1"]) == 3
+        assert "mapper takes a point cloud" in capsys.readouterr().err
 
     def test_negative_count(self, capsys, tmp_path):
         out = tmp_path / "out"

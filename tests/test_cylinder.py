@@ -176,19 +176,30 @@ class TestCollapseCertificates:
         assert set(tgt_final.elements) == set(cyl.target_part)
 
     def test_uncertified_side_raises(self):
-        r = fx._refutation_relation()
-        cyl = build_cylinder(r)
-        with pytest.raises(NotCertified):
+        # the refutation fixture's target side fails at x
+        cyl = build_cylinder(fx._refutation_relation())
+        with pytest.raises(NotCertified, match="target retraction is Refuted"):
             collapse_cylinder_to_target(cyl)
 
-    def test_stale_hypothesis_report_is_revalidated(self):
+    def test_uncertified_source_side_raises(self):
+        # the fence map's fibre over u is disconnected
+        cyl = build_cylinder(Relation.from_monotone_map(*fence_map()))
+        with pytest.raises(NotCertified, match="source retraction is Refuted"):
+            collapse_cylinder_to_source(cyl)
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_stale_hypothesis_report_is_revalidated(self, side):
         # a certified report for one relation cannot drive another cylinder
         r = fx._certified_relation()
         other = fx._refutation_relation()
-        good = check_source_retraction(r)
-        cyl = build_cylinder(other)
+        check, collapse = {
+            "source": (check_source_retraction, collapse_cylinder_to_source),
+            "target": (check_target_retraction, collapse_cylinder_to_target),
+        }[side]
+        good = check(r)
+        assert good.status is Status.CERTIFIED
         with pytest.raises((ValidationError, KeyError)):
-            collapse_cylinder_to_source(cyl, report=good)
+            collapse(build_cylinder(other), report=good)
 
     @pytest.mark.parametrize("side", ["source", "target"])
     def test_trivial_verdict_without_certificate_is_rejected(self, side):
