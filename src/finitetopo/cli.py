@@ -278,11 +278,16 @@ def cmd_verify(args) -> Tuple[RunReport, Any]:
     if not args.theorem or not args.input:
         raise InputError("verify needs a theorem id and an input file, or --batch <dir>")
     wrapper, obj = _load_input(args.input, report)
+    run_theorem(args.theorem, obj, _params(wrapper, args), args.budget, report, args.input)
+    return report, None
+
+
+def _params(wrapper: Optional[dict], args) -> Dict[str, Any]:
+    """The fixture wrapper's params, with --degree put over its degree."""
     params: Dict[str, Any] = dict(wrapper.get("params") or {}) if wrapper else {}
     if args.degree is not None:
         params["degree"] = args.degree
-    run_theorem(args.theorem, obj, params, args.budget, report, args.input)
-    return report, None
+    return params
 
 
 def cmd_homology(args) -> Tuple[RunReport, Any]:
@@ -363,7 +368,7 @@ def cmd_collapse(args) -> Tuple[RunReport, Any]:
 
 def cmd_cylinder(args) -> Tuple[RunReport, Any]:
     report = RunReport(f"cylinder {args.action}")
-    _, obj = _load_input(args.input, report)
+    wrapper, obj = _load_input(args.input, report)
     r = _as_relation(obj, args.input)
     if args.action == "build":
         if isinstance(obj, tuple):
@@ -384,8 +389,7 @@ def cmd_cylinder(args) -> Tuple[RunReport, Any]:
     elif args.action == "verify-a":
         run_theorem("thm-a", r, {}, args.budget, report, args.input)
     else:
-        degree = 1 if args.degree is None else args.degree
-        run_theorem("prop-homology", r, {"degree": degree}, args.budget, report, args.input)
+        run_theorem("prop-homology", r, _params(wrapper, args), args.budget, report, args.input)
     return report, None
 
 

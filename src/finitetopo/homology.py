@@ -10,10 +10,20 @@ min-|entry| reduction with its divisibility fix on it, where torsion
 shows.  Both phases are purely algebraic: no beat points, weak points or
 collapses, so the oracle can audit those reductions.
 
+`profile_from_chain_complex` reduces the boundary matrices from the top
+degree down and clears as it goes (the twist of Chen and Kerber,
+restricted to unit pivots): the rows R and columns C of ∂k+1 that phase 1
+pivots on bound a block of determinant ±1, so from ∂k∂k+1 = 0 each column
+of ∂k indexed by R is an integer combination of the others, and those
+columns are left out of ∂k without changing its rank or an invariant
+factor.  Rows that phase 2 pivots on are never cleared: their pivots are
+not units, and over Z such a column need not be a combination.
+
 Two checks stay on.  `chain_complex` tests ∂∂=0 on every pair of
 boundary matrices with `IntegerMatrix.compose`, a sparse product over
 column supports.  On matrices up to 50x50 the rank is re-derived by
-fraction-free elimination as an independent cross-check (on demand
+fraction-free elimination of the whole, uncleared matrix as an
+independent cross-check of both phases and of the clearing (on demand
 otherwise).  `rank_mod_p` is a rank over Z/p that tells torsion apart
 from rank; nothing in the package calls it, only the tests do.
 """
@@ -83,20 +93,30 @@ _VERIFY_LIMIT = 50
 _UNITS = (1, -1)
 
 
-def smith_normal_form(m: IntegerMatrix) -> tuple[tuple[int, ...], int]:
+def smith_normal_form(
+    m: IntegerMatrix, clear: frozenset[int] | set[int] = frozenset(), pivot_rows: set[int] | None = None
+) -> tuple[tuple[int, ...], int]:
     """Invariant factors (d1 | d2 | ...) and the rank.
 
     Phase 1 removes the ±1 pivots (`_eliminate_unit_pivots`); phase 2
     (`_min_entry_factors`) reduces the small block they leave as a dense
-    matrix.  On matrices up to 50x50 the rank is re-derived independently.
+    matrix.  The columns in `clear` are left out first; the caller vouches
+    that they are integer combinations of the others (see
+    `profile_from_chain_complex`).  The rows phase 1 pivots on are added to
+    `pivot_rows` when it is given.  On matrices up to 50x50 the rank is
+    re-derived independently, from m with every column.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for (r, c), v in m.entries.items():
-        rows.setdefault(r, {})[c] = v
-        cols.setdefault(c, set()).add(r)
+        if c not in clear:
+            rows.setdefault(r, {})[c] = v
+            cols.setdefault(c, set()).add(r)
 
-    factors = [1] * _eliminate_unit_pivots(rows, cols) + _min_entry_factors(rows)
+    pivots = _eliminate_unit_pivots(rows, cols)
+    if pivot_rows is not None:
+        pivot_rows.update(r for r, _ in pivots)
+    factors = [1] * len(pivots) + _min_entry_factors(rows)
 
     if m.rows <= _VERIFY_LIMIT and m.cols <= _VERIFY_LIMIT:
         if len(factors) != fraction_free_rank(m):
@@ -104,17 +124,19 @@ def smith_normal_form(m: IntegerMatrix) -> tuple[tuple[int, ...], int]:
     return tuple(factors), len(factors)
 
 
-def _eliminate_unit_pivots(rows: dict[int, dict[int, int]], cols: dict[int, set[int]]) -> int:
+def _eliminate_unit_pivots(rows: dict[int, dict[int, int]], cols: dict[int, set[int]]) -> list[tuple[int, int]]:
     """Phase 1: remove every ±1 pivot by a sparse Schur-complement step.
 
     For a pivot p at (r, c), each other row r2 of column c becomes
     row_r2 - row_r2[c]·p·row_r, which clears column c outside row r; then
     row r and column c are dropped.  Since p is a unit, this changes the
-    invariant factors only by the one factor 1 it removes.  Pivots are
-    taken in Markowitz order, cheapest (|row|-1)(|col|-1) first, from a
-    lazy heap: a stale cost is recomputed when it is popped, and an entry
-    that becomes ±1 by fill-in is pushed.  Works in place on `rows` and
-    `cols`, leaves no ±1 entry behind, and returns the number of pivots.
+    invariant factors only by the one factor 1 it removes, and the block
+    of the input on the pivot rows and columns has determinant ±1.  Pivots
+    are taken in Markowitz order, cheapest (|row|-1)(|col|-1) first, from
+    a lazy heap: a stale cost is recomputed when it is popped, and an
+    entry that becomes ±1 by fill-in is pushed.  Works in place on `rows`
+    and `cols`, leaves no ±1 entry behind, and returns the pivots (r, c)
+    in the order taken.
     """
     heap = [
         ((len(row) - 1) * (len(cols[c]) - 1), r, c)
@@ -123,7 +145,7 @@ def _eliminate_unit_pivots(rows: dict[int, dict[int, int]], cols: dict[int, set[
         if v in _UNITS
     ]
     heapq.heapify(heap)
-    pivots = 0
+    pivots: list[tuple[int, int]] = []
     while heap:
         cost, r, c = heapq.heappop(heap)
         pivot_row = rows.get(r)
@@ -155,7 +177,7 @@ def _eliminate_unit_pivots(rows: dict[int, dict[int, int]], cols: dict[int, set[
                     cols[c2].discard(r2)
             if not target:
                 del rows[r2]
-        pivots += 1
+        pivots.append((r, c))
     return pivots
 
 
@@ -284,10 +306,26 @@ class HomologyProfile:
 
 
 def profile_from_chain_complex(chain, reduced: bool = False) -> HomologyProfile:
+    """Betti numbers and torsion from the boundary matrices, top degree first.
+
+    Clearing (the twist of Chen and Kerber, restricted to unit pivots):
+    the rows R and columns C that phase 1 pivots on in ∂k+1 bound a block
+    ∂k+1[R,C] of determinant ±1, and ∂k∂k+1 = 0, so each column of ∂k
+    indexed by R is an integer combination of its other columns.  Leaving
+    those columns out of ∂k changes neither its rank nor an invariant
+    factor.  Rows pivoted on in phase 2 have a non-unit pivot and are
+    never cleared.
+    """
     sizes = [len(b) for b in chain.bases]
     if not sizes:
         return HomologyProfile((), (), reduced)
-    factor_lists = [smith_normal_form(b)[0] for b in chain.boundaries]
+    factor_lists: list[tuple[int, ...]] = []
+    cleared: set[int] = set()
+    for b in reversed(chain.boundaries):
+        pivot_rows: set[int] = set()
+        factor_lists.append(smith_normal_form(b, cleared, pivot_rows)[0])
+        cleared = pivot_rows
+    factor_lists.reverse()
     ranks = [0] + [len(f) for f in factor_lists] + [0]
     betti = []
     torsion = []

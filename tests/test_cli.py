@@ -255,6 +255,16 @@ class TestCylinderCommand:
         )
         assert code == 0
 
+    def test_verify_homology_reads_the_fixture_degree(self, capsys, tmp_path):
+        payload = fx.fixture_payload(fx.get_fixture("homology-relation"))
+        payload["params"] = {"degree": 0}
+        path = tmp_path / "degree-0.json"
+        path.write_text(json.dumps(payload))
+        for argv, through in [((), 0), (("--degree", "2"), 2)]:
+            code, doc = run_json(capsys, "cylinder", "verify-homology", str(path), *argv)
+            assert code == 0
+            assert doc["detail"]["homology_version"]["through_degree"] == through
+
 
 class TestNerveAndCompletion:
     def test_nerve_reports_classification(self, capsys):
@@ -348,6 +358,7 @@ class TestInputErrorsExitThree:
         path = tmp_path / "bad-degree.json"
         path.write_text(json.dumps(payload))
         self.expect_input_error(capsys, "verify", "prop-homology", str(path))
+        self.expect_input_error(capsys, "cylinder", "verify-homology", str(path))
         # in a batch the file is one failed entry, not a failed run
         code, doc = run_json(capsys, "verify", "--batch", str(tmp_path))
         assert code == 3

@@ -3,9 +3,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from finitetopo import (
+    HomologyProfile,
     IntegerMatrix,
     Poset,
     SimplicialComplex,
+    barycentric_poset,
     chain_complex,
     complex_as_cw,
     euler_characteristic,
@@ -18,6 +20,7 @@ from finitetopo import (
     smith_normal_form,
 )
 from finitetopo import fixtures as fx
+from finitetopo.homology import _eliminate_unit_pivots, profile_from_chain_complex
 from tests.reference_snf import reference_smith_normal_form
 from tests.test_complexes import complexes, triangle_boundary
 from tests.test_poset import posets
@@ -275,3 +278,81 @@ def test_compose_rejects_a_shape_mismatch(a: IntegerMatrix, b: IntegerMatrix):
         b = IntegerMatrix(b.rows + 1, b.cols, b.entries)
     with pytest.raises(ValueError, match="shape mismatch"):
         a.compose(b)
+
+
+# -- clearing across degrees -------------------------------------------------
+
+
+def reference_profile(chain) -> HomologyProfile:
+    """Betti numbers and torsion degree by degree from the reference Smith
+    normal form of every whole boundary matrix, with no clearing."""
+    sizes = [len(b) for b in chain.bases]
+    factor_lists = [reference_smith_normal_form(b)[0] for b in chain.boundaries] + [()]
+    ranks = [0] + [len(f) for f in factor_lists]
+    betti = tuple(n - ranks[k] - ranks[k + 1] for k, n in enumerate(sizes))
+    torsion = tuple(tuple(d for d in factor_lists[k] if d > 1) for k in range(len(sizes)))
+    return HomologyProfile(betti, torsion)
+
+
+def projective_planes():
+    """RP², the order complex of its face poset and that of its barycentric
+    subdivision; the last two have boundary matrices beyond 50x50."""
+    k = fx.projective_plane()
+    return [k, order_complex(face_poset(k)), order_complex(barycentric_poset(face_poset(k)))]
+
+
+@given(posets(max_size=7))
+def test_cleared_profile_matches_reference(p: Poset):
+    chain = chain_complex(order_complex(p))
+    assert profile_from_chain_complex(chain) == reference_profile(chain)
+
+
+@pytest.mark.parametrize("k", projective_planes(), ids=["rp2", "rp2-sd1", "rp2-sd2"])
+def test_cleared_profile_matches_reference_with_torsion(k: SimplicialComplex):
+    chain = chain_complex(k)
+    prof = profile_from_chain_complex(chain)
+    assert prof == reference_profile(chain)
+    assert prof.describe() == "H0=Z H1=Z/2 H2=0"
+
+
+def bareiss_determinant(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination."""
+    a = [row[:] for row in a]
+    sign, prev = 1, 1
+    for k in range(len(a)):
+        pivot = next((r for r in range(k, len(a)) if a[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, len(a)):
+            for j in range(k + 1, len(a)):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * prev
+
+
+def test_bareiss_determinant():
+    assert bareiss_determinant([]) == 1
+    assert bareiss_determinant([[0, 2], [3, 1]]) == -6
+    assert bareiss_determinant([[2, 1, 0], [1, 2, 1], [0, 1, 2]]) == 4
+    assert bareiss_determinant([[1, 2], [2, 4]]) == 0
+
+
+@given(posets(max_size=7))
+def test_unit_pivot_block_is_unimodular(p: Poset):
+    """The fact clearing rests on: the rows and columns phase 1 pivots on
+    bound a square block of determinant ±1."""
+    for m in chain_complex(order_complex(p)).boundaries:
+        rows: dict[int, dict[int, int]] = {}
+        cols: dict[int, set[int]] = {}
+        for (r, c), v in m.entries.items():
+            rows.setdefault(r, {})[c] = v
+            cols.setdefault(c, set()).add(r)
+        pivots = _eliminate_unit_pivots(rows, cols)
+        pivot_rows = [r for r, _ in pivots]
+        pivot_cols = [c for _, c in pivots]
+        assert len(set(pivot_rows)) == len(set(pivot_cols)) == len(pivots)
+        block = [[m.entries.get((r, c), 0) for c in pivot_cols] for r in pivot_rows]
+        assert abs(bareiss_determinant(block)) == 1
