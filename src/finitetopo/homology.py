@@ -20,12 +20,14 @@ factor.  Rows that phase 2 pivots on are never cleared: their pivots are
 not units, and over Z such a column need not be a combination.
 
 Two checks stay on.  `chain_complex` tests ∂∂=0 on every pair of
-boundary matrices with `IntegerMatrix.compose`, a sparse product over
-column supports.  On matrices up to 50x50 the rank is re-derived by
-fraction-free elimination of the whole, uncleared matrix as an
-independent cross-check of both phases and of the clearing (on demand
-otherwise).  `rank_mod_p` is a rank over Z/p that tells torsion apart
-from rank; nothing in the package calls it, only the tests do.
+boundary matrices with `IntegerMatrix.compose`, a sparse product summed
+one column at a time.  On matrices up to 50x50 (on demand otherwise) the
+rank is re-derived by `fraction_free_rank`, a sparse elimination over Q
+in integers only, on the whole, uncleared matrix: an exact cross-check of
+both phases and of the clearing.  It is independent of phase 1: it shares
+no code with it, and its pivots need not be units.  `rank_mod_p` is a
+rank over Z/p that tells torsion apart from rank; nothing in the package
+calls it, only the tests do.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 
 class IntegerMatrix:
@@ -63,21 +66,31 @@ class IntegerMatrix:
         return not self.entries
 
     def compose(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        """The product self·other, summed over the column supports of self.
+        """The product self·other, one column at a time.
 
-        Each entry (k, c, w) of other meets only column k of self, so the
-        cost is nnz(other) times the largest column of self: for boundary
-        matrices ∂k·∂k+1 that is nnz(∂k+1)·(k+1).
+        Column c of the product is the sum of w times column k of self over
+        the entries (k, c, w) of other's column c; it is summed in a dict
+        keyed by row, and only its non-zero sums are kept.  The cost is
+        nnz(other) times the largest column of self: for boundary matrices
+        ∂k·∂k+1 that is nnz(∂k+1)·(k+1).
         """
         if self.cols != other.rows:
             raise ValueError("shape mismatch in composition")
-        by_col: dict[int, list[tuple[int, int]]] = {}
+        self_cols: dict[int, list[tuple[int, int]]] = {}
         for (r, k), v in self.entries.items():
-            by_col.setdefault(k, []).append((r, v))
-        entries: dict[tuple[int, int], int] = {}
+            self_cols.setdefault(k, []).append((r, v))
+        other_cols: dict[int, list[tuple[int, int]]] = {}
         for (k, c), w in other.entries.items():
-            for r, v in by_col.get(k, ()):
-                entries[(r, c)] = entries.get((r, c), 0) + v * w
+            other_cols.setdefault(c, []).append((k, w))
+        entries: dict[tuple[int, int], int] = {}
+        for c, column in other_cols.items():
+            sums: dict[int, int] = {}
+            for k, w in column:
+                for r, v in self_cols.get(k, ()):
+                    sums[r] = sums.get(r, 0) + v * w
+            for r, total in sums.items():
+                if total:
+                    entries[(r, c)] = total
         return IntegerMatrix(self.rows, other.cols, entries)
 
     def __eq__(self, other) -> bool:
@@ -221,29 +234,45 @@ def _min_entry_factors(rows: dict[int, dict[int, int]]) -> list[int]:
 
 
 def fraction_free_rank(m: IntegerMatrix) -> int:
-    """Rank over the rationals by Bareiss elimination; exact, division-free result."""
-    a = m.to_dense()
-    rows, cols = m.rows, m.cols
+    """Rank over the rationals by sparse elimination in integers only.
+
+    Rows are dicts.  Each step takes a row off as the pivot row, with any
+    non-zero entry p of it at column c; every other row holding column c,
+    with entry f there, becomes row·p − f·pivot_row (both divided first
+    by gcd(p, f)), is divided by the gcd of its entries, and is dropped
+    once empty.  The rank is the number of pivot rows.  Independent of
+    `smith_normal_form`: any pivot will do, unit or not, and no code is
+    shared with its phases.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    for (r, c), v in m.entries.items():
+        rows.setdefault(r, {})[c] = v
     rank = 0
-    prev = 1
-    for col in range(cols):
-        pivot_row = None
-        for r in range(rank, rows):
-            if a[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        pivot = a[rank][col]
-        for r in range(rank + 1, rows):
-            for c in range(col + 1, cols):
-                a[r][c] = (a[r][c] * pivot - a[r][col] * a[rank][c]) // prev
-            a[r][col] = 0
-        prev = pivot
+    while rows:
+        _, pivot_row = rows.popitem()
+        c, p = next(iter(pivot_row.items()))
         rank += 1
-        if rank == rows:
-            break
+        for r, row in list(rows.items()):
+            f = row.get(c)
+            if f is None:
+                continue
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a in _UNITS:
+                b *= a  # a·row − b·pivot_row is a times row − (a·b)·pivot_row
+            else:
+                row = {k: a * v for k, v in row.items()}
+            for k, w in pivot_row.items():
+                v = row.get(k, 0) - b * w
+                if v:
+                    row[k] = v
+                else:
+                    del row[k]
+            if not row:
+                del rows[r]
+                continue
+            content = gcd(*row.values())
+            rows[r] = {k: v // content for k, v in row.items()} if content > 1 else row
     return rank
 
 

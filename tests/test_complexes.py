@@ -128,6 +128,28 @@ class TestBarycentric:
         assert same_homology(homology(sd), homology(p))[0]
 
 
+@st.composite
+def complexes(draw, max_vertices: int = 6) -> SimplicialComplex:
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    verts = [f"v{i}" for i in range(n)]
+    facets = draw(
+        st.lists(
+            st.sets(st.sampled_from(verts), min_size=1, max_size=min(4, n)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return SimplicialComplex([tuple(sorted(f)) for f in facets])
+
+
+@st.composite
+def complexes_with_a_triangle(draw, max_vertices: int = 6) -> SimplicialComplex:
+    k = draw(complexes(max_vertices))
+    verts = [f"v{i}" for i in range(max_vertices)]
+    triangle = draw(st.sets(st.sampled_from(verts), min_size=3, max_size=3))
+    return SimplicialComplex([*k.facets, tuple(sorted(triangle))])
+
+
 class TestChainComplex:
     def test_edge_boundary_signs(self):
         k = SimplicialComplex([("a", "b")])
@@ -140,10 +162,19 @@ class TestChainComplex:
         chain = chain_complex(k)
         assert tuple(len(b) for b in chain.bases) == k.f_vector()
 
-    def test_composition_check_rejects_bad_matrix(self):
-        m = IntegerMatrix.from_dense([[1]])
-        with pytest.raises(AssertionError):
-            assert m.compose(m).is_zero()
+    @given(complexes_with_a_triangle(), st.data())
+    def test_composition_check_rejects_bad_matrix(self, k: SimplicialComplex, data):
+        """Flipping the sign of one entry of ∂2 makes ∂1∂2 non-zero in
+        exactly that entry's column, and chain_complex refuses the pair."""
+        d1, d2 = chain_complex(k).boundaries[:2]
+        key = data.draw(st.sampled_from(sorted(d2.entries)))
+        bad = IntegerMatrix(d2.rows, d2.cols, {**d2.entries, key: -d2.entries[key]})
+        assert {c for _, c in d1.compose(bad).entries} == {key[1]}
+        compose = IntegerMatrix.compose
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(IntegerMatrix, "compose", lambda a, b: compose(a, bad if b == d2 else b))
+            with pytest.raises(ValidationError, match="boundary composition is non-zero"):
+                chain_complex(k)
 
 
 class TestRegularCW:
@@ -167,20 +198,6 @@ class TestRegularCW:
 
 
 # -- randomized structure laws ------------------------------------------------
-
-
-@st.composite
-def complexes(draw, max_vertices: int = 6) -> SimplicialComplex:
-    n = draw(st.integers(min_value=1, max_value=max_vertices))
-    verts = [f"v{i}" for i in range(n)]
-    facets = draw(
-        st.lists(
-            st.sets(st.sampled_from(verts), min_size=1, max_size=min(4, n)),
-            min_size=1,
-            max_size=6,
-        )
-    )
-    return SimplicialComplex([tuple(sorted(f)) for f in facets])
 
 
 @given(posets(max_size=6))

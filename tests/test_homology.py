@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -278,6 +280,72 @@ def test_compose_rejects_a_shape_mismatch(a: IntegerMatrix, b: IntegerMatrix):
         b = IntegerMatrix(b.rows + 1, b.cols, b.entries)
     with pytest.raises(ValueError, match="shape mismatch"):
         a.compose(b)
+
+
+# -- the fraction-free cross-check ---------------------------------------------
+
+homology_module = importlib.import_module("finitetopo.homology")
+
+
+def assert_rank_matches_reference(m: IntegerMatrix) -> None:
+    assert fraction_free_rank(m) == reference_smith_normal_form(m)[1]
+
+
+@given(integer_matrices())
+def test_fraction_free_rank_matches_reference(m: IntegerMatrix):
+    assert_rank_matches_reference(m)
+
+
+@given(integer_matrices(max_side=8, entries=NON_UNIT_ENTRIES))
+def test_fraction_free_rank_matches_reference_without_units(m: IntegerMatrix):
+    assert_rank_matches_reference(m)
+
+
+@given(integer_matrices(max_side=12, entries=st.integers(-60, 60)))
+def test_fraction_free_rank_matches_reference_on_large_entries(m: IntegerMatrix):
+    assert_rank_matches_reference(m)
+
+
+@given(posets(max_size=7))
+def test_fraction_free_rank_matches_reference_on_boundaries(p: Poset):
+    for d in chain_complex(order_complex(p)).boundaries:
+        assert_rank_matches_reference(d)
+
+
+def test_fraction_free_rank_divides_out_the_content():
+    # the last row is the first pivot row; the other two become (0, 4, 8),
+    # of content 4, and the second pivot then empties the row left over
+    m = IntegerMatrix.from_dense([[2, 4, 6], [6, 8, 10], [4, 4, 4]])
+    assert fraction_free_rank(m) == reference_smith_normal_form(m)[1] == 2
+    # row 0 minus the pivot row 1 is (0, 2)
+    assert fraction_free_rank(IntegerMatrix.from_dense([[1, 1], [1, -1]])) == 2
+
+
+def test_the_cross_check_catches_a_lost_factor(monkeypatch):
+    phase_two = homology_module._min_entry_factors
+    monkeypatch.setattr(homology_module, "_min_entry_factors", lambda rows: phase_two(rows)[:-1])
+    d2 = chain_complex(fx.projective_plane()).boundaries[1]
+    with pytest.raises(AssertionError, match="Smith rank disagrees"):
+        smith_normal_form(d2)
+
+
+def test_the_cross_check_runs_up_to_50x50(monkeypatch):
+    shapes = []
+    rank = homology_module.fraction_free_rank
+    monkeypatch.setattr(homology_module, "fraction_free_rank", lambda m: shapes.append((m.rows, m.cols)) or rank(m))
+    for rows, cols in [(50, 50), (50, 1), (1, 50), (51, 1), (1, 51), (51, 51)]:
+        smith_normal_form(IntegerMatrix(rows, cols, {(i, i): 1 for i in range(min(rows, cols))}))
+    assert shapes == [(50, 50), (50, 1), (1, 50)]
+
+
+def test_import_as_binds_the_function_named_after_its_module():
+    # finitetopo re-exports functions named after their modules, and those
+    # names shadow the submodules as attributes of the package
+    import finitetopo.homology as h
+    import finitetopo.nerve as n
+
+    assert h is homology_module.homology and h is not homology_module
+    assert n is importlib.import_module("finitetopo.nerve").nerve
 
 
 # -- clearing across degrees -------------------------------------------------
