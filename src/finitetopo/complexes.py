@@ -13,7 +13,7 @@ from math import comb
 from typing import Iterable
 
 from .errors import InputError, ValidationError
-from .poset import Poset
+from .poset import Poset, _iter_bits
 
 
 class SimplicialComplex:
@@ -112,6 +112,34 @@ def order_complex(p: Poset) -> SimplicialComplex:
     return SimplicialComplex(chains)
 
 
+def chains_by_length(p: Poset, mask: int | None = None) -> list[list[tuple[str, ...]]]:
+    """The non-empty chains of p inside mask (all of p by default), by length.
+
+    A chain grows by any element of mask strictly above its top, so each
+    chain is listed exactly once.  It is a tuple of names from bottom to
+    top: every chain, and every sub-chain of it, is ordered by the same
+    linear extension, which orients the order complex consistently.
+    """
+    if mask is None:
+        mask = p.full_mask()
+    names = p.elements
+    members = list(_iter_bits(mask))
+    above = {i: [(j, (names[j],)) for j in _iter_bits(p._up[i] & mask & ~(1 << i))] for i in members}
+    levels: list[list[tuple[str, ...]]] = []
+    level = [(names[i],) for i in members]
+    tops = members
+    while level:
+        levels.append(level)
+        longer: list[tuple[str, ...]] = []
+        longer_tops: list[int] = []
+        for chain, top in zip(level, tops):
+            for j, name in above[top]:
+                longer.append(chain + name)
+                longer_tops.append(j)
+        level, tops = longer, longer_tops
+    return levels
+
+
 _CELL_SEP = ","
 
 
@@ -148,7 +176,7 @@ def barycentric_poset(p: Poset) -> Poset:
     def name(c: tuple[int, ...]) -> str:
         return "c" + ".".join(str(i) for i in c)
 
-    chains = [tuple(sorted(idx[v] for v in f)) for f in order_complex(p).faces]
+    chains = [tuple(sorted(idx[v] for v in c)) for level in chains_by_length(p) for c in level]
     elements = [name(c) for c in sorted(chains, key=lambda c: (len(c), c))]
     pairs = []
     for c in chains:
@@ -247,16 +275,24 @@ def complex_as_cw(k: SimplicialComplex) -> RegularCWComplex:
 
 @dataclass(frozen=True)
 class ChainComplexPresentation:
-    """Integer boundary matrices of a simplicial complex, lex vertex orientation."""
+    """Integer boundary matrices of a simplicial complex or of a poset's
+    order complex.  A simplex of a complex is oriented by the
+    lexicographic order of its vertices, a chain of a poset from bottom
+    to top."""
 
     bases: tuple[tuple[tuple[str, ...], ...], ...]
     boundaries: tuple["IntegerMatrix", ...]  # boundaries[k-1] maps degree k to k-1
 
 
-def chain_complex(k: SimplicialComplex) -> ChainComplexPresentation:
+def chain_complex(k: SimplicialComplex | Poset) -> ChainComplexPresentation:
+    """The boundary matrices, with ∂∂=0 checked on every pair.
+
+    A poset gives the chain complex of its order complex, read off
+    `chains_by_length` without building that complex.
+    """
     from .homology import IntegerMatrix
 
-    rows = k.faces_by_dim()
+    rows = chains_by_length(k) if isinstance(k, Poset) else k.faces_by_dim()
     bases = tuple(tuple(r) for r in rows)
     index = [{f: i for i, f in enumerate(r)} for r in rows]
     boundaries = []

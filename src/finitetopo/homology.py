@@ -21,9 +21,9 @@ not units, and over Z such a column need not be a combination.
 
 Two checks stay on.  `chain_complex` tests ∂∂=0 on every pair of
 boundary matrices with `IntegerMatrix.compose`, a sparse product summed
-one column at a time.  On matrices up to 50x50 (on demand otherwise) the
-rank is re-derived by `fraction_free_rank`, a sparse elimination over Q
-in integers only, on the whole, uncleared matrix: an exact cross-check of
+one column at a time.  On every matrix up to 50x50 the rank is
+re-derived by `fraction_free_rank`, a sparse elimination over Q in
+integers only, on the whole, uncleared matrix: an exact cross-check of
 both phases and of the clearing.  It is independent of phase 1: it shares
 no code with it, and its pivots need not be units.  `rank_mod_p` is a
 rank over Z/p that tells torsion apart from rank; nothing in the package
@@ -369,16 +369,17 @@ def profile_from_chain_complex(chain, reduced: bool = False) -> HomologyProfile:
 
 @lru_cache(maxsize=8192)
 def _poset_homology(p, reduced: bool) -> HomologyProfile:
-    from .complexes import chain_complex, order_complex
+    from .complexes import chain_complex
 
-    return profile_from_chain_complex(chain_complex(order_complex(p)), reduced)
+    return profile_from_chain_complex(chain_complex(p), reduced)
 
 
 def homology(obj, reduced: bool = False) -> HomologyProfile:
     """Homology of a poset, simplicial complex, or regular CW complex.
 
-    Posets and CW complexes go through the order complex of their
-    (face) poset, so no incidence numbers are ever needed.
+    A poset's boundary matrices come straight from its chains, which are
+    the simplices of its order complex, and a CW complex is taken through
+    its face poset, so no incidence numbers are ever needed.
     """
     from .complexes import RegularCWComplex, SimplicialComplex, chain_complex
     from .poset import Poset
@@ -393,11 +394,11 @@ def homology(obj, reduced: bool = False) -> HomologyProfile:
 
 
 def euler_characteristic(obj) -> int:
-    from .complexes import RegularCWComplex, SimplicialComplex, order_complex
+    from .complexes import RegularCWComplex, SimplicialComplex, chains_by_length
     from .poset import Poset
 
     if isinstance(obj, Poset):
-        return order_complex(obj).euler_characteristic()
+        return sum((-1) ** k * len(level) for k, level in enumerate(chains_by_length(obj)))
     if isinstance(obj, (SimplicialComplex, RegularCWComplex)):
         return obj.euler_characteristic()
     raise TypeError(f"cannot compute the Euler characteristic of {type(obj).__name__}")

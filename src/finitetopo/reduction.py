@@ -26,6 +26,7 @@ from .complexes import (
     SimplicialComplex,
     barycentric_complex,
     barycentric_poset,
+    chains_by_length,
     face_poset,
     order_complex,
 )
@@ -411,7 +412,7 @@ def replay_simplicial_certificate(k: SimplicialComplex, cert: ReductionCertifica
 
 def _chains_in(p: Poset, mask: int) -> list[frozenset[int]]:
     """All non-empty chains (as index sets) inside the masked subposet."""
-    return [frozenset(p._index[e] for e in face) for face in order_complex(p.induced(p._names(mask))).faces]
+    return [frozenset(p._index[e] for e in chain) for level in chains_by_length(p, mask) for chain in level]
 
 
 def _desc(chains: Iterable[frozenset[int]]) -> list[frozenset[int]]:

@@ -162,10 +162,11 @@ class TestChainComplex:
         chain = chain_complex(k)
         assert tuple(len(b) for b in chain.bases) == k.f_vector()
 
-    @given(complexes_with_a_triangle(), st.data())
-    def test_composition_check_rejects_bad_matrix(self, k: SimplicialComplex, data):
+    @given(st.one_of(complexes_with_a_triangle(), complexes_with_a_triangle().map(face_poset)), st.data())
+    def test_composition_check_rejects_bad_matrix(self, k: SimplicialComplex | Poset, data):
         """Flipping the sign of one entry of ∂2 makes ∂1∂2 non-zero in
-        exactly that entry's column, and chain_complex refuses the pair."""
+        exactly that entry's column, and chain_complex refuses the pair,
+        for a complex and for a poset (a face poset has a 2-chain)."""
         d1, d2 = chain_complex(k).boundaries[:2]
         key = data.draw(st.sampled_from(sorted(d2.entries)))
         bad = IntegerMatrix(d2.rows, d2.cols, {**d2.entries, key: -d2.entries[key]})

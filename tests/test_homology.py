@@ -1,7 +1,8 @@
 import importlib
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from finitetopo import (
@@ -22,7 +23,10 @@ from finitetopo import (
     smith_normal_form,
 )
 from finitetopo import fixtures as fx
+from finitetopo.complexes import chains_by_length
+from finitetopo.cylinder import build_cylinder
 from finitetopo.homology import _eliminate_unit_pivots, profile_from_chain_complex
+from finitetopo.reduction import _chains_in
 from tests.reference_snf import reference_smith_normal_form
 from tests.test_complexes import complexes, triangle_boundary
 from tests.test_poset import posets
@@ -203,6 +207,17 @@ def test_euler_equals_alternating_betti_sum(k: SimplicialComplex):
 @given(posets(max_size=7))
 def test_poset_homology_is_order_complex_homology(p: Poset):
     assert same_homology(homology(p), homology(order_complex(p)))[0]
+
+
+def test_poset_homology_builds_no_order_complex():
+    circle = Poset(["probe-a", "probe-b", "probe-c", "probe-d"],
+                   [("probe-a", "probe-c"), ("probe-a", "probe-d"), ("probe-b", "probe-c"), ("probe-b", "probe-d")])
+    cw = complex_as_cw(SimplicialComplex([("probe-u", "probe-v", "probe-w")]))
+    before = order_complex.cache_info()
+    assert homology(circle).betti == (1, 1)
+    assert homology(cw).betti == (1, 0, 0)
+    assert euler_characteristic(circle) == 0
+    assert order_complex.cache_info() == before
 
 
 @given(posets(max_size=7))
@@ -424,3 +439,43 @@ def test_unit_pivot_block_is_unimodular(p: Poset):
         assert len(set(pivot_rows)) == len(set(pivot_cols)) == len(pivots)
         block = [[m.entries.get((r, c), 0) for c in pivot_cols] for r in pivot_rows]
         assert abs(bareiss_determinant(block)) == 1
+
+
+# -- chains straight from the poset --------------------------------------------
+
+
+@st.composite
+def seeded_posets(draw) -> Poset:
+    """Random and dismantlable posets, and relation cylinders."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "dismantlable", "cylinder"]))
+    if kind == "random":
+        return fx.random_poset(rng, draw(st.integers(1, 9)), draw(st.sampled_from([0.2, 0.4, 0.6])))
+    if kind == "dismantlable":
+        return fx.random_dismantlable_poset(rng, draw(st.integers(1, 9)))
+    return build_cylinder(fx.beat_retraction_relation(rng, draw(st.integers(2, 7)))).poset
+
+
+@given(seeded_posets(), st.data())
+@example(face_poset(fx.projective_plane()), None)
+@example(barycentric_poset(face_poset(fx.projective_plane())), None)
+def test_poset_chain_complex_is_the_order_complex_chain_complex(p: Poset, data):
+    """The chains, listed once each from bottom to top, are the faces of the
+    order complex level by level; the boundary matrices keep their non-zero
+    counts, and the profile matches both the order complex's and the one
+    built from the reference Smith normal form.  Chains inside a mask are
+    those of the induced subposet."""
+    k = order_complex(p)
+    chain = chain_complex(p)
+    assert [{tuple(sorted(c)) for c in level} for level in chain.bases] == [set(row) for row in k.faces_by_dim()]
+    assert all(len(level) == len(set(level)) for level in chain.bases)
+    assert all(p.lt(a, b) for level in chain.bases for c in level for a, b in zip(c, c[1:]))
+    assert [len(d.entries) for d in chain.boundaries] == [len(d.entries) for d in chain_complex(k).boundaries]
+    prof = profile_from_chain_complex(chain)
+    assert prof == homology(k) == homology(p) == reference_profile(chain)
+    assert euler_characteristic(p) == k.euler_characteristic()
+    if data is not None:
+        mask = data.draw(st.integers(0, p.full_mask()))
+        sub = order_complex(p.induced(p._names(mask))).faces
+        assert {tuple(sorted(c)) for level in chains_by_length(p, mask) for c in level} == sub
+        assert set(_chains_in(p, mask)) == {frozenset(p._index[e] for e in f) for f in sub}
