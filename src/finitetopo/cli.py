@@ -39,6 +39,7 @@ from .formats import (
     dot_complex,
     dot_cw,
     dot_poset,
+    json_scalar,
     object_from_json,
     parse_text,
     poset_to_json,
@@ -146,10 +147,7 @@ def _as_cover(obj: Any, where: str):
 
 def _homology_version(obj: Any, params: Dict[str, Any], budget: int, where: str):
     r = _as_relation(obj, where)
-    degree = params.get("degree", 1)
-    if not isinstance(degree, int) or isinstance(degree, bool):
-        raise InputError(f"{where}: degree must be an integer, got {degree!r}")
-    return verify_homology_equivalence(r, degree)
+    return verify_homology_equivalence(r, json_scalar(params.get("degree", 1), int, "degree", where))
 
 
 def _nerve(variant: str):
@@ -242,7 +240,7 @@ def _verify_batch(args, report: RunReport) -> None:
     directory = args.batch
     if not os.path.isdir(directory):
         raise InputError(f"not a directory: {directory}")
-    files = sorted(glob.glob(os.path.join(directory, "*.json")))
+    files = sorted(glob.glob(os.path.join(glob.escape(directory), "*.json")))
     report.add_input("batch", payload=[os.path.basename(p) for p in files])
     if not files:
         raise InputError(f"no fixture files in {directory}")

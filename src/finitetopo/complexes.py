@@ -284,15 +284,15 @@ class ChainComplexPresentation:
     boundaries: tuple["IntegerMatrix", ...]  # boundaries[k-1] maps degree k to k-1
 
 
-def chain_complex(k: SimplicialComplex | Poset) -> ChainComplexPresentation:
+def chain_complex(k: SimplicialComplex | Poset, mask: int | None = None) -> ChainComplexPresentation:
     """The boundary matrices, with ∂∂=0 checked on every pair.
 
-    A poset gives the chain complex of its order complex, read off
-    `chains_by_length` without building that complex.
+    A poset (restricted to mask, if given) gives the chain complex of its
+    order complex, read off `chains_by_length` without building that complex.
     """
     from .homology import IntegerMatrix
 
-    rows = chains_by_length(k) if isinstance(k, Poset) else k.faces_by_dim()
+    rows = chains_by_length(k, mask) if isinstance(k, Poset) else k.faces_by_dim()
     bases = tuple(tuple(r) for r in rows)
     index = [{f: i for i, f in enumerate(r)} for r in rows]
     boundaries = []

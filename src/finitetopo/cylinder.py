@@ -20,7 +20,7 @@ from typing import Optional
 
 from .certificates import ReductionCertificate, ReductionStep, StatementReport, Status, TrivialityVerdict
 from .errors import InputError, NotCertified, ValidationError
-from .homology import HomologyProfile, certified_homology, homology
+from .homology import HomologyProfile, _poset_homology, certified_homology
 from .poset import ElementSet, Poset
 from .reduction import DEFAULT_BUDGET, triviality_oracle
 
@@ -157,7 +157,7 @@ def target_local_data(r: Relation, x: str) -> ElementSet:
 
 def _check_side(side: str, r: Relation, elements, local_data, budget: int) -> HypothesisReport:
     """Triviality verdicts for the local data of the elements this side's collapse deletes."""
-    return HypothesisReport(side, {e: triviality_oracle(local_data(r, e).induced(), budget) for e in elements})
+    return HypothesisReport(side, {e: triviality_oracle(local_data(r, e), budget) for e in elements})
 
 
 def check_source_retraction(r: Relation, budget: int = DEFAULT_BUDGET) -> HypothesisReport:
@@ -324,7 +324,7 @@ def _reduced_vanishes_through(members: ElementSet, n: int) -> bool:
     """Non-empty with zero reduced homology in degrees 0..n."""
     if len(members) == 0:
         return False
-    prof = homology(members.induced(), reduced=True)
+    prof = _poset_homology(members.poset, members.mask, True)
     return all(prof.degree(k) == (0, ()) for k in range(n + 1))
 
 

@@ -45,6 +45,17 @@ def _list(value, what: str, where: str) -> list:
     return value
 
 
+_SCALARS = {bool: "true or false", int: "an integer", str: "a string"}
+
+
+def json_scalar(value, kind: type, what: str, where: str):
+    """A JSON boolean, integer or string, as kind says; nothing is coerced,
+    and true and false are not integers."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise InputError(f"{where}: {what} must be {_SCALARS[kind]}, got {value!r}")
+    return value
+
+
 def _tuples(value, what: str, where: str) -> list[tuple]:
     """A JSON list of lists, such as facets or relation pairs, as tuples."""
     return [tuple(_list(item, f"each of {what}", where)) for item in _list(value, what, where)]
@@ -117,7 +128,8 @@ def cw_to_json(c: RegularCWComplex) -> dict:
 def cw_from_json(data, where: str = "<input>") -> RegularCWComplex:
     if not isinstance(data, dict) or "poset" not in data or "dim" not in data:
         raise InputError(f"{where}: CW JSON needs 'poset' and 'dim'")
-    return cw_from_face_poset(poset_from_json(data["poset"], where), dict(data["dim"]))
+    dim = {c: json_scalar(d, int, f"the dimension of cell {c!r}", where) for c, d in data["dim"].items()}
+    return cw_from_face_poset(poset_from_json(data["poset"], where), dim)
 
 
 # -------------------------------------------------------------- relations
@@ -156,7 +168,7 @@ def monotone_map_from_json(data, where: str = "<input>") -> tuple[Poset, Poset, 
     return (
         poset_from_json(data["source"], where),
         poset_from_json(data["target"], where),
-        {str(k): str(v) for k, v in data["map"].items()},
+        {k: json_scalar(v, str, f"the image of {k!r}", where) for k, v in data["map"].items()},
     )
 
 
@@ -174,7 +186,7 @@ def poset_cover_from_json(data, where: str = "<input>") -> PosetCover:
         raise InputError(f"{where}: poset cover JSON needs 'poset' and 'parts'")
     base = poset_from_json(data["poset"], where)
     parts = {str(k): set(_list(v, f"part {k!r}", where)) for k, v in data["parts"].items()}
-    return PosetCover(base, parts, bool(data.get("open_hulls", False)))
+    return PosetCover(base, parts, json_scalar(data.get("open_hulls", False), bool, "'open_hulls'", where))
 
 
 def complex_cover_to_json(c: ComplexCover) -> dict:
@@ -288,19 +300,20 @@ def dot_cw(c: RegularCWComplex, name: str = "cw") -> str:
 # ----------------------------------------------------------- file loading
 
 def load_json_file(path: str):
+    text = read_text_file(path)
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
 
 
 def read_text_file(path: str) -> str:
+    """The file's text; it must be UTF-8."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
 

@@ -368,10 +368,10 @@ def profile_from_chain_complex(chain, reduced: bool = False) -> HomologyProfile:
 
 
 @lru_cache(maxsize=8192)
-def _poset_homology(p, reduced: bool) -> HomologyProfile:
+def _poset_homology(p, mask: int, reduced: bool) -> HomologyProfile:
     from .complexes import chain_complex
 
-    return profile_from_chain_complex(chain_complex(p), reduced)
+    return profile_from_chain_complex(chain_complex(p, mask), reduced)
 
 
 def homology(obj, reduced: bool = False) -> HomologyProfile:
@@ -385,11 +385,11 @@ def homology(obj, reduced: bool = False) -> HomologyProfile:
     from .poset import Poset
 
     if isinstance(obj, Poset):
-        return _poset_homology(obj, reduced)
+        return _poset_homology(obj, obj.full_mask(), reduced)
     if isinstance(obj, SimplicialComplex):
         return profile_from_chain_complex(chain_complex(obj), reduced)
     if isinstance(obj, RegularCWComplex):
-        return _poset_homology(obj.poset, reduced)
+        return _poset_homology(obj.poset, obj.poset.full_mask(), reduced)
     raise TypeError(f"cannot compute homology of {type(obj).__name__}")
 
 

@@ -13,6 +13,7 @@ graph at a single user-supplied scale; no clustering heuristics.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import operator
@@ -22,6 +23,7 @@ from typing import Iterable
 
 from .complexes import RegularCWComplex, SimplicialComplex
 from .errors import InputError
+from .formats import read_text_file
 from .homology import HomologyProfile, homology
 from .nerve import CompletionPoset, PosetCover, completion_poset, intersecting_families
 from .poset import Poset
@@ -68,7 +70,7 @@ class PointCloud:
         """One point per row; a leading non-numeric field is the identifier."""
         ids: list[str] = []
         coords: list[list[float]] = []
-        with open(path, newline="") as fh:
+        with io.StringIO(read_text_file(path), newline="") as fh:
             for row_no, row in enumerate(csv.reader(fh)):
                 cells = [c.strip() for c in row if c.strip()]
                 if not cells or cells[0].startswith("#"):

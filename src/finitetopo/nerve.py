@@ -260,7 +260,7 @@ def classify_cover(c: AnyCover, budget: int = DEFAULT_BUDGET) -> CoverClassifica
         pieces = w.components()
         verdicts = []
         for piece in pieces:
-            v = triviality_oracle(piece.induced(), budget)
+            v = triviality_oracle(piece, budget)
             comps[component_label(jid, piece)] = v
             verdicts.append(v)
         if len(pieces) == 1:
@@ -453,7 +453,7 @@ def verify_nerve_theorem(c: AnyCover, variant: str, budget: int = DEFAULT_BUDGET
             return NerveTheoremReport(variant, Status.UNKNOWN, classification, {"undecided": list(sub.undecided)})
         membership_verdicts: dict[str, TrivialityVerdict] = {}
         for x in c.base.elements:
-            membership_verdicts[x] = triviality_oracle(point_subnerve(sub, x).induced(), budget)
+            membership_verdicts[x] = triviality_oracle(point_subnerve(sub, x), budget)
         status = Status.of_verdicts(membership_verdicts.values())
         if status is not Status.CERTIFIED:
             bad = sorted(x for x, v in membership_verdicts.items() if v.is_nontrivial)

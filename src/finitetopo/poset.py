@@ -223,15 +223,10 @@ class Poset:
         return Poset(self.elements, [(b, a) for a, b in self.cover_pairs])
 
     def induced(self, members: Iterable[str]) -> "Poset":
+        """The subposet on members: the reach restricted to them, which the
+        constructor reduces to cover pairs."""
         mask = self._mask_of(members)
-        pairs = []
-        for i in _iter_bits(mask):
-            strict = self._up[i] & ~(1 << i) & mask
-            implied = 0
-            for k in _iter_bits(strict):
-                implied |= self._up[k] & ~(1 << k) & mask
-            for j in _iter_bits(strict & ~implied):
-                pairs.append((self.elements[i], self.elements[j]))
+        pairs = [(self.elements[i], self.elements[j]) for i in _iter_bits(mask) for j in _iter_bits(self._up[i] & mask)]
         return Poset(self._names(mask), pairs)
 
     def linear_extension(self) -> tuple[str, ...]:

@@ -31,8 +31,8 @@ from .complexes import (
     order_complex,
 )
 from .errors import InputError, ReplayError
-from .homology import homology, same_homology
-from .poset import Poset, _iter_bits, extremum
+from .homology import _poset_homology, homology, same_homology
+from .poset import ElementSet, Poset, _iter_bits, extremum
 
 DEFAULT_BUDGET = 100_000
 
@@ -195,12 +195,13 @@ def _collapse_dfs(start: Hashable, done: Callable[[Any], bool],
     return steps, nodes, complete
 
 
-def is_collapsible(p: Poset, budget: int = DEFAULT_BUDGET) -> TrivialityVerdict:
+def is_collapsible(s: Poset | ElementSet, budget: int = DEFAULT_BUDGET) -> TrivialityVerdict:
     """Trivial iff a weak-point deletion sequence to a point is found within budget."""
-    if len(p) == 0:
+    p, start = (s, s.full_mask()) if isinstance(s, Poset) else (s.poset, s.mask)
+    if not start:
         return TrivialityVerdict("nontrivial", "empty")
     steps, nodes, complete = _collapse_dfs(
-        p.full_mask(), lambda mask: _popcount(mask) == 1, lambda mask: _collapse_moves(p, mask, 0), budget)
+        start, lambda mask: _popcount(mask) == 1, lambda mask: _collapse_moves(p, mask, 0), budget)
     if steps is not None:
         return TrivialityVerdict("trivial", "collapse", ReductionCertificate(tuple(steps)), detail={"nodes": nodes})
     reason = "no-collapse" if complete else "budget"
@@ -227,30 +228,32 @@ def collapse_search(p: Poset, target, budget: int = DEFAULT_BUDGET) -> tuple[Opt
     return ReductionCertificate(tuple(steps)), report
 
 
-def triviality_oracle(p: Poset, budget: int = DEFAULT_BUDGET) -> TrivialityVerdict:
-    """Three-valued homotopy-triviality decision ladder.
+def triviality_oracle(s: Poset | ElementSet, budget: int = DEFAULT_BUDGET) -> TrivialityVerdict:
+    """Three-valued homotopy-triviality decision ladder on a poset, or on the
+    subspace an element set of one spans, read off masks of its parent.
 
-    Empty or disconnected posets are NonTrivial; a non-zero reduced homology
+    Empty or disconnected spaces are NonTrivial; a non-zero reduced homology
     group is NonTrivial; a dismantling or a collapse within budget is Trivial
     with a replayable certificate; anything else is Unknown.  The homology
     screen runs before any Trivial answer, so a Trivial verdict can never
     contradict homology.
     """
-    if len(p) == 0:
+    p, mask = (s, s.full_mask()) if isinstance(s, Poset) else (s.poset, s.mask)
+    if not mask:
         return TrivialityVerdict("nontrivial", "empty")
-    comps = p.connected_components()
+    comps = p.connected_components(p._names(mask))
     if len(comps) > 1:
         return TrivialityVerdict("nontrivial", "disconnected", detail={"components": len(comps)})
-    prof = homology(p, reduced=True)
+    prof = _poset_homology(p, mask, True)
     degrees = prof.nonzero_degrees()
     if degrees:
         return TrivialityVerdict(
             "nontrivial", "homology", detail={"degree": degrees[0], "homology": prof.describe()}
         )
-    cert = _dismantling_cert(p, p.full_mask())
+    cert = _dismantling_cert(p, mask)
     if cert is not None:
         return TrivialityVerdict("trivial", "dismantling", cert)
-    return is_collapsible(p, budget)
+    return is_collapsible(s, budget)
 
 
 def find_gamma_points(
@@ -267,7 +270,7 @@ def find_gamma_points(
         for side, sub in _punctured(p, mask, i):
             if not sub:
                 continue
-            verdict = triviality_oracle(p.induced(p._names(sub)), budget)
+            verdict = triviality_oracle(p._subset_from_mask(sub), budget)
             if verdict.is_trivial:
                 gammas.append((e, "gamma-" + side))
             elif verdict.is_unknown:

@@ -114,6 +114,14 @@ class TestBatch:
         code = main(["verify", "--batch", str(tmp_path)])
         assert code == 3
 
+    def test_batch_directory_name_is_not_a_pattern(self, capsys, tmp_path):
+        directory = tmp_path / "d[1]"
+        directory.mkdir()
+        fx.write_fixture(fx.get_fixture("certified-relation"), str(directory))
+        code, doc = run_json(capsys, "verify", "--batch", str(directory))
+        assert code == 0 and doc["status"] == "Certified"
+        assert [e["file"] for e in doc["detail"]["fixtures"]] == ["certified-relation.json"]
+
     @pytest.mark.parametrize("word", ["certified", "Proved", 0])
     def test_expected_status_outside_the_status_words_is_input_error(self, capsys, tmp_path, word):
         payload = fx.fixture_payload(fx.get_fixture("certified-relation"))
@@ -513,6 +521,72 @@ class TestMalformedJson:
         (entry,) = doc["detail"]["fixtures"]
         assert entry["status"] == "Error" and "internal_error" not in entry
         assert "malformed complex JSON" in entry["error"]
+
+
+class TestNonUtf8Input:
+    """A file that is not UTF-8 is an input error naming the file."""
+
+    BYTES = b'{"elements": ["a\xff"]}\n'
+
+    @pytest.mark.parametrize("command, name", [("homology", "bad.json"), ("homology", "bad.txt"),
+                                               ("mapper", "bad.csv")])
+    def test_single_run(self, capsys, tmp_path, command, name):
+        path = tmp_path / name
+        path.write_bytes(self.BYTES)
+        argv = [command, str(path)] + (["--epsilon", "0.1"] if command == "mapper" else [])
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not UTF-8 text: ")
+        assert "internal error" not in err
+
+    def test_batch_entry(self, capsys, tmp_path):
+        (tmp_path / "bad.json").write_bytes(self.BYTES)
+        code, doc = run_json(capsys, "verify", "--batch", str(tmp_path))
+        assert code == 3
+        (entry,) = doc["detail"]["fixtures"]
+        assert entry["status"] == "Error" and "internal_error" not in entry
+        assert entry["error"].startswith(f"{tmp_path / 'bad.json'}: not UTF-8 text: ")
+
+
+class TestJsonScalarsAreNotCoerced:
+    """A JSON field that holds a boolean, an integer or a string takes
+    exactly that: "no" is not false, true is not 1, and null is not the
+    element "None"."""
+
+    CASES = {
+        "open-hulls-as-string": (
+            ["nerve"], "poset-cover", "nerve-good", "'open_hulls' must be true or false, got 'no'",
+            {"poset": {"elements": ["a", "b", "c"], "relations": [["a", "c"], ["b", "c"]]},
+             "parts": {"U": ["c"]}, "open_hulls": "no"}),
+        "cw-dimension-as-boolean": (
+            ["homology"], "cw", "dictionary", "the dimension of cell 'a' must be an integer, got False",
+            {"poset": {"elements": ["a", "b", "e"], "relations": [["a", "e"], ["b", "e"]]},
+             "dim": {"a": False, "b": False, "e": True}}),
+        "map-value-null": (
+            ["cylinder", "build"], "monotone-map", "prop-2.5", "the image of 'a' must be a string, got None",
+            {"source": {"elements": ["a"]}, "target": {"elements": ["None"]}, "map": {"a": None}}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_raw_file(self, capsys, tmp_path, case):
+        command, _, _, message, data = self.CASES[case]
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(data))
+        assert main(command + [str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_batch_entry(self, capsys, tmp_path, case):
+        _, kind, theorem, message, data = self.CASES[case]
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps({"kind": kind, "theorem": theorem, "data": data}))
+        code, doc = run_json(capsys, "verify", "--batch", str(tmp_path))
+        assert code == 3
+        (entry,) = doc["detail"]["fixtures"]
+        assert entry["status"] == "Error" and "internal_error" not in entry
+        assert entry["error"] == f"{path}: {message}"
 
 
 class TestInternalErrorsExitThree:

@@ -250,3 +250,16 @@ def test_components_partition(p: Poset):
 @given(posets())
 def test_cover_pairs_regenerate_poset(p: Poset):
     assert Poset(p.elements, p.cover_pairs) == p
+
+
+@given(shuffled_posets(max_size=8), st.data())
+def test_induced_is_the_restricted_order(p: Poset, data):
+    """Brute force: the induced poset has the members, the parent's order
+    between them, and a cover pair wherever no member lies strictly between."""
+    members = data.draw(st.sets(st.sampled_from(p.elements)))
+    q = p.induced(members)
+    assert q.elements == tuple(sorted(members))
+    assert all(q.le(a, b) == p.le(a, b) for a in members for b in members)
+    covers = {(a, b) for a in members for b in members
+              if p.lt(a, b) and not any(p.lt(a, c) and p.lt(c, b) for c in members)}
+    assert q.cover_pairs == covers

@@ -1,8 +1,10 @@
+import importlib
 import inspect
+import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finitetopo import (
@@ -10,8 +12,12 @@ from finitetopo import (
     Poset,
     ReductionCertificate,
     ReductionStep,
+    Relation,
     ReplayError,
     SimplicialComplex,
+    check_source_retraction,
+    check_target_retraction,
+    classify_cover,
     collapse_search,
     collapse_to_simplicial,
     core,
@@ -29,8 +35,13 @@ from finitetopo import (
     simplicial_collapse_search,
     triviality_oracle,
     verify_dictionary,
+    verify_homology_equivalence,
+    verify_nerve_theorem,
 )
 from finitetopo import fixtures as fx
+from finitetopo.cylinder import build_cylinder
+from finitetopo.homology import _poset_homology
+from finitetopo.reduction import DEFAULT_BUDGET
 from tests.reference_simplicial_collapse import reference_simplicial_collapse_search
 from tests.test_complexes import complexes
 from tests.test_poset import diamond, posets, shuffled_posets
@@ -439,3 +450,74 @@ def test_simplicial_collapse_search_matches_recursive_reference(case, budget):
     # cut-off search are compared too
     k, target = case
     assert simplicial_collapse_search(k, target, budget) == reference_simplicial_collapse_search(k, target, budget)
+
+
+# -- the oracle on element sets ------------------------------------------------
+
+# the package exports a function named nerve, so the module is looked up by
+# its dotted name
+nerve_mod = importlib.import_module("finitetopo.nerve")
+
+
+def padded(p: Poset) -> tuple[Poset, int]:
+    """p under one more element above all of it, and the mask of p in it."""
+    top = "zz"
+    q = Poset(p.elements + (top,), list(p.cover_pairs) + [(e, top) for e in p.elements])
+    return q, q.full_mask() & ~(1 << q._index[top])
+
+
+@st.composite
+def posets_with_masks(draw) -> tuple[Poset, int]:
+    """A seeded random poset and a random mask of it; from 11 elements on,
+    identifier order (e10 before e2) runs against the generator's order."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    p = fx.random_poset(rng, draw(st.integers(1, 12)), draw(st.sampled_from([0.2, 0.4, 0.6])))
+    return p, draw(st.integers(0, p.full_mask()))
+
+
+@given(posets_with_masks(), st.sampled_from([DEFAULT_BUDGET, 0, 1, 2]))
+@example(padded(fx.get_fixture("collapsible-noncontractible").build()), DEFAULT_BUDGET)
+@example(padded(fx.get_fixture("collapsible-noncontractible").build()), 1)
+@example(padded(fx.get_fixture("collapsible-noncontractible").build()), 0)
+@settings(max_examples=150)
+def test_oracle_on_an_element_set_is_the_oracle_on_its_induced_poset(case, budget):
+    """Verdict, reason, detail and certificate agree, at a budget that
+    finishes and at budgets that cut the collapse search; so do the mask's
+    homology and that of the induced poset."""
+    p, mask = case
+    q = p.induced(p._names(mask))
+    s = p._subset_from_mask(mask)
+    assert triviality_oracle(s, budget).to_json_dict() == triviality_oracle(q, budget).to_json_dict()
+    assert is_collapsible(s, budget).to_json_dict() == is_collapsible(q, budget).to_json_dict()
+    for reduced in (False, True):
+        assert _poset_homology(p, mask, reduced) == homology(q, reduced=reduced)
+
+
+def test_no_oracle_path_builds_an_induced_poset(monkeypatch):
+    """The local data, cover pieces, membership families and punctured sets
+    go to the oracle and the homology screen as element sets."""
+    relations = [fx.get_fixture(n).build() for n in ("certified-relation", "homology-relation", "thm-a-refutation")]
+    relations += [Relation.from_monotone_map(*fx.get_fixture(n).build())
+                  for n in ("contractible-fibres-map", "monotone-map-fence")]
+    covers = [nerve_mod._as_poset_cover(fx.get_fixture(n).build())
+              for n in ("example-3-12", "star-cover-six-cycle", "two-arc-cover-six-cycle", "x-zero-star-cover")]
+    posets = [fx.get_fixture(n).build() for n in ("collapsible-noncontractible", "six-cycle")]
+    posets += [build_cylinder(r).poset for r in relations]
+    # the x-zero target, the trivial subnerve, is an induced poset of the
+    # nerve poset: it is built before induced() is barred
+    subnerves = {id(c): nerve_mod.trivial_subnerve(c) for c in covers}
+
+    def barred(self, members):
+        raise AssertionError("an induced poset was built")
+
+    monkeypatch.setattr(Poset, "induced", barred)
+    monkeypatch.setattr(nerve_mod, "trivial_subnerve", lambda c, budget, classification: subnerves[id(c)])
+    for r in relations:
+        check_source_retraction(r)
+        check_target_retraction(r)
+        verify_homology_equivalence(r, 1)
+    for c in covers:
+        classify_cover(c)
+        verify_nerve_theorem(c, "x-zero")
+    for p in posets:
+        find_gamma_points(p)
