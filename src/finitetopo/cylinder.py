@@ -147,12 +147,12 @@ class HypothesisReport(StatementReport):
 
 def source_local_data(r: Relation, y: str) -> ElementSet:
     """Open hull in the source of the preimage of the target element's down-set."""
-    return r.preimage(r.target.down_set(y).members).open_hull()
+    return r.preimage(r.target.down_set(y)).open_hull()
 
 
 def target_local_data(r: Relation, x: str) -> ElementSet:
     """Closure in the target of the image of the source element's up-set."""
-    return r.image(r.source.up_set(x).members).closure()
+    return r.image(r.source.up_set(x)).closure()
 
 
 def _check_side(side: str, r: Relation, elements, local_data, budget: int) -> HypothesisReport:
@@ -194,8 +194,8 @@ def _gamma_collapse(side: str, c: CylinderPoset, report: HypothesisReport, delet
     steps = []
     for e in deleted:
         name = deleted_name(e)
-        punct = {m for m in punctured(name).members if m not in removed}
-        if punct != {kept_name(k) for k in local_data(c.relation, e).members}:
+        punct = {m for m in punctured(name) if m not in removed}
+        if punct != {kept_name(k) for k in local_data(c.relation, e)}:
             raise ValidationError(f"punctured {direction}-set of {name!r} does not match its local {side} data")
         evidence = _certificate_of(report.verdicts[e], e).rename(kept_name)
         steps.append(ReductionStep("gamma-" + direction, (name,), evidence=evidence))
@@ -321,11 +321,11 @@ class HomologyEquivalenceReport(StatementReport):
 
 
 def _reduced_vanishes_through(members: ElementSet, n: int) -> bool:
-    """Non-empty with zero reduced homology in degrees 0..n."""
-    if len(members) == 0:
+    """Non-empty with zero reduced homology in degrees 0..n: every non-zero
+    degree, of which there are at most the dimension, lies above n."""
+    if not members.mask:
         return False
-    prof = _poset_homology(members.poset, members.mask, True)
-    return all(prof.degree(k) == (0, ()) for k in range(n + 1))
+    return all(k > n for k in _poset_homology(members.poset, members.mask, True).nonzero_degrees())
 
 
 def verify_homology_equivalence(r: Relation, n: int) -> HomologyEquivalenceReport:

@@ -309,7 +309,7 @@ def mapper_completion(
     cover = PosetCover(discrete, {name: set(members) for name, members in parts.items()})
 
     def split(sub):
-        return [discrete.subset(comp) for comp in epsilon_components(pc, sub.members, epsilon)]
+        return [discrete.subset(comp) for comp in epsilon_components(pc, sub, epsilon)]
 
     comp = completion_poset(cover, split)
     cw = comp.as_cw()

@@ -47,7 +47,7 @@ def label_parts(label: str) -> frozenset[str]:
 
 
 def component_label(jid: str, comp: ElementSet) -> str:
-    return jid + "|" + min(comp.members)
+    return jid + "|" + comp.poset.elements[(comp.mask & -comp.mask).bit_length() - 1]
 
 
 def intersecting_families(named: Mapping[str, Any]) -> list[tuple[str, ...]]:
@@ -99,12 +99,11 @@ class PosetCover:
                     f"cover part {name!r} is not a down-set; pass open_hulls=True to take hulls"
                 )
             named[name] = sub
-        covered: set[str] = set()
+        missing = base.full_mask()
         for sub in named.values():
-            covered |= sub.members
-        if covered != set(base.elements):
-            missing = sorted(set(base.elements) - covered)
-            raise InputError(f"cover misses elements: {', '.join(missing[:6])}")
+            missing &= ~sub.mask
+        if missing:
+            raise InputError(f"cover misses elements: {', '.join(base._names(missing)[:6])}")
         self.parts = named
         self._intersecting: Optional[list[tuple[str, ...]]] = None
         self._nerve: Optional[SimplicialComplex] = None
@@ -135,7 +134,7 @@ class PosetCover:
         mask = self.base.full_mask()
         for n in J:
             mask &= self.part(n).mask
-        return self.base._subset_from_mask(mask)
+        return ElementSet(self.base, mask)
 
     def intersection_of_label(self, label: str) -> ElementSet:
         return self.intersection(label_parts(label))
@@ -312,8 +311,8 @@ def point_subnerve(sub: TrivialSubnerve, x: str) -> ElementSet:
     if x not in sub.cover.base:
         raise InputError(f"unknown element {x!r}")
     bit = 1 << sub.cover.base._lookup(x)
-    members = {jid for jid in sub.poset.elements if sub.cover.intersection_of_label(jid).mask & bit}
-    out = sub.poset.subset(members)
+    out = ElementSet(sub.poset, sum(
+        1 << i for i, jid in enumerate(sub.poset.elements) if sub.cover.intersection_of_label(jid).mask & bit))
     if not out.is_down_set():
         raise ValidationError(f"membership family of {x!r} is not open in the trivial subnerve")
     return out
@@ -422,7 +421,7 @@ class NerveTheoremReport(StatementReport):
 
 
 def _membership_relation(c: PosetCover, target: Poset, member_of: dict[str, ElementSet]) -> Relation:
-    pairs = [(x, lab) for lab, sub in member_of.items() for x in sub.members]
+    pairs = [(x, lab) for lab, sub in member_of.items() for x in sub]
     return Relation.of(c.base, target.opposite(), pairs)
 
 

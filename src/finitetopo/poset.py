@@ -180,36 +180,27 @@ class Poset:
     # -- subsets ----------------------------------------------------------
 
     def subset(self, members: Iterable[str]) -> "ElementSet":
-        return ElementSet(self, frozenset(members))
-
-    def _subset_from_mask(self, mask: int) -> "ElementSet":
-        return ElementSet(self, frozenset(self._names(mask)), _mask=mask)
+        return ElementSet(self, self._mask_of(members))
 
     def down_set(self, e: str) -> "ElementSet":
-        return self._subset_from_mask(self._down[self._lookup(e)])
+        return ElementSet(self, self._down[self._lookup(e)])
 
     def up_set(self, e: str) -> "ElementSet":
-        return self._subset_from_mask(self._up[self._lookup(e)])
+        return ElementSet(self, self._up[self._lookup(e)])
 
     def punctured_down(self, e: str) -> "ElementSet":
         i = self._lookup(e)
-        return self._subset_from_mask(self._down[i] & ~(1 << i))
+        return ElementSet(self, self._down[i] & ~(1 << i))
 
     def punctured_up(self, e: str) -> "ElementSet":
         i = self._lookup(e)
-        return self._subset_from_mask(self._up[i] & ~(1 << i))
+        return ElementSet(self, self._up[i] & ~(1 << i))
 
     def closure(self, members: Iterable[str]) -> "ElementSet":
-        m = 0
-        for e in members:
-            m |= self._up[self._lookup(e)]
-        return self._subset_from_mask(m)
+        return self.subset(members).closure()
 
     def open_hull(self, members: Iterable[str]) -> "ElementSet":
-        m = 0
-        for e in members:
-            m |= self._down[self._lookup(e)]
-        return self._subset_from_mask(m)
+        return self.subset(members).open_hull()
 
     def maximal_elements(self) -> tuple[str, ...]:
         return tuple(e for i, e in enumerate(self.elements) if self._succ_masks[i] == 0)
@@ -223,38 +214,14 @@ class Poset:
         return Poset(self.elements, [(b, a) for a, b in self.cover_pairs])
 
     def induced(self, members: Iterable[str]) -> "Poset":
-        """The subposet on members: the reach restricted to them, which the
-        constructor reduces to cover pairs."""
-        mask = self._mask_of(members)
-        pairs = [(self.elements[i], self.elements[j]) for i in _iter_bits(mask) for j in _iter_bits(self._up[i] & mask)]
-        return Poset(self._names(mask), pairs)
+        return self.subset(members).induced()
 
     def linear_extension(self) -> tuple[str, ...]:
         """Topological order; ties are broken by identifier (codepoint) order."""
         return tuple(self.elements[i] for i in self._order)
 
-    def connected_components(self, members: Iterable[str] | None = None) -> list["ElementSet"]:
-        """Components of the comparability graph restricted to the given subset.
-
-        Sorted by their smallest member identifier.
-        """
-        mask = self.full_mask() if members is None else self._mask_of(members)
-        comps = []
-        remaining = mask
-        while remaining:
-            seed = remaining & -remaining
-            comp = 0
-            frontier = seed
-            while frontier:
-                i = (frontier & -frontier).bit_length() - 1
-                frontier &= frontier - 1
-                comp |= 1 << i
-                nbrs = (self._up[i] | self._down[i]) & mask & ~comp
-                frontier |= nbrs
-                comp |= nbrs
-            comps.append(self._subset_from_mask(comp))
-            remaining &= ~comp
-        return comps
+    def connected_components(self) -> list["ElementSet"]:
+        return ElementSet(self, self.full_mask()).components()
 
     def is_connected(self) -> bool:
         return len(self) > 0 and len(self.connected_components()) == 1
@@ -262,62 +229,59 @@ class Poset:
 
 @dataclass(frozen=True)
 class ElementSet:
-    """A subset of a poset's elements, remembering its parent poset."""
+    """A subset of a poset's elements: a bitmask over the parent's
+    identifiers, bit i standing for ``poset.elements[i]``.  Every operation
+    reads and returns masks of the parent; ``members`` and iteration turn
+    the mask into names, in identifier order."""
 
     poset: Poset
-    members: frozenset[str]
-
-    _mask: int | None = None
+    mask: int
 
     def __post_init__(self):
-        if self._mask is None:
-            object.__setattr__(self, "_mask", self.poset._mask_of(self.members))
+        if not isinstance(self.mask, int) or self.mask < 0 or self.mask >> len(self.poset.elements):
+            raise InputError(f"mask {self.mask!r} is not a subset of the {len(self.poset)} elements of its poset")
 
     @property
-    def mask(self) -> int:
-        return self._mask  # type: ignore[return-value]
+    def members(self) -> frozenset[str]:
+        return frozenset(self)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self.members))
+        return iter(self.poset._names(self.mask))
 
     def __contains__(self, e: str) -> bool:
-        return e in self.members
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ElementSet):
-            return NotImplemented
-        return self.poset == other.poset and self.members == other.members
-
-    def __hash__(self) -> int:
-        return hash(self.members)
-
-    def _wrap(self, mask: int) -> "ElementSet":
-        return self.poset._subset_from_mask(mask)
+        i = self.poset._index.get(e)
+        return i is not None and bool(self.mask >> i & 1)
 
     def union(self, other: "ElementSet") -> "ElementSet":
         self._check_same(other)
-        return self._wrap(self.mask | other.mask)
+        return ElementSet(self.poset, self.mask | other.mask)
 
     def intersection(self, other: "ElementSet") -> "ElementSet":
         self._check_same(other)
-        return self._wrap(self.mask & other.mask)
+        return ElementSet(self.poset, self.mask & other.mask)
 
     def difference(self, other: "ElementSet") -> "ElementSet":
         self._check_same(other)
-        return self._wrap(self.mask & ~other.mask)
+        return ElementSet(self.poset, self.mask & ~other.mask)
 
     def _check_same(self, other: "ElementSet") -> None:
         if self.poset is not other.poset and self.poset != other.poset:
             raise InputError("element sets belong to different posets")
 
+    def _hull(self, reach: list[int]) -> "ElementSet":
+        m = 0
+        for i in _iter_bits(self.mask):
+            m |= reach[i]
+        return ElementSet(self.poset, m)
+
     def closure(self) -> "ElementSet":
-        return self.poset.closure(self.members)
+        return self._hull(self.poset._up)
 
     def open_hull(self) -> "ElementSet":
-        return self.poset.open_hull(self.members)
+        return self._hull(self.poset._down)
 
     def is_down_set(self) -> bool:
         return self.open_hull().mask == self.mask
@@ -326,10 +290,31 @@ class ElementSet:
         return self.closure().mask == self.mask
 
     def components(self) -> list["ElementSet"]:
-        return self.poset.connected_components(self.members)
+        """Components of the comparability graph on the subset, sorted by
+        their least member identifier."""
+        p, mask = self.poset, self.mask
+        comps = []
+        remaining = mask
+        while remaining:
+            comp = 0
+            frontier = remaining & -remaining
+            while frontier:
+                i = (frontier & -frontier).bit_length() - 1
+                frontier &= frontier - 1
+                comp |= 1 << i
+                nbrs = (p._up[i] | p._down[i]) & mask & ~comp
+                frontier |= nbrs
+                comp |= nbrs
+            comps.append(ElementSet(p, comp))
+            remaining &= ~comp
+        return comps
 
     def induced(self) -> Poset:
-        return self.poset.induced(self.members)
+        """The subposet on the members: the reach restricted to them, which
+        the constructor reduces to cover pairs."""
+        p, mask = self.poset, self.mask
+        pairs = [(p.elements[i], p.elements[j]) for i in _iter_bits(mask) for j in _iter_bits(p._up[i] & mask)]
+        return Poset(p._names(mask), pairs)
 
     def maximum(self) -> str | None:
         """The greatest member, if the subset has one under the induced order."""

@@ -37,10 +37,6 @@ from .poset import ElementSet, Poset, _iter_bits, extremum
 DEFAULT_BUDGET = 100_000
 
 
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 def _punctured(p: Poset, mask: int, i: int) -> tuple[tuple[str, int], tuple[str, int]]:
     """("up", punctured up-set) and ("down", punctured down-set) of i within mask."""
     rest = mask & ~(1 << i)
@@ -85,7 +81,7 @@ def _greedy_core(p: Poset, mask: int) -> tuple[int, list[ReductionStep]]:
 
 def _dismantling_cert(p: Poset, mask: int) -> Optional[ReductionCertificate]:
     final, steps = _greedy_core(p, mask)
-    if _popcount(final) == 1:
+    if final.bit_count() == 1:
         return ReductionCertificate(tuple(steps))
     return None
 
@@ -98,7 +94,7 @@ def find_beat_points(p: Poset) -> list[tuple[str, str, str]]:
 
 def core(p: Poset) -> tuple[Poset, ReductionCertificate]:
     mask, steps = _greedy_core(p, p.full_mask())
-    return p.induced(p._names(mask)), ReductionCertificate(tuple(steps))
+    return ElementSet(p, mask).induced(), ReductionCertificate(tuple(steps))
 
 
 def is_dismantlable(p: Poset) -> TrivialityVerdict:
@@ -106,9 +102,9 @@ def is_dismantlable(p: Poset) -> TrivialityVerdict:
     if len(p) == 0:
         return TrivialityVerdict("nontrivial", "empty")
     mask, steps = _greedy_core(p, p.full_mask())
-    if _popcount(mask) == 1:
+    if mask.bit_count() == 1:
         return TrivialityVerdict("trivial", "dismantling", ReductionCertificate(tuple(steps)))
-    return TrivialityVerdict("unknown", "core", detail={"core_size": _popcount(mask), "core": list(p._names(mask))})
+    return TrivialityVerdict("unknown", "core", detail={"core_size": mask.bit_count(), "core": list(p._names(mask))})
 
 
 def find_weak_points(p: Poset) -> list[tuple[str, str]]:
@@ -201,7 +197,7 @@ def is_collapsible(s: Poset | ElementSet, budget: int = DEFAULT_BUDGET) -> Trivi
     if not start:
         return TrivialityVerdict("nontrivial", "empty")
     steps, nodes, complete = _collapse_dfs(
-        start, lambda mask: _popcount(mask) == 1, lambda mask: _collapse_moves(p, mask, 0), budget)
+        start, lambda mask: mask.bit_count() == 1, lambda mask: _collapse_moves(p, mask, 0), budget)
     if steps is not None:
         return TrivialityVerdict("trivial", "collapse", ReductionCertificate(tuple(steps)), detail={"nodes": nodes})
     reason = "no-collapse" if complete else "budget"
@@ -217,9 +213,10 @@ def collapse_search(p: Poset, target, budget: int = DEFAULT_BUDGET) -> tuple[Opt
     for e in members:
         if e not in p:
             raise InputError(f"target element {e!r} is not in the poset")
-    if isinstance(target, Poset) and p.induced(members) != target:
+    sub = p.subset(members)
+    if isinstance(target, Poset) and sub.induced() != target:
         raise InputError("target order disagrees with the induced order")
-    tmask = p._mask_of(members)
+    tmask = sub.mask
     steps, nodes, complete = _collapse_dfs(
         p.full_mask(), lambda mask: mask == tmask, lambda mask: _collapse_moves(p, mask, tmask), budget)
     report = {"nodes": nodes, "complete": complete}
@@ -238,10 +235,12 @@ def triviality_oracle(s: Poset | ElementSet, budget: int = DEFAULT_BUDGET) -> Tr
     screen runs before any Trivial answer, so a Trivial verdict can never
     contradict homology.
     """
-    p, mask = (s, s.full_mask()) if isinstance(s, Poset) else (s.poset, s.mask)
+    if isinstance(s, Poset):
+        s = ElementSet(s, s.full_mask())
+    p, mask = s.poset, s.mask
     if not mask:
         return TrivialityVerdict("nontrivial", "empty")
-    comps = p.connected_components(p._names(mask))
+    comps = s.components()
     if len(comps) > 1:
         return TrivialityVerdict("nontrivial", "disconnected", detail={"components": len(comps)})
     prof = _poset_homology(p, mask, True)
@@ -270,7 +269,7 @@ def find_gamma_points(
         for side, sub in _punctured(p, mask, i):
             if not sub:
                 continue
-            verdict = triviality_oracle(p._subset_from_mask(sub), budget)
+            verdict = triviality_oracle(ElementSet(p, sub), budget)
             if verdict.is_trivial:
                 gammas.append((e, "gamma-" + side))
             elif verdict.is_unknown:
@@ -315,7 +314,7 @@ def _replay_on_mask(p: Poset, mask: int, cert: ReductionCertificate) -> int:
             if ev_mask & ~sub:
                 raise ReplayError(f"evidence for {x!r} strays outside the punctured set")
             final = _replay_on_mask(p, sub, ev)
-            if _popcount(final) != 1:
+            if final.bit_count() != 1:
                 raise ReplayError(f"evidence for {x!r} does not reach a single point")
         else:
             raise ReplayError(f"step kind {step.kind!r} is not a poset step")
@@ -325,8 +324,7 @@ def _replay_on_mask(p: Poset, mask: int, cert: ReductionCertificate) -> int:
 
 def replay_poset_certificate(p: Poset, cert: ReductionCertificate) -> Poset:
     """Re-verify every step's side condition and return the final subposet."""
-    mask = _replay_on_mask(p, p.full_mask(), cert)
-    return p.induced(p._names(mask))
+    return ElementSet(p, _replay_on_mask(p, p.full_mask(), cert)).induced()
 
 
 # -- simplicial collapses -----------------------------------------------------
@@ -462,7 +460,7 @@ def collapse_to_simplicial(p: Poset, cert: ReductionCertificate) -> ReductionCer
                     for u in other_chains:
                         pairs.append((s | u | {b, i}, s | u | {b, wb, i}))
                 side ^= 1 << b
-            if _popcount(side) != 1:
+            if side.bit_count() != 1:
                 raise ReplayError(f"weak evidence for {x!r} does not dismantle to a point")
             q = side.bit_length() - 1
             for u in other_chains:
@@ -478,7 +476,7 @@ def collapse_to_simplicial(p: Poset, cert: ReductionCertificate) -> ReductionCer
         ReductionStep("simplicial-collapse", (token(s), token(t))) for s, t in pairs
     ))
     remaining = replay_simplicial_certificate(order_complex(p), out)
-    if remaining != order_complex(p.induced(p._names(mask))).faces:
+    if remaining != order_complex(ElementSet(p, mask).induced()).faces:
         raise ReplayError("translated collapse does not end at the order complex of the final poset")
     return out
 

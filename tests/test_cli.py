@@ -14,6 +14,7 @@ from finitetopo.cli import main
 cylinder_mod = importlib.import_module("finitetopo.cylinder")
 nerve_mod = importlib.import_module("finitetopo.nerve")
 from finitetopo.formats import relation_to_json
+from tests.test_cylinder import bound_degree_lookups
 
 
 def run(capsys, *argv):
@@ -33,6 +34,19 @@ class TestVerify:
         assert code == 0
         assert doc["status"] == "Certified"
         assert {c["label"] for c in doc["certificates"]} == {"collapse-to-source", "collapse-to-target"}
+
+    def test_huge_prop_homology_degree_ends(self, capsys, tmp_path, monkeypatch):
+        """A degree bound far above the dimension, given by --degree or by
+        the fixture's params, is checked without walking every degree."""
+        bound_degree_lookups(monkeypatch)
+        code, doc = run_json(capsys, "verify", "prop-homology", "homology-relation", "--degree", str(10**12))
+        assert code == 0 and doc["detail"]["homology_version"]["through_degree"] == 10**12
+        payload = fx.fixture_payload(fx.get_fixture("homology-relation"))
+        payload["params"] = {"degree": 10**9}
+        path = tmp_path / "huge-degree.json"
+        path.write_text(json.dumps(payload))
+        code, doc = run_json(capsys, "verify", "prop-homology", str(path))
+        assert code == 0 and doc["detail"]["homology_version"]["through_degree"] == 10**9
 
     def test_refutation_fixture(self, capsys):
         code, doc = run_json(capsys, "verify", "thm-a", "thm-a-refutation")

@@ -26,7 +26,23 @@ from finitetopo import (
 from finitetopo import fixtures as fx
 from finitetopo.certificates import TrivialityVerdict
 from finitetopo.cylinder import HypothesisReport
+from finitetopo.homology import HomologyProfile
 from tests.test_poset import posets
+
+
+def bound_degree_lookups(monkeypatch, limit: int = 1000) -> None:
+    """Make HomologyProfile.degree raise after `limit` calls, so a check
+    that walks every degree up to a huge bound fails instead of hanging."""
+    lookup = HomologyProfile.degree
+    calls = [0]
+
+    def counted(self, k):
+        calls[0] += 1
+        if calls[0] > limit:
+            raise AssertionError(f"more than {limit} degree lookups")
+        return lookup(self, k)
+
+    monkeypatch.setattr(HomologyProfile, "degree", counted)
 
 
 def fence_map():
@@ -258,6 +274,13 @@ class TestVerifyHomologyEquivalence:
         assert rep.status is Status.CERTIFIED
         assert rep.homology_equal is True
         assert rep.through_degree == 1
+
+    def test_huge_degree_bound_reads_only_the_nonzero_degrees(self, monkeypatch):
+        bound_degree_lookups(monkeypatch)
+        rep = verify_homology_equivalence(fx._certified_relation(), 10**9)
+        assert rep.status is Status.CERTIFIED and rep.through_degree == 10**9
+        rep = verify_homology_equivalence(fx._refutation_relation(), 10**9)
+        assert rep.status is Status.REFUTED and rep.failing == {"target": ["x"]}
 
     def test_negative_degree_is_input_error(self):
         with pytest.raises(InputError, match="non-negative"):

@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from finitetopo import InputError, Poset
+from finitetopo import ElementSet, InputError, Poset
+from finitetopo import fixtures as fx
 
 
 def diamond() -> Poset:
@@ -140,6 +142,19 @@ class TestElementSet:
         with pytest.raises(InputError):
             s.union(t)
 
+    def test_mask_outside_the_poset_is_input_error(self):
+        p = diamond()
+        assert ElementSet(p, p.full_mask()) == p.subset("abcd")
+        for bad in (-1, 1 << len(p), p.full_mask() + 1, frozenset("a")):
+            with pytest.raises(InputError, match="not a subset"):
+                ElementSet(p, bad)
+        with pytest.raises(InputError, match="not a subset"):
+            ElementSet(Poset([]), 1)
+
+    def test_unknown_name_is_input_error(self):
+        with pytest.raises(InputError, match="unknown element"):
+            diamond().subset(["a", "z"])
+
     def test_induced_round_trip(self):
         p = diamond()
         q = p.subset(["a", "b", "d"]).induced()
@@ -263,3 +278,59 @@ def test_induced_is_the_restricted_order(p: Poset, data):
     covers = {(a, b) for a in members for b in members
               if p.lt(a, b) and not any(p.lt(a, c) and p.lt(c, b) for c in members)}
     assert q.cover_pairs == covers
+
+
+@st.composite
+def posets_and_masks(draw, count: int = 2) -> tuple:
+    """A shuffled or a generated random poset (from 11 elements on, e10
+    sorts before e2) and `count` random masks of it."""
+    if draw(st.booleans()):
+        p = draw(shuffled_posets(max_size=12))
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        p = fx.random_poset(rng, draw(st.integers(1, 12)), draw(st.sampled_from([0.2, 0.4, 0.6])))
+    return (p, *(draw(st.integers(0, p.full_mask())) for _ in range(count)))
+
+
+@given(posets_and_masks())
+def test_element_set_against_brute_force(case):
+    """Every ElementSet operation on masks agrees with its definition read
+    off le() and names, bit i standing for p.elements[i]."""
+    p, mask, other_mask = case
+    names = {e for i, e in enumerate(p.elements) if mask >> i & 1}
+    other = {e for i, e in enumerate(p.elements) if other_mask >> i & 1}
+    s, t = ElementSet(p, mask), ElementSet(p, other_mask)
+
+    assert len(s) == len(names) and list(s) == sorted(names) and s.members == frozenset(names)
+    assert all((e in s) == (e in names) for e in p.elements) and "not-an-element" not in s
+    assert set(s.closure()) == {b for a in names for b in p.elements if p.le(a, b)}
+    assert set(s.open_hull()) == {a for b in names for a in p.elements if p.le(a, b)}
+    assert s.is_down_set() == all(a in names for b in names for a in p.elements if p.le(a, b))
+    assert s.is_up_set() == all(b in names for a in names for b in p.elements if p.le(a, b))
+
+    comps = s.components()
+    assert [min(c) for c in comps] == sorted(min(c) for c in comps)
+    assert sum(len(c) for c in comps) == len(names) and set().union(*map(set, comps)) == names
+    for c in comps:
+        # connected: growing from one member by comparability reaches all
+        reached = {min(c)}
+        while grown := {b for a in reached for b in c if p.comparable(a, b)} - reached:
+            reached |= grown
+        assert reached == set(c)
+        assert not any(p.comparable(a, b) for a in c for b in names - set(c))
+
+    q = s.induced()
+    assert q.elements == tuple(sorted(names))
+    assert all(q.le(a, b) == p.le(a, b) for a in names for b in names)
+    tops = [b for b in names if all(p.le(a, b) for a in names)]
+    bottoms = [a for a in names if all(p.le(a, b) for b in names)]
+    assert s.maximum() == (tops[0] if tops else None)
+    assert s.minimum() == (bottoms[0] if bottoms else None)
+
+    assert set(s.union(t)) == names | other
+    assert set(s.intersection(t)) == names & other
+    assert set(s.difference(t)) == names - other
+
+    by_name = p.subset(sorted(names, reverse=True))
+    assert by_name == s and hash(by_name) == hash(s)
+    assert (s == t) == (names == other)

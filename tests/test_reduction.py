@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finitetopo import (
+    ElementSet,
     InputError,
     Poset,
     ReductionCertificate,
@@ -486,7 +487,7 @@ def test_oracle_on_an_element_set_is_the_oracle_on_its_induced_poset(case, budge
     homology and that of the induced poset."""
     p, mask = case
     q = p.induced(p._names(mask))
-    s = p._subset_from_mask(mask)
+    s = ElementSet(p, mask)
     assert triviality_oracle(s, budget).to_json_dict() == triviality_oracle(q, budget).to_json_dict()
     assert is_collapsible(s, budget).to_json_dict() == is_collapsible(q, budget).to_json_dict()
     for reduced in (False, True):
@@ -507,10 +508,11 @@ def test_no_oracle_path_builds_an_induced_poset(monkeypatch):
     # nerve poset: it is built before induced() is barred
     subnerves = {id(c): nerve_mod.trivial_subnerve(c) for c in covers}
 
-    def barred(self, members):
+    def barred(self, *members):
         raise AssertionError("an induced poset was built")
 
     monkeypatch.setattr(Poset, "induced", barred)
+    monkeypatch.setattr(ElementSet, "induced", barred)
     monkeypatch.setattr(nerve_mod, "trivial_subnerve", lambda c, budget, classification: subnerves[id(c)])
     for r in relations:
         check_source_retraction(r)
@@ -521,3 +523,26 @@ def test_no_oracle_path_builds_an_induced_poset(monkeypatch):
         verify_nerve_theorem(c, "x-zero")
     for p in posets:
         find_gamma_points(p)
+
+
+def test_oracle_path_never_turns_names_into_masks(monkeypatch):
+    """Once the inputs are built, down-sets, punctured sets, cover
+    intersections and their components reach the oracle as masks: no
+    name is looked up to rebuild a mask on the way."""
+    covers = [nerve_mod._as_poset_cover(fx.get_fixture(n).build())
+              for n in ("example-3-12", "star-cover-six-cycle", "two-arc-cover-six-cycle", "x-zero-star-cover")]
+    posets = [fx.get_fixture(n).build() for n in ("collapsible-noncontractible", "six-cycle")]
+    posets += [build_cylinder(fx.get_fixture(n).build()).poset for n in ("certified-relation", "thm-a-refutation")]
+    posets += [c.base for c in covers]
+
+    def barred(self, members):
+        raise AssertionError("a mask was rebuilt from names")
+
+    monkeypatch.setattr(Poset, "_mask_of", barred)
+    for p in posets:
+        for e in p.elements:
+            for sub in (p.down_set(e), p.up_set(e), p.punctured_down(e), p.punctured_up(e)):
+                triviality_oracle(sub)
+        find_gamma_points(p)
+    for c in covers:
+        classify_cover(c)
