@@ -285,7 +285,10 @@ class ChainComplexPresentation:
 
 
 def chain_complex(k: SimplicialComplex | Poset, mask: int | None = None) -> ChainComplexPresentation:
-    """The boundary matrices, with ∂∂=0 checked on every pair.
+    """The boundary matrices, built by column, with ∂∂=0 checked on every pair.
+
+    Column j of ∂d is the boundary of the j-th face f of degree d:
+    {index of f minus its i-th vertex: (-1)^i}.
 
     A poset (restricted to mask, if given) gives the chain complex of its
     order complex, read off `chains_by_length` without building that complex.
@@ -297,12 +300,10 @@ def chain_complex(k: SimplicialComplex | Poset, mask: int | None = None) -> Chai
     index = [{f: i for i, f in enumerate(r)} for r in rows]
     boundaries = []
     for d in range(1, len(bases)):
-        entries: dict[tuple[int, int], int] = {}
-        for j, f in enumerate(bases[d]):
-            for omit in range(len(f)):
-                sub = f[:omit] + f[omit + 1 :]
-                entries[(index[d - 1][sub], j)] = (-1) ** omit
-        boundaries.append(IntegerMatrix(len(bases[d - 1]), len(bases[d]), entries))
+        faces = index[d - 1]
+        signs = [(-1) ** omit for omit in range(d + 1)]
+        columns = [{faces[f[:omit] + f[omit + 1 :]]: s for omit, s in enumerate(signs)} for f in bases[d]]
+        boundaries.append(IntegerMatrix.from_columns(len(bases[d - 1]), columns))
     for a, b in zip(boundaries, boundaries[1:]):
         if not a.compose(b).is_zero():
             raise ValidationError("boundary composition is non-zero")

@@ -16,12 +16,12 @@ homotopy type and equal homology.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Iterable, Optional
 
 from .certificates import ReductionCertificate, ReductionStep, StatementReport, Status, TrivialityVerdict
 from .errors import InputError, NotCertified, ValidationError
 from .homology import HomologyProfile, _poset_homology, certified_homology
-from .poset import ElementSet, Poset
+from .poset import ElementSet, Poset, reach_of
 from .reduction import DEFAULT_BUDGET, triviality_oracle
 
 SOURCE_PREFIX = "X:"
@@ -30,16 +30,31 @@ TARGET_PREFIX = "Y:"
 
 @dataclass(frozen=True)
 class Relation:
+    """A relation from source to target.  Bit j of _image[i] says that
+    source element i is related to target element j; _preimage is its
+    transpose.  Both are built once, from the pairs, when the relation is
+    made."""
+
     source: Poset
     target: Poset
     pairs: frozenset[tuple[str, str]]
+    _image: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _preimage: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        image = [0] * len(self.source)
+        preimage = [0] * len(self.target)
         for x, y in self.pairs:
-            if x not in self.source:
+            i = self.source._index.get(x)
+            if i is None:
                 raise InputError(f"relation pair mentions unknown source element {x!r}")
-            if y not in self.target:
+            j = self.target._index.get(y)
+            if j is None:
                 raise InputError(f"relation pair mentions unknown target element {y!r}")
+            image[i] |= 1 << j
+            preimage[j] |= 1 << i
+        object.__setattr__(self, "_image", tuple(image))
+        object.__setattr__(self, "_preimage", tuple(preimage))
 
     @classmethod
     def of(cls, source: Poset, target: Poset, pairs) -> "Relation":
@@ -54,16 +69,22 @@ class Relation:
                 raise InputError(f"map is not monotone: {a!r} < {b!r} but f({a!r}) is not below f({b!r})")
         return cls(source, target, frozenset((x, f[x]) for x in source.elements))
 
-    def image(self, members) -> ElementSet:
-        ms = set(members)
-        return self.target.subset({y for x, y in self.pairs if x in ms})
+    def image(self, members: ElementSet | Iterable[str]) -> ElementSet:
+        """The target elements related to some member of the source."""
+        return ElementSet(self.target, reach_of(self._image, _mask_in(self.source, members)))
 
-    def preimage(self, members) -> ElementSet:
-        ms = set(members)
-        return self.source.subset({x for x, y in self.pairs if y in ms})
+    def preimage(self, members: ElementSet | Iterable[str]) -> ElementSet:
+        """The source elements related to some member of the target."""
+        return ElementSet(self.source, reach_of(self._preimage, _mask_in(self.target, members)))
 
     def opposite(self) -> "Relation":
         return Relation(self.target.opposite(), self.source.opposite(), frozenset((y, x) for x, y in self.pairs))
+
+
+def _mask_in(p: Poset, members: ElementSet | Iterable[str]) -> int:
+    if isinstance(members, ElementSet) and members.poset is p:
+        return members.mask
+    return p._mask_of(members)
 
 
 def source_name(x: str) -> str:

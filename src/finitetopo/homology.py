@@ -1,12 +1,17 @@
 """Integer simplicial homology via Smith normal form.
 
 Everything is exact: Python integers, no floating point, no field
-shortcuts on the main path.  Smith normal form runs in two phases, after
-Dumas, Saunders and Villard (J. Symbolic Comput. 32, 2001): phase 1
-eliminates every ±1 pivot by sparse Schur-complement steps in Markowitz
-order, which takes out most of the rank of a boundary matrix; phase 2
-copies the small block that is left into a dense matrix and runs the
-min-|entry| reduction with its divisibility fix on it, where torsion
+shortcuts on the main path.  An `IntegerMatrix` is stored by column, and
+a boundary matrix is built that way, one column per face, as in Bauer's
+Ripser (J. Appl. Comput. Topol. 5, 2021); the product, Smith normal form
+and the fraction-free rank all read the columns as stored.  Smith normal
+form runs in two phases, after Dumas, Saunders and Villard (J. Symbolic
+Comput. 32, 2001): phase 1 eliminates every ±1 pivot by sparse
+Schur-complement steps, first every ±1 that is alone in its row or its
+column (a singleton pass, which makes no update), then the rest in
+Markowitz order, which takes out most of the rank of a boundary matrix;
+phase 2 copies the small block that is left into a dense matrix and runs
+the min-|entry| reduction with its divisibility fix on it, where torsion
 shows.  Both phases are purely algebraic: no beat points, weak points or
 collapses, so the oracle can audit those reductions.
 
@@ -39,67 +44,81 @@ from math import gcd
 
 
 class IntegerMatrix:
-    """Sparse integer matrix; entries maps (row, col) to a non-zero value."""
+    """Sparse integer matrix stored by column: columns[c] maps a row to a
+    non-zero value.  `entries`, the (row, col) view, is a copy built on
+    request; nothing in the package reads it."""
 
     def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], int] | None = None):
+        columns: list[dict[int, int]] = [{} for _ in range(cols)]
+        for (r, c), v in (entries or {}).items():
+            if v != 0:
+                if not (0 <= r < rows and 0 <= c < cols):
+                    raise ValueError(f"entry {(r, c)} outside a {rows}x{cols} matrix")
+                columns[c][r] = v
         self.rows = rows
         self.cols = cols
-        self.entries = {k: v for k, v in (entries or {}).items() if v != 0}
-        for (r, c), _ in self.entries.items():
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ValueError(f"entry {(r, c)} outside a {rows}x{cols} matrix")
+        self.columns = columns
+
+    @classmethod
+    def from_columns(cls, rows: int, columns: list[dict[int, int]]) -> "IntegerMatrix":
+        """The matrix whose column c is columns[c]; every row lies in
+        0..rows-1 and every value is non-zero."""
+        for c, column in enumerate(columns):
+            if column and (min(column) < 0 or max(column) >= rows or 0 in column.values()):
+                raise ValueError(f"column {c} has a row outside 0..{rows - 1} or a zero value")
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.columns = rows, len(columns), columns
+        return m
+
+    @property
+    def entries(self) -> dict[tuple[int, int], int]:
+        return {(r, c): v for c, column in enumerate(self.columns) for r, v in column.items()}
 
     @classmethod
     def from_dense(cls, data: list[list[int]]) -> "IntegerMatrix":
         rows = len(data)
         cols = len(data[0]) if rows else 0
-        entries = {(r, c): v for r, row in enumerate(data) for c, v in enumerate(row) if v != 0}
-        return cls(rows, cols, entries)
+        return cls(rows, cols, {(r, c): v for r, row in enumerate(data) for c, v in enumerate(row)})
 
     def to_dense(self) -> list[list[int]]:
         out = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
+        for c, column in enumerate(self.columns):
+            for r, v in column.items():
+                out[r][c] = v
         return out
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not any(self.columns)
 
     def compose(self, other: "IntegerMatrix") -> "IntegerMatrix":
         """The product self·other, one column at a time.
 
         Column c of the product is the sum of w times column k of self over
-        the entries (k, c, w) of other's column c; it is summed in a dict
-        keyed by row, and only its non-zero sums are kept.  The cost is
-        nnz(other) times the largest column of self: for boundary matrices
-        ∂k·∂k+1 that is nnz(∂k+1)·(k+1).
+        the entries (k, w) of other's column c; it is summed in a dict
+        keyed by row, and only its non-zero sums are kept.  Both factors
+        are read by column as stored.  The cost is nnz(other) times the
+        largest column of self: for boundary matrices ∂k·∂k+1 that is
+        nnz(∂k+1)·(k+1).
         """
         if self.cols != other.rows:
             raise ValueError("shape mismatch in composition")
-        self_cols: dict[int, list[tuple[int, int]]] = {}
-        for (r, k), v in self.entries.items():
-            self_cols.setdefault(k, []).append((r, v))
-        other_cols: dict[int, list[tuple[int, int]]] = {}
-        for (k, c), w in other.entries.items():
-            other_cols.setdefault(c, []).append((k, w))
-        entries: dict[tuple[int, int], int] = {}
-        for c, column in other_cols.items():
+        left = self.columns
+        product: list[dict[int, int]] = []
+        for column in other.columns:
             sums: dict[int, int] = {}
-            for k, w in column:
-                for r, v in self_cols.get(k, ()):
+            for k, w in column.items():
+                for r, v in left[k].items():
                     sums[r] = sums.get(r, 0) + v * w
-            for r, total in sums.items():
-                if total:
-                    entries[(r, c)] = total
-        return IntegerMatrix(self.rows, other.cols, entries)
+            product.append({r: total for r, total in sums.items() if total})
+        return IntegerMatrix.from_columns(self.rows, product)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntegerMatrix):
             return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+        return (self.rows, self.cols, self.columns) == (other.rows, other.cols, other.columns)
 
     def __repr__(self) -> str:
-        return f"IntegerMatrix({self.rows}x{self.cols}, {len(self.entries)} non-zero)"
+        return f"IntegerMatrix({self.rows}x{self.cols}, {sum(map(len, self.columns))} non-zero)"
 
 
 _VERIFY_LIMIT = 50
@@ -121,10 +140,11 @@ def smith_normal_form(
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
-    for (r, c), v in m.entries.items():
-        if c not in clear:
-            rows.setdefault(r, {})[c] = v
-            cols.setdefault(c, set()).add(r)
+    for c, column in enumerate(m.columns):
+        if column and c not in clear:
+            cols[c] = set(column)
+            for r, v in column.items():
+                rows.setdefault(r, {})[c] = v
 
     pivots = _eliminate_unit_pivots(rows, cols)
     if pivot_rows is not None:
@@ -144,13 +164,50 @@ def _eliminate_unit_pivots(rows: dict[int, dict[int, int]], cols: dict[int, set[
     row_r2 - row_r2[c]·p·row_r, which clears column c outside row r; then
     row r and column c are dropped.  Since p is a unit, this changes the
     invariant factors only by the one factor 1 it removes, and the block
-    of the input on the pivot rows and columns has determinant ±1.  Pivots
-    are taken in Markowitz order, cheapest (|row|-1)(|col|-1) first, from
-    a lazy heap: a stale cost is recomputed when it is popped, and an
-    entry that becomes ±1 by fill-in is pushed.  Works in place on `rows`
-    and `cols`, leaves no ±1 entry behind, and returns the pivots (r, c)
-    in the order taken.
+    of the input on the pivot rows and columns has determinant ±1.
+
+    A singleton pass comes first (after Kaczynski, Mrozek and Ślusarek,
+    Comput. Math. Appl. 35, 1998): a ±1 entry alone in its column or
+    alone in its row is a pivot whose step updates nothing, so it only
+    deletes its row and its column.  A deletion that leaves a new ±1
+    singleton queues it; a singleton of any other value is left for
+    phase 2.  The pass reads nothing but the row and column dicts.  The
+    pivots left after it are taken in Markowitz order, cheapest
+    (|row|-1)(|col|-1) first, from a lazy heap built on what remains: a
+    stale cost is recomputed when it is popped, and an entry that
+    becomes ±1 by fill-in is pushed.  Works in place on `rows` and
+    `cols`, leaves no ±1 entry behind, and returns the pivots (r, c) in
+    the order taken.
     """
+    pivots: list[tuple[int, int]] = []
+    queue = [(r, c) for c, column in cols.items() if len(column) == 1 for r in column if rows[r][c] in _UNITS]
+    queue += [(r, c) for r, row in rows.items() if len(row) == 1 for c, v in row.items() if v in _UNITS]
+    while queue:
+        r, c = queue.pop()
+        if r not in rows or c not in cols:
+            continue  # taken out by an earlier singleton
+        pivot_row = rows.pop(r)
+        del pivot_row[c]
+        for c2 in pivot_row:
+            column = cols[c2]
+            column.remove(r)
+            if len(column) == 1:
+                (r2,) = column
+                if rows[r2][c2] in _UNITS:
+                    queue.append((r2, c2))
+        column = cols.pop(c)
+        column.remove(r)
+        for r2 in column:
+            row = rows[r2]
+            del row[c]
+            if len(row) == 1:
+                ((c2, v),) = row.items()
+                if v in _UNITS:
+                    queue.append((r2, c2))
+            elif not row:
+                del rows[r2]
+        pivots.append((r, c))
+
     heap = [
         ((len(row) - 1) * (len(cols[c]) - 1), r, c)
         for r, row in rows.items()
@@ -158,7 +215,6 @@ def _eliminate_unit_pivots(rows: dict[int, dict[int, int]], cols: dict[int, set[
         if v in _UNITS
     ]
     heapq.heapify(heap)
-    pivots: list[tuple[int, int]] = []
     while heap:
         cost, r, c = heapq.heappop(heap)
         pivot_row = rows.get(r)
@@ -245,8 +301,9 @@ def fraction_free_rank(m: IntegerMatrix) -> int:
     shared with its phases.
     """
     rows: dict[int, dict[int, int]] = {}
-    for (r, c), v in m.entries.items():
-        rows.setdefault(r, {})[c] = v
+    for c, column in enumerate(m.columns):
+        for r, v in column.items():
+            rows.setdefault(r, {})[c] = v
     rank = 0
     while rows:
         _, pivot_row = rows.popitem()

@@ -282,12 +282,15 @@ def classify_cover(c: AnyCover, budget: int = DEFAULT_BUDGET) -> CoverClassifica
 
 @dataclass(eq=False)
 class TrivialSubnerve:
-    """The subposet of the nerve spanned by index sets with trivial intersection."""
+    """The subposet of the nerve spanned by index sets with trivial
+    intersection, with the intersection of each of its index sets,
+    computed once."""
 
     cover: PosetCover
     poset: Poset
     verdicts: dict[str, TrivialityVerdict]
     undecided: tuple[str, ...]
+    intersections: dict[str, ElementSet]
 
     @property
     def decided(self) -> bool:
@@ -301,9 +304,10 @@ def trivial_subnerve(
     if classification is None:
         classification = classify_cover(c, budget)
     np = c.nerve_poset()
-    keep = [jid for jid, v in classification.whole.items() if v.is_trivial]
+    keep = np.induced(jid for jid, v in classification.whole.items() if v.is_trivial)
     undecided = tuple(sorted(jid for jid, v in classification.whole.items() if v.is_unknown))
-    return TrivialSubnerve(c, np.induced(keep), dict(classification.whole), undecided)
+    intersections = {jid: c.intersection_of_label(jid) for jid in keep.elements}
+    return TrivialSubnerve(c, keep, dict(classification.whole), undecided, intersections)
 
 
 def point_subnerve(sub: TrivialSubnerve, x: str) -> ElementSet:
@@ -312,7 +316,7 @@ def point_subnerve(sub: TrivialSubnerve, x: str) -> ElementSet:
         raise InputError(f"unknown element {x!r}")
     bit = 1 << sub.cover.base._lookup(x)
     out = ElementSet(sub.poset, sum(
-        1 << i for i, jid in enumerate(sub.poset.elements) if sub.cover.intersection_of_label(jid).mask & bit))
+        1 << i for i, jid in enumerate(sub.poset.elements) if sub.intersections[jid].mask & bit))
     if not out.is_down_set():
         raise ValidationError(f"membership family of {x!r} is not open in the trivial subnerve")
     return out
@@ -461,7 +465,7 @@ def verify_nerve_theorem(c: AnyCover, variant: str, budget: int = DEFAULT_BUDGET
                 variant, status, classification, {"failing": bad, "undecided": open_q}
             )
         target = sub.poset
-        member_of = {jid: c.intersection_of_label(jid) for jid in target.elements}
+        member_of = sub.intersections
     else:
         status = Status.of_verdicts(classification.components.values())
         if status is not Status.CERTIFIED:

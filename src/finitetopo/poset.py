@@ -26,6 +26,14 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def reach_of(reach: list[int] | tuple[int, ...], mask: int) -> int:
+    """The union (OR) of reach[i] over the bits i of mask."""
+    out = 0
+    for i in _iter_bits(mask):
+        out |= reach[i]
+    return out
+
+
 def extremum(reach: list[int], subset: int) -> int | None:
     """The index in subset whose reach (the up-sets for a minimum, the
     down-sets for a maximum) contains all of subset, if there is one."""
@@ -272,10 +280,7 @@ class ElementSet:
             raise InputError("element sets belong to different posets")
 
     def _hull(self, reach: list[int]) -> "ElementSet":
-        m = 0
-        for i in _iter_bits(self.mask):
-            m |= reach[i]
-        return ElementSet(self.poset, m)
+        return ElementSet(self.poset, reach_of(reach, self.mask))
 
     def closure(self) -> "ElementSet":
         return self._hull(self.poset._up)

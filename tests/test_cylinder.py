@@ -305,6 +305,23 @@ class TestVerifyHomologyEquivalence:
 # -- randomized cylinder laws -------------------------------------------------
 
 
+@given(posets(max_size=6), posets(max_size=6), st.data())
+def test_image_and_preimage_are_the_pair_scan(src: Poset, tgt: Poset, data):
+    """Image and preimage read off the per-element masks agree with their
+    definition by a scan over every pair, for element sets and for names."""
+    pairs = data.draw(st.sets(st.tuples(st.sampled_from(src.elements), st.sampled_from(tgt.elements))))
+    r = Relation.of(src, tgt, pairs)
+    xs = data.draw(st.sets(st.sampled_from(src.elements)))
+    ys = data.draw(st.sets(st.sampled_from(tgt.elements)))
+    image = {y for x, y in pairs if x in xs}
+    preimage = {x for x, y in pairs if y in ys}
+    assert set(r.image(src.subset(xs))) == set(r.image(xs)) == image
+    assert set(r.preimage(tgt.subset(ys))) == set(r.preimage(ys)) == preimage
+    assert r.image(xs).poset is tgt and r.preimage(ys).poset is src
+    op = r.opposite()
+    assert set(op.image(ys)) == preimage and set(op.preimage(xs)) == image
+
+
 @given(posets(max_size=5), posets(max_size=5), st.randoms(use_true_random=False))
 @settings(max_examples=30)
 def test_full_relation_cylinder_is_join_like(src: Poset, tgt: Poset, rnd):

@@ -1,3 +1,4 @@
+import heapq
 import importlib
 import random
 
@@ -24,9 +25,9 @@ from finitetopo import (
 )
 from finitetopo import fixtures as fx
 from finitetopo.complexes import chains_by_length
-from finitetopo.cylinder import build_cylinder
+from finitetopo.cylinder import build_cylinder, source_local_data, target_local_data
 from finitetopo.homology import _eliminate_unit_pivots, profile_from_chain_complex
-from finitetopo.reduction import _chains_in
+from finitetopo.reduction import _chains_in, triviality_oracle
 from tests.reference_snf import reference_smith_normal_form
 from tests.test_complexes import complexes, triangle_boundary
 from tests.test_poset import posets
@@ -280,13 +281,47 @@ def test_smith_normal_form_matches_reference_on_boundaries(p: Poset):
         assert smith_normal_form(d) == reference_smith_normal_form(d)
 
 
+def from_columns(data: list[list[int]], rows: int, cols: int) -> IntegerMatrix:
+    return IntegerMatrix.from_columns(rows, [{r: row[c] for r, row in enumerate(data) if row[c]} for c in range(cols)])
+
+
 @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
 def test_compose_is_the_dense_product(rows: int, inner: int, cols: int, data):
+    """The product of a matrix built from entries and one built by columns
+    is the dense product, with no zero stored."""
     a = data.draw(dense_matrices(rows, inner))
     b = data.draw(dense_matrices(inner, cols))
-    c = from_rows(a, rows, inner).compose(from_rows(b, inner, cols))
+    c = from_rows(a, rows, inner).compose(from_columns(b, inner, cols))
     assert (c.rows, c.cols) == (rows, cols)
     assert c.to_dense() == [[sum(a[r][k] * b[k][j] for k in range(inner)) for j in range(cols)] for r in range(rows)]
+    assert all(v for column in c.columns for v in column.values())
+
+
+@given(integer_matrices(max_side=6))
+def test_entries_round_trip_through_the_column_form(m: IntegerMatrix):
+    """entries, the dense rows and the columns describe one matrix."""
+    dense = m.to_dense()
+    assert m.entries == {(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row) if v}
+    assert IntegerMatrix(m.rows, m.cols, m.entries) == m == from_columns(dense, m.rows, m.cols)
+    if m.rows:
+        assert IntegerMatrix.from_dense(dense) == m
+
+
+@pytest.mark.parametrize(
+    "rows, columns",
+    [(2, [{0: 1}, {2: 1}]), (2, [{-1: 1}]), (3, [{0: 1, 1: 0}]), (0, [{0: 1}])],
+    ids=["row-past-the-end", "negative-row", "zero-value", "no-rows"],
+)
+def test_from_columns_refuses_a_bad_entry(rows: int, columns):
+    with pytest.raises(ValueError, match="row outside 0..-?[0-9]+ or a zero value"):
+        IntegerMatrix.from_columns(rows, columns)
+
+
+def test_constructor_checks_every_index():
+    with pytest.raises(ValueError, match="outside a 2x2 matrix"):
+        IntegerMatrix(2, 2, {(0, 2): 1})
+    with pytest.raises(ValueError, match="outside a 2x2 matrix"):
+        IntegerMatrix(2, 2, {(-1, 0): 1})
 
 
 @given(integer_matrices(max_side=5), integer_matrices(max_side=5))
@@ -295,6 +330,60 @@ def test_compose_rejects_a_shape_mismatch(a: IntegerMatrix, b: IntegerMatrix):
         b = IntegerMatrix(b.rows + 1, b.cols, b.entries)
     with pytest.raises(ValueError, match="shape mismatch"):
         a.compose(b)
+
+
+# -- the singleton pass of phase 1 ---------------------------------------------
+
+
+@st.composite
+def matrices_with_non_unit_singletons(draw):
+    """A random matrix bordered by a column and a row that each hold one
+    entry of 2 or 3 (of either sign), placed at a random position."""
+    m = draw(integer_matrices(max_side=6))
+    dense = m.to_dense()
+    rows, cols = m.rows + 1, m.cols + 1
+    lone_row = draw(st.integers(0, rows - 1))
+    lone_col = draw(st.integers(0, cols - 1))
+    values = st.sampled_from([2, -2, 3, -3])
+    column_value, row_value = draw(values), draw(values)
+    grown = [row[:lone_col] + [0] + row[lone_col:] for row in dense]
+    grown.insert(lone_row, [0] * cols)
+    grown[lone_row][draw(st.integers(0, cols - 1))] = row_value
+    border = draw(st.integers(0, rows - 1))
+    if border != lone_row:
+        grown[border][lone_col] = column_value
+    return from_rows(grown, rows, cols)
+
+
+@given(matrices_with_non_unit_singletons())
+@example(IntegerMatrix.from_dense([[2]]))
+@example(IntegerMatrix.from_dense([[3, 0], [1, 1]]))
+@example(IntegerMatrix.from_dense([[2, 1, 0], [0, 1, 1], [0, 0, 3]]))
+def test_non_unit_singletons_are_left_for_phase_two(m: IntegerMatrix):
+    """A singleton row or column holding 2 or 3 is no unit pivot: the
+    invariant factors still match the reference."""
+    assert_matches_reference(m)
+
+
+def test_singleton_pass_cascades(monkeypatch):
+    """A bidiagonal matrix of ±1 is taken out by singletons alone: each
+    deletion leaves the next singleton, so the Markowitz heap is empty."""
+    heaps = []
+    heapify = heapq.heapify
+    monkeypatch.setattr(heapq, "heapify", lambda heap: heaps.append(len(heap)) or heapify(heap))
+    n = 6
+    m = IntegerMatrix(n, n, {**{(i, i): 1 for i in range(n)}, **{(i, i + 1): -1 for i in range(n - 1)}})
+    rows, cols = _rows_and_cols(m)
+    pivots = _eliminate_unit_pivots(rows, cols)
+    assert len(pivots) == n and not rows
+    assert heaps == [0]
+
+
+def _rows_and_cols(m: IntegerMatrix) -> tuple[dict[int, dict[int, int]], dict[int, set[int]]]:
+    rows: dict[int, dict[int, int]] = {}
+    for (r, c), v in m.entries.items():
+        rows.setdefault(r, {})[c] = v
+    return rows, {c: set(column) for c, column in enumerate(m.columns) if column}
 
 
 # -- the fraction-free cross-check ---------------------------------------------
@@ -428,11 +517,7 @@ def test_unit_pivot_block_is_unimodular(p: Poset):
     """The fact clearing rests on: the rows and columns phase 1 pivots on
     bound a square block of determinant ±1."""
     for m in chain_complex(order_complex(p)).boundaries:
-        rows: dict[int, dict[int, int]] = {}
-        cols: dict[int, set[int]] = {}
-        for (r, c), v in m.entries.items():
-            rows.setdefault(r, {})[c] = v
-            cols.setdefault(c, set()).add(r)
+        rows, cols = _rows_and_cols(m)
         pivots = _eliminate_unit_pivots(rows, cols)
         pivot_rows = [r for r, _ in pivots]
         pivot_cols = [c for _, c in pivots]
@@ -479,3 +564,28 @@ def test_poset_chain_complex_is_the_order_complex_chain_complex(p: Poset, data):
         sub = order_complex(p.induced(p._names(mask))).faces
         assert {tuple(sorted(c)) for level in chains_by_length(p, mask) for c in level} == sub
         assert set(_chains_in(p, mask)) == {frozenset(p._index[e] for e in f) for f in sub}
+
+
+# -- the column form end to end ------------------------------------------------
+
+
+def test_homology_never_reads_entries(monkeypatch):
+    """homology() of a poset, a complex and a CW complex, and the oracle on
+    the local data of shipped relations, read every boundary matrix by
+    column: none of them rebuilds the (row, col) dict."""
+
+    def barred(self):
+        raise AssertionError("IntegerMatrix.entries was read")
+
+    homology_module._poset_homology.cache_clear()
+    monkeypatch.setattr(IntegerMatrix, "entries", property(barred))
+    rp2 = fx.projective_plane()
+    assert homology(barycentric_poset(face_poset(rp2))).describe() == "H0=Z H1=Z/2 H2=0"
+    assert homology(fx.torus()).betti == (1, 2, 1)
+    assert homology(complex_as_cw(rp2)).degree(1) == (0, (2,))
+    for name in ("certified-relation", "thm-a-refutation"):
+        r = fx.get_fixture(name).build()
+        for y in r.target.elements:
+            triviality_oracle(source_local_data(r, y))
+        for x in r.source.elements:
+            triviality_oracle(target_local_data(r, x))

@@ -133,6 +133,21 @@ class TestTrivialSubnerve:
         with pytest.raises(InputError):
             point_subnerve(trivial_subnerve(star_cover()), "zz")
 
+    def test_x_zero_variant_intersects_each_index_set_once(self, monkeypatch):
+        """After classification, the x-zero statement computes the
+        intersection of each index set of the trivial subnerve once; the
+        membership families and the relation into the subnerve share them."""
+        cov = fx.get_fixture("x-zero-star-cover").build()
+        assert len(trivial_subnerve(cov).poset) == 6
+        calls = []
+        intersection = PosetCover.intersection
+        monkeypatch.setattr(PosetCover, "intersection", lambda self, names: calls.append(1) or intersection(self, names))
+        classify_cover(cov)
+        classified = len(calls)
+        calls.clear()
+        assert verify_nerve_theorem(cov, "x-zero").status is Status.CERTIFIED
+        assert len(calls) - classified == 6
+
 
 class TestCompletionPoset:
     def test_two_arc_completion_is_a_circle(self):
