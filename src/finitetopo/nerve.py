@@ -5,13 +5,19 @@ whole poset.  The nerve records which subfamilies intersect; the completion
 refines it with one cell per connected component of each intersection, and
 is always the face poset of a regular CW complex whose cells are simplices.
 
+Every nerve statement reads one table of the cover, built once with the
+nerve (`PosetCover.intersections()`): the label of each intersecting
+subfamily J, its sorted part names joined by "," (the name `face_poset`
+gives the nerve cell), mapped to the intersection U_J.  The table is
+ordered by |J|, then lexicographically.
+
 Theorem verification goes through the relation cylinder: each nerve
 statement names a relation between the covered poset and a nerve-derived
 poset, and the generalized equivalence checker does the rest.
 
 Part names may not contain "," or "|"; those separators build the derived
-identifiers (",".join for an index set J, and "J|c" for the component of
-W_J whose least element is c).
+identifiers (the label of an index set J, and "J|c" for the component of
+U_J whose least element is c).
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .complexes import (
     RegularCWComplex,
     SimplicialComplex,
     cell_id,
+    cell_vertices,
     cw_from_face_poset,
     face_poset,
 )
@@ -33,25 +40,16 @@ from .homology import HomologyProfile, certified_homology
 from .poset import ElementSet, Poset
 from .reduction import DEFAULT_BUDGET, triviality_oracle
 
-RESERVED_NAME_CHARS = (",", "|")
-
 ComponentSplitter = Callable[[ElementSet], list[ElementSet]]
-
-
-def intersection_label(names: Iterable[str]) -> str:
-    return ",".join(sorted(names))
-
-
-def label_parts(label: str) -> frozenset[str]:
-    return frozenset(label.split(","))
 
 
 def component_label(jid: str, comp: ElementSet) -> str:
     return jid + "|" + comp.poset.elements[(comp.mask & -comp.mask).bit_length() - 1]
 
 
-def intersecting_families(named: Mapping[str, Any]) -> list[tuple[str, ...]]:
-    """Sorted name tuples whose values have a non-empty common "&".
+def intersecting_families(named: Mapping[str, Any]) -> dict[tuple[str, ...], Any]:
+    """Sorted name tuples whose values have a non-empty common "&", each
+    mapped to that common value.
 
     Values may be int masks or frozensets.  Families are grown layer by
     layer: one is tried only when the family without its largest name
@@ -60,12 +58,12 @@ def intersecting_families(named: Mapping[str, Any]) -> list[tuple[str, ...]]:
     """
     names = sorted(n for n, v in named.items() if v)
     position = {n: i for i, n in enumerate(names)}
-    out: list[tuple[str, ...]] = []
+    out: dict[tuple[str, ...], Any] = {}
     layer = [((n,), named[n]) for n in names]
     while layer:
         grown = []
         for tup, common in layer:
-            out.append(tup)
+            out[tup] = common
             for n2 in names[position[tup[-1]] + 1 :]:
                 c2 = common & named[n2]
                 if c2:
@@ -74,21 +72,25 @@ def intersecting_families(named: Mapping[str, Any]) -> list[tuple[str, ...]]:
     return out
 
 
-class PosetCover:
-    """Named down-sets covering a poset, with its intersecting subfamilies cached.
+def _check_part_name(name: str) -> None:
+    if not name or "," in name or "|" in name:
+        raise InputError(f"cover part name {name!r} is empty or contains a reserved character (one of ',' '|')")
 
-    Parts given as arbitrary subsets are rejected unless open_hulls=True,
-    which replaces each part by its open hull instead.
+
+class PosetCover:
+    """Named down-sets covering a poset, with its table of intersections.
+
+    The table, `intersections()`, is built once: the label "a,b" of each
+    intersecting subfamily -> its intersection, by the number of parts,
+    then lexicographically.  Parts given as arbitrary subsets are rejected
+    unless open_hulls=True, which replaces each part by its open hull.
     """
 
     def __init__(self, base: Poset, parts: dict, open_hulls: bool = False):
         self.base = base
         named: dict[str, ElementSet] = {}
         for name in sorted(parts):
-            if not name or any(ch in name for ch in RESERVED_NAME_CHARS):
-                raise InputError(
-                    f"cover part name {name!r} is empty or contains a reserved character (one of ',' '|')"
-                )
+            _check_part_name(name)
             sub = parts[name] if isinstance(parts[name], ElementSet) else base.subset(parts[name])
             if sub.poset is not base and sub.poset != base:
                 raise InputError(f"cover part {name!r} belongs to a different poset")
@@ -105,7 +107,7 @@ class PosetCover:
         if missing:
             raise InputError(f"cover misses elements: {', '.join(base._names(missing)[:6])}")
         self.parts = named
-        self._intersecting: Optional[list[tuple[str, ...]]] = None
+        self._intersections: Optional[dict[str, ElementSet]] = None
         self._nerve: Optional[SimplicialComplex] = None
         self._nerve_poset: Optional[Poset] = None
 
@@ -118,15 +120,6 @@ class PosetCover:
             raise InputError(f"unknown cover part {name!r}")
         return self.parts[name]
 
-    def _families(self) -> list[tuple[str, ...]]:
-        if self._intersecting is None:
-            self._intersecting = intersecting_families({n: sub.mask for n, sub in self.parts.items()})
-        return self._intersecting
-
-    def simplices(self) -> list[frozenset[str]]:
-        """Subfamilies with non-empty intersection, smallest first."""
-        return [frozenset(t) for t in self._families()]
-
     def intersection(self, names: Iterable[str]) -> ElementSet:
         J = set(names)
         if not J:
@@ -136,12 +129,15 @@ class PosetCover:
             mask &= self.part(n).mask
         return ElementSet(self.base, mask)
 
-    def intersection_of_label(self, label: str) -> ElementSet:
-        return self.intersection(label_parts(label))
+    def intersections(self) -> dict[str, ElementSet]:
+        if self._intersections is None:
+            families = intersecting_families({n: sub.mask for n, sub in self.parts.items()})
+            self._intersections = {cell_id(J): ElementSet(self.base, m) for J, m in families.items()}
+        return self._intersections
 
     def nerve(self) -> SimplicialComplex:
         if self._nerve is None:
-            self._nerve = SimplicialComplex(self._families())
+            self._nerve = SimplicialComplex(map(cell_vertices, self.intersections()))
         return self._nerve
 
     def nerve_poset(self) -> Poset:
@@ -157,10 +153,7 @@ class ComplexCover:
         self.base = base
         named: dict[str, SimplicialComplex] = {}
         for name in sorted(parts):
-            if not name or any(ch in name for ch in RESERVED_NAME_CHARS):
-                raise InputError(
-                    f"cover part name {name!r} is empty or contains a reserved character (one of ',' '|')"
-                )
+            _check_part_name(name)
             part = parts[name]
             if not isinstance(part, SimplicialComplex):
                 part = SimplicialComplex(part)
@@ -203,14 +196,6 @@ def _as_poset_cover(c: AnyCover) -> PosetCover:
     return c.poset_cover() if isinstance(c, ComplexCover) else c
 
 
-def nerve(c: AnyCover) -> SimplicialComplex:
-    return c.nerve()
-
-
-def nerve_poset(c: AnyCover) -> Poset:
-    return c.nerve_poset()
-
-
 @dataclass(eq=False)
 class CoverClassification:
     """Triviality verdicts for every non-empty intersection and its components.
@@ -236,10 +221,6 @@ class CoverClassification:
     def failing(self) -> list[str]:
         return sorted(k for k, v in self.components.items() if v.is_nontrivial)
 
-    @property
-    def undecided(self) -> list[str]:
-        return sorted(k for k, v in self.components.items() if v.is_unknown)
-
     def to_json_dict(self) -> dict:
         return {
             "status": self.status,
@@ -253,9 +234,7 @@ def classify_cover(c: AnyCover, budget: int = DEFAULT_BUDGET) -> CoverClassifica
     whole: dict[str, TrivialityVerdict] = {}
     comps: dict[str, TrivialityVerdict] = {}
     all_connected = True
-    for J in c.simplices():
-        jid = intersection_label(J)
-        w = c.intersection(J)
+    for jid, w in c.intersections().items():
         pieces = w.components()
         verdicts = []
         for piece in pieces:
@@ -282,15 +261,12 @@ def classify_cover(c: AnyCover, budget: int = DEFAULT_BUDGET) -> CoverClassifica
 
 @dataclass(eq=False)
 class TrivialSubnerve:
-    """The subposet of the nerve spanned by index sets with trivial
-    intersection, with the intersection of each of its index sets,
-    computed once."""
+    """The subposet of the nerve poset spanned by the index sets with
+    trivial intersection, and the index sets whose verdict is unknown."""
 
     cover: PosetCover
     poset: Poset
-    verdicts: dict[str, TrivialityVerdict]
     undecided: tuple[str, ...]
-    intersections: dict[str, ElementSet]
 
     @property
     def decided(self) -> bool:
@@ -303,11 +279,9 @@ def trivial_subnerve(
     c = _as_poset_cover(c)
     if classification is None:
         classification = classify_cover(c, budget)
-    np = c.nerve_poset()
-    keep = np.induced(jid for jid, v in classification.whole.items() if v.is_trivial)
+    keep = c.nerve_poset().induced(jid for jid, v in classification.whole.items() if v.is_trivial)
     undecided = tuple(sorted(jid for jid, v in classification.whole.items() if v.is_unknown))
-    intersections = {jid: c.intersection_of_label(jid) for jid in keep.elements}
-    return TrivialSubnerve(c, keep, dict(classification.whole), undecided, intersections)
+    return TrivialSubnerve(c, keep, undecided)
 
 
 def point_subnerve(sub: TrivialSubnerve, x: str) -> ElementSet:
@@ -315,8 +289,9 @@ def point_subnerve(sub: TrivialSubnerve, x: str) -> ElementSet:
     if x not in sub.cover.base:
         raise InputError(f"unknown element {x!r}")
     bit = 1 << sub.cover.base._lookup(x)
+    table = sub.cover.intersections()
     out = ElementSet(sub.poset, sum(
-        1 << i for i, jid in enumerate(sub.poset.elements) if sub.intersections[jid].mask & bit))
+        1 << i for i, jid in enumerate(sub.poset.elements) if table[jid].mask & bit))
     if not out.is_down_set():
         raise ValidationError(f"membership family of {x!r} is not open in the trivial subnerve")
     return out
@@ -324,11 +299,11 @@ def point_subnerve(sub: TrivialSubnerve, x: str) -> ElementSet:
 
 @dataclass(eq=False)
 class CompletionPoset:
-    """Poset of pairs (index set J, component of W_J), inclusion both ways.
+    """Poset of pairs (index set J, component of U_J), inclusion both ways.
 
-    Identifiers are "J|c" with J the sorted comma-joined part names and c
-    the least element of the component.  Grading by |J|-1 presents a
-    regular CW complex whose cells are simplices.
+    Identifiers are "J|c" with J the label of the index set and c the
+    least element of the component.  Grading by |J|-1 presents a regular
+    CW complex whose cells are simplices.
     """
 
     cover: PosetCover
@@ -351,43 +326,32 @@ def completion_poset(c: AnyCover, components: Optional[ComponentSplitter] = None
     c = _as_poset_cover(c)
     if components is None:
         components = lambda s: s.components()
-    split: dict[frozenset[str], list[ElementSet]] = {}
-    for J in c.simplices():
-        split[J] = components(c.intersection(J))
-    labels: dict[str, tuple[frozenset[str], ElementSet]] = {}
+    split = {jid: components(w) for jid, w in c.intersections().items()}
+    cells: dict[str, ElementSet] = {}
     dim: dict[str, int] = {}
-    for J, pieces in split.items():
-        jid = intersection_label(J)
+    relations: list[tuple[str, str]] = []
+    for jid, pieces in split.items():
+        names = cell_vertices(jid)
+        k = len(names)
+        # each proper subfamily, picked by the bits of a number, is a label
+        # of the same table; those one part short are one level down
+        subfamilies = [
+            (cell_id(names[i] for i in range(k) if bits >> i & 1), bits.bit_count() == k - 1)
+            for bits in range(1, (1 << k) - 1)
+        ]
         for piece in pieces:
             lab = component_label(jid, piece)
-            labels[lab] = (J, piece)
-            dim[lab] = len(J) - 1
-    relations: list[tuple[str, str]] = []
-    for lab, (J, piece) in labels.items():
-        # the one-level containments generate the order; the claim is
-        # checked for every proper subfamily
-        for J2 in _proper_subfamilies(J):
-            containers = [p2 for p2 in split[J2] if piece.mask & ~p2.mask == 0]
-            if len(containers) != 1:
-                raise ValidationError(
-                    f"component {lab!r} lies in {len(containers)} components of {intersection_label(J2)!r}"
-                )
-            if len(J2) == len(J) - 1:
-                relations.append((component_label(intersection_label(J2), containers[0]), lab))
-    poset = Poset(labels.keys(), relations)
-    return CompletionPoset(c, poset, dim, {lab: piece for lab, (J, piece) in labels.items()})
-
-
-def _proper_subfamilies(J: frozenset[str]) -> list[frozenset[str]]:
-    out: list[frozenset[str]] = []
-    items = sorted(J)
-    for bits in range(1, (1 << len(items)) - 1):
-        out.append(frozenset(items[i] for i in range(len(items)) if bits >> i & 1))
-    return out
-
-
-def completion_cw(c: ComplexCover, components: Optional[ComponentSplitter] = None) -> RegularCWComplex:
-    return completion_poset(c.poset_cover(), components).as_cw()
+            cells[lab] = piece
+            dim[lab] = k - 1
+            # the one-level containments generate the order; the claim is
+            # checked for every proper subfamily
+            for sub, one_level in subfamilies:
+                containers = [p2 for p2 in split[sub] if piece.mask & ~p2.mask == 0]
+                if len(containers) != 1:
+                    raise ValidationError(f"component {lab!r} lies in {len(containers)} components of {sub!r}")
+                if one_level:
+                    relations.append((component_label(sub, containers[0]), lab))
+    return CompletionPoset(c, Poset(cells.keys(), relations), dim, cells)
 
 
 NERVE_VARIANTS = ("good-poset", "x-zero", "quasi-good")
@@ -424,11 +388,6 @@ class NerveTheoremReport(StatementReport):
         return {**out, **self.homology_json()}
 
 
-def _membership_relation(c: PosetCover, target: Poset, member_of: dict[str, ElementSet]) -> Relation:
-    pairs = [(x, lab) for lab, sub in member_of.items() for x in sub]
-    return Relation.of(c.base, target.opposite(), pairs)
-
-
 def verify_nerve_theorem(c: AnyCover, variant: str, budget: int = DEFAULT_BUDGET) -> NerveTheoremReport:
     """Check one nerve statement by building its relation into the nerve side.
 
@@ -442,6 +401,7 @@ def verify_nerve_theorem(c: AnyCover, variant: str, budget: int = DEFAULT_BUDGET
     c = _as_poset_cover(c)
     classification = classify_cover(c, budget)
     comp: Optional[CompletionPoset] = None
+    member_of = c.intersections()
 
     if variant == "good-poset":
         status = Status.of_verdicts(classification.whole.values())
@@ -449,7 +409,6 @@ def verify_nerve_theorem(c: AnyCover, variant: str, budget: int = DEFAULT_BUDGET
             bad = sorted(k for k, v in classification.whole.items() if v.is_nontrivial)
             return NerveTheoremReport(variant, status, classification, {"failing": bad})
         target = c.nerve_poset()
-        member_of = {jid: c.intersection_of_label(jid) for jid in target.elements}
     elif variant == "x-zero":
         sub = trivial_subnerve(c, budget, classification)
         if not sub.decided:
@@ -465,7 +424,6 @@ def verify_nerve_theorem(c: AnyCover, variant: str, budget: int = DEFAULT_BUDGET
                 variant, status, classification, {"failing": bad, "undecided": open_q}
             )
         target = sub.poset
-        member_of = sub.intersections
     else:
         status = Status.of_verdicts(classification.components.values())
         if status is not Status.CERTIFIED:
@@ -474,8 +432,9 @@ def verify_nerve_theorem(c: AnyCover, variant: str, budget: int = DEFAULT_BUDGET
         target = comp.poset
         member_of = comp.cells
 
-    r = _membership_relation(c, target, member_of)
-    eq = verify_equivalence(r, budget)
+    # each element is related to the nerve-side cells whose set holds it
+    pairs = [(x, lab) for lab in target.elements for x in member_of[lab]]
+    eq = verify_equivalence(Relation.of(c.base, target.opposite(), pairs), budget)
     profiles = certified_homology("nerve theorem certified", c.base, target, eq.status is Status.CERTIFIED)
     return NerveTheoremReport(variant, eq.status, classification, {}, eq, *profiles, comp)
 
@@ -512,6 +471,6 @@ def verify_corollary_completion(c: ComplexCover, budget: int = DEFAULT_BUDGET) -
     if not isinstance(c, ComplexCover):
         raise InputError("completion corollary expects a cover of a simplicial complex")
     inner = verify_nerve_theorem(c.poset_cover(), "quasi-good", budget)
-    cw = completion_cw(c) if inner.completion is None else inner.completion.as_cw()
+    cw = (completion_poset(c) if inner.completion is None else inner.completion).as_cw()
     profiles = certified_homology("completion corollary certified", c.base, cw, inner.status is Status.CERTIFIED)
     return CompletionCorollaryReport(inner.status, inner, cw, *profiles)

@@ -28,7 +28,6 @@ from finitetopo import (
     chain_complex,
     circle_sample,
     collapse_to_simplicial,
-    completion_cw,
     completion_poset,
     core,
     euler_characteristic,
@@ -37,7 +36,6 @@ from finitetopo import (
     is_collapsible,
     mapper_completion,
     mapping_cylinder,
-    nerve,
     order_complex,
     parse_filter,
     point_subnerve,
@@ -84,13 +82,13 @@ def test_criterion_1_two_part_cover_of_the_triangle_boundary(acceptance_log):
         cov = fx.example_3_12_cover()
 
         # completion: two 0-cells, two 1-cells, homology of a circle
-        cw = completion_cw(cov)
+        cw = completion_poset(cov).as_cw()
         assert cw.f_vector() == (2, 2)
         prof = homology(cw)
         assert prof.betti == (1, 1) and _no_torsion(prof)
 
         # the plain nerve is a single 1-simplex and sees nothing
-        k = nerve(cov)
+        k = cov.nerve()
         assert k.facets == (("L", "T"),)
         assert homology(k, reduced=True).is_zero()
 

@@ -1,18 +1,14 @@
-import importlib
 import json
 import os
 
 import pytest
 
+import finitetopo.cylinder as cylinder_mod
+import finitetopo.nerve as nerve_mod
 from finitetopo import Poset, Relation
 from finitetopo import cli
 from finitetopo import fixtures as fx
 from finitetopo.cli import main
-
-# the package exports functions named after these modules, so the modules
-# themselves are looked up by their dotted names
-cylinder_mod = importlib.import_module("finitetopo.cylinder")
-nerve_mod = importlib.import_module("finitetopo.nerve")
 from finitetopo.formats import relation_to_json
 from tests.test_cylinder import bound_degree_lookups
 

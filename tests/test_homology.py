@@ -1,5 +1,6 @@
 import heapq
 import importlib
+import importlib.util
 import random
 
 import pytest
@@ -443,13 +444,21 @@ def test_the_cross_check_runs_up_to_50x50(monkeypatch):
 
 
 def test_import_as_binds_the_function_named_after_its_module():
-    # finitetopo re-exports functions named after their modules, and those
-    # names shadow the submodules as attributes of the package
+    # finitetopo re-exports the function homology under the name of its
+    # module, which shadows the submodule as an attribute of the package;
+    # nothing is exported as nerve, so that import binds the module
     import finitetopo.homology as h
     import finitetopo.nerve as n
 
     assert h is homology_module.homology and h is not homology_module
-    assert n is importlib.import_module("finitetopo.nerve").nerve
+    assert n is importlib.import_module("finitetopo.nerve")
+
+
+def test_no_other_export_is_named_after_a_submodule():
+    import finitetopo
+
+    named_after_modules = [n for n in finitetopo.__all__ if importlib.util.find_spec("finitetopo." + n) is not None]
+    assert named_after_modules == ["homology"]
 
 
 # -- clearing across degrees -------------------------------------------------

@@ -1,3 +1,7 @@
+import itertools
+import random
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,15 +9,15 @@ from hypothesis import strategies as st
 from finitetopo import (
     ComplexCover,
     InputError,
+    IntervalCover,
     PosetCover,
     SimplicialComplex,
     Status,
     classify_cover,
-    completion_cw,
     completion_poset,
     homology,
-    nerve,
-    nerve_poset,
+    mapper_completion,
+    parse_filter,
     point_subnerve,
     replay_poset_certificate,
     same_homology,
@@ -22,7 +26,7 @@ from finitetopo import (
     verify_nerve_theorem,
 )
 from finitetopo import fixtures as fx
-from finitetopo.nerve import intersecting_families
+from finitetopo.nerve import NERVE_VARIANTS, intersecting_families
 
 
 def star_cover() -> PosetCover:
@@ -57,10 +61,10 @@ class TestPosetCover:
 
     def test_nerve_of_star_cover_is_circle(self):
         cov = star_cover()
-        k = nerve(cov)
+        k = cov.nerve()
         assert k.f_vector() == (3, 3)
         assert homology(k).betti == (1, 1)
-        assert len(nerve_poset(cov)) == 6
+        assert len(cov.nerve_poset()) == 6
 
 
 class TestComplexCover:
@@ -71,7 +75,7 @@ class TestComplexCover:
 
     def test_example_cover_nerve_is_a_segment(self):
         cov = fx.example_3_12_cover()
-        k = nerve(cov)
+        k = cov.nerve()
         assert k.facets == (("L", "T"),)
         assert homology(k, reduced=True).is_zero()
 
@@ -133,21 +137,6 @@ class TestTrivialSubnerve:
         with pytest.raises(InputError):
             point_subnerve(trivial_subnerve(star_cover()), "zz")
 
-    def test_x_zero_variant_intersects_each_index_set_once(self, monkeypatch):
-        """After classification, the x-zero statement computes the
-        intersection of each index set of the trivial subnerve once; the
-        membership families and the relation into the subnerve share them."""
-        cov = fx.get_fixture("x-zero-star-cover").build()
-        assert len(trivial_subnerve(cov).poset) == 6
-        calls = []
-        intersection = PosetCover.intersection
-        monkeypatch.setattr(PosetCover, "intersection", lambda self, names: calls.append(1) or intersection(self, names))
-        classify_cover(cov)
-        classified = len(calls)
-        calls.clear()
-        assert verify_nerve_theorem(cov, "x-zero").status is Status.CERTIFIED
-        assert len(calls) - classified == 6
-
 
 class TestCompletionPoset:
     def test_two_arc_completion_is_a_circle(self):
@@ -176,12 +165,12 @@ class TestCompletionPoset:
 
 class TestCompletionCW:
     def test_example_f_vector(self):
-        cw = completion_cw(fx.example_3_12_cover())
+        cw = completion_poset(fx.example_3_12_cover()).as_cw()
         assert cw.f_vector() == (2, 2)
         assert homology(cw).betti == (1, 1)
 
     def test_cells_graded_by_nerve_dimension(self):
-        cw = completion_cw(fx.example_3_12_cover())
+        cw = completion_poset(fx.example_3_12_cover()).as_cw()
         by_dim = cw.cells_by_dim()
         assert len(by_dim[0]) == 2 and len(by_dim[1]) == 2
 
@@ -251,24 +240,24 @@ class TestVerifyCorollaryCompletion:
 
     def test_plain_nerve_differs_from_completion_here(self):
         cov = fx.example_3_12_cover()
-        assert homology(nerve(cov)).betti == (1, 0)
-        assert homology(completion_cw(cov)).betti == (1, 1)
+        assert homology(cov.nerve()).betti == (1, 0)
+        assert homology(completion_poset(cov).as_cw()).betti == (1, 1)
 
 
 # -- randomized cover laws ----------------------------------------------------
 
 
 def _brute_force_families(named):
-    import itertools
-    from functools import reduce
-
+    """Each subfamily with a non-empty common value, by size, then
+    lexicographically, with that value."""
     names = sorted(named)
-    return [
-        group
-        for k in range(1, len(names) + 1)
-        for group in itertools.combinations(names, k)
-        if reduce(lambda a, b: a & b, (named[n] for n in group))
-    ]
+    out = {}
+    for k in range(1, len(names) + 1):
+        for group in itertools.combinations(names, k):
+            common = reduce(lambda a, b: a & b, (named[n] for n in group))
+            if common:
+                out[group] = common
+    return out
 
 
 _NAMES = st.sampled_from(["a", "b", "c", "d", "e", "f"])
@@ -276,19 +265,17 @@ _NAMES = st.sampled_from(["a", "b", "c", "d", "e", "f"])
 
 @given(st.dictionaries(_NAMES, st.frozensets(st.integers(0, 5), max_size=4), max_size=6))
 def test_intersecting_families_of_sets_match_brute_force(named):
-    assert intersecting_families(named) == _brute_force_families(named)
+    assert list(intersecting_families(named).items()) == list(_brute_force_families(named).items())
 
 
 @given(st.dictionaries(_NAMES, st.integers(0, 63), max_size=6))
 def test_intersecting_families_of_masks_match_brute_force(named):
-    assert intersecting_families(named) == _brute_force_families(named)
+    assert list(intersecting_families(named).items()) == list(_brute_force_families(named).items())
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=10)
 def test_random_good_covers_satisfy_both_statements(seed: int):
-    import random
-
     cov = fx.random_good_cover(random.Random(seed))
     cls = classify_cover(cov)
     assert cls.is_good
@@ -303,8 +290,69 @@ def test_random_good_covers_satisfy_both_statements(seed: int):
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=10)
 def test_random_quasi_good_covers_match_completion(seed: int):
-    import random
-
     cov = fx.random_quasi_good_cover(random.Random(seed))
     rep = verify_nerve_theorem(cov, "quasi-good")
     assert rep.status is Status.CERTIFIED and rep.homology_equal
+
+
+SHIPPED_COVERS = ("star-cover-six-cycle", "two-arc-cover-six-cycle", "x-zero-star-cover", "example-3-12")
+
+
+@st.composite
+def covers(draw):
+    """A shipped cover, or a seeded random good or quasi-good one."""
+    source = draw(st.sampled_from(["shipped", "good", "quasi-good"]))
+    if source == "shipped":
+        return fx.get_fixture(draw(st.sampled_from(SHIPPED_COVERS))).build()
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return (fx.random_good_cover if source == "good" else fx.random_quasi_good_cover)(rng)
+
+
+@given(covers())
+@settings(max_examples=40)
+def test_completion_poset_matches_its_definition(cov):
+    """One cell J|c per component of each non-empty intersection U_J, with
+    c the component's first element, of dimension |J|-1; a <= b exactly
+    when J_a is in J_b and the component of b is in that of a."""
+    comp = completion_poset(cov)
+    pc = comp.cover
+    expected = {}
+    for k in range(1, len(pc.part_names) + 1):
+        for J in itertools.combinations(pc.part_names, k):
+            common = reduce(lambda a, b: a & b, (set(pc.parts[n]) for n in J))
+            for piece in pc.base.subset(common).components():
+                first = next(e for e in pc.base.elements if e in piece)
+                expected[",".join(J) + "|" + first] = (set(J), set(piece))
+    assert sorted(comp.poset.elements) == sorted(expected)
+    for lab, (J, piece) in expected.items():
+        assert comp.dim[lab] == len(J) - 1
+        assert set(comp.cells[lab]) == piece
+    for a, (Ja, piece_a) in expected.items():
+        for b, (Jb, piece_b) in expected.items():
+            assert comp.poset.le(a, b) == (Ja <= Jb and piece_b <= piece_a), (a, b)
+
+
+def test_nerve_statements_read_the_table_of_intersections(monkeypatch):
+    """Once the covers are built, classification, the three nerve
+    statements, the completion, the corollary (on the cover of a complex)
+    and the mapper pipeline intersect no parts by name: they read the
+    cover's table of intersections."""
+    built = [fx.get_fixture(n).build() for n in SHIPPED_COVERS]
+    params = fx.get_fixture("circle-60").params
+    cloud = fx.get_fixture("circle-60").build()
+
+    def barred(self, names):
+        raise AssertionError("an intersection was computed from part names")
+
+    monkeypatch.setattr(PosetCover, "intersection", barred)
+    for cov in built:
+        classify_cover(cov)
+        for variant in NERVE_VARIANTS:
+            verify_nerve_theorem(cov, variant)
+        completion_poset(cov)
+        if isinstance(cov, ComplexCover):
+            assert verify_corollary_completion(cov).status is Status.CERTIFIED
+    result = mapper_completion(
+        cloud, parse_filter(params["filter"]), IntervalCover(params["intervals"], params["overlap"]), params["epsilon"]
+    )
+    assert result.completion_homology.betti == (1, 1)

@@ -1,4 +1,3 @@
-import importlib
 import inspect
 import random
 import sys
@@ -39,6 +38,7 @@ from finitetopo import (
     verify_homology_equivalence,
     verify_nerve_theorem,
 )
+import finitetopo.nerve as nerve_mod
 from finitetopo import fixtures as fx
 from finitetopo.cylinder import build_cylinder
 from finitetopo.homology import _poset_homology
@@ -454,10 +454,6 @@ def test_simplicial_collapse_search_matches_recursive_reference(case, budget):
 
 
 # -- the oracle on element sets ------------------------------------------------
-
-# the package exports a function named nerve, so the module is looked up by
-# its dotted name
-nerve_mod = importlib.import_module("finitetopo.nerve")
 
 
 def padded(p: Poset) -> tuple[Poset, int]:
