@@ -26,7 +26,7 @@ from .errors import InputError
 from .formats import read_text_file
 from .homology import HomologyProfile, homology
 from .nerve import CompletionPoset, PosetCover, completion_poset, intersecting_families
-from .poset import Poset
+from .poset import ElementSet, Poset, _iter_bits
 
 
 class PointCloud:
@@ -169,78 +169,103 @@ def _part_name(k: int, n: int) -> str:
     return f"i{k:0{len(str(n - 1))}d}"
 
 
+def _spans(pc: PointCloud, ic: IntervalCover, values: tuple[float, ...]) -> list[tuple[float, float]]:
+    """The intervals over the filter range; more intervals than points is
+    refused before any is built."""
+    if ic.intervals > len(pc):
+        raise InputError(f"{ic.intervals} intervals for {len(pc)} points; ask for at most one interval per point")
+    return ic.of_range(min(values), max(values))
+
+
 def pullback_cover(pc: PointCloud, f: FilterSpec, ic: IntervalCover) -> dict[str, frozenset[str]]:
     """Points grouped by which interval their filter value lands in."""
     values = f.values(pc)
-    return _pullback(pc.ids, values, ic.of_range(min(values), max(values)))
+    return {name: frozenset(pc.ids[k] for k in ks) for name, ks in _pullback(values, _spans(pc, ic, values)).items()}
 
 
-def _pullback(
-    ids: tuple[str, ...], values: tuple[float, ...], spans: list[tuple[float, float]]
-) -> dict[str, frozenset[str]]:
+def _pullback(values: tuple[float, ...], spans: list[tuple[float, float]]) -> dict[str, list[int]]:
+    """The positions in the cloud of the points in each part."""
     return {
-        _part_name(k, len(spans)): frozenset(pid for pid, v in zip(ids, values) if a <= v <= b)
+        _part_name(k, len(spans)): [i for i, v in enumerate(values) if a <= v <= b]
         for k, (a, b) in enumerate(spans)
     }
 
 
-def epsilon_components(pc: PointCloud, ids: Iterable[str], epsilon: float) -> list[frozenset[str]]:
-    """Components of the epsilon-neighborhood graph on the given points, in
+class EpsilonGrid:
+    """The points of a cloud in a uniform grid for one epsilon, indexed by
+    their bit in ``poset``, a poset on the cloud's identifiers: each
+    point's coordinates and the key of its cell.  The cell side is taken
+    from the largest |coordinate| of the whole cloud; see
+    `epsilon_components`."""
+
+    def __init__(self, pc: PointCloud, poset: Poset, epsilon: float):
+        if not (math.isfinite(epsilon) and epsilon > 0):
+            raise InputError(f"epsilon must be a positive finite number, got {epsilon!r}")
+        largest = max(map(abs, itertools.chain.from_iterable(pc.coords)), default=0.0)
+        side = epsilon * (1 + 1e-9) + 4 * (math.ulp(largest) + math.ulp(epsilon))
+        self.poset, self.epsilon = poset, epsilon
+        self.coords = [pc.coord(e) for e in poset.elements]
+        self.keys = [tuple([math.floor(v / side) for v in row]) for row in self.coords]
+
+
+def epsilon_components(grid: EpsilonGrid, sub: ElementSet) -> list[ElementSet]:
+    """Components of the epsilon-neighborhood graph on the points of sub, in
     which two points are linked when ``math.dist(a, b) <= epsilon``; sorted
     by least member.
 
-    The points are bucketed in a uniform grid of cells of side
+    The points lie in the grid's cells, of side
 
         side = epsilon * (1 + 1e-9) + 4 * (ulp(m) + ulp(epsilon)),
 
-    where m is the largest |coordinate| among them, and a pair is tested
-    only when its cells differ by at most one in every coordinate.  The
-    grid only prunes: every pair it keeps is decided by ``math.dist``.
+    where m is the largest |coordinate| of the whole cloud, and a pair is
+    tested only when its cells differ by at most one in every coordinate.
+    The grid only prunes: every pair it keeps is decided by ``math.dist``.
 
-    Pruning is sound for all finite coordinates.  If two cells differ by
-    two or more in some coordinate, the two points differ there by more
-    than ``side`` less the rounding of ``v / side`` for each of them, which
-    is at most ulp(m) per point; by the choice of ``side`` that difference
-    exceeds the float after epsilon (the 1e-9 term absorbs the rounding of
-    ``side`` itself).  A faithfully rounded ``math.dist`` (CPython's is)
-    is never below the absolute difference in any one coordinate rounded
-    down, so such a pair fails the predicate.  A fixed margin, as in
-    ``side = epsilon * (1 + 1e-9)``, covers that rounding only while
-    |v| / epsilon stays below about 4e6.
+    Pruning is sound for all finite coordinates, and for every subset of
+    the cloud.  If two cells differ by two or more in some coordinate, the
+    two points differ there by more than ``side`` less the rounding of
+    ``v / side`` for each of them, which is at most ulp(m) per point; by
+    the choice of ``side`` that difference exceeds the float after epsilon
+    (the 1e-9 term absorbs the rounding of ``side`` itself).  A faithfully
+    rounded ``math.dist`` (CPython's is) is never below the absolute
+    difference in any one coordinate rounded down, so such a pair fails
+    the predicate.  The bound holds for any m at least the largest
+    |coordinate| of the pair, so the side taken once for the cloud is as
+    sound for a subset as the subset's own: it only prunes less.  A fixed
+    margin, as in ``side = epsilon * (1 + 1e-9)``, covers that rounding
+    only while |v| / epsilon stays below about 4e6.
 
     The search runs from each least unseen point.  Cells hold only unseen
     points, so each pop tests only the unseen points of its neighbouring
     cells.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise InputError(f"epsilon must be a positive finite number, got {epsilon!r}")
-    points = {pid: pc.coord(pid) for pid in sorted(set(ids))}
-    if not points:
+    if sub.poset is not grid.poset:
+        raise InputError("the element set is not a subset of the grid's points")
+    coords, keys, epsilon = grid.coords, grid.keys, grid.epsilon
+    members = list(_iter_bits(sub.mask))
+    cells: dict[tuple[int, ...], dict[int, tuple[float, ...]]] = {}
+    for i in members:
+        cells.setdefault(keys[i], {})[i] = coords[i]
+    if not cells:
         return []
-    largest = max(map(abs, itertools.chain.from_iterable(points.values())))
-    side = epsilon * (1 + 1e-9) + 4 * (math.ulp(largest) + math.ulp(epsilon))
-    cell_of = {pid: tuple([math.floor(v / side) for v in row]) for pid, row in points.items()}
-    cells: dict[tuple[int, ...], dict[str, tuple[float, ...]]] = {}
-    for pid, key in cell_of.items():
-        cells.setdefault(key, {})[pid] = points[pid]
     near = _touching_cells(cells)
-    out: list[frozenset[str]] = []
-    for start, key in cell_of.items():
-        if start not in cells[key]:
+    out: list[ElementSet] = []
+    for start in members:
+        if start not in cells[keys[start]]:
             continue
-        del cells[key][start]
-        comp = [start]
+        del cells[keys[start]][start]
+        comp = 1 << start
         queue = [start]
         while queue:
             cur = queue.pop()
-            a = points[cur]
-            hits = [(cell, q) for cell in near[cell_of[cur]] for q, b in cell.items() if math.dist(a, b) <= epsilon]
+            a = coords[cur]
+            hits = [(cell, q) for cell in near[keys[cur]] for q, b in cell.items() if math.dist(a, b) <= epsilon]
             for cell, q in hits:
                 del cell[q]
-                comp.append(q)
+                comp |= 1 << q
                 queue.append(q)
-        # every smaller point was seen before start, so start is the least member
-        out.append(frozenset(comp))
+        # every lower bit was seen before start, so start is the least member
+        out.append(ElementSet(grid.poset, comp))
     return out
 
 
@@ -303,15 +328,17 @@ def mapper_completion(
     in for order components.
     """
     values = f.values(pc)
-    spans = ic.of_range(min(values), max(values))
-    parts = _pullback(pc.ids, values, spans)
+    spans = _spans(pc, ic, values)
+    positions = _pullback(values, spans)
     discrete = Poset(pc.ids, ())
-    cover = PosetCover(discrete, {name: set(members) for name, members in parts.items()})
-
-    def split(sub):
-        return [discrete.subset(comp) for comp in epsilon_components(pc, sub, epsilon)]
-
-    comp = completion_poset(cover, split)
+    # one grid for the run; the poset sorts the identifiers, so a point's
+    # bit need not be its position in the cloud
+    grid = EpsilonGrid(pc, discrete, epsilon)
+    bit = [discrete._index[pid] for pid in pc.ids]
+    cover = PosetCover(
+        discrete, {name: ElementSet(discrete, sum(1 << bit[k] for k in ks)) for name, ks in positions.items()}
+    )
+    comp = completion_poset(cover, lambda sub: epsilon_components(grid, sub))
     cw = comp.as_cw()
     plain = cover.nerve()
     # the completion's 0-cells are the parts' components, labelled "name|least point"
@@ -321,7 +348,7 @@ def mapper_completion(
         pc,
         values,
         spans,
-        parts,
+        {name: frozenset(pc.ids[k] for k in ks) for name, ks in positions.items()},
         epsilon,
         comp,
         cw,

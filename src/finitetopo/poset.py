@@ -62,35 +62,30 @@ class Poset:
         order = self._topological_order(succ)
         # the least linear extension depends only on the transitive closure
         self._order = tuple(order)
-        up = [0] * n
-        for i in reversed(order):
-            m = 1 << i
-            for j in succ[i]:
-                m |= up[j]
-            up[i] = m
-        down = [1 << i for i in range(n)]
-        for i in range(n):
-            for j in _iter_bits(up[i] & ~(1 << i)):
-                down[j] |= 1 << i
-        self._up = up
-        self._down = down
-
-        hasse = []
-        self._succ_masks = []
-        for i in range(n):
-            strict = up[i] & ~(1 << i)
-            implied = 0
-            for k in _iter_bits(strict):
-                implied |= up[k] & ~(1 << k)
-            covers = strict & ~implied
-            self._succ_masks.append(covers)
-            for j in _iter_bits(covers):
-                hasse.append((self.elements[i], self.elements[j]))
-        self.cover_pairs: frozenset[tuple[str, str]] = frozenset(hasse)
+        strict = [0] * n
+        self._succ_masks = [0] * n
         self._pred_masks = [0] * n
-        for i in range(n):
-            for j in _iter_bits(self._succ_masks[i]):
+        hasse = []
+        # successors come first in reverse order: the strict up-set of i is
+        # the union over its successors j of j and j's strict up-set, and a
+        # cover of i is an element of it that no such up-set holds
+        for i in reversed(order):
+            m = implied = 0
+            for j in succ[i]:
+                m |= strict[j] | 1 << j
+                implied |= strict[j]
+            strict[i] = m
+            self._succ_masks[i] = covers = m & ~implied
+            for j in _iter_bits(covers):
                 self._pred_masks[j] |= 1 << i
+                hasse.append((self.elements[i], self.elements[j]))
+        self._up = [m | 1 << i for i, m in enumerate(strict)]
+        self._down = down = [1 << i for i in range(n)]
+        # in topological order a down-set is complete before it is passed on
+        for i in order:
+            for j in succ[i]:
+                down[j] |= down[i]
+        self.cover_pairs: frozenset[tuple[str, str]] = frozenset(hasse)
         # posets key the homology and order complex caches; hash once
         self._hash = hash((self.elements, self.cover_pairs))
 

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -330,6 +331,14 @@ class TestMapperCommand:
     def test_nan_epsilon_is_input_error(self, capsys):
         assert main(["mapper", "circle-60", "--epsilon", "nan"]) == 3
         assert "epsilon" in capsys.readouterr().err
+
+    def test_more_intervals_than_points_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "two.csv"
+        path.write_text("0,0\n1,0\n")
+        start = time.process_time()
+        assert main(["mapper", str(path), "--intervals", str(10**12), "--epsilon", "0.5"]) == 3
+        assert time.process_time() - start < 1
+        assert "1000000000000 intervals for 2 points" in capsys.readouterr().err
 
     def test_non_finite_coordinate_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "cloud.csv"

@@ -1,14 +1,19 @@
+import json
 import math
+import os
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finitetopo import (
+    EpsilonGrid,
     FilterSpec,
     InputError,
     IntervalCover,
     PointCloud,
+    Poset,
     circle_sample,
     epsilon_components,
     figure_eight_sample,
@@ -16,7 +21,16 @@ from finitetopo import (
     parse_filter,
     pullback_cover,
 )
+from finitetopo import fixtures as fx
 from tests.reference_epsilon import reference_epsilon_components
+
+
+def components(pc: PointCloud, ids, epsilon: float) -> list[frozenset[str]]:
+    """`epsilon_components` of the given points, through a grid of the
+    whole cloud, as sets of identifiers."""
+    poset = Poset(pc.ids, ())
+    grid = EpsilonGrid(pc, poset, epsilon)
+    return [c.members for c in epsilon_components(grid, poset.subset(ids))]
 
 
 def square_cloud() -> PointCloud:
@@ -140,24 +154,41 @@ class TestPullback:
         assert {"p0", "p2"} <= parts["i0"]
         assert {"p1", "p3"} <= parts["i1"]
 
+    def test_more_intervals_than_points_is_refused_at_once(self):
+        # before any span is built: a trillion spans would never finish
+        pc = PointCloud(["a", "b"], [(0.0,), (1.0,)])
+        f, ic = parse_filter("x"), IntervalCover(10**12, 0.3)
+        start = time.process_time()
+        with pytest.raises(InputError, match="1000000000000 intervals for 2 points"):
+            pullback_cover(pc, f, ic)
+        with pytest.raises(InputError, match="1000000000000 intervals for 2 points"):
+            mapper_completion(pc, f, ic, 0.5)
+        assert time.process_time() - start < 1
+
 
 class TestEpsilonComponents:
     def test_two_clusters(self):
         pc = PointCloud(["a", "b", "c", "d"], [(0,), (0.1,), (5,), (5.1,)])
-        comps = epsilon_components(pc, pc.ids, 0.5)
+        comps = components(pc, pc.ids, 0.5)
         assert sorted(sorted(c) for c in comps) == [["a", "b"], ["c", "d"]]
 
     def test_epsilon_bridges_clusters(self):
         pc = PointCloud(["a", "b"], [(0,), (1,)])
-        assert len(epsilon_components(pc, pc.ids, 2.0)) == 1
+        assert len(components(pc, pc.ids, 2.0)) == 1
 
     def test_empty_selection(self):
-        assert epsilon_components(square_cloud(), [], 1.0) == []
+        assert components(square_cloud(), [], 1.0) == []
+
+    def test_element_set_of_another_poset_is_refused(self):
+        pc = square_cloud()
+        grid = EpsilonGrid(pc, Poset(pc.ids, ()), 1.0)
+        with pytest.raises(InputError, match="grid's points"):
+            epsilon_components(grid, Poset(pc.ids, ()).subset(["p0"]))
 
     @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf])
     def test_epsilon_must_be_positive_and_finite(self, epsilon):
         with pytest.raises(InputError, match="epsilon"):
-            epsilon_components(square_cloud(), ["p0", "p1"], epsilon)
+            components(square_cloud(), ["p0", "p1"], epsilon)
 
 
 def _nudge(x: float, ulps: int) -> float:
@@ -200,7 +231,17 @@ class TestGridMatchesReference:
     @settings(max_examples=400)
     def test_same_components_as_reference(self, case):
         pc, ids, epsilon = case
-        assert epsilon_components(pc, ids, epsilon) == reference_epsilon_components(pc, ids, epsilon)
+        assert components(pc, ids, epsilon) == reference_epsilon_components(pc, ids, epsilon)
+
+    @given(component_cases(), st.sampled_from([1e3, 1e9, 1.7e308]), st.data())
+    @settings(max_examples=200)
+    def test_grid_of_the_whole_cloud_is_sound_on_a_subset(self, case, scale, data):
+        # the cell side comes from the largest coordinate of the whole
+        # cloud, here a far point that the split points leave out
+        pc, ids, epsilon = case
+        far = tuple(data.draw(st.sampled_from([scale, -scale])) for _ in range(pc.dimension))
+        cloud = PointCloud([*pc.ids, "far"], [*pc.coords, far])
+        assert components(cloud, ids, epsilon) == reference_epsilon_components(cloud, ids, epsilon)
 
     @pytest.mark.parametrize("epsilon", [0.1, 0.3, 1.0, 2.5])
     @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6, 1e9, -1e9])
@@ -208,23 +249,23 @@ class TestGridMatchesReference:
         # a 6x6 lattice of spacing epsilon, up to 1e9 epsilon from the origin
         rows = [(offset * epsilon + i * epsilon, -offset * epsilon + j * epsilon) for i in range(6) for j in range(6)]
         pc = PointCloud([f"q{k:02d}" for k in range(len(rows))], rows)
-        assert epsilon_components(pc, pc.ids, epsilon) == reference_epsilon_components(pc, pc.ids, epsilon)
+        assert components(pc, pc.ids, epsilon) == reference_epsilon_components(pc, pc.ids, epsilon)
 
     def test_integer_chain_far_from_origin_is_one_component(self):
         rows = [(1e9 + k,) for k in range(50)]
         pc = PointCloud([f"q{k:02d}" for k in range(50)], rows)
-        assert epsilon_components(pc, pc.ids, 1.0) == [frozenset(pc.ids)]
+        assert components(pc, pc.ids, 1.0) == [frozenset(pc.ids)]
 
     def test_pair_straddling_a_cell_exactly_epsilon_apart(self):
         # the distance rounds to epsilon exactly although the cells of side
         # epsilon would be two apart
         pc = PointCloud(["a", "b"], [(-5e-324, 0.0), (0.1, 0.0)])
         assert pc.distance("a", "b") == 0.1
-        assert epsilon_components(pc, pc.ids, 0.1) == [frozenset({"a", "b"})]
+        assert components(pc, pc.ids, 0.1) == [frozenset({"a", "b"})]
 
     def test_diagonal_neighbours_are_linked(self):
         pc = PointCloud(["a", "b"], [(0.95, 0.95), (1.05, 1.05)])
-        assert epsilon_components(pc, pc.ids, 0.5) == [frozenset({"a", "b"})]
+        assert components(pc, pc.ids, 0.5) == [frozenset({"a", "b"})]
 
     def test_high_dimensional_cloud(self):
         # 3^40 neighbouring offsets per cell would never finish
@@ -234,12 +275,12 @@ class TestGridMatchesReference:
         rows = [tuple(rng.uniform(0, 1) for _ in range(40)) for _ in range(30)]
         pc = PointCloud([f"q{k:02d}" for k in range(30)], rows)
         for epsilon in (0.5, 1.5, 2.5):
-            assert epsilon_components(pc, pc.ids, epsilon) == reference_epsilon_components(pc, pc.ids, epsilon)
+            assert components(pc, pc.ids, epsilon) == reference_epsilon_components(pc, pc.ids, epsilon)
 
     def test_extreme_coordinates(self):
         pc = PointCloud(["a", "b", "c", "d"], [(1.7e308,), (-1.7e308,), (1.7e308 - 2e292,), (5e-324,)])
         for epsilon in (5e-324, 1e-300, 1.0, 1e300):
-            assert epsilon_components(pc, pc.ids, epsilon) == reference_epsilon_components(pc, pc.ids, epsilon)
+            assert components(pc, pc.ids, epsilon) == reference_epsilon_components(pc, pc.ids, epsilon)
 
 
 class TestMapperPipeline:
@@ -277,9 +318,9 @@ class TestMapperPipeline:
 
         calls = []
 
-        def counting(pc, ids, epsilon):
-            calls.append(frozenset(ids))
-            return epsilon_components(pc, ids, epsilon)
+        def counting(grid, sub):
+            calls.append(sub.members)
+            return epsilon_components(grid, sub)
 
         monkeypatch.setattr(mapper, "epsilon_components", counting)
         pc, f, ic = figure_eight_sample(), parse_filter("x"), IntervalCover(6, 0.6)
@@ -291,6 +332,33 @@ class TestMapperPipeline:
             for group in itertools.combinations(sorted(parts), k)
         ]
         assert Counter(calls) == Counter(w for w in intersections if w)
+
+    @pytest.mark.parametrize("cloud", ["circle-60", "figure-eight-80"])
+    def test_pipeline_turns_no_mask_into_names_and_back(self, cloud, monkeypatch):
+        """Parts, intersections and components stay masks of the cloud's
+        discrete poset: no identifier is looked up, and no mask of that
+        poset is spelled out as names."""
+        fixture = fx.get_fixture(cloud)
+        pc, params = fixture.build(), fixture.params
+        names = Poset._names
+
+        def no_mask_of(poset, members):
+            raise AssertionError("a mask was built from names")
+
+        def guarded_names(poset, mask):
+            if len(poset) == len(pc):
+                raise AssertionError("a mask of the cloud's poset was turned into names")
+            return names(poset, mask)
+
+        monkeypatch.setattr(Poset, "_mask_of", no_mask_of)
+        monkeypatch.setattr(Poset, "_names", guarded_names)
+        result = mapper_completion(
+            pc, parse_filter(params["filter"]), IntervalCover(params["intervals"], params["overlap"]), params["epsilon"]
+        )
+        out = result.to_json_dict()
+        golden = os.path.join(os.path.dirname(__file__), "golden", f"mapper-{cloud}-completion.json")
+        with open(golden, encoding="utf-8") as fh:
+            assert out == json.load(fh)["detail"]["mapper"]
 
     def test_filter_is_evaluated_once(self, monkeypatch):
         calls = []

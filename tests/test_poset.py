@@ -202,13 +202,20 @@ def test_linear_extension_is_order_preserving(p: Poset):
 
 
 @st.composite
-def shuffled_posets(draw, max_size: int = 6) -> Poset:
-    """Like posets(), but the order runs against identifier order as often as with it."""
+def shuffled_relations(draw, max_size: int = 6) -> tuple[list[str], list[tuple[str, str]]]:
+    """Names and acyclic relation pairs whose order runs against identifier
+    order as often as with it."""
     n = draw(st.integers(min_value=1, max_value=max_size))
     rank = draw(st.permutations(range(n)))
     names = [f"e{i}" for i in range(n)]
     pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
-    return Poset(names, [(names[rank[i]], names[rank[j]]) for i, j in pairs if i < j])
+    return names, [(names[rank[i]], names[rank[j]]) for i, j in pairs if i < j]
+
+
+@st.composite
+def shuffled_posets(draw, max_size: int = 6) -> Poset:
+    """Like posets(), but the order runs against identifier order as often as with it."""
+    return Poset(*draw(shuffled_relations(max_size)))
 
 
 @given(shuffled_posets())
@@ -278,6 +285,52 @@ def test_induced_is_the_restricted_order(p: Poset, data):
     covers = {(a, b) for a in members for b in members
               if p.lt(a, b) and not any(p.lt(a, c) and p.lt(c, b) for c in members)}
     assert q.cover_pairs == covers
+
+
+@given(shuffled_relations(max_size=12), st.data())
+def test_constructor_against_brute_force_closure(case, data):
+    """Every field the constructor fills agrees with the reflexive-transitive
+    closure of the input pairs and its transitive reduction, computed here
+    by brute force from the pairs; repeated, reflexive and implied pairs
+    are mixed into the input.  Bit i stands for the i-th identifier."""
+    names, pairs = case
+    ids = sorted(names)
+    n = len(ids)
+
+    def closure(pairs):
+        le = [[i == j for j in range(n)] for i in range(n)]
+        for a, b in pairs:
+            le[ids.index(a)][ids.index(b)] = True
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    le[i][j] = le[i][j] or (le[i][k] and le[k][j])
+        return le
+
+    le = closure(pairs)
+    implied = [(ids[i], ids[j]) for i in range(n) for j in range(n) if le[i][j]]
+    extra = data.draw(st.lists(st.sampled_from(implied), max_size=2 * n))
+    pairs = data.draw(st.permutations(pairs + pairs[: data.draw(st.integers(0, len(pairs)))] + extra))
+    p = Poset(names, pairs)
+
+    le = closure(pairs)
+    lt = [[le[i][j] and i != j for j in range(n)] for i in range(n)]
+    cover = [[lt[i][j] and not any(lt[i][k] and lt[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+    def mask(bits):
+        return sum(1 << j for j, b in enumerate(bits) if b)
+
+    assert p.elements == tuple(ids)
+    assert p._up == [mask(le[i]) for i in range(n)]
+    assert p._down == [mask(le[i][j] for i in range(n)) for j in range(n)]
+    assert p._succ_masks == [mask(cover[i]) for i in range(n)]
+    assert p._pred_masks == [mask(cover[i][j] for i in range(n)) for j in range(n)]
+    assert p.cover_pairs == {(ids[i], ids[j]) for i in range(n) for j in range(n) if cover[i][j]}
+    # the least linear extension: the least index whose predecessors are all placed
+    order: list[int] = []
+    while len(order) < n:
+        order.append(min(j for j in range(n) if j not in order and all(i in order for i in range(n) if lt[i][j])))
+    assert p._order == tuple(order)
 
 
 @st.composite

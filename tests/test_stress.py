@@ -5,6 +5,8 @@ many more seeds and slightly larger instances; the default suite keeps
 the advertised counts so it stays fast.
 """
 
+import json
+import os
 import random
 
 import pytest
@@ -22,6 +24,7 @@ from finitetopo import (
     verify_equivalence,
     verify_nerve_theorem,
 )
+from finitetopo.cli import main
 
 pytestmark = pytest.mark.slow
 
@@ -79,3 +82,17 @@ def test_triviality_oracle_never_lies_sweep():
             assert prof.is_zero(), i
         elif verdict.status == "nontrivial" and verdict.reason == "homology":
             assert not prof.is_zero(), i
+
+
+def test_batch_on_generated_poset_of_height_seven(tmp_path):
+    # the 8-element poset of height 7 drawn by the poset recipe at seed 5,
+    # whose dictionary check once built a subdivision of 95,517 faces
+    directory = str(tmp_path / "generated")
+    generate = ["fixtures", "generate", "--recipe", "poset", "--count", "1", "--seed", "5"]
+    assert main([*generate, "--dir", directory, "--out", os.devnull]) == 0
+    out = str(tmp_path / "report.json")
+    assert main(["verify", "--batch", directory, "--out", out]) == 0
+    with open(out, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert doc["status"] == "Certified"
+    assert [(e["theorem"], e["status"]) for e in doc["detail"]["fixtures"]] == [("dictionary", "Certified")]
