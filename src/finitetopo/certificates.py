@@ -80,9 +80,6 @@ class ReductionCertificate:
     def removed_elements(self) -> tuple[str, ...]:
         return tuple(e for s in self.steps for e in s.removed)
 
-    def kinds(self) -> tuple[str, ...]:
-        return tuple(s.kind for s in self.steps)
-
     def is_dismantling(self) -> bool:
         return all(s.kind in BEAT_KINDS for s in self.steps)
 

@@ -72,14 +72,8 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * n for k, n in enumerate(self.f_vector()))
 
-    def contains(self, simplex: Iterable[str]) -> bool:
-        return tuple(sorted(set(simplex))) in self.faces
-
     def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
         return all(f in other.faces for f in self.facets)
-
-    def intersection(self, other: "SimplicialComplex") -> "SimplicialComplex":
-        return SimplicialComplex(self.faces & other.faces)
 
     def __len__(self) -> int:
         return len(self.faces)
@@ -266,11 +260,6 @@ def cw_from_face_poset(p: Poset, dim: dict[str, int]) -> RegularCWComplex:
                 if (verts[e] <= verts[f]) != p.le(e, f):
                     raise ValidationError(f"cell {c!r}: face order disagrees with vertex inclusion")
     return RegularCWComplex(p, dict(dim))
-
-
-def complex_as_cw(k: SimplicialComplex) -> RegularCWComplex:
-    p = face_poset(k)
-    return RegularCWComplex(p, {cell_id(f): len(f) - 1 for f in k.faces})
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import itertools
 import math
 import operator
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -184,9 +185,16 @@ def pullback_cover(pc: PointCloud, f: FilterSpec, ic: IntervalCover) -> dict[str
 
 
 def _pullback(values: tuple[float, ...], spans: list[tuple[float, float]]) -> dict[str, list[int]]:
-    """The positions in the cloud of the points in each part."""
+    """The positions in the cloud of the points in each part, ascending: those
+    with ``a <= v <= b`` for the part's span (a, b).
+
+    The positions are sorted by value once, and each span's ends are
+    bisected in that order, with the same comparisons.  A value is never
+    NaN; a span with a NaN end holds nothing, as the comparisons say."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ordered = [values[i] for i in order]
     return {
-        _part_name(k, len(spans)): [i for i, v in enumerate(values) if a <= v <= b]
+        _part_name(k, len(spans)): sorted(order[bisect_left(ordered, a):bisect_right(ordered, b)]) if a <= b else []
         for k, (a, b) in enumerate(spans)
     }
 

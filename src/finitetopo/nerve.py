@@ -23,7 +23,7 @@ U_J whose least element is c).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Optional, Union
+from typing import Any, Callable, Mapping, Optional, Union
 
 from .certificates import StatementReport, Status, TrivialityVerdict
 from .complexes import (
@@ -111,24 +111,6 @@ class PosetCover:
         self._nerve: Optional[SimplicialComplex] = None
         self._nerve_poset: Optional[Poset] = None
 
-    @property
-    def part_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self.parts))
-
-    def part(self, name: str) -> ElementSet:
-        if name not in self.parts:
-            raise InputError(f"unknown cover part {name!r}")
-        return self.parts[name]
-
-    def intersection(self, names: Iterable[str]) -> ElementSet:
-        J = set(names)
-        if not J:
-            raise InputError("intersection needs at least one part name")
-        mask = self.base.full_mask()
-        for n in J:
-            mask &= self.part(n).mask
-        return ElementSet(self.base, mask)
-
     def intersections(self) -> dict[str, ElementSet]:
         if self._intersections is None:
             families = intersecting_families({n: sub.mask for n, sub in self.parts.items()})
@@ -169,10 +151,6 @@ class ComplexCover:
         self.parts = named
         self._poset_cover: Optional[PosetCover] = None
 
-    @property
-    def part_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self.parts))
-
     def poset_cover(self) -> PosetCover:
         """The induced cover of the base's face poset by the parts' cell sets."""
         if self._poset_cover is None:
@@ -212,10 +190,6 @@ class CoverClassification:
     @property
     def is_good(self) -> bool:
         return self.status == "good"
-
-    @property
-    def is_quasi_good(self) -> bool:
-        return self.status in ("good", "quasi-good")
 
     @property
     def failing(self) -> list[str]:

@@ -153,20 +153,8 @@ class Poset:
     def le(self, a: str, b: str) -> bool:
         return bool(self._up[self._lookup(a)] & (1 << self._lookup(b)))
 
-    def lt(self, a: str, b: str) -> bool:
-        return a != b and self.le(a, b)
-
-    def comparable(self, a: str, b: str) -> bool:
-        return self.le(a, b) or self.le(b, a)
-
-    def covers(self, lower: str, upper: str) -> bool:
-        return (lower, upper) in self.cover_pairs
-
     def cover_successors(self, e: str) -> tuple[str, ...]:
         return self._names(self._succ_masks[self._lookup(e)])
-
-    def cover_predecessors(self, e: str) -> tuple[str, ...]:
-        return self._names(self._pred_masks[self._lookup(e)])
 
     def _names(self, mask: int) -> tuple[str, ...]:
         return tuple(self.elements[i] for i in _iter_bits(mask))
@@ -199,12 +187,6 @@ class Poset:
         i = self._lookup(e)
         return ElementSet(self, self._up[i] & ~(1 << i))
 
-    def closure(self, members: Iterable[str]) -> "ElementSet":
-        return self.subset(members).closure()
-
-    def open_hull(self, members: Iterable[str]) -> "ElementSet":
-        return self.subset(members).open_hull()
-
     def maximal_elements(self) -> tuple[str, ...]:
         return tuple(e for i, e in enumerate(self.elements) if self._succ_masks[i] == 0)
 
@@ -222,12 +204,6 @@ class Poset:
     def linear_extension(self) -> tuple[str, ...]:
         """Topological order; ties are broken by identifier (codepoint) order."""
         return tuple(self.elements[i] for i in self._order)
-
-    def connected_components(self) -> list["ElementSet"]:
-        return ElementSet(self, self.full_mask()).components()
-
-    def is_connected(self) -> bool:
-        return len(self) > 0 and len(self.connected_components()) == 1
 
 
 @dataclass(frozen=True)
@@ -258,22 +234,6 @@ class ElementSet:
         i = self.poset._index.get(e)
         return i is not None and bool(self.mask >> i & 1)
 
-    def union(self, other: "ElementSet") -> "ElementSet":
-        self._check_same(other)
-        return ElementSet(self.poset, self.mask | other.mask)
-
-    def intersection(self, other: "ElementSet") -> "ElementSet":
-        self._check_same(other)
-        return ElementSet(self.poset, self.mask & other.mask)
-
-    def difference(self, other: "ElementSet") -> "ElementSet":
-        self._check_same(other)
-        return ElementSet(self.poset, self.mask & ~other.mask)
-
-    def _check_same(self, other: "ElementSet") -> None:
-        if self.poset is not other.poset and self.poset != other.poset:
-            raise InputError("element sets belong to different posets")
-
     def _hull(self, reach: list[int]) -> "ElementSet":
         return ElementSet(self.poset, reach_of(reach, self.mask))
 
@@ -285,9 +245,6 @@ class ElementSet:
 
     def is_down_set(self) -> bool:
         return self.open_hull().mask == self.mask
-
-    def is_up_set(self) -> bool:
-        return self.closure().mask == self.mask
 
     def components(self) -> list["ElementSet"]:
         """Components of the comparability graph on the subset, sorted by
@@ -315,12 +272,3 @@ class ElementSet:
         p, mask = self.poset, self.mask
         pairs = [(p.elements[i], p.elements[j]) for i in _iter_bits(mask) for j in _iter_bits(p._up[i] & mask)]
         return Poset(p._names(mask), pairs)
-
-    def maximum(self) -> str | None:
-        """The greatest member, if the subset has one under the induced order."""
-        j = extremum(self.poset._down, self.mask)
-        return None if j is None else self.poset.elements[j]
-
-    def minimum(self) -> str | None:
-        j = extremum(self.poset._up, self.mask)
-        return None if j is None else self.poset.elements[j]

@@ -97,16 +97,6 @@ def core(p: Poset) -> tuple[Poset, ReductionCertificate]:
     return ElementSet(p, mask).induced(), ReductionCertificate(tuple(steps))
 
 
-def is_dismantlable(p: Poset) -> TrivialityVerdict:
-    """Trivial iff the core is a point; otherwise Unknown, reporting the core."""
-    if len(p) == 0:
-        return TrivialityVerdict("nontrivial", "empty")
-    mask, steps = _greedy_core(p, p.full_mask())
-    if mask.bit_count() == 1:
-        return TrivialityVerdict("trivial", "dismantling", ReductionCertificate(tuple(steps)))
-    return TrivialityVerdict("unknown", "core", detail={"core_size": mask.bit_count(), "core": list(p._names(mask))})
-
-
 def find_weak_points(p: Poset) -> list[tuple[str, str]]:
     """(element, kind) pairs whose punctured up/down set is dismantlable."""
     mask = p.full_mask()
@@ -204,19 +194,16 @@ def is_collapsible(s: Poset | ElementSet, budget: int = DEFAULT_BUDGET) -> Trivi
     return TrivialityVerdict("unknown", reason, detail={"nodes": nodes})
 
 
-def collapse_search(p: Poset, target, budget: int = DEFAULT_BUDGET) -> tuple[Optional[ReductionCertificate], dict]:
-    """Search for a weak-point deletion sequence from p onto the target subposet."""
-    if isinstance(target, Poset):
-        members = set(target.elements)
-    else:
-        members = set(target)
+def collapse_search(
+    p: Poset, target: Iterable[str], budget: int = DEFAULT_BUDGET
+) -> tuple[Optional[ReductionCertificate], dict]:
+    """Search for a weak-point deletion sequence from p onto the subposet on
+    the target elements."""
+    members = set(target)
     for e in members:
         if e not in p:
             raise InputError(f"target element {e!r} is not in the poset")
-    sub = p.subset(members)
-    if isinstance(target, Poset) and sub.induced() != target:
-        raise InputError("target order disagrees with the induced order")
-    tmask = sub.mask
+    tmask = p.subset(members).mask
     steps, nodes, complete = _collapse_dfs(
         p.full_mask(), lambda mask: mask == tmask, lambda mask: _collapse_moves(p, mask, tmask), budget)
     report = {"nodes": nodes, "complete": complete}
@@ -314,6 +301,9 @@ def _replay_on_mask(p: Poset, mask: int, cert: ReductionCertificate) -> int:
             if ev_mask & ~sub:
                 raise ReplayError(f"evidence for {x!r} strays outside the punctured set")
             final = _replay_on_mask(p, sub, ev)
+            # no valid step empties a punctured set (a beat step's witness
+            # stays, a weak or gamma step needs a non-empty one), so != 1
+            # here means the same as > 1
             if final.bit_count() != 1:
                 raise ReplayError(f"evidence for {x!r} does not reach a single point")
         else:
@@ -335,59 +325,12 @@ def _proper_cofaces(faces: set[tuple[str, ...]], s: tuple[str, ...]) -> list[tup
     return [t for t in faces if len(t) > len(s) and ss.issubset(t)]
 
 
-def free_pairs(faces: Iterable[tuple[str, ...]]) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """(free face, its coface) in face order, for all faces of a complex.
-
-    A free face has exactly one proper coface, hence exactly one of
-    codimension 1; in a complex the converse holds, as a larger coface
-    would contain two.  So counting those takes O(faces * dimension)."""
-    count: dict[tuple[str, ...], int] = {}
-    coface: dict[tuple[str, ...], tuple[str, ...]] = {}
-    for t in faces:
-        if len(t) > 1:
-            for i in range(len(t)):
-                s = t[:i] + t[i + 1:]
-                count[s] = count.get(s, 0) + 1
-                coface[s] = t
-    return sorted((s, coface[s]) for s, n in count.items() if n == 1)
-
-
 def simplex_token(simplex: Iterable[str]) -> str:
     return json.dumps(sorted(simplex), separators=(",", ":"))
 
 
 def token_simplex(token: str) -> tuple[str, ...]:
     return tuple(json.loads(token))
-
-
-def simplicial_collapse_search(
-    k: SimplicialComplex, target: Optional[SimplicialComplex] = None, budget: int = DEFAULT_BUDGET
-) -> tuple[Optional[ReductionCertificate], dict]:
-    """DFS over free-face removals from k to the target (a point if omitted)."""
-    start = frozenset(k.faces)
-    keep: frozenset[tuple[str, ...]] = frozenset()
-    if target is not None:
-        keep = frozenset(target.faces)
-        if not keep <= start:
-            raise InputError("target is not a subcomplex")
-
-    def done(faces: frozenset) -> bool:
-        if target is not None:
-            return faces == keep
-        return len(faces) == 1 and len(next(iter(faces))) == 1
-
-    def moves(faces: frozenset):
-        for s, t in free_pairs(faces):
-            if s not in keep and t not in keep:
-                yield (s, t), faces - {s, t}
-
-    pairs, nodes, complete = _collapse_dfs(start, done, moves, budget)
-    report = {"nodes": nodes, "complete": complete}
-    if pairs is None:
-        return None, report
-    return ReductionCertificate(tuple(
-        ReductionStep("simplicial-collapse", (simplex_token(s), simplex_token(t))) for s, t in pairs
-    )), report
 
 
 def replay_simplicial_certificate(k: SimplicialComplex, cert: ReductionCertificate) -> frozenset:

@@ -14,7 +14,6 @@ from finitetopo import (
     SimplicialComplex,
     barycentric_poset,
     chain_complex,
-    complex_as_cw,
     euler_characteristic,
     face_poset,
     fraction_free_rank,
@@ -27,10 +26,10 @@ from finitetopo import (
 from finitetopo import fixtures as fx
 from finitetopo.complexes import chains_by_length
 from finitetopo.cylinder import build_cylinder, source_local_data, target_local_data
-from finitetopo.homology import _eliminate_unit_pivots, profile_from_chain_complex
+from finitetopo.homology import _eliminate_unit_pivots, certified_homology, profile_from_chain_complex
 from finitetopo.reduction import _chains_in, triviality_oracle
 from tests.reference_snf import reference_smith_normal_form
-from tests.test_complexes import complexes, triangle_boundary
+from tests.test_complexes import as_cw, complexes, triangle_boundary
 from tests.test_poset import posets
 
 
@@ -125,7 +124,7 @@ class TestKnownSpaces:
         assert prof.torsion == ((), (), ())
 
     def test_cw_input(self):
-        cw = complex_as_cw(triangle_boundary())
+        cw = as_cw(triangle_boundary())
         assert homology(cw).betti == (1, 1)
 
 
@@ -148,6 +147,18 @@ class TestProfileHelpers:
         ok, _ = same_homology(a, b, through_degree=0)
         assert ok
 
+    def test_same_homology_sees_torsion(self):
+        # RP² has the Betti numbers of a point; only its Z/2 in degree 1 differs
+        rp2 = homology(fx.projective_plane())
+        ok, diffs = same_homology(rp2, homology(Poset(["x"])))
+        assert not ok and diffs == ["degree 1: (0, (2,)) vs (0, ())"]
+        ok, diffs = same_homology(rp2, homology(triangle_boundary()))
+        assert not ok and diffs == ["degree 1: (0, (2,)) vs (1, ())"]
+
+    def test_certified_homology_refuses_a_torsion_mismatch(self):
+        with pytest.raises(AssertionError, match="unequal homology"):
+            certified_homology("a point is RP²", fx.projective_plane(), Poset(["x"]))
+
     def test_reduced_vs_unreduced_mismatch_rejected(self):
         a = homology(Poset(["x"]))
         b = homology(Poset(["x"]), reduced=True)
@@ -160,7 +171,7 @@ class TestEulerCharacteristic:
         k = triangle_boundary()
         assert euler_characteristic(k) == 0
         assert euler_characteristic(face_poset(k)) == 0
-        assert euler_characteristic(complex_as_cw(k)) == 0
+        assert euler_characteristic(as_cw(k)) == 0
 
     def test_projective_plane_euler(self):
         assert euler_characteristic(fx.REGISTRY["projective-plane"].build()) == 1
@@ -214,7 +225,7 @@ def test_poset_homology_is_order_complex_homology(p: Poset):
 def test_poset_homology_builds_no_order_complex():
     circle = Poset(["probe-a", "probe-b", "probe-c", "probe-d"],
                    [("probe-a", "probe-c"), ("probe-a", "probe-d"), ("probe-b", "probe-c"), ("probe-b", "probe-d")])
-    cw = complex_as_cw(SimplicialComplex([("probe-u", "probe-v", "probe-w")]))
+    cw = as_cw(SimplicialComplex([("probe-u", "probe-v", "probe-w")]))
     before = order_complex.cache_info()
     assert homology(circle).betti == (1, 1)
     assert homology(cw).betti == (1, 0, 0)
@@ -563,7 +574,7 @@ def test_poset_chain_complex_is_the_order_complex_chain_complex(p: Poset, data):
     chain = chain_complex(p)
     assert [{tuple(sorted(c)) for c in level} for level in chain.bases] == [set(row) for row in k.faces_by_dim()]
     assert all(len(level) == len(set(level)) for level in chain.bases)
-    assert all(p.lt(a, b) for level in chain.bases for c in level for a, b in zip(c, c[1:]))
+    assert all(a != b and p.le(a, b) for level in chain.bases for c in level for a, b in zip(c, c[1:]))
     assert [len(d.entries) for d in chain.boundaries] == [len(d.entries) for d in chain_complex(k).boundaries]
     prof = profile_from_chain_complex(chain)
     assert prof == homology(k) == homology(p) == reference_profile(chain)
@@ -591,7 +602,7 @@ def test_homology_never_reads_entries(monkeypatch):
     rp2 = fx.projective_plane()
     assert homology(barycentric_poset(face_poset(rp2))).describe() == "H0=Z H1=Z/2 H2=0"
     assert homology(fx.torus()).betti == (1, 2, 1)
-    assert homology(complex_as_cw(rp2)).degree(1) == (0, (2,))
+    assert homology(as_cw(rp2)).degree(1) == (0, (2,))
     for name in ("certified-relation", "thm-a-refutation"):
         r = fx.get_fixture(name).build()
         for y in r.target.elements:

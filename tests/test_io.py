@@ -38,6 +38,7 @@ from finitetopo.formats import (
     relation_to_json,
 )
 from finitetopo.report import content_hash, hash_json
+from tests.test_complexes import as_cw
 from tests.test_poset import diamond
 
 
@@ -94,20 +95,16 @@ class TestJsonRoundTrips:
         cov = fx.star_cover_six_cycle()
         back = poset_cover_from_json(poset_cover_to_json(cov))
         assert back.base == cov.base
-        assert {k: set(back.part(k)) for k in back.part_names} == {
-            k: set(cov.part(k)) for k in cov.part_names
-        }
+        assert {k: set(v) for k, v in back.parts.items()} == {k: set(v) for k, v in cov.parts.items()}
 
     def test_complex_cover(self):
         cov = fx.example_3_12_cover()
         back = complex_cover_from_json(complex_cover_to_json(cov))
         assert back.base == cov.base
-        assert set(back.part_names) == set(cov.part_names)
+        assert set(back.parts) == set(cov.parts)
 
     def test_cw(self):
-        from finitetopo import complex_as_cw
-
-        cw = complex_as_cw(SimplicialComplex([("a", "b", "c")]))
+        cw = as_cw(SimplicialComplex([("a", "b", "c")]))
         back = cw_from_json(cw_to_json(cw))
         assert back == cw
 

@@ -22,6 +22,7 @@ from finitetopo import (
     pullback_cover,
 )
 from finitetopo import fixtures as fx
+from finitetopo.mapper import _part_name, _pullback
 from tests.reference_epsilon import reference_epsilon_components
 
 
@@ -153,6 +154,29 @@ class TestPullback:
             assert members  # this cover has no empty slices
         assert {"p0", "p2"} <= parts["i0"]
         assert {"p1", "p3"} <= parts["i1"]
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bisected_parts_match_the_comparisons(self, data):
+        # a small pool of values makes ties, and span ends drawn from it land on values
+        pool = data.draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=6))
+        values = tuple(data.draw(st.lists(st.sampled_from(pool), max_size=30)))
+        end = st.one_of(st.sampled_from(pool), st.floats())
+        spans = data.draw(st.lists(st.tuples(end, end), min_size=1, max_size=8))
+        expected = {
+            _part_name(k, len(spans)): [i for i, v in enumerate(values) if a <= v <= b]
+            for k, (a, b) in enumerate(spans)
+        }
+        assert _pullback(values, spans) == expected
+
+    def test_twenty_thousand_intervals_pull_back_quickly(self):
+        # sorted once and bisected per span, not one scan of every point per span
+        n = 20_000
+        pc = PointCloud([f"p{i}" for i in range(n)], [((i * 7919) % n / n,) for i in range(n)])
+        start = time.process_time()
+        parts = pullback_cover(pc, parse_filter("x"), IntervalCover(n, 0.5))
+        assert time.process_time() - start < 2
+        assert len(parts) == n and set().union(*parts.values()) == set(pc.ids)
 
     def test_more_intervals_than_points_is_refused_at_once(self):
         # before any span is built: a trillion spans would never finish

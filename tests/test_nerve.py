@@ -26,7 +26,9 @@ from finitetopo import (
     verify_nerve_theorem,
 )
 from finitetopo import fixtures as fx
+from finitetopo import nerve as nerve_module
 from finitetopo.nerve import NERVE_VARIANTS, intersecting_families
+from tests.test_poset import greatest
 
 
 def star_cover() -> PosetCover:
@@ -51,13 +53,13 @@ class TestPosetCover:
     def test_open_hulls_flag_repairs_parts(self):
         p = fx.six_cycle()
         cov = PosetCover(p, {"A": ["y0", "y1", "y2"], "B": ["x0", "x1", "x2"]}, True)
-        assert cov.part("A").is_down_set()
-        assert set(cov.part("B")) == {"x0", "x1", "x2"}
+        assert cov.parts["A"].is_down_set()
+        assert set(cov.parts["B"]) == {"x0", "x1", "x2"}
 
     def test_intersections(self):
         cov = star_cover()
-        assert set(cov.intersection(["U0", "U1"])) == {"x0"}
-        assert len(cov.intersection(["U0", "U1", "U2"])) == 0
+        assert set(cov.intersections()["U0,U1"]) == {"x0"}
+        assert "U0,U1,U2" not in cov.intersections()
 
     def test_nerve_of_star_cover_is_circle(self):
         cov = star_cover()
@@ -84,7 +86,7 @@ class TestComplexCover:
 
         cov = fx.example_3_12_cover()
         pc = cov.poset_cover()
-        assert set(pc.part_names) == {"L", "T"}
+        assert set(pc.parts) == {"L", "T"}
         assert pc.base == face_poset(cov.base)
 
 
@@ -92,14 +94,13 @@ class TestClassifyCover:
     def test_star_cover_is_good(self):
         cls = classify_cover(star_cover())
         assert cls.status == "good"
-        assert cls.is_good and cls.is_quasi_good
+        assert cls.is_good
         assert cls.failing == []
 
     def test_two_arc_cover_is_quasi_good_not_good(self):
         cls = classify_cover(two_arc_cover())
         assert cls.status == "quasi-good"
         assert not cls.is_good
-        assert cls.is_quasi_good
 
     def test_single_part_circle_is_neither(self):
         p = fx.six_cycle()
@@ -131,7 +132,7 @@ class TestTrivialSubnerve:
         cov = star_cover()
         sub = trivial_subnerve(cov)
         for x in cov.base.elements:
-            assert point_subnerve(sub, x).maximum() is not None
+            assert greatest(point_subnerve(sub, x)) is not None
 
     def test_point_subnerve_unknown_element(self):
         with pytest.raises(InputError):
@@ -282,7 +283,7 @@ def test_random_good_covers_satisfy_both_statements(seed: int):
     sub = trivial_subnerve(cov, classification=cls)
     assert set(sub.poset.elements) == set(cov.nerve_poset().elements)
     for x in cov.base.elements:
-        assert point_subnerve(sub, x).maximum() is not None
+        assert greatest(point_subnerve(sub, x)) is not None
     rep = verify_nerve_theorem(cov, "good-poset")
     assert rep.status is Status.CERTIFIED and rep.homology_equal
 
@@ -317,8 +318,8 @@ def test_completion_poset_matches_its_definition(cov):
     comp = completion_poset(cov)
     pc = comp.cover
     expected = {}
-    for k in range(1, len(pc.part_names) + 1):
-        for J in itertools.combinations(pc.part_names, k):
+    for k in range(1, len(pc.parts) + 1):
+        for J in itertools.combinations(sorted(pc.parts), k):
             common = reduce(lambda a, b: a & b, (set(pc.parts[n]) for n in J))
             for piece in pc.base.subset(common).components():
                 first = next(e for e in pc.base.elements if e in piece)
@@ -333,18 +334,19 @@ def test_completion_poset_matches_its_definition(cov):
 
 
 def test_nerve_statements_read_the_table_of_intersections(monkeypatch):
-    """Once the covers are built, classification, the three nerve
-    statements, the completion, the corollary (on the cover of a complex)
-    and the mapper pipeline intersect no parts by name: they read the
-    cover's table of intersections."""
+    """Classification, the three nerve statements, the completion, the
+    corollary (on the cover of a complex) and the mapper pipeline read the
+    cover's table of intersections, which each cover builds once."""
     built = [fx.get_fixture(n).build() for n in SHIPPED_COVERS]
     params = fx.get_fixture("circle-60").params
     cloud = fx.get_fixture("circle-60").build()
+    tables = []
 
-    def barred(self, names):
-        raise AssertionError("an intersection was computed from part names")
+    def counted(named):
+        tables.append(sorted(named))
+        return intersecting_families(named)
 
-    monkeypatch.setattr(PosetCover, "intersection", barred)
+    monkeypatch.setattr(nerve_module, "intersecting_families", counted)
     for cov in built:
         classify_cover(cov)
         for variant in NERVE_VARIANTS:
@@ -356,3 +358,4 @@ def test_nerve_statements_read_the_table_of_intersections(monkeypatch):
         cloud, parse_filter(params["filter"]), IntervalCover(params["intervals"], params["overlap"]), params["epsilon"]
     )
     assert result.completion_homology.betti == (1, 1)
+    assert len(tables) == len(built) + 1

@@ -1,6 +1,4 @@
-import inspect
 import random
-import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +12,6 @@ from finitetopo import (
     ReductionStep,
     Relation,
     ReplayError,
-    SimplicialComplex,
     check_source_retraction,
     check_target_retraction,
     classify_cover,
@@ -24,15 +21,12 @@ from finitetopo import (
     find_beat_points,
     find_gamma_points,
     find_weak_points,
-    free_pairs,
     homology,
     is_collapsible,
-    is_dismantlable,
     order_complex,
     replay_poset_certificate,
     replay_simplicial_certificate,
     same_homology,
-    simplicial_collapse_search,
     triviality_oracle,
     verify_dictionary,
     verify_homology_equivalence,
@@ -43,9 +37,7 @@ from finitetopo import fixtures as fx
 from finitetopo.cylinder import build_cylinder
 from finitetopo.homology import _poset_homology
 from finitetopo.reduction import DEFAULT_BUDGET
-from tests.reference_simplicial_collapse import reference_simplicial_collapse_search
-from tests.test_complexes import complexes
-from tests.test_poset import diamond, posets, shuffled_posets
+from tests.test_poset import diamond, greatest, least, posets, shuffled_posets
 
 
 def chain(n: int) -> Poset:
@@ -105,18 +97,11 @@ class TestCore:
 
 class TestDismantlable:
     def test_chain_is_dismantlable(self):
-        v = is_dismantlable(chain(4))
-        assert v.is_trivial
+        # the oracle tries a dismantling before any collapse search
+        v = triviality_oracle(chain(4))
+        assert v.is_trivial and v.reason == "dismantling"
         assert v.certificate is not None
         assert v.certificate.is_dismantling()
-
-    def test_circle_model_reports_core(self):
-        v = is_dismantlable(fx.six_cycle())
-        assert v.is_unknown
-        assert v.detail["core_size"] == 6
-
-    def test_empty_is_nontrivial(self):
-        assert is_dismantlable(Poset([])).is_nontrivial
 
 
 class TestWeakPoints:
@@ -150,12 +135,6 @@ class TestCollapseSearch:
     def test_unknown_target_element(self):
         with pytest.raises(InputError, match="not in the poset"):
             collapse_search(chain(3), ["z"])
-
-    def test_target_order_mismatch(self):
-        p = diamond()
-        wrong = Poset(["a", "d"])  # drops the comparability
-        with pytest.raises(InputError, match="disagrees"):
-            collapse_search(p, wrong)
 
     def test_budget_exhaustion_is_reported(self):
         p = fx.REGISTRY["collapsible-noncontractible"].build()
@@ -210,9 +189,10 @@ class TestCollapsibleNoncontractibleFixture:
         assert len(cert) == 3
 
     def test_not_dismantlable(self):
-        v = is_dismantlable(self.p)
-        assert v.is_unknown
-        assert v.detail["core_size"] == 22
+        # the oracle tries a dismantling first, so a collapse means there is none
+        v = triviality_oracle(self.p)
+        assert v.is_trivial and v.reason == "collapse"
+        assert len(core(self.p)[0]) == 22
 
     def test_collapsible_with_replaying_certificate(self):
         v = is_collapsible(self.p)
@@ -258,6 +238,26 @@ class TestReplayRejection:
         with pytest.raises(ReplayError, match="single point"):
             replay_poset_certificate(p, bad)
 
+    @pytest.mark.parametrize("side", ["down", "up"])
+    def test_weak_step_evidence_must_not_hold_a_weak_step(self, side):
+        # the punctured set of x is a diamond, which collapses to a point by
+        # a weak step on y and two beat steps; that is a collapse, not the
+        # dismantling a weak step names (the up side is the opposite poset)
+        p = Poset("abcxy", [("a", "b"), ("a", "c"), ("b", "y"), ("c", "y"), ("y", "x")])
+        if side == "up":
+            p = p.opposite()
+        link_of_y = ReductionCertificate((
+            ReductionStep(side + "-beat", ("b",), witness="a"),
+            ReductionStep(side + "-beat", ("c",), witness="a"),
+        ))
+        collapse = ReductionCertificate((ReductionStep(side + "-weak", ("y",), evidence=link_of_y), *link_of_y.steps))
+        assert len(replay_poset_certificate(p.induced("abcy"), collapse)) == 1
+        gamma = ReductionCertificate((ReductionStep("gamma-" + side, ("x",), evidence=collapse),))
+        assert replay_poset_certificate(p, gamma).elements == ("a", "b", "c", "y")
+        bad = ReductionCertificate((ReductionStep(side + "-weak", ("x",), evidence=collapse),))
+        with pytest.raises(ReplayError, match="must be a dismantling"):
+            replay_poset_certificate(p, bad)
+
     def test_simplicial_step_rejected_on_posets(self):
         bad = ReductionCertificate((ReductionStep("simplicial-collapse", ("c0", "c1")),))
         with pytest.raises(ReplayError, match="not a poset step"):
@@ -265,62 +265,21 @@ class TestReplayRejection:
 
     def test_gamma_step_requires_collapse_evidence(self):
         p = weak_not_beat()
-        v = is_dismantlable(p.induced(["a", "b", "c", "d"]))
-        gamma = ReductionCertificate((ReductionStep("gamma-down", ("x",), evidence=v.certificate),))
+        fence, dismantling = core(p.induced(["a", "b", "c", "d"]))
+        assert len(fence) == 1
+        gamma = ReductionCertificate((ReductionStep("gamma-down", ("x",), evidence=dismantling),))
         # dismantlings are collapses, so this replays
         final = replay_poset_certificate(p, gamma)
         assert set(final.elements) == {"a", "b", "c", "d"}
 
 
 class TestSimplicialCollapse:
-    def test_free_pairs_of_solid_triangle(self):
-        k = SimplicialComplex([("a", "b", "c")])
-        pairs = free_pairs(k.faces)
-        assert (("a", "b"), ("a", "b", "c")) in pairs
-
-    def test_triangle_boundary_has_no_free_pairs(self):
-        k = SimplicialComplex([("a", "b"), ("b", "c"), ("a", "c")])
-        assert free_pairs(k.faces) == []
-
-    def test_solid_triangle_collapses_to_point(self):
-        k = SimplicialComplex([("a", "b", "c")])
-        cert, report = simplicial_collapse_search(k)
-        assert cert is not None
-        final = replay_simplicial_certificate(k, cert)
-        assert len(final) == 1
-
-    def test_collapse_to_subcomplex_target(self):
-        k = SimplicialComplex([("a", "b", "c")])
-        target = SimplicialComplex([("a", "b")])
-        cert, _ = simplicial_collapse_search(k, target)
-        assert cert is not None
-        assert replay_simplicial_certificate(k, cert) == frozenset(target.faces)
-
-    def test_non_subcomplex_target_rejected(self):
-        k = SimplicialComplex([("a", "b")])
-        with pytest.raises(InputError, match="subcomplex"):
-            simplicial_collapse_search(k, SimplicialComplex([("a", "z")]))
-
-    def test_collapse_longer_than_the_recursion_limit(self):
-        depth = len(inspect.stack())
-        n = depth + 200
-        k = SimplicialComplex([(f"v{i:04d}", f"v{i + 1:04d}") for i in range(n)])
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 100)
-        try:
-            cert, report = simplicial_collapse_search(k)
-        finally:
-            sys.setrecursionlimit(limit)
-        assert report == {"nodes": n, "complete": True}
-        assert len(cert) == n > depth + 100
-        assert len(replay_simplicial_certificate(k, cert)) == 1
-
     def test_tampered_simplicial_certificate(self):
-        k = SimplicialComplex([("a", "b", "c")])
-        cert, _ = simplicial_collapse_search(k)
+        p = chain(3)
+        cert = collapse_to_simplicial(p, core(p)[1])
         tampered = ReductionCertificate(cert.steps[1:])
         with pytest.raises(ReplayError):
-            replay_simplicial_certificate(k, tampered)
+            replay_simplicial_certificate(order_complex(p), tampered)
 
 
 class TestCollapseTranslation:
@@ -334,7 +293,7 @@ class TestCollapseTranslation:
     def test_collapse_certificate_with_a_weak_step_translates(self):
         p = fx.REGISTRY["collapsible-noncontractible"].build()
         cert = is_collapsible(p).certificate
-        assert "down-weak" in cert.kinds()
+        assert "down-weak" in {step.kind for step in cert.steps}
         simp = collapse_to_simplicial(p, cert)
         (vertex,) = replay_simplicial_certificate(order_complex(p), simp)
         assert len(vertex) == 1
@@ -343,7 +302,7 @@ class TestCollapseTranslation:
         p = chain(3)
         q, cert = core(p)
         simp = collapse_to_simplicial(p, cert)
-        assert all(k == "simplicial-collapse" for k in simp.kinds())
+        assert {step.kind for step in simp.steps} == {"simplicial-collapse"}
 
 
 class TestVerifyDictionary:
@@ -378,10 +337,30 @@ def test_beat_points_are_weak_points(p: Poset):
 def test_beat_points_match_their_definition(p: Poset):
     expected = []
     for e in p.elements:
-        up, down = p.punctured_up(e).minimum(), p.punctured_down(e).maximum()
+        up, down = least(p.punctured_up(e)), greatest(p.punctured_down(e))
         expected += [(e, "up-beat", up)] if up is not None else []
         expected += [(e, "down-beat", down)] if down is not None else []
     assert find_beat_points(p) == expected
+
+
+def dismantlable(p: Poset, members) -> bool:
+    """Whether removing beat points of the members, read off le() one at a
+    time, leaves a single point.  By Stong's theorem every such sequence
+    ends at the core, so the order of removal does not matter."""
+    rest = set(members)
+
+    def beat(x) -> bool:
+        above = [y for y in rest if y != x and p.le(x, y)]
+        below = [y for y in rest if y != x and p.le(y, x)]
+        return any(all(p.le(m, y) for y in above) for m in above) or any(
+            all(p.le(y, m) for y in below) for m in below)
+
+    while len(rest) > 1:
+        x = next((x for x in sorted(rest) if beat(x)), None)
+        if x is None:
+            return False
+        rest.remove(x)
+    return len(rest) == 1
 
 
 @given(shuffled_posets(max_size=6))
@@ -390,7 +369,7 @@ def test_weak_points_match_their_definition(p: Poset):
     expected = []
     for e in p.elements:
         for kind, punctured in (("up-weak", p.punctured_up(e)), ("down-weak", p.punctured_down(e))):
-            if len(punctured) and is_dismantlable(punctured.induced()).is_trivial:
+            if dismantlable(p, punctured):
                 expected.append((e, kind))
     assert find_weak_points(p) == expected
 
@@ -432,25 +411,6 @@ def test_weak_point_deletion_preserves_homology(p: Poset):
         rest = p.induced([x for x in p.elements if x != e])
         assert same_homology(homology(p), homology(rest))[0]
         break  # one deletion per example keeps the sweep fast
-
-
-@st.composite
-def complexes_with_targets(draw):
-    """A complex and, half the time, a subcomplex of it to collapse onto."""
-    k = draw(complexes(max_vertices=5))
-    if not draw(st.booleans()):
-        return k, None
-    faces = draw(st.lists(st.sampled_from(sorted(k.faces)), min_size=1, max_size=3))
-    return k, SimplicialComplex(faces)
-
-
-@given(complexes_with_targets(), st.integers(min_value=0, max_value=80))
-@settings(max_examples=80)
-def test_simplicial_collapse_search_matches_recursive_reference(case, budget):
-    # small budgets run out, so the node count and the complete flag of a
-    # cut-off search are compared too
-    k, target = case
-    assert simplicial_collapse_search(k, target, budget) == reference_simplicial_collapse_search(k, target, budget)
 
 
 # -- the oracle on element sets ------------------------------------------------
