@@ -8,12 +8,13 @@ and the fraction-free rank all read the columns as stored.  Smith normal
 form runs in two phases, after Dumas, Saunders and Villard (J. Symbolic
 Comput. 32, 2001): phase 1 eliminates every ±1 pivot by sparse
 Schur-complement steps, first every ±1 that is alone in its row or its
-column (a singleton pass, which makes no update), then the rest in
-Markowitz order, which takes out most of the rank of a boundary matrix;
-phase 2 copies the small block that is left into a dense matrix and runs
-the min-|entry| reduction with its divisibility fix on it, where torsion
-shows.  Both phases are purely algebraic: no beat points, weak points or
-collapses, so the oracle can audit those reductions.
+column (a singleton pass, which makes no update), then the rest by
+sweeps over the columns in index order until one takes no pivot, which
+takes out most of the rank of a boundary matrix; phase 2 copies the small
+block that is left into a dense matrix and runs the min-|entry|
+reduction with its divisibility fix on it, where torsion shows.  Both
+phases are purely algebraic: no beat points, weak points or collapses,
+so the oracle can audit those reductions.
 
 `profile_from_chain_complex` reduces the boundary matrices from the top
 degree down and clears as it goes (the twist of Chen and Kerber,
@@ -37,7 +38,6 @@ calls it, only the tests do.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -95,7 +95,8 @@ class IntegerMatrix:
 
         Column c of the product is the sum of w times column k of self over
         the entries (k, w) of other's column c; it is summed in a dict
-        keyed by row, and only its non-zero sums are kept.  Both factors
+        keyed by row, and only its non-zero sums are kept (none is copied
+        when all are zero, as in every column of ∂k·∂k+1).  Both factors
         are read by column as stored.  The cost is nnz(other) times the
         largest column of self: for boundary matrices ∂k·∂k+1 that is
         nnz(∂k+1)·(k+1).
@@ -109,7 +110,7 @@ class IntegerMatrix:
             for k, w in column.items():
                 for r, v in left[k].items():
                     sums[r] = sums.get(r, 0) + v * w
-            product.append({r: total for r, total in sums.items() if total})
+            product.append({r: total for r, total in sums.items() if total} if any(sums.values()) else {})
         return IntegerMatrix.from_columns(self.rows, product)
 
     def __eq__(self, other) -> bool:
@@ -166,19 +167,55 @@ def _eliminate_unit_pivots(rows: dict[int, dict[int, int]], cols: dict[int, set[
     invariant factors only by the one factor 1 it removes, and the block
     of the input on the pivot rows and columns has determinant ±1.
 
-    A singleton pass comes first (after Kaczynski, Mrozek and Ślusarek,
-    Comput. Math. Appl. 35, 1998): a ±1 entry alone in its column or
-    alone in its row is a pivot whose step updates nothing, so it only
-    deletes its row and its column.  A deletion that leaves a new ±1
-    singleton queues it; a singleton of any other value is left for
-    phase 2.  The pass reads nothing but the row and column dicts.  The
-    pivots left after it are taken in Markowitz order, cheapest
-    (|row|-1)(|col|-1) first, from a lazy heap built on what remains: a
-    stale cost is recomputed when it is popped, and an entry that
-    becomes ±1 by fill-in is pushed.  Works in place on `rows` and
-    `cols`, leaves no ±1 entry behind, and returns the pivots (r, c) in
-    the order taken.
+    After `_unit_singletons`, sweeps walk the columns in index order and
+    pivot in each on the ±1 entry in its shortest row, until a sweep takes
+    no pivot: then no ±1 is left.  A column filled in by a sweep waits for
+    the next, else on a closed surface's top boundary (two entries in
+    every row) each step hands its column on to a later one, which grows
+    through the sweep.  In place; returns the pivots (r, c) in order.
     """
+    pivots = _unit_singletons(rows, cols)
+    swept = True
+    while swept:
+        swept = False
+        grown: set[int] = set()
+        for c in [c for c, col in cols.items() if col]:
+            if c in grown:
+                continue
+            _, r = min(((len(rows[i]), i) for i in cols[c] if rows[i][c] in _UNITS), default=(0, None))
+            if r is None:
+                continue
+            pivot_row = rows.pop(r)
+            p = pivot_row.pop(c)
+            for c2 in pivot_row:
+                cols[c2].remove(r)
+            column = cols.pop(c)
+            column.remove(r)
+            if column:
+                grown.update(pivot_row)
+            for r2 in column:
+                target = rows[r2]
+                f = target.pop(c) * p
+                for c2, v in pivot_row.items():
+                    new = target.get(c2, 0) - f * v
+                    if new:
+                        target[c2] = new
+                        cols[c2].add(r2)
+                    else:
+                        del target[c2]
+                        cols[c2].discard(r2)
+                if not target:
+                    del rows[r2]
+            pivots.append((r, c))
+            swept = True
+    return pivots
+
+
+def _unit_singletons(rows: dict[int, dict[int, int]], cols: dict[int, set[int]]) -> list[tuple[int, int]]:
+    """The singleton pass (after Kaczynski, Mrozek and Ślusarek, Comput.
+    Math. Appl. 35, 1998): a ±1 alone in its column or row is a pivot that
+    only deletes its row and column, which may leave the next ±1 singleton;
+    other singletons are left for phase 2.  In place, like the sweep."""
     pivots: list[tuple[int, int]] = []
     queue = [(r, c) for c, column in cols.items() if len(column) == 1 for r in column if rows[r][c] in _UNITS]
     queue += [(r, c) for r, row in rows.items() if len(row) == 1 for c, v in row.items() if v in _UNITS]
@@ -205,46 +242,6 @@ def _eliminate_unit_pivots(rows: dict[int, dict[int, int]], cols: dict[int, set[
                 if v in _UNITS:
                     queue.append((r2, c2))
             elif not row:
-                del rows[r2]
-        pivots.append((r, c))
-
-    heap = [
-        ((len(row) - 1) * (len(cols[c]) - 1), r, c)
-        for r, row in rows.items()
-        for c, v in row.items()
-        if v in _UNITS
-    ]
-    heapq.heapify(heap)
-    while heap:
-        cost, r, c = heapq.heappop(heap)
-        pivot_row = rows.get(r)
-        if pivot_row is None or pivot_row.get(c) not in _UNITS:
-            continue
-        now = (len(pivot_row) - 1) * (len(cols[c]) - 1)
-        if now > cost:
-            heapq.heappush(heap, (now, r, c))
-            continue
-        p = pivot_row.pop(c)
-        del rows[r]
-        for c2 in pivot_row:
-            cols[c2].discard(r)
-        column = cols.pop(c)
-        column.discard(r)
-        for r2 in column:
-            target = rows[r2]
-            f = target.pop(c) * p
-            for c2, v in pivot_row.items():
-                old = target.get(c2, 0)
-                new = old - f * v
-                if new:
-                    target[c2] = new
-                    cols[c2].add(r2)
-                    if new in _UNITS and old not in _UNITS:
-                        heapq.heappush(heap, ((len(target) - 1) * (len(cols[c2]) - 1), r2, c2))
-                else:
-                    del target[c2]
-                    cols[c2].discard(r2)
-            if not target:
                 del rows[r2]
         pivots.append((r, c))
     return pivots
@@ -413,15 +410,11 @@ def profile_from_chain_complex(chain, reduced: bool = False) -> HomologyProfile:
         cleared = pivot_rows
     factor_lists.reverse()
     ranks = [0] + [len(f) for f in factor_lists] + [0]
-    betti = []
-    torsion = []
-    for k in range(len(sizes)):
-        betti.append(sizes[k] - ranks[k] - ranks[k + 1])
-        nxt = factor_lists[k] if k < len(factor_lists) else ()
-        torsion.append(tuple(d for d in nxt if d > 1))
+    betti = [n - ranks[k] - ranks[k + 1] for k, n in enumerate(sizes)]
     if reduced:
         betti[0] -= 1
-    return HomologyProfile(tuple(betti), tuple(torsion), reduced)
+    torsion = tuple(tuple(d for d in f if d > 1) for f in factor_lists) + ((),)
+    return HomologyProfile(tuple(betti), torsion, reduced)
 
 
 @lru_cache(maxsize=8192)

@@ -115,9 +115,10 @@ class FilterSpec:
             if self.axis >= pc.dimension:
                 raise InputError(f"axis {self.axis} out of range for {pc.dimension}-dimensional points")
             return tuple(row[self.axis] for row in pc.coords)
-        return tuple(
-            max(math.dist(row, other) for other in pc.coords) for row in pc.coords
-        )
+        values = tuple(max(math.dist(row, other) for other in pc.coords) for row in pc.coords)
+        if not all(map(math.isfinite, values)):
+            raise InputError("the eccentricity filter overflows to infinity on these coordinates")
+        return values
 
 
 _AXIS_SHORTHAND = {"x": 0, "y": 1, "z": 2}
@@ -157,6 +158,8 @@ class IntervalCover:
         if hi == lo:
             warnings.warn("degenerate filter range; using a single interval")
             return [(lo, hi)]
+        if not math.isfinite(hi - lo):
+            raise InputError(f"filter range [{lo!r}, {hi!r}] is too wide: its length overflows to infinity")
         n, g = self.intervals, self.overlap
         length = (hi - lo) / (n - g * (n - 1))
         step = length * (1.0 - g)

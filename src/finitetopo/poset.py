@@ -65,6 +65,7 @@ class Poset:
         strict = [0] * n
         self._succ_masks = [0] * n
         self._pred_masks = [0] * n
+        self._nonminimal = 0
         hasse = []
         # successors come first in reverse order: the strict up-set of i is
         # the union over its successors j of j and j's strict up-set, and a
@@ -76,6 +77,7 @@ class Poset:
                 implied |= strict[j]
             strict[i] = m
             self._succ_masks[i] = covers = m & ~implied
+            self._nonminimal |= covers
             for j in _iter_bits(covers):
                 self._pred_masks[j] |= 1 << i
                 hasse.append((self.elements[i], self.elements[j]))
@@ -244,7 +246,9 @@ class ElementSet:
         return self._hull(self.poset._down)
 
     def is_down_set(self) -> bool:
-        return self.open_hull().mask == self.mask
+        """Each lower cover of each non-minimal member is a member."""
+        p, mask = self.poset, self.mask
+        return not any(p._pred_masks[i] & ~mask for i in _iter_bits(mask & p._nonminimal))
 
     def components(self) -> list["ElementSet"]:
         """Components of the comparability graph on the subset, sorted by

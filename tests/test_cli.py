@@ -340,6 +340,18 @@ class TestMapperCommand:
         assert time.process_time() - start < 1
         assert "1000000000000 intervals for 2 points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flt, far, message",
+        [("ecc", "1e308", "the eccentricity filter overflows"), ("x", "1.7e308", "filter range [-1.7e+308, 1.7e+308]")],
+        ids=["eccentricity", "range"],
+    )
+    def test_filter_overflow_is_input_error(self, capsys, tmp_path, flt, far, message):
+        path = tmp_path / "far.csv"
+        path.write_text(f"a,0\nb,{far}\nc,-{far}\n")
+        assert main(["mapper", str(path), "--filter", flt, "--intervals", "2", "--epsilon", "1"]) == 3
+        err = capsys.readouterr().err
+        assert message in err and "cover misses" not in err
+
     def test_non_finite_coordinate_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "cloud.csv"
         path.write_text("a,0,0\nb,nan,0\nc,0.1,0\nd,inf,1\n")

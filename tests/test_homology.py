@@ -1,4 +1,3 @@
-import heapq
 import importlib
 import importlib.util
 import random
@@ -26,7 +25,7 @@ from finitetopo import (
 from finitetopo import fixtures as fx
 from finitetopo.complexes import chains_by_length
 from finitetopo.cylinder import build_cylinder, source_local_data, target_local_data
-from finitetopo.homology import _eliminate_unit_pivots, certified_homology, profile_from_chain_complex
+from finitetopo.homology import _eliminate_unit_pivots, _unit_singletons, certified_homology, profile_from_chain_complex
 from finitetopo.reduction import _chains_in, triviality_oracle
 from tests.reference_snf import reference_smith_normal_form
 from tests.test_complexes import as_cw, complexes, triangle_boundary
@@ -127,6 +126,18 @@ class TestKnownSpaces:
         cw = as_cw(triangle_boundary())
         assert homology(cw).betti == (1, 1)
 
+    def test_projective_plane_subdivided_three_times(self):
+        p = barycentric_poset(barycentric_poset(face_poset(fx.projective_plane())))
+        assert sum(map(len, chains_by_length(p))) == 6481
+        assert homology(p).describe() == "H0=Z H1=Z/2 H2=0"
+
+    def test_grid_torus_subdivided_three_times(self):
+        p = barycentric_poset(barycentric_poset(face_poset(grid_torus(3, 4))))
+        assert sum(map(len, chains_by_length(p))) == 15552
+        prof = homology(p)
+        assert prof.betti == (1, 2, 1)
+        assert prof.torsion == ((), (), ())
+
 
 class TestProfileHelpers:
     def test_degree_out_of_range(self):
@@ -187,6 +198,27 @@ class TestEulerCharacteristic:
         with pytest.raises(TypeError, match="ElementSet"):
             euler_characteristic(point)
         assert euler_characteristic(point.induced()) == 1
+
+
+def grid_torus(m: int, n: int) -> SimplicialComplex:
+    """The torus as an m x n grid of squares, each cut into two triangles,
+    with opposite sides glued."""
+    def v(i: int, j: int) -> str:
+        return f"t{i % m}.{j % n}"
+
+    return SimplicialComplex(
+        [t for i in range(m) for j in range(n)
+         for t in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)), (v(i, j), v(i, j + 1), v(i + 1, j + 1)))]
+    )
+
+
+def on_closed_surfaces(test):
+    """Adds the face posets of RP², a grid torus and ∂Δ³ as examples: every
+    row of a top boundary of their order complexes has two entries, so the
+    singleton pass takes nothing there and the sweep does all of phase 1."""
+    for p in (face_poset(fx.projective_plane()), face_poset(grid_torus(3, 4)), face_poset(fx.boundary_delta(2))):
+        test = example(p)(test)
+    return test
 
 
 # -- cross-checks between the two computation paths ---------------------------
@@ -288,6 +320,7 @@ def test_phase_two_alone_matches_reference(m: IntegerMatrix):
 
 
 @given(posets(max_size=7))
+@on_closed_surfaces
 def test_smith_normal_form_matches_reference_on_boundaries(p: Poset):
     for d in chain_complex(order_complex(p)).boundaries:
         assert smith_normal_form(d) == reference_smith_normal_form(d)
@@ -377,18 +410,16 @@ def test_non_unit_singletons_are_left_for_phase_two(m: IntegerMatrix):
     assert_matches_reference(m)
 
 
-def test_singleton_pass_cascades(monkeypatch):
+def test_singleton_pass_cascades():
     """A bidiagonal matrix of ±1 is taken out by singletons alone: each
-    deletion leaves the next singleton, so the Markowitz heap is empty."""
-    heaps = []
-    heapify = heapq.heapify
-    monkeypatch.setattr(heapq, "heapify", lambda heap: heaps.append(len(heap)) or heapify(heap))
+    deletion leaves the next singleton, so the sweep takes no pivot."""
     n = 6
     m = IntegerMatrix(n, n, {**{(i, i): 1 for i in range(n)}, **{(i, i + 1): -1 for i in range(n - 1)}})
     rows, cols = _rows_and_cols(m)
-    pivots = _eliminate_unit_pivots(rows, cols)
-    assert len(pivots) == n and not rows
-    assert heaps == [0]
+    assert len(_unit_singletons(rows, cols)) == n
+    assert not rows and not cols
+    rows, cols = _rows_and_cols(m)
+    assert len(_eliminate_unit_pivots(rows, cols)) == n
 
 
 def _rows_and_cols(m: IntegerMatrix) -> tuple[dict[int, dict[int, int]], dict[int, set[int]]]:
@@ -533,6 +564,7 @@ def test_bareiss_determinant():
 
 
 @given(posets(max_size=7))
+@on_closed_surfaces
 def test_unit_pivot_block_is_unimodular(p: Poset):
     """The fact clearing rests on: the rows and columns phase 1 pivots on
     bound a square block of determinant ±1."""
@@ -542,7 +574,7 @@ def test_unit_pivot_block_is_unimodular(p: Poset):
         pivot_rows = [r for r, _ in pivots]
         pivot_cols = [c for _, c in pivots]
         assert len(set(pivot_rows)) == len(set(pivot_cols)) == len(pivots)
-        block = [[m.entries.get((r, c), 0) for c in pivot_cols] for r in pivot_rows]
+        block = [[m.columns[c].get(r, 0) for c in pivot_cols] for r in pivot_rows]
         assert abs(bareiss_determinant(block)) == 1
 
 
@@ -559,6 +591,28 @@ def seeded_posets(draw) -> Poset:
     if kind == "dismantlable":
         return fx.random_dismantlable_poset(rng, draw(st.integers(1, 9)))
     return build_cylinder(fx.beat_retraction_relation(rng, draw(st.integers(2, 7)))).poset
+
+
+def assert_no_unit_is_left(m: IntegerMatrix) -> None:
+    """After phase 1 no ±1 entry is left, and the row and column views
+    still describe the same entries."""
+    rows, cols = _rows_and_cols(m)
+    _eliminate_unit_pivots(rows, cols)
+    assert not any(v in (1, -1) for row in rows.values() for v in row.values())
+    assert all(rows.values())
+    assert {(r, c) for r, row in rows.items() for c in row} == {(r, c) for c, column in cols.items() for r in column}
+
+
+@given(st.one_of(integer_matrices(max_side=8), integer_matrices(max_side=8, entries=NON_UNIT_ENTRIES)))
+@example(IntegerMatrix.from_dense([[3, 2], [2, 1]]))
+def test_phase_one_leaves_no_unit(m: IntegerMatrix):
+    assert_no_unit_is_left(m)
+
+
+@given(seeded_posets())
+def test_phase_one_leaves_no_unit_on_boundaries(p: Poset):
+    for m in chain_complex(p).boundaries:
+        assert_no_unit_is_left(m)
 
 
 @given(seeded_posets(), st.data())

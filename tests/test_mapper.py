@@ -99,6 +99,14 @@ class TestFilters:
         vals = FilterSpec("eccentricity").values(pc)
         assert vals == tuple(pytest.approx(math.sqrt(2)) for _ in range(4))
 
+    def test_eccentricity_overflow_is_input_error(self):
+        # finite coordinates 2e308 apart: the distance overflows to inf
+        pc = PointCloud(["a", "b", "c"], [(0.0,), (1e308,), (-1e308,)])
+        with pytest.raises(InputError, match="eccentricity filter overflows"):
+            FilterSpec("eccentricity").values(pc)
+        with pytest.raises(InputError, match="eccentricity filter overflows"):
+            mapper_completion(pc, parse_filter("ecc"), IntervalCover(2, 0.5), 1.0)
+
 
 class TestIntervalCover:
     def test_validation(self):
@@ -118,6 +126,15 @@ class TestIntervalCover:
         for (a, b), (c, d) in zip(spans, spans[1:]):
             assert c < b  # genuine overlap
             assert (b - c) / (b - a) == pytest.approx(0.25)
+
+    def test_range_whose_length_overflows_is_input_error(self):
+        with pytest.raises(InputError, match=r"filter range \[-1.7e\+308, 1.7e\+308\] is too wide"):
+            IntervalCover(2, 0.5).of_range(-1.7e308, 1.7e308)
+        pc = PointCloud(["a", "b", "c"], [(0.0,), (1.7e308,), (-1.7e308,)])
+        with pytest.raises(InputError, match="filter range .* is too wide"):
+            mapper_completion(pc, parse_filter("x"), IntervalCover(2, 0.5), 1.0)
+        spans = IntervalCover(2, 0.5).of_range(-8e307, 8e307)  # a wide range that does not overflow
+        assert spans[0][0] == -8e307 and spans[-1][1] == 8e307 and all(map(math.isfinite, sum(spans, ())))
 
     def test_degenerate_range_warns(self):
         with pytest.warns(UserWarning, match="degenerate"):

@@ -337,6 +337,19 @@ def posets_and_masks(draw, count: int = 2) -> tuple:
     return (p, *(draw(st.integers(0, p.full_mask())) for _ in range(count)))
 
 
+@given(posets_and_masks(count=1))
+def test_down_set_check_is_the_open_hull_definition(case):
+    """is_down_set() reads only the lower covers of the non-minimal members;
+    it agrees with "the open hull adds nothing" on a random mask, on its
+    open hull and on the hull less any one member."""
+    p, mask = case
+    assert p._nonminimal == sum(1 << i for i, e in enumerate(p.elements) if p.punctured_down(e).mask)
+    hull = ElementSet(p, mask).open_hull().mask
+    for m in [mask, hull, *(hull & ~(1 << i) for i in range(len(p)) if hull >> i & 1)]:
+        s = ElementSet(p, m)
+        assert s.is_down_set() == (s.open_hull().mask == m)
+
+
 @given(posets_and_masks())
 def test_element_set_against_brute_force(case):
     """Every ElementSet operation on masks agrees with its definition read
