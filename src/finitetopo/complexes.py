@@ -2,6 +2,11 @@
 
 Identifiers stay strings throughout.  A cell of a face poset is named by
 joining its sorted vertices with commas, so "a,b" is the edge on a and b.
+
+Boundary matrices are read off one chain tree (`chain_tree`), rooted at
+the empty face, in which a face is two ints: the index of its prefix (the
+face minus its top) one level down and its top.  No face is named on the
+way to homology.
 """
 
 from __future__ import annotations
@@ -106,32 +111,51 @@ def order_complex(p: Poset) -> SimplicialComplex:
     return SimplicialComplex(chains)
 
 
-def chains_by_length(p: Poset, mask: int | None = None) -> list[list[tuple[str, ...]]]:
-    """The non-empty chains of p inside mask (all of p by default), by length.
+def chain_tree(k: SimplicialComplex | Poset, mask: int | None = None) -> list[tuple[list[int], list[int]]]:
+    """The faces of k by dimension as a tree rooted at the empty face:
+    level d lists each face's prefix (the face minus its top, an index
+    into level d-1, or 0 for the root) and its top.
 
-    A chain grows by any element of mask strictly above its top, so each
-    chain is listed exactly once.  It is a tuple of names from bottom to
-    top: every chain, and every sub-chain of it, is ordered by the same
-    linear extension, which orients the order complex consistently.
+    A poset's faces (inside mask, if given) are its chains, tops being
+    element indices.  Each chain grows by every member above its top, in
+    index order, so it is listed once, bottom to top, and all chains are
+    ordered by the same linear extension, which orients the order complex
+    consistently.  A complex's faces are those of `faces_by_dim()`, in
+    its order, tops being indices into `vertices`.
     """
+    levels: list[tuple[list[int], list[int]]] = []
+    if isinstance(k, SimplicialComplex):
+        vertex = {v: i for i, v in enumerate(k.vertices)}
+        index: dict[tuple[str, ...], int] = {(): 0}
+        for row in k.faces_by_dim():
+            levels.append(([index[f[:-1]] for f in row], [vertex[f[-1]] for f in row]))
+            index = {f: i for i, f in enumerate(row)}
+        return levels
     if mask is None:
-        mask = p.full_mask()
-    names = p.elements
+        mask = k.full_mask()
     members = list(_iter_bits(mask))
-    above = {i: [(j, (names[j],)) for j in _iter_bits(p._up[i] & mask & ~(1 << i))] for i in members}
-    levels: list[list[tuple[str, ...]]] = []
-    level = [(names[i],) for i in members]
-    tops = members
-    while level:
-        levels.append(level)
-        longer: list[tuple[str, ...]] = []
-        longer_tops: list[int] = []
-        for chain, top in zip(level, tops):
-            for j, name in above[top]:
-                longer.append(chain + name)
-                longer_tops.append(j)
-        level, tops = longer, longer_tops
+    above = {i: list(_iter_bits(k._up[i] & mask & ~(1 << i))) for i in members}
+    prefix, top = [0] * len(members), members
+    while top:
+        levels.append((prefix, top))
+        prefix, longer = [], []
+        for g, t in enumerate(top):
+            js = above[t]
+            prefix += [g] * len(js)
+            longer += js
+        top = longer
     return levels
+
+
+def chains_of(tree: list[tuple[list[int], list[int]]]) -> list[tuple[int, ...]]:
+    """Every face of a chain tree, level by level, as the tuple of its tops
+    from the root down (a poset's chain as element indices, bottom to top)."""
+    out: list[tuple[int, ...]] = []
+    level: list[tuple[int, ...]] = [()]
+    for prefix, top in tree:
+        level = [level[g] + (t,) for g, t in zip(prefix, top)]
+        out += level
+    return out
 
 
 _CELL_SEP = ","
@@ -165,19 +189,10 @@ def barycentric_poset(p: Poset) -> Poset:
     Chain names are built from element indices, not element names, so
     elements whose names contain the cell separator stay usable.
     """
-    idx = {e: i for i, e in enumerate(p.elements)}
-
-    def name(c: tuple[int, ...]) -> str:
-        return "c" + ".".join(str(i) for i in c)
-
-    chains = [tuple(sorted(idx[v] for v in c)) for level in chains_by_length(p) for c in level]
-    elements = [name(c) for c in sorted(chains, key=lambda c: (len(c), c))]
-    pairs = []
-    for c in chains:
-        if len(c) > 1:
-            for k in range(len(c)):
-                pairs.append((name(c[:k] + c[k + 1:]), name(c)))
-    return Poset(elements, pairs)
+    chains = [tuple(sorted(c)) for c in chains_of(chain_tree(p))]
+    name = {c: "c" + ".".join(map(str, c)) for c in chains}
+    pairs = [(name[c[:k] + c[k + 1:]], name[c]) for c in chains if len(c) > 1 for k in range(len(c))]
+    return Poset(name.values(), pairs)
 
 
 def barycentric_complex(k: SimplicialComplex) -> SimplicialComplex:
@@ -265,35 +280,47 @@ def cw_from_face_poset(p: Poset, dim: dict[str, int]) -> RegularCWComplex:
 @dataclass(frozen=True)
 class ChainComplexPresentation:
     """Integer boundary matrices of a simplicial complex or of a poset's
-    order complex.  A simplex of a complex is oriented by the
-    lexicographic order of its vertices, a chain of a poset from bottom
-    to top."""
+    order complex, and the number of faces in each degree.  A simplex of a
+    complex is oriented by the lexicographic order of its vertices, a
+    chain of a poset from bottom to top."""
 
-    bases: tuple[tuple[tuple[str, ...], ...], ...]
+    sizes: tuple[int, ...]
     boundaries: tuple["IntegerMatrix", ...]  # boundaries[k-1] maps degree k to k-1
 
 
 def chain_complex(k: SimplicialComplex | Poset, mask: int | None = None) -> ChainComplexPresentation:
-    """The boundary matrices, built by column, with ∂∂=0 checked on every pair.
+    """The boundary matrices, read off `chain_tree`, with ∂∂=0 checked on every pair.
 
     Column j of ∂d is the boundary of the j-th face f of degree d:
-    {index of f minus its i-th vertex: (-1)^i}.
+    {index of f minus its i-th vertex: (-1)^i}.  For f = P·t, dropping an
+    i < d drops it from P and keeps the top t, and dropping t leaves P,
+    so column f is {ext[g·n + t]: s for g, s in column P of ∂d-1} ∪
+    {P: (-1)^d}, in the order of i; ext indexes the faces g·t of degree
+    d-1 by one int (n is above every top).  A vertex's column is {0: +1},
+    the empty face, so column P·t of ∂1 is {index of t: +1, P: -1}.
 
     A poset (restricted to mask, if given) gives the chain complex of its
-    order complex, read off `chains_by_length` without building that complex.
+    order complex without building that complex.
     """
     from .homology import IntegerMatrix
 
-    rows = chains_by_length(k, mask) if isinstance(k, Poset) else k.faces_by_dim()
-    bases = tuple(tuple(r) for r in rows)
-    index = [{f: i for i, f in enumerate(r)} for r in rows]
+    tree = chain_tree(k, mask)
+    if not tree:
+        return ChainComplexPresentation((), ())
+    sizes = tuple(len(top) for _, top in tree)
+    n = max(tree[0][1]) + 1
+    columns: list[dict[int, int]] = [{0: 1}] * sizes[0]
     boundaries = []
-    for d in range(1, len(bases)):
-        faces = index[d - 1]
-        signs = [(-1) ** omit for omit in range(d + 1)]
-        columns = [{faces[f[:omit] + f[omit + 1 :]]: s for omit, s in enumerate(signs)} for f in bases[d]]
-        boundaries.append(IntegerMatrix.from_columns(len(bases[d - 1]), columns))
+    for d in range(1, len(tree)):
+        below, ext = columns, {g * n + t: j for j, (g, t) in enumerate(zip(*tree[d - 1]))}
+        sign = -1 if d % 2 else 1
+        columns = []
+        for g, t in zip(*tree[d]):
+            column = {ext[h * n + t]: s for h, s in below[g].items()}
+            column[g] = sign
+            columns.append(column)
+        boundaries.append(IntegerMatrix.from_columns(sizes[d - 1], columns))
     for a, b in zip(boundaries, boundaries[1:]):
         if not a.compose(b).is_zero():
             raise ValidationError("boundary composition is non-zero")
-    return ChainComplexPresentation(bases, tuple(boundaries))
+    return ChainComplexPresentation(sizes, tuple(boundaries))

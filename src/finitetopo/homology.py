@@ -3,18 +3,19 @@
 Everything is exact: Python integers, no floating point, no field
 shortcuts on the main path.  An `IntegerMatrix` is stored by column, and
 a boundary matrix is built that way, one column per face, as in Bauer's
-Ripser (J. Appl. Comput. Topol. 5, 2021); the product, Smith normal form
-and the fraction-free rank all read the columns as stored.  Smith normal
-form runs in two phases, after Dumas, Saunders and Villard (J. Symbolic
-Comput. 32, 2001): phase 1 eliminates every ±1 pivot by sparse
-Schur-complement steps, first every ±1 that is alone in its row or its
-column (a singleton pass, which makes no update), then the rest by
-sweeps over the columns in index order until one takes no pivot, which
-takes out most of the rank of a boundary matrix; phase 2 copies the small
-block that is left into a dense matrix and runs the min-|entry|
-reduction with its divisibility fix on it, where torsion shows.  Both
-phases are purely algebraic: no beat points, weak points or collapses,
-so the oracle can audit those reductions.
+Ripser (J. Appl. Comput. Topol. 5, 2021), each read off the column of
+the face's prefix in a chain tree, with no face names (`chain_complex`);
+the product, Smith normal form and the fraction-free rank all read the
+columns as stored.  Smith normal form runs in two phases, after Dumas,
+Saunders and Villard (J. Symbolic Comput. 32, 2001): phase 1 eliminates
+every ±1 pivot by sparse Schur-complement steps, first every ±1 that is
+alone in its row or its column (a singleton pass, which makes no
+update), then the rest by sweeps over the columns in index order until
+one takes no pivot, which takes out most of the rank of a boundary
+matrix; phase 2 copies the small block that is left into a dense matrix
+and runs the min-|entry| reduction with its divisibility fix on it,
+where torsion shows.  Both phases are purely algebraic: no beat points,
+weak points or collapses, so the oracle can audit those reductions.
 
 `profile_from_chain_complex` reduces the boundary matrices from the top
 degree down and clears as it goes (the twist of Chen and Kerber,
@@ -38,6 +39,7 @@ calls it, only the tests do.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -63,9 +65,13 @@ class IntegerMatrix:
     def from_columns(cls, rows: int, columns: list[dict[int, int]]) -> "IntegerMatrix":
         """The matrix whose column c is columns[c]; every row lies in
         0..rows-1 and every value is non-zero."""
-        for c, column in enumerate(columns):
-            if column and (min(column) < 0 or max(column) >= rows or 0 in column.values()):
-                raise ValueError(f"column {c} has a row outside 0..{rows - 1} or a zero value")
+        used = set().union(*columns)  # empty for every product ∂k·∂k+1, which then has no values
+        values = itertools.chain.from_iterable(map(dict.values, columns))
+        if used and (min(used) < 0 or max(used) >= rows or not all(values)):
+            # the same test column by column, only to name the first bad one
+            for c, col in enumerate(columns):
+                if col and (min(col) < 0 or max(col) >= rows or 0 in col.values()):
+                    raise ValueError(f"column {c} has a row outside 0..{rows - 1} or a zero value")
         m = cls.__new__(cls)
         m.rows, m.cols, m.columns = rows, len(columns), columns
         return m
@@ -399,8 +405,7 @@ def profile_from_chain_complex(chain, reduced: bool = False) -> HomologyProfile:
     factor.  Rows pivoted on in phase 2 have a non-unit pivot and are
     never cleared.
     """
-    sizes = [len(b) for b in chain.bases]
-    if not sizes:
+    if not chain.sizes:
         return HomologyProfile((), (), reduced)
     factor_lists: list[tuple[int, ...]] = []
     cleared: set[int] = set()
@@ -410,7 +415,7 @@ def profile_from_chain_complex(chain, reduced: bool = False) -> HomologyProfile:
         cleared = pivot_rows
     factor_lists.reverse()
     ranks = [0] + [len(f) for f in factor_lists] + [0]
-    betti = [n - ranks[k] - ranks[k + 1] for k, n in enumerate(sizes)]
+    betti = [n - ranks[k] - ranks[k + 1] for k, n in enumerate(chain.sizes)]
     if reduced:
         betti[0] -= 1
     torsion = tuple(tuple(d for d in f if d > 1) for f in factor_lists) + ((),)
@@ -444,11 +449,11 @@ def homology(obj, reduced: bool = False) -> HomologyProfile:
 
 
 def euler_characteristic(obj) -> int:
-    from .complexes import RegularCWComplex, SimplicialComplex, chains_by_length
+    from .complexes import RegularCWComplex, SimplicialComplex, chain_tree
     from .poset import Poset
 
     if isinstance(obj, Poset):
-        return sum((-1) ** k * len(level) for k, level in enumerate(chains_by_length(obj)))
+        return sum((-1) ** k * len(top) for k, (_, top) in enumerate(chain_tree(obj)))
     if isinstance(obj, (SimplicialComplex, RegularCWComplex)):
         return obj.euler_characteristic()
     raise TypeError(f"cannot compute the Euler characteristic of {type(obj).__name__}")

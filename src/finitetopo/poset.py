@@ -103,16 +103,18 @@ class Poset:
         for i in range(n):
             for j in succ[i]:
                 indeg[j] += 1
-        ready = [i for i in range(n) if indeg[i] == 0]
-        heapq.heapify(ready)
+        # the least ready index comes next; those ready from the start are
+        # a stack, least on top, and only those a pop releases need a heap
+        ready = [i for i in reversed(range(n)) if indeg[i] == 0]
+        released: list[int] = []
         order = []
-        while ready:
-            i = heapq.heappop(ready)
+        while ready or released:
+            i = heapq.heappop(released) if released and (not ready or released[0] < ready[-1]) else ready.pop()
             order.append(i)
             for j in succ[i]:
                 indeg[j] -= 1
                 if indeg[j] == 0:
-                    heapq.heappush(ready, j)
+                    heapq.heappush(released, j)
         if len(order) < n:
             raise InputError("relations contain a cycle: " + " <= ".join(self._find_cycle(succ, indeg)))
         return order

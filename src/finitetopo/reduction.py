@@ -26,7 +26,8 @@ from .complexes import (
     SimplicialComplex,
     barycentric_complex,
     barycentric_poset,
-    chains_by_length,
+    chain_tree,
+    chains_of,
     face_poset,
     order_complex,
 )
@@ -356,7 +357,7 @@ def replay_simplicial_certificate(k: SimplicialComplex, cert: ReductionCertifica
 
 def _chains_in(p: Poset, mask: int) -> list[frozenset[int]]:
     """All non-empty chains (as index sets) inside the masked subposet."""
-    return [frozenset(p._index[e] for e in chain) for level in chains_by_length(p, mask) for chain in level]
+    return [frozenset(chain) for chain in chains_of(chain_tree(p, mask))]
 
 
 def _desc(chains: Iterable[frozenset[int]]) -> list[frozenset[int]]:

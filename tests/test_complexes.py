@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from finitetopo import (
@@ -20,7 +20,9 @@ from finitetopo import (
     order_complex,
     same_homology,
 )
-from finitetopo.complexes import cell_id
+from finitetopo import fixtures
+from finitetopo.complexes import cell_id, chain_tree
+from tests.reference_chain_complex import reference_chain_complex
 from tests.test_poset import diamond, posets
 
 
@@ -160,13 +162,15 @@ class TestChainComplex:
     def test_edge_boundary_signs(self):
         k = SimplicialComplex([("a", "b")])
         chain = chain_complex(k)
-        assert chain.bases[0] == (("a",), ("b",))
+        # the vertices a, b hang off the empty face; the edge is a plus its top b
+        assert chain_tree(k) == [([0, 0], [0, 1]), ([0], [1])]
+        assert chain.sizes == (2, 1)
         assert chain.boundaries[0].to_dense() == [[-1], [1]]
 
     def test_bases_match_f_vector(self):
         k = triangle_boundary()
         chain = chain_complex(k)
-        assert tuple(len(b) for b in chain.bases) == k.f_vector()
+        assert chain.sizes == k.f_vector()
 
     @given(st.one_of(complexes_with_a_triangle(), complexes_with_a_triangle().map(face_poset)), st.data())
     def test_composition_check_rejects_bad_matrix(self, k: SimplicialComplex | Poset, data):
@@ -182,6 +186,54 @@ class TestChainComplex:
             mp.setattr(IntegerMatrix, "compose", lambda a, b: compose(a, bad if b == d2 else b))
             with pytest.raises(ValidationError, match="boundary composition is non-zero"):
                 chain_complex(k)
+
+
+# -- the chain tree against the name-slicing reference ---------------------------
+
+
+def _in_order(boundaries) -> list:
+    """Each matrix with its columns' entries in insertion order, which sets
+    the order in which Smith normal form meets them."""
+    return [(d.rows, d.cols, [list(column.items()) for column in d.columns]) for d in boundaries]
+
+
+@st.composite
+def posets_with_a_mask(draw) -> tuple[Poset, int | None]:
+    p = draw(posets())
+    return p, draw(st.one_of(st.none(), st.just(0), st.just(p.full_mask()), st.integers(0, p.full_mask())))
+
+
+class TestChainTree:
+    """Each boundary column is read off its prefix's column, so the
+    reference builds every column afresh from name tuples, as chain_complex
+    did before the tree: sizes, matrices and the order of every column's
+    entries must all agree."""
+
+    @given(posets_with_a_mask())
+    @example((Poset([]), None))
+    @example((Poset([]), 0))
+    @example((face_poset(fixtures.projective_plane()), None))
+    @example((face_poset(fixtures.torus()), None))
+    @example((face_poset(fixtures.boundary_delta(2)), None))
+    def test_poset_matches_the_reference(self, case):
+        p, mask = case
+        chain = chain_complex(p, mask)
+        sizes, boundaries = reference_chain_complex(p, mask)
+        assert chain.sizes == sizes
+        assert chain.boundaries == boundaries
+        assert _in_order(chain.boundaries) == _in_order(boundaries)
+
+    @given(complexes())
+    @example(SimplicialComplex([]))
+    @example(fixtures.projective_plane())
+    @example(fixtures.torus())
+    @example(fixtures.boundary_delta(2))
+    def test_complex_matches_the_reference(self, k: SimplicialComplex):
+        chain = chain_complex(k)
+        sizes, boundaries = reference_chain_complex(k)
+        assert chain.sizes == sizes == k.f_vector()
+        assert chain.boundaries == boundaries
+        assert _in_order(chain.boundaries) == _in_order(boundaries)
 
 
 class TestRegularCW:

@@ -23,9 +23,15 @@ from finitetopo import (
     smith_normal_form,
 )
 from finitetopo import fixtures as fx
-from finitetopo.complexes import chains_by_length
+from finitetopo.complexes import chain_tree, chains_of
 from finitetopo.cylinder import build_cylinder, source_local_data, target_local_data
-from finitetopo.homology import _eliminate_unit_pivots, _unit_singletons, certified_homology, profile_from_chain_complex
+from finitetopo.homology import (
+    _eliminate_unit_pivots,
+    _poset_homology,
+    _unit_singletons,
+    certified_homology,
+    profile_from_chain_complex,
+)
 from finitetopo.reduction import _chains_in, triviality_oracle
 from tests.reference_snf import reference_smith_normal_form
 from tests.test_complexes import as_cw, complexes, triangle_boundary
@@ -45,6 +51,17 @@ class TestIntegerMatrix:
     def test_zero(self):
         assert IntegerMatrix(2, 3).is_zero()
         assert not IntegerMatrix.from_dense([[0, 1]]).is_zero()
+
+    @pytest.mark.parametrize(
+        "bad", [{1: 1, 3: -1}, {-1: 1}, {0: 2, 2: 0}], ids=["row-equal-to-rows", "negative-row", "zero-value"]
+    )
+    def test_from_columns_names_the_bad_column(self, bad):
+        """The rows and values of all columns are checked in one pass; the
+        error still names the first bad column."""
+        columns = [{0: 1, 2: -1}, {}, {1: 2}, bad, {0: 1}, {5: 0}]
+        with pytest.raises(ValueError, match=r"^column 3 has a row outside 0\.\.2 or a zero value$"):
+            IntegerMatrix.from_columns(3, columns)
+        assert IntegerMatrix.from_columns(3, columns[:3]).to_dense() == [[1, 0, 0], [0, 0, 2], [-1, 0, 0]]
 
 
 class TestSmithNormalForm:
@@ -88,6 +105,25 @@ class TestRankPaths:
         assert rank_mod_p(m, 3) == 1
 
 
+class TestEmptyInputs:
+    """No faces: no degrees at all, not one degree of rank zero."""
+
+    def test_empty_poset(self):
+        assert homology(Poset([])) == HomologyProfile((), ())
+        assert homology(Poset([]), reduced=True) == HomologyProfile((), (), reduced=True)
+        assert euler_characteristic(Poset([])) == 0
+
+    def test_empty_mask(self):
+        p = face_poset(fx.projective_plane())
+        assert _poset_homology(p, 0, True) == HomologyProfile((), (), reduced=True)
+        assert _poset_homology(p, 0, False) == HomologyProfile((), ())
+
+    def test_empty_complex(self):
+        chain = chain_complex(SimplicialComplex([]))
+        assert chain.sizes == () and chain.boundaries == ()
+        assert homology(SimplicialComplex([])) == HomologyProfile((), ())
+
+
 class TestKnownSpaces:
     def test_point(self):
         prof = homology(Poset(["x"]))
@@ -128,12 +164,12 @@ class TestKnownSpaces:
 
     def test_projective_plane_subdivided_three_times(self):
         p = barycentric_poset(barycentric_poset(face_poset(fx.projective_plane())))
-        assert sum(map(len, chains_by_length(p))) == 6481
+        assert sum(len(top) for _, top in chain_tree(p)) == 6481
         assert homology(p).describe() == "H0=Z H1=Z/2 H2=0"
 
     def test_grid_torus_subdivided_three_times(self):
         p = barycentric_poset(barycentric_poset(face_poset(grid_torus(3, 4))))
-        assert sum(map(len, chains_by_length(p))) == 15552
+        assert sum(len(top) for _, top in chain_tree(p)) == 15552
         prof = homology(p)
         assert prof.betti == (1, 2, 1)
         assert prof.torsion == ((), (), ())
@@ -227,7 +263,7 @@ def on_closed_surfaces(test):
 def betti_by_rank(k: SimplicialComplex) -> tuple[int, ...]:
     """Betti numbers from fraction-free ranks only, no Smith normal form."""
     chain = chain_complex(k)
-    dims = [len(b) for b in chain.bases]
+    dims = chain.sizes
     ranks = [fraction_free_rank(m) for m in chain.boundaries]
     out = []
     for i, n in enumerate(dims):
@@ -509,7 +545,7 @@ def test_no_other_export_is_named_after_a_submodule():
 def reference_profile(chain) -> HomologyProfile:
     """Betti numbers and torsion degree by degree from the reference Smith
     normal form of every whole boundary matrix, with no clearing."""
-    sizes = [len(b) for b in chain.bases]
+    sizes = chain.sizes
     factor_lists = [reference_smith_normal_form(b)[0] for b in chain.boundaries] + [()]
     ranks = [0] + [len(f) for f in factor_lists]
     betti = tuple(n - ranks[k] - ranks[k + 1] for k, n in enumerate(sizes))
@@ -626,9 +662,12 @@ def test_poset_chain_complex_is_the_order_complex_chain_complex(p: Poset, data):
     those of the induced subposet."""
     k = order_complex(p)
     chain = chain_complex(p)
-    assert [{tuple(sorted(c)) for c in level} for level in chain.bases] == [set(row) for row in k.faces_by_dim()]
-    assert all(len(level) == len(set(level)) for level in chain.bases)
-    assert all(a != b and p.le(a, b) for level in chain.bases for c in level for a, b in zip(c, c[1:]))
+    chains = [tuple(p.elements[i] for i in c) for c in chains_of(chain_tree(p))]
+    levels = [[c for c in chains if len(c) == d] for d in range(1, len(chain.sizes) + 1)]
+    assert [{tuple(sorted(c)) for c in level} for level in levels] == [set(row) for row in k.faces_by_dim()]
+    assert chain.sizes == tuple(map(len, levels))
+    assert all(len(level) == len(set(level)) for level in levels)
+    assert all(a != b and p.le(a, b) for level in levels for c in level for a, b in zip(c, c[1:]))
     assert [len(d.entries) for d in chain.boundaries] == [len(d.entries) for d in chain_complex(k).boundaries]
     prof = profile_from_chain_complex(chain)
     assert prof == homology(k) == homology(p) == reference_profile(chain)
@@ -636,7 +675,7 @@ def test_poset_chain_complex_is_the_order_complex_chain_complex(p: Poset, data):
     if data is not None:
         mask = data.draw(st.integers(0, p.full_mask()))
         sub = order_complex(p.induced(p._names(mask))).faces
-        assert {tuple(sorted(c)) for level in chains_by_length(p, mask) for c in level} == sub
+        assert {tuple(sorted(p.elements[i] for i in c)) for c in chains_of(chain_tree(p, mask))} == sub
         assert set(_chains_in(p, mask)) == {frozenset(p._index[e] for e in f) for f in sub}
 
 

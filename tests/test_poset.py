@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from finitetopo import ElementSet, InputError, Poset
@@ -207,6 +207,10 @@ def shuffled_posets(draw, max_size: int = 6) -> Poset:
 
 
 @given(shuffled_posets())
+@example(Poset(["a", "b", "c", "d"], [("a", "b")]))  # a pop releases b before the ready c, d
+@example(Poset(["a", "b", "c"], [("b", "a")]))  # a is released by b and comes before the ready c
+@example(Poset(["a", "b", "c"], [("a", "c")]))  # the ready b comes before the released c
+@example(Poset(["c", "a", "b"]))  # nothing is ever released
 def test_linear_extension_is_the_least_one(p: Poset):
     # brute force: every permutation of the elements that preserves the
     # order, compared as sequences of identifiers
