@@ -74,9 +74,6 @@ class SimplicialComplex:
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(row) for row in self.faces_by_dim())
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * n for k, n in enumerate(self.f_vector()))
-
     def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
         return all(f in other.faces for f in self.facets)
 
@@ -224,12 +221,6 @@ class RegularCWComplex:
 
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(row) for row in self.cells_by_dim())
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * n for k, n in enumerate(self.f_vector()))
-
-    def order_complex(self) -> SimplicialComplex:
-        return order_complex(self.poset)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RegularCWComplex):

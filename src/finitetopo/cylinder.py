@@ -77,9 +77,6 @@ class Relation:
         """The source elements related to some member of the target."""
         return ElementSet(self.source, reach_of(self._preimage, _mask_in(self.target, members)))
 
-    def opposite(self) -> "Relation":
-        return Relation(self.target.opposite(), self.source.opposite(), frozenset((y, x) for x, y in self.pairs))
-
 
 def _mask_in(p: Poset, members: ElementSet | Iterable[str]) -> int:
     if isinstance(members, ElementSet) and members.poset is p:
@@ -224,19 +221,13 @@ def _gamma_collapse(side: str, c: CylinderPoset, report: HypothesisReport, delet
     return ReductionCertificate(tuple(steps))
 
 
-def collapse_cylinder_to_source(c: CylinderPoset, budget: int = DEFAULT_BUDGET,
-                                report: Optional[HypothesisReport] = None) -> ReductionCertificate:
+def collapse_cylinder_to_source(c: CylinderPoset, report: HypothesisReport) -> ReductionCertificate:
     """Gamma-delete the target part in linear-extension order."""
-    if report is None:
-        report = check_source_retraction(c.relation, budget)
     return _gamma_collapse("source", c, report, c.relation.target.linear_extension(), source_local_data)
 
 
-def collapse_cylinder_to_target(c: CylinderPoset, budget: int = DEFAULT_BUDGET,
-                                report: Optional[HypothesisReport] = None) -> ReductionCertificate:
+def collapse_cylinder_to_target(c: CylinderPoset, report: HypothesisReport) -> ReductionCertificate:
     """Gamma-delete the source part in reverse linear-extension order."""
-    if report is None:
-        report = check_target_retraction(c.relation, budget)
     return _gamma_collapse("target", c, report, reversed(c.relation.source.linear_extension()), target_local_data)
 
 
@@ -244,7 +235,7 @@ def _with_collapse(r: Relation, report: HypothesisReport, collapse, cyl: Optiona
     if report.status is not Status.CERTIFIED:
         return report
     cyl = cyl or build_cylinder(r)
-    return replace(report, collapse=collapse(cyl, report=report), cylinder=cyl)
+    return replace(report, collapse=collapse(cyl, report), cylinder=cyl)
 
 
 def verify_source_retraction(r: Relation, budget: int = DEFAULT_BUDGET) -> HypothesisReport:

@@ -243,7 +243,7 @@ def read_fixture_file(path: str) -> Tuple[Optional[dict], Any]:
     """Returns (fixture wrapper or None, raw payload)."""
     data = load_json_file(path)
     if isinstance(data, dict) and "kind" in data and "data" in data:
-        for key, kind, what in (("theorem", str, "a string"), ("params", dict, "an object")):
+        for key, kind, what in (("name", str, "a string"), ("theorem", str, "a string"), ("params", dict, "an object")):
             if data.get(key) is not None and not isinstance(data[key], kind):
                 raise InputError(f"{path}: fixture {key!r} must be {what} or null, got {data[key]!r}")
         return data, data["data"]
@@ -391,8 +391,7 @@ def _star_union_cover(rng: random.Random, p: Poset) -> Optional[PosetCover]:
     return PosetCover(p, parts)
 
 
-def _random_cover(rng: random.Random, max_size: int, budget: int,
-                  tries: int, wanted: str) -> PosetCover:
+def _random_cover(rng: random.Random, max_size: int, tries: int, wanted: str) -> PosetCover:
     """The first drawn cover of the wanted class, else the first good one,
     else a single part covering a dismantlable poset."""
     good: Optional[PosetCover] = None
@@ -401,7 +400,7 @@ def _random_cover(rng: random.Random, max_size: int, budget: int,
         cover = _star_union_cover(rng, p)
         if cover is None or len(cover.parts) < 2:
             continue
-        cls = classify_cover(cover, budget)
+        cls = classify_cover(cover, 20_000)
         if cls.status == wanted:
             return cover
         if cls.is_good and good is None:
@@ -412,15 +411,13 @@ def _random_cover(rng: random.Random, max_size: int, budget: int,
     return PosetCover(p, {"U0": set(p.elements)})
 
 
-def random_good_cover(rng: random.Random, max_size: int = 12,
-                      budget: int = 20_000) -> PosetCover:
-    return _random_cover(rng, max_size, budget, 120, "good")
+def random_good_cover(rng: random.Random, max_size: int = 12) -> PosetCover:
+    return _random_cover(rng, max_size, 120, "good")
 
 
-def random_quasi_good_cover(rng: random.Random, max_size: int = 12,
-                            budget: int = 20_000) -> PosetCover:
+def random_quasi_good_cover(rng: random.Random, max_size: int = 12) -> PosetCover:
     """Prefers covers with a disconnected intersection; accepts plain good ones."""
-    return _random_cover(rng, max_size, budget, 160, "quasi-good")
+    return _random_cover(rng, max_size, 160, "quasi-good")
 
 
 # recipe -> (fixture kind, theorem, builder drawing from a seeded rng); every

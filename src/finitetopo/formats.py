@@ -259,9 +259,9 @@ def _dot_quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def dot_poset(p: Poset, name: str = "poset") -> str:
+def dot_poset(p: Poset) -> str:
     """Hasse diagram as a directed graph, edges pointing upward."""
-    lines = [f"digraph {_dot_quote(name)} {{", "  rankdir=BT;"]
+    lines = ['digraph "poset" {', "  rankdir=BT;"]
     for e in p.elements:
         lines.append(f"  {_dot_quote(e)};")
     for a, b in sorted(p.cover_pairs):
@@ -270,9 +270,9 @@ def dot_poset(p: Poset, name: str = "poset") -> str:
     return "\n".join(lines) + "\n"
 
 
-def dot_complex(k: SimplicialComplex, name: str = "complex") -> str:
+def dot_complex(k: SimplicialComplex) -> str:
     """1-skeleton as an undirected graph."""
-    lines = [f"graph {_dot_quote(name)} {{"]
+    lines = ['graph "complex" {']
     for v in k.vertices:
         lines.append(f"  {_dot_quote(v)};")
     by_dim = k.faces_by_dim()
@@ -283,9 +283,9 @@ def dot_complex(k: SimplicialComplex, name: str = "complex") -> str:
     return "\n".join(lines) + "\n"
 
 
-def dot_cw(c: RegularCWComplex, name: str = "cw") -> str:
+def dot_cw(c: RegularCWComplex) -> str:
     """1-skeleton: 0-cells as nodes, each 1-cell joining its two endpoints."""
-    lines = [f"graph {_dot_quote(name)} {{"]
+    lines = ['graph "cw" {']
     cells = c.cells_by_dim()
     for v in cells[0] if cells else []:
         lines.append(f"  {_dot_quote(v)};")

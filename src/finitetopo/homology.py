@@ -374,9 +374,6 @@ class HomologyProfile:
     def top_degree(self) -> int:
         return max(len(self.betti), len(self.torsion)) - 1
 
-    def is_zero(self) -> bool:
-        return not any(self.betti) and not any(self.torsion)
-
     def nonzero_degrees(self) -> tuple[int, ...]:
         out = []
         for k in range(self.top_degree() + 1):
@@ -455,7 +452,7 @@ def euler_characteristic(obj) -> int:
     if isinstance(obj, Poset):
         return sum((-1) ** k * len(top) for k, (_, top) in enumerate(chain_tree(obj)))
     if isinstance(obj, (SimplicialComplex, RegularCWComplex)):
-        return obj.euler_characteristic()
+        return sum((-1) ** k * n for k, n in enumerate(obj.f_vector()))
     raise TypeError(f"cannot compute the Euler characteristic of {type(obj).__name__}")
 
 

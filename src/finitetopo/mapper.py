@@ -181,15 +181,9 @@ def _spans(pc: PointCloud, ic: IntervalCover, values: tuple[float, ...]) -> list
     return ic.of_range(min(values), max(values))
 
 
-def pullback_cover(pc: PointCloud, f: FilterSpec, ic: IntervalCover) -> dict[str, frozenset[str]]:
-    """Points grouped by which interval their filter value lands in."""
-    values = f.values(pc)
-    return {name: frozenset(pc.ids[k] for k in ks) for name, ks in _pullback(values, _spans(pc, ic, values)).items()}
-
-
-def _pullback(values: tuple[float, ...], spans: list[tuple[float, float]]) -> dict[str, list[int]]:
-    """The positions in the cloud of the points in each part, ascending: those
-    with ``a <= v <= b`` for the part's span (a, b).
+def pullback_cover(values: tuple[float, ...], spans: list[tuple[float, float]]) -> dict[str, list[int]]:
+    """The points whose filter value v has ``a <= v <= b``, for each part's
+    span (a, b): their positions in the cloud, ascending.
 
     The positions are sorted by value once, and each span's ends are
     bisected in that order, with the same comparisons.  A value is never
@@ -340,7 +334,7 @@ def mapper_completion(
     """
     values = f.values(pc)
     spans = _spans(pc, ic, values)
-    positions = _pullback(values, spans)
+    positions = pullback_cover(values, spans)
     discrete = Poset(pc.ids, ())
     # one grid for the run; the poset sorts the identifiers, so a point's
     # bit need not be its position in the cloud

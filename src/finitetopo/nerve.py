@@ -163,9 +163,6 @@ class ComplexCover:
     def nerve(self) -> SimplicialComplex:
         return self.poset_cover().nerve()
 
-    def nerve_poset(self) -> Poset:
-        return self.poset_cover().nerve_poset()
-
 
 AnyCover = Union[PosetCover, ComplexCover]
 
@@ -247,12 +244,7 @@ class TrivialSubnerve:
         return not self.undecided
 
 
-def trivial_subnerve(
-    c: AnyCover, budget: int = DEFAULT_BUDGET, classification: Optional[CoverClassification] = None
-) -> TrivialSubnerve:
-    c = _as_poset_cover(c)
-    if classification is None:
-        classification = classify_cover(c, budget)
+def trivial_subnerve(c: PosetCover, classification: CoverClassification) -> TrivialSubnerve:
     keep = c.nerve_poset().induced(jid for jid, v in classification.whole.items() if v.is_trivial)
     undecided = tuple(sorted(jid for jid, v in classification.whole.items() if v.is_unknown))
     return TrivialSubnerve(c, keep, undecided)
@@ -384,7 +376,7 @@ def verify_nerve_theorem(c: AnyCover, variant: str, budget: int = DEFAULT_BUDGET
             return NerveTheoremReport(variant, status, classification, {"failing": bad})
         target = c.nerve_poset()
     elif variant == "x-zero":
-        sub = trivial_subnerve(c, budget, classification)
+        sub = trivial_subnerve(c, classification)
         if not sub.decided:
             return NerveTheoremReport(variant, Status.UNKNOWN, classification, {"undecided": list(sub.undecided)})
         membership_verdicts: dict[str, TrivialityVerdict] = {}

@@ -11,14 +11,12 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from .certificates import ReductionCertificate, Status
-from .complexes import SimplicialComplex
 from .errors import ReplayError, ValidationError
 from .poset import Poset
-
-ReplayTarget = Union[Poset, SimplicialComplex]
+from .reduction import replay_poset_certificate
 
 
 def content_hash(data: bytes) -> str:
@@ -50,7 +48,7 @@ class RunReport:
         self.inputs: Dict[str, str] = {}
         self.detail: Dict[str, Any] = {}
         self.homology: List[Dict[str, Any]] = []
-        self._certificates: List[Tuple[str, ReductionCertificate, Optional[ReplayTarget]]] = []
+        self._certificates: List[Tuple[str, ReductionCertificate, Poset]] = []
         self._started = time.monotonic()
         self._elapsed: Optional[float] = None
         self._finalized = False
@@ -65,29 +63,12 @@ class RunReport:
     def set_status(self, status: str) -> None:
         self.status = Status(status)
 
-    def add_certificate(self, label: str, certificate: ReductionCertificate,
-                        target: Optional[ReplayTarget] = None) -> None:
-        """Attach a certificate, with the object it claims to reduce.
-
-        Without a target the certificate is recorded but cannot be
-        replayed, which blocks a Certified status.
-        """
+    def add_certificate(self, label: str, certificate: ReductionCertificate, target: Poset) -> None:
+        """Attach a certificate, with the poset it claims to reduce."""
         self._certificates.append((label, certificate, target))
 
     def add_homology(self, label: str, payload: Dict[str, Any]) -> None:
         self.homology.append({"label": label, **payload})
-
-    def _replay_one(self, certificate: ReductionCertificate,
-                    target: ReplayTarget) -> None:
-        # Import here: reduction pulls in this module's siblings.
-        from .reduction import replay_poset_certificate, replay_simplicial_certificate
-
-        if isinstance(target, Poset):
-            replay_poset_certificate(target, certificate)
-        elif isinstance(target, SimplicialComplex):
-            replay_simplicial_certificate(target, certificate)
-        else:
-            raise ReplayError(f"no replay rule for target type {type(target).__name__}")
 
     def finalize(self) -> "RunReport":
         """Replay all certificates and stamp timing.  Idempotent."""
@@ -95,12 +76,8 @@ class RunReport:
             return self
         failures: List[Dict[str, str]] = []
         for label, certificate, target in self._certificates:
-            if target is None:
-                if certificate.steps:
-                    failures.append({"certificate": label, "error": "no replay target attached"})
-                continue
             try:
-                self._replay_one(certificate, target)
+                replay_poset_certificate(target, certificate)
             except (ReplayError, ValidationError, ValueError) as exc:
                 failures.append({"certificate": label, "error": str(exc)})
         if failures:

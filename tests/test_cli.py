@@ -403,7 +403,8 @@ class TestInputErrorsExitThree:
         assert code == 3
         assert doc["detail"]["fixtures"][0]["status"] == "Error"
 
-    @pytest.mark.parametrize("key, value", [("params", ["x"]), ("theorem", ["thm-a"])], ids=["params", "theorem"])
+    @pytest.mark.parametrize("key, value", [("params", ["x"]), ("theorem", ["thm-a"]), ("name", 5)],
+                             ids=["params", "theorem", "name"])
     @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
     def test_wrong_type_in_fixture_wrapper(self, capsys, tmp_path, key, value, batch):
         payload = fx.fixture_payload(fx.get_fixture("homology-relation"))

@@ -1,23 +1,32 @@
 """Every public name under src/finitetopo/ has a caller in src/ or perfbench/.
 
-Only code that runs counts: a use must sit in a Python file under src/ or
-perfbench/.  A test calling a name does not keep it alive.
+Only code that runs counts: a use must sit in the code of a Python file
+under src/ or perfbench/, with its comments and docstrings left out.  A
+test calling a name does not keep it alive, and neither does a docstring
+that mentions it.
 
 - A top-level `def`, `class` or UPPER_CASE constant counts as used when its
-  name occurs, as a whole word, in such a file other than at its own
+  name occurs, as a whole word, in such code other than at its own
   definition and other than in the package's `__init__.py` (an export
   alone is not a use).  Strings count, so a name that perfbench's tracer
   looks up by string is used.
 - A public method or property of a package class (no leading underscore)
-  counts as used when some such file reads `.name` as an attribute or holds
+  counts as used when some such code reads `.name` as an attribute or holds
   the string "name".
+
+A use of `.name` cannot say which class it reaches, so one class's method
+would keep a same-named method of another class alive.  `SHARED` lists
+every public method name that two package classes define, or that a class
+shares with a module-level name, each with the reason why every one of
+them runs; a collision that is not listed fails.
 
 `ALLOWED` names the few that are kept with no caller, each with its reason.
 """
 
 import ast
 import re
-from collections import Counter
+from collections import Counter, defaultdict
+from functools import lru_cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,7 +36,33 @@ ALLOWED = {
     "certificate_from_json": "reserved for the offline certificate audit (ROADMAP item 3)",
     "IntegerMatrix.from_dense": "reserved for the sparse GF(p) witness work (ROADMAP item 8)",
     "PointCloud.distance": "the reference implementation tests/reference_epsilon.py calls it",
+    "rank_mod_p": "criterion 7's rank path in tests/test_acceptance.py, kept until ROADMAP item 8",
 }
+
+SHARED = {
+    "certificates": "every statement report lists its collapses for the run report; "
+                    "the StatementReport default yields none",
+    "exit_code": "RunReport.exit_code is the exit code of its Status",
+    "f_vector": "both complexes' f-vectors feed the Euler characteristic and the completion's JSON",
+    "failing": "a refused collapse names the failing elements of its HypothesisReport; a refuted "
+               "quasi-good statement names the failing components of its CoverClassification",
+    "from_json_dict": "the certificate reader behind certificate_from_json: a certificate reads its "
+                      "steps, and a step reads its evidence back as a certificate",
+    "induced": "Poset.induced reads the members through ElementSet.induced",
+    "nerve": "ComplexCover.nerve is the nerve of its poset cover",
+    "to_json_dict": "every report, verdict and certificate writes its own part of the run report",
+}
+
+
+def code(path: Path) -> ast.Module:
+    """The file's syntax tree without docstrings (comments never reach it)."""
+    tree = ast.parse(path.read_text())
+    for node in list(ast.walk(tree)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and isinstance(first.value.value, str):
+                node.body = node.body[1:] or [ast.Pass()]
+    return tree
 
 
 def running_files() -> list[Path]:
@@ -62,15 +97,16 @@ def public_methods(tree: ast.Module) -> list[str]:
     ]
 
 
+@lru_cache(maxsize=None)
 def uses() -> tuple[Counter, set[str]]:
-    """The words of every running file, and the attribute names and strings
-    its code holds."""
+    """The words of the code of every running file, and the attribute
+    names and strings that code holds."""
     words: Counter = Counter()
     attributes: set[str] = set()
     for path in running_files():
-        text = path.read_text()
-        words.update(re.findall(r"\w+", text))
-        for node in ast.walk(ast.parse(text)):
+        tree = code(path)
+        words.update(re.findall(r"\w+", ast.unparse(tree)))
+        for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -93,6 +129,18 @@ def dead_methods() -> list[str]:
     )
 
 
+def shared_method_names() -> dict[str, list[str]]:
+    """Each public method name that two package classes define, or that a
+    class shares with a module-level name: its owners."""
+    owners: defaultdict[str, list[str]] = defaultdict(list)
+    for tree in package_modules():
+        for name in module_level_names(tree):
+            owners[name].append(name)
+        for name in public_methods(tree):
+            owners[name.split(".")[1]].append(name)
+    return {name: sorted(o) for name, o in owners.items() if len(o) > 1 and any("." in e for e in o)}
+
+
 def test_every_module_level_name_is_used():
     assert [name for name in dead_module_level_names() if name not in ALLOWED] == []
 
@@ -104,3 +152,10 @@ def test_every_public_method_and_property_is_used():
 def test_every_allowed_name_is_still_defined_and_still_uncalled():
     """An entry whose name gained a caller, or went away, is stale."""
     assert sorted(name for name in dead_module_level_names() + dead_methods() if name in ALLOWED) == sorted(ALLOWED)
+
+
+def test_every_shared_method_name_is_listed():
+    """An unlisted collision fails; an entry that no longer collides is stale."""
+    shared = shared_method_names()
+    assert {name: owners for name, owners in shared.items() if name not in SHARED} == {}
+    assert sorted(name for name in SHARED if name not in shared) == []

@@ -129,7 +129,7 @@ class TestKnownSpaces:
         prof = homology(Poset(["x"]))
         assert prof.betti == (1,)
         assert prof.describe() == "H0=Z"
-        assert homology(Poset(["x"]), reduced=True).is_zero()
+        assert homology(Poset(["x"]), reduced=True).nonzero_degrees() == ()
 
     def test_two_points(self):
         assert homology(Poset("ab")).betti == (2,)
@@ -671,7 +671,7 @@ def test_poset_chain_complex_is_the_order_complex_chain_complex(p: Poset, data):
     assert [len(d.entries) for d in chain.boundaries] == [len(d.entries) for d in chain_complex(k).boundaries]
     prof = profile_from_chain_complex(chain)
     assert prof == homology(k) == homology(p) == reference_profile(chain)
-    assert euler_characteristic(p) == k.euler_characteristic()
+    assert euler_characteristic(p) == euler_characteristic(k)
     if data is not None:
         mask = data.draw(st.integers(0, p.full_mask()))
         sub = order_complex(p.induced(p._names(mask))).faces

@@ -214,16 +214,6 @@ class TestRunReport:
         assert rep.status == "Certified"
         assert rep.exit_code == 0
 
-    def test_certificate_without_target_downgrades(self):
-        p = diamond()
-        _, cert = core(p)
-        rep = RunReport("demo")
-        rep.set_status("Certified")
-        rep.add_certificate("core", cert)  # steps but nothing to replay on
-        rep.finalize()
-        assert rep.status == "Error"
-        assert rep.exit_code == 3
-
     def test_tampered_certificate_downgrades(self):
         p = diamond()
         _, cert = core(p)

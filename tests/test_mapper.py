@@ -22,7 +22,7 @@ from finitetopo import (
     pullback_cover,
 )
 from finitetopo import fixtures as fx
-from finitetopo.mapper import _part_name, _pullback
+from finitetopo.mapper import _part_name, _spans
 from tests.reference_epsilon import reference_epsilon_components
 
 
@@ -32,6 +32,13 @@ def components(pc: PointCloud, ids, epsilon: float) -> list[frozenset[str]]:
     poset = Poset(pc.ids, ())
     grid = EpsilonGrid(pc, poset, epsilon)
     return [c.members for c in epsilon_components(grid, poset.subset(ids))]
+
+
+def parts_of(pc: PointCloud, f: FilterSpec, ic: IntervalCover) -> dict[str, frozenset[str]]:
+    """`pullback_cover` of the filter values over the cover's intervals,
+    each part as a set of identifiers."""
+    values = f.values(pc)
+    return {name: frozenset(pc.ids[k] for k in ks) for name, ks in pullback_cover(values, _spans(pc, ic, values)).items()}
 
 
 def square_cloud() -> PointCloud:
@@ -160,13 +167,13 @@ class TestIntervalCover:
 class TestPullback:
     def test_every_point_lands_somewhere(self):
         pc = circle_sample()
-        parts = pullback_cover(pc, parse_filter("x"), IntervalCover(4, 0.3))
+        parts = parts_of(pc, parse_filter("x"), IntervalCover(4, 0.3))
         covered = set().union(*parts.values())
         assert covered == set(pc.ids)
 
     def test_part_membership_matches_filter_values(self):
         pc = square_cloud()
-        parts = pullback_cover(pc, parse_filter("x"), IntervalCover(2, 0.5))
+        parts = parts_of(pc, parse_filter("x"), IntervalCover(2, 0.5))
         for name, members in parts.items():
             assert members  # this cover has no empty slices
         assert {"p0", "p2"} <= parts["i0"]
@@ -184,14 +191,14 @@ class TestPullback:
             _part_name(k, len(spans)): [i for i, v in enumerate(values) if a <= v <= b]
             for k, (a, b) in enumerate(spans)
         }
-        assert _pullback(values, spans) == expected
+        assert pullback_cover(values, spans) == expected
 
     def test_twenty_thousand_intervals_pull_back_quickly(self):
         # sorted once and bisected per span, not one scan of every point per span
         n = 20_000
         pc = PointCloud([f"p{i}" for i in range(n)], [((i * 7919) % n / n,) for i in range(n)])
         start = time.process_time()
-        parts = pullback_cover(pc, parse_filter("x"), IntervalCover(n, 0.5))
+        parts = parts_of(pc, parse_filter("x"), IntervalCover(n, 0.5))
         assert time.process_time() - start < 2
         assert len(parts) == n and set().union(*parts.values()) == set(pc.ids)
 
@@ -201,7 +208,7 @@ class TestPullback:
         f, ic = parse_filter("x"), IntervalCover(10**12, 0.3)
         start = time.process_time()
         with pytest.raises(InputError, match="1000000000000 intervals for 2 points"):
-            pullback_cover(pc, f, ic)
+            parts_of(pc, f, ic)
         with pytest.raises(InputError, match="1000000000000 intervals for 2 points"):
             mapper_completion(pc, f, ic, 0.5)
         assert time.process_time() - start < 1
@@ -365,8 +372,7 @@ class TestMapperPipeline:
 
         monkeypatch.setattr(mapper, "epsilon_components", counting)
         pc, f, ic = figure_eight_sample(), parse_filter("x"), IntervalCover(6, 0.6)
-        mapper_completion(pc, f, ic, 0.2)
-        parts = pullback_cover(pc, f, ic)
+        parts = mapper_completion(pc, f, ic, 0.2).parts
         intersections = [
             frozenset.intersection(*(parts[n] for n in group))
             for k in range(1, len(parts) + 1)

@@ -51,3 +51,17 @@ def test_reading_through_the_kind_table_records_every_load_span():
             assert load_spans(lambda: formats.object_from_json(kind, data, kind)) == direct, kind
     finally:
         tracer.uninstall()
+
+
+def test_a_traced_mapper_run_records_its_pull_back():
+    """The pipeline calls the pull-back through its module-level name, so
+    the tracer's wrapper sees it."""
+    from finitetopo import mapper
+
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        mapper.mapper_completion(mapper.circle_sample(), mapper.parse_filter("x"), mapper.IntervalCover(4, 0.3), 0.15)
+    finally:
+        tracer.uninstall()
+    assert [record[0] for record in tracer.spans].count("mapper.pullback") == 1
