@@ -3,9 +3,12 @@
 Every command prints a run report as JSON (or a text rendering) whose
 status is a ``Status``: Certified (also plain success), Refuted, Unknown,
 or Error for input problems and internal errors; ``Status.exit_code``
-turns it into 0, 1, 2 or 3.  Flags can be defaulted through environment
-variables named FINITETOPO_BUDGET, FINITETOPO_SEED, FINITETOPO_FORMAT
-and FINITETOPO_OUT; an explicit flag always wins.
+turns it into 0, 1, 2 or 3.  Each statement has one entry point,
+`verify`.  Each flag sits only on the commands that read it: `--budget` on
+verify, reduce, collapse and nerve, `--seed` on fixtures, `--format` and
+`--out` on all.  FINITETOPO_BUDGET, FINITETOPO_SEED, FINITETOPO_FORMAT
+and FINITETOPO_OUT default the flag of that name where it exists; an
+explicit flag always wins.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from .complexes import RegularCWComplex, SimplicialComplex, face_poset
 from .cylinder import (
     Relation,
     build_cylinder,
-    check_source_retraction,
-    check_target_retraction,
     mapping_cylinder,
     verify_equivalence,
     verify_homology_equivalence,
@@ -95,21 +96,21 @@ def profile_json(prof: HomologyProfile) -> Dict[str, Any]:
 def load_object(path: str) -> Tuple[Optional[dict], Any]:
     """Load any supported input file into a domain object.
 
-    JSON files may be fixture wrappers or raw payloads; text files hold
-    either a poset (lines with '<') or a complex (facet per line).  A CSV
-    point cloud is read only by `mapper`.
+    JSON files may be fixture wrappers or raw payloads; a `.csv` file is a
+    point cloud; other text files hold either a poset (lines with '<') or a
+    complex (facet per line).
     """
     if path.endswith(".json"):
         wrapper, data = read_fixture_file(path)
         return wrapper, object_from_json(wrapper["kind"] if wrapper else None, data, path)
     if path.endswith(".csv"):
-        raise InputError(f"{path}: a CSV point cloud is read only by the mapper command")
+        return None, PointCloud.from_csv(path)
     return None, parse_text(read_text_file(path), path)
 
 
 def _load_input(token: str, report: RunReport) -> Tuple[Optional[dict], Any]:
     """Path, path with extension, or built in fixture name; records the
-    input's hash on the report.
+    hash of the file, or of the fixture's name, on the report.
 
     Returns (fixture wrapper or None, object).
     """
@@ -121,7 +122,7 @@ def _load_input(token: str, report: RunReport) -> Tuple[Optional[dict], Any]:
     if token in fixtures_mod.REGISTRY:
         f = fixtures_mod.get_fixture(token)
         wrapper = fixtures_mod.fixture_wrapper(f)
-        report.add_input("input", payload=wrapper)
+        report.add_input("input", payload=f.name)
         if f.kind == "point-cloud":
             return wrapper, f.build()
         return wrapper, object_from_json(f.kind, fixtures_mod.fixture_payload(f)["data"], token)
@@ -266,26 +267,24 @@ def _verify_batch(args, report: RunReport) -> None:
 # ---------------------------------------------------------------- commands
 
 # Each command returns its report and the object that --format dot draws:
-# a Poset, a SimplicialComplex, a RegularCWComplex, or None for no drawing.
+# a Poset, a SimplicialComplex, a RegularCWComplex, or None for verify,
+# collapse and fixtures, which draw nothing.
 
 def cmd_verify(args) -> Tuple[RunReport, Any]:
     report = RunReport("verify" + (f" {args.theorem}" if args.theorem else ""))
+    if args.degree is not None and (args.batch or args.theorem != "prop-homology"):
+        raise InputError("--degree is read only by verify prop-homology, and not with --batch")
     if args.batch:
         _verify_batch(args, report)
         return report, None
     if not args.theorem or not args.input:
         raise InputError("verify needs a theorem id and an input file, or --batch <dir>")
     wrapper, obj = _load_input(args.input, report)
-    run_theorem(args.theorem, obj, _params(wrapper, args), args.budget, report, args.input)
-    return report, None
-
-
-def _params(wrapper: Optional[dict], args) -> Dict[str, Any]:
-    """The fixture wrapper's params, with --degree put over its degree."""
     params: Dict[str, Any] = dict(wrapper.get("params") or {}) if wrapper else {}
     if args.degree is not None:
         params["degree"] = args.degree
-    return params
+    run_theorem(args.theorem, obj, params, args.budget, report, args.input)
+    return report, None
 
 
 def cmd_homology(args) -> Tuple[RunReport, Any]:
@@ -347,48 +346,30 @@ def cmd_core(args) -> Tuple[RunReport, Any]:
 def cmd_collapse(args) -> Tuple[RunReport, Any]:
     report = RunReport("collapse")
     p = _load_poset(args.input, report)
-    if args.target:
-        cert, stats = collapse_search(p, [args.target], args.budget)
-        report.detail["search"] = stats
-        if cert is None:
-            report.set_status(Status.UNKNOWN)
-        else:
-            report.add_certificate("collapse", cert, p)
-            report.set_status(Status.CERTIFIED)
-        return report, None
-    verdict = triviality_oracle(p, args.budget)
-    report.detail["oracle"] = verdict.to_json_dict()
-    if verdict.certificate is not None:
-        report.add_certificate("oracle", verdict.certificate, p)
-    report.set_status(Status.of_verdicts([verdict]))
+    cert, stats = collapse_search(p, [args.target], args.budget)
+    report.detail["search"] = stats
+    if cert is None:
+        report.set_status(Status.UNKNOWN)
+    else:
+        report.add_certificate("collapse", cert, p)
+        report.set_status(Status.CERTIFIED)
     return report, None
 
 
 def cmd_cylinder(args) -> Tuple[RunReport, Any]:
     report = RunReport(f"cylinder {args.action}")
-    wrapper, obj = _load_input(args.input, report)
-    r = _as_relation(obj, args.input)
-    if args.action == "build":
-        if isinstance(obj, tuple):
-            cyl = mapping_cylinder(*obj)
-            if cyl.retraction_certificate is not None:
-                report.add_certificate("beat-retraction", cyl.retraction_certificate, cyl.poset)
-        else:
-            cyl = build_cylinder(r)
-        report.detail["cylinder"] = poset_to_json(cyl.poset)
-        report.detail["source_part"] = sorted(cyl.source_part.members)
-        report.detail["target_part"] = sorted(cyl.target_part.members)
-        report.set_status(Status.CERTIFIED)
-        return report, cyl.poset
-    if args.action in ("check-x", "check-y"):
-        rep = (check_source_retraction if args.action == "check-x" else check_target_retraction)(r, args.budget)
-        report.detail["hypotheses"] = rep.to_json_dict()
-        report.set_status(rep.status)
-    elif args.action == "verify-a":
-        run_theorem("thm-a", r, {}, args.budget, report, args.input)
+    _, obj = _load_input(args.input, report)
+    if isinstance(obj, tuple):
+        cyl = mapping_cylinder(*obj)
+        if cyl.retraction_certificate is not None:
+            report.add_certificate("beat-retraction", cyl.retraction_certificate, cyl.poset)
     else:
-        run_theorem("prop-homology", r, _params(wrapper, args), args.budget, report, args.input)
-    return report, None
+        cyl = build_cylinder(_as_relation(obj, args.input))
+    report.detail["cylinder"] = poset_to_json(cyl.poset)
+    report.detail["source_part"] = sorted(cyl.source_part.members)
+    report.detail["target_part"] = sorted(cyl.target_part.members)
+    report.set_status(Status.CERTIFIED)
+    return report, cyl.poset
 
 
 def cmd_nerve(args) -> Tuple[RunReport, Any]:
@@ -425,19 +406,9 @@ def cmd_completion(args) -> Tuple[RunReport, Any]:
 
 def cmd_mapper(args) -> Tuple[RunReport, Any]:
     report = RunReport("mapper")
-    if os.path.isfile(args.input):
-        if args.input.endswith(".json"):
-            raise InputError(f"{args.input}: mapper takes a point cloud as a CSV file or fixture name, not JSON")
-        cloud = PointCloud.from_csv(args.input)
-        report.add_input("input", path=args.input)
-    elif args.input in fixtures_mod.REGISTRY:
-        f = fixtures_mod.get_fixture(args.input)
-        if f.kind != "point-cloud":
-            raise InputError(f"{args.input}: not a point cloud fixture")
-        cloud = f.build()
-        report.add_input("input", payload=f.name)
-    else:
-        raise InputError(f"no such file or point cloud fixture: {args.input}")
+    _, cloud = _load_input(args.input, report)
+    if not isinstance(cloud, PointCloud):
+        raise InputError(f"{args.input}: mapper takes a point cloud, as a CSV file or a fixture name")
     spec = parse_filter(args.filter)
     cover = IntervalCover(args.intervals, args.overlap)
     result = mapper_completion(cloud, spec, cover, args.epsilon)
@@ -505,12 +476,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--budget", type=non_negative_int,
+    budget = _Parser(add_help=False)
+    budget.add_argument("--budget", type=non_negative_int,
                         default=_env("BUDGET", non_negative_int, DEFAULT_BUDGET),
                         help="search node budget for oracle calls")
-    common.add_argument("--seed", type=int, default=_env("SEED", int, None),
-                        help="seed for randomized commands")
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "text", "dot"),
                         default=_env("FORMAT", str, "json"))
     common.add_argument("--out", default=_env("OUT", str, None),
@@ -523,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("reduce", parents=[common],
+    p = sub.add_parser("reduce", parents=[common, budget],
                        help="beat/weak/gamma points, core, and the triviality oracle")
     p.add_argument("input")
     p.set_defaults(func=cmd_reduce)
@@ -532,19 +502,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.set_defaults(func=cmd_core)
 
-    p = sub.add_parser("collapse", parents=[common],
-                       help="collapse search (to a point, or to --target)")
+    p = sub.add_parser("collapse", parents=[common, budget], help="collapse search onto --target")
     p.add_argument("input")
-    p.add_argument("--target", help="collapse onto this element instead of a point")
+    p.add_argument("--target", required=True, help="the element to collapse onto")
     p.set_defaults(func=cmd_collapse)
 
     p = sub.add_parser("cylinder", parents=[common], help="relation cylinder operations")
-    p.add_argument("action", choices=("build", "check-x", "check-y", "verify-a", "verify-homology"))
+    p.add_argument("action", choices=("build",))
     p.add_argument("input")
-    p.add_argument("--degree", type=non_negative_int, default=None)
     p.set_defaults(func=cmd_cylinder)
 
-    p = sub.add_parser("nerve", parents=[common], help="nerve and cover classification")
+    p = sub.add_parser("nerve", parents=[common, budget], help="nerve and cover classification")
     p.add_argument("input")
     p.set_defaults(func=cmd_nerve)
 
@@ -558,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reduced", action="store_true")
     p.set_defaults(func=cmd_homology)
 
-    p = sub.add_parser("verify", parents=[common], help="check a named statement")
+    p = sub.add_parser("verify", parents=[common, budget], help="check a named statement")
     p.add_argument("theorem", nargs="?", choices=THEOREMS)
     p.add_argument("input", nargs="?")
     p.add_argument("--batch", help="run every fixture file in a directory")
@@ -583,6 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--recipe", choices=tuple(fixtures_mod.RECIPES),
                    help="generator recipe for the generate action")
     p.add_argument("--count", type=non_negative_int, default=1)
+    p.add_argument("--seed", type=int, default=_env("SEED", int, None),
+                   help="seed for the generate action")
     p.set_defaults(func=cmd_fixtures)
 
     return parser
@@ -632,6 +602,8 @@ def main(argv=None) -> int:
         # the parser reads FINITETOPO_* defaults, so building it can fail too
         args = build_parser().parse_args(argv)
         _check_out(args.out)
+        if args.format == "dot" and args.command in ("verify", "collapse", "fixtures"):
+            raise InputError(f"{args.command} has no dot output")
         report, shown = args.func(args)
         report.finalize()
         if args.format == "dot":
@@ -639,10 +611,8 @@ def main(argv=None) -> int:
                 text = dot_poset(shown)
             elif isinstance(shown, SimplicialComplex):
                 text = dot_complex(shown)
-            elif isinstance(shown, RegularCWComplex):
-                text = dot_cw(shown)
             else:
-                raise InputError(f"{args.command} has no dot output for this action")
+                text = dot_cw(shown)
         elif args.format == "text":
             text = _render_text(report)
         else:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import time
@@ -56,10 +57,25 @@ class TestVerify:
         code, doc = run_json(capsys, "verify", "prop-2.4", "monotone-map-fence")
         assert code == 1
 
+    def test_both_sides_of_certified_relation(self, capsys):
+        for theorem in ("prop-2.4", "prop-2.5"):
+            code, doc = run_json(capsys, "verify", theorem, "certified-relation")
+            assert code == 0, theorem
+
     def test_homology_version_with_degree(self, capsys):
         code, doc = run_json(capsys, "verify", "prop-homology", "homology-relation", "--degree", "1")
         assert code == 0
         assert doc["detail"]["homology_version"]["through_degree"] == 1
+
+    def test_homology_version_reads_the_fixture_degree(self, capsys, tmp_path):
+        payload = fx.fixture_payload(fx.get_fixture("homology-relation"))
+        payload["params"] = {"degree": 0}
+        path = tmp_path / "degree-0.json"
+        path.write_text(json.dumps(payload))
+        for argv, through in [((), 0), (("--degree", "2"), 2)]:
+            code, doc = run_json(capsys, "verify", "prop-homology", str(path), *argv)
+            assert code == 0
+            assert doc["detail"]["homology_version"]["through_degree"] == through
 
     def test_homology_version_has_no_unknown_at_zero_budget(self, capsys):
         code, doc = run_json(capsys, "verify", "prop-homology", "homology-relation", "--budget", "0")
@@ -98,7 +114,7 @@ class TestVerify:
         assert doc["status"] == "Unknown"
 
     def test_zero_degree_reaches_the_cylinder_check(self, capsys):
-        code, doc = run_json(capsys, "cylinder", "verify-homology", "certified-relation", "--degree", "0")
+        code, doc = run_json(capsys, "verify", "prop-homology", "certified-relation", "--degree", "0")
         assert code == 0
         assert doc["detail"]["homology_version"]["through_degree"] == 0
 
@@ -258,32 +274,6 @@ class TestCylinderCommand:
         assert doc["detail"]["source_part"] == ["X:a", "X:b", "X:c"]
         assert {c["label"] for c in doc["certificates"]} == {"beat-retraction"}
 
-    def test_check_sides(self, capsys):
-        code, doc = run_json(capsys, "cylinder", "check-x", "certified-relation")
-        assert code == 0
-        code, doc = run_json(capsys, "cylinder", "check-y", "certified-relation")
-        assert code == 0
-
-    def test_verify_a(self, capsys):
-        code, doc = run_json(capsys, "cylinder", "verify-a", "thm-a-refutation")
-        assert code == 1
-
-    def test_verify_homology(self, capsys):
-        code, doc = run_json(
-            capsys, "cylinder", "verify-homology", "homology-relation", "--degree", "1"
-        )
-        assert code == 0
-
-    def test_verify_homology_reads_the_fixture_degree(self, capsys, tmp_path):
-        payload = fx.fixture_payload(fx.get_fixture("homology-relation"))
-        payload["params"] = {"degree": 0}
-        path = tmp_path / "degree-0.json"
-        path.write_text(json.dumps(payload))
-        for argv, through in [((), 0), (("--degree", "2"), 2)]:
-            code, doc = run_json(capsys, "cylinder", "verify-homology", str(path), *argv)
-            assert code == 0
-            assert doc["detail"]["homology_version"]["through_degree"] == through
-
 
 class TestNerveAndCompletion:
     def test_nerve_reports_classification(self, capsys):
@@ -377,14 +367,23 @@ class TestInputErrorsExitThree:
         ["mapper", "circle-60", "--epsilon", "0.15", "--intervals", "abc"],
         ["verify", "thm-z", "certified-relation"],
         ["verify", "prop-homology", "homology-relation", "--degree", "-2"],
-        ["cylinder", "verify-homology", "certified-relation", "--degree", "-1"],
         ["homology", "two-arc-cover-six-cycle"],
+        ["cylinder", "verify-a", "certified-relation"],
+        ["collapse", "collapsible-noncontractible"],
+        ["verify", "thm-a", "certified-relation", "--degree", "3"],
+        ["homology", "six-cycle", "--seed", "1"],
+        ["homology", "six-cycle", "--budget", "5"],
     ])
     def test_usage_error(self, capsys, argv):
         self.expect_input_error(capsys, *argv)
 
+    def test_degree_in_a_batch(self, capsys, tmp_path):
+        # a batch reads each file's params.degree, so a --degree would be ignored
+        fx.write_fixture(fx.get_fixture("homology-relation"), str(tmp_path))
+        self.expect_input_error(capsys, "verify", "--batch", str(tmp_path), "--degree", "0")
+
     def test_negative_budget_flag(self, capsys):
-        self.expect_input_error(capsys, "homology", "six-cycle", "--budget", "-5")
+        self.expect_input_error(capsys, "nerve", "star-cover-six-cycle", "--budget", "-5")
 
     def test_negative_budget_environment_value(self, capsys, monkeypatch):
         monkeypatch.setenv("FINITETOPO_BUDGET", "-5")
@@ -397,7 +396,6 @@ class TestInputErrorsExitThree:
         path = tmp_path / "bad-degree.json"
         path.write_text(json.dumps(payload))
         self.expect_input_error(capsys, "verify", "prop-homology", str(path))
-        self.expect_input_error(capsys, "cylinder", "verify-homology", str(path))
         # in a batch the file is one failed entry, not a failed run
         code, doc = run_json(capsys, "verify", "--batch", str(tmp_path))
         assert code == 3
@@ -426,7 +424,7 @@ class TestInputErrorsExitThree:
     def test_point_cloud_csv_is_read_only_by_mapper(self, capsys, tmp_path):
         path = fx.write_fixture(fx.get_fixture("circle-60"), str(tmp_path))
         assert main(["homology", path]) == 3
-        assert "only by the mapper command" in capsys.readouterr().err
+        assert "homology takes a poset, complex, or CW complex" in capsys.readouterr().err
 
     def test_mapper_rejects_json(self, capsys, tmp_path):
         path = fx.write_fixture(fx.get_fixture("six-cycle"), str(tmp_path))
@@ -447,10 +445,41 @@ class TestInputErrorsExitThree:
                                 "--seed", "5", "--dir", str(gen), "--out", str(tmp_path / out))
         assert not gen.exists()
 
+    def test_dot_on_a_command_that_draws_nothing_fails_before_anything_is_written(self, capsys, tmp_path):
+        gen = tmp_path / "gen"
+        self.expect_input_error(capsys, "fixtures", "generate", "--recipe", "poset", "--count", "1",
+                                "--seed", "1", "--dir", str(gen), "--format", "dot")
+        assert not gen.exists()
+
     def test_zero_budget_is_accepted(self, capsys):
-        code, doc = run_json(capsys, "collapse", "collapsible-noncontractible", "--budget", "0")
+        code, doc = run_json(capsys, "reduce", "collapsible-noncontractible", "--budget", "0")
         assert code == 2
         assert doc["detail"]["oracle"]["reason"] == "budget"
+
+
+# Each command's option strings, help aside.  A flag sits only on the
+# commands that read it: --budget where an oracle or search runs, --seed
+# where fixtures are generated.
+OPTIONS = {
+    "reduce": ["--budget", "--format", "--out"],
+    "core": ["--format", "--out"],
+    "collapse": ["--budget", "--format", "--out", "--target"],
+    "cylinder": ["--format", "--out"],
+    "nerve": ["--budget", "--format", "--out"],
+    "completion": ["--format", "--out"],
+    "homology": ["--format", "--out", "--reduced"],
+    "verify": ["--batch", "--budget", "--degree", "--format", "--out"],
+    "mapper": ["--emit", "--epsilon", "--filter", "--format", "--intervals", "--out", "--overlap"],
+    "fixtures": ["--count", "--dir", "--format", "--name", "--out", "--recipe", "--seed"],
+}
+
+
+def test_each_command_takes_exactly_its_flags():
+    (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {
+        name: sorted(s for action in parser._actions for s in action.option_strings if s not in ("-h", "--help"))
+        for name, parser in commands.choices.items()
+    } == OPTIONS
 
 
 class TestFixturesCommand:

@@ -21,6 +21,8 @@ shares with a module-level name, each with the reason why every one of
 them runs; a collision that is not listed fails.
 
 `ALLOWED` names the few that are kept with no caller, each with its reason.
+An allowlisted function never runs, so a use inside its body does not
+count: what only it calls has no caller either and must be allowlisted too.
 """
 
 import ast
@@ -34,7 +36,12 @@ PACKAGE = ROOT / "src" / "finitetopo"
 
 ALLOWED = {
     "certificate_from_json": "reserved for the offline certificate audit (ROADMAP item 3)",
+    "ReductionCertificate.from_json_dict": "the certificate reader behind certificate_from_json, "
+                                           "for the offline certificate audit (ROADMAP item 3)",
+    "ReductionStep.from_json_dict": "reads a step, and its evidence back as a certificate, for "
+                                    "certificate_from_json (ROADMAP item 3)",
     "IntegerMatrix.from_dense": "reserved for the sparse GF(p) witness work (ROADMAP item 8)",
+    "IntegerMatrix.to_dense": "the dense rows rank_mod_p reduces, kept with it until ROADMAP item 8",
     "PointCloud.distance": "the reference implementation tests/reference_epsilon.py calls it",
     "rank_mod_p": "criterion 7's rank path in tests/test_acceptance.py, kept until ROADMAP item 8",
 }
@@ -46,8 +53,8 @@ SHARED = {
     "f_vector": "both complexes' f-vectors feed the Euler characteristic and the completion's JSON",
     "failing": "a refused collapse names the failing elements of its HypothesisReport; a refuted "
                "quasi-good statement names the failing components of its CoverClassification",
-    "from_json_dict": "the certificate reader behind certificate_from_json: a certificate reads its "
-                      "steps, and a step reads its evidence back as a certificate",
+    "from_json_dict": "both are allowlisted: the certificate reader behind certificate_from_json, "
+                      "where a certificate reads its steps and a step its evidence",
     "induced": "Poset.induced reads the members through ElementSet.induced",
     "nerve": "ComplexCover.nerve is the nerve of its poset cover",
     "to_json_dict": "every report, verdict and certificate writes its own part of the run report",
@@ -55,14 +62,29 @@ SHARED = {
 
 
 def code(path: Path) -> ast.Module:
-    """The file's syntax tree without docstrings (comments never reach it)."""
+    """The file's syntax tree without docstrings (comments never reach it)
+    and, in the package, without the bodies of the allowlisted functions."""
     tree = ast.parse(path.read_text())
     for node in list(ast.walk(tree)):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
             first = node.body[0]
             if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and isinstance(first.value.value, str):
                 node.body = node.body[1:] or [ast.Pass()]
+    if path.parent == PACKAGE:
+        for name, function in functions(tree):
+            if name in ALLOWED:
+                function.body = [ast.Pass()]
     return tree
+
+
+def functions(tree: ast.Module) -> list[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]]:
+    """("name" or "Class.method", node) for each top-level function and
+    each method of a top-level class."""
+    return [
+        (prefix + node.name, node)
+        for owner, prefix in [(tree, "")] + [(c, c.name + ".") for c in tree.body if isinstance(c, ast.ClassDef)]
+        for node in owner.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
 
 
 def running_files() -> list[Path]:
@@ -89,12 +111,7 @@ def module_level_names(tree: ast.Module) -> list[str]:
 
 def public_methods(tree: ast.Module) -> list[str]:
     """"Class.method" for each public method or property of a top-level class."""
-    return [
-        f"{cls.name}.{node.name}"
-        for cls in tree.body if isinstance(cls, ast.ClassDef)
-        for node in cls.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
-    ]
+    return [name for name, _ in functions(tree) if "." in name and not name.split(".")[1].startswith("_")]
 
 
 @lru_cache(maxsize=None)
