@@ -274,6 +274,24 @@ class TestCylinderCommand:
         assert doc["detail"]["source_part"] == ["X:a", "X:b", "X:c"]
         assert {c["label"] for c in doc["certificates"]} == {"beat-retraction"}
 
+    def test_verify_a(self, capsys):
+        # Theorem A reads one verdict per side of the cylinder: here the
+        # source side retracts and the target element x does not.
+        code, doc = run_json(capsys, "verify", "thm-a", "thm-a-refutation")
+        assert code == 1
+        eq = doc["detail"]["equivalence"]
+        assert eq["source"]["status"] == "Certified"
+        assert eq["target"]["status"] == "Refuted"
+        assert eq["target"]["verdicts"]["x"]["reason"] == "disconnected"
+
+    def test_verify_homology(self, capsys):
+        code, doc = run_json(
+            capsys, "verify", "prop-homology", "homology-relation", "--degree", "1"
+        )
+        assert code == 0
+        assert [h["label"] for h in doc["homology"]] == ["source", "target"]
+        assert {h["describe"] for h in doc["homology"]} == {"H0=Z H1=Z"}
+
 
 class TestNerveAndCompletion:
     def test_nerve_reports_classification(self, capsys):
