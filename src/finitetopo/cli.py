@@ -7,8 +7,8 @@ turns it into 0, 1, 2 or 3.  Each statement has one entry point,
 `verify`.  Each flag sits only on the commands that read it: `--budget` on
 verify, reduce, collapse and nerve, `--seed` on fixtures, `--format` and
 `--out` on all.  FINITETOPO_BUDGET, FINITETOPO_SEED, FINITETOPO_FORMAT
-and FINITETOPO_OUT default the flag of that name where it exists; an
-explicit flag always wins.
+and FINITETOPO_OUT default the flag of that name and are read only by
+the commands that have it; an explicit flag always wins.
 """
 
 from __future__ import annotations
@@ -461,11 +461,30 @@ def cmd_fixtures(args) -> Tuple[RunReport, Any]:
 
 # ------------------------------------------------------------------ parser
 
+FORMATS = ("json", "text", "dot")
+
+
 def non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise ValueError(text)
     return value
+
+
+def format_name(text: str) -> str:
+    if text not in FORMATS:
+        raise ValueError(text)
+    return text
+
+
+# flag -> (environment variable, its reader, the default without either);
+# a variable is read only by the commands that have its flag
+ENV_DEFAULTS = {
+    "budget": ("BUDGET", non_negative_int, DEFAULT_BUDGET),
+    "seed": ("SEED", int, None),
+    "format": ("FORMAT", format_name, "json"),
+    "out": ("OUT", str, None),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -477,14 +496,10 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     budget = _Parser(add_help=False)
-    budget.add_argument("--budget", type=non_negative_int,
-                        default=_env("BUDGET", non_negative_int, DEFAULT_BUDGET),
-                        help="search node budget for oracle calls")
+    budget.add_argument("--budget", type=non_negative_int, help="search node budget for oracle calls")
     common = _Parser(add_help=False)
-    common.add_argument("--format", choices=("json", "text", "dot"),
-                        default=_env("FORMAT", str, "json"))
-    common.add_argument("--out", default=_env("OUT", str, None),
-                        help="write output to this path instead of stdout")
+    common.add_argument("--format", choices=FORMATS)
+    common.add_argument("--out", help="write output to this path instead of stdout")
 
     parser = _Parser(
         prog="finitetopo",
@@ -551,8 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--recipe", choices=tuple(fixtures_mod.RECIPES),
                    help="generator recipe for the generate action")
     p.add_argument("--count", type=non_negative_int, default=1)
-    p.add_argument("--seed", type=int, default=_env("SEED", int, None),
-                   help="seed for the generate action")
+    p.add_argument("--seed", type=int, help="seed for the generate action")
     p.set_defaults(func=cmd_fixtures)
 
     return parser
@@ -599,8 +613,10 @@ def _write_output(text: str, out: Optional[str]) -> None:
 
 def main(argv=None) -> int:
     try:
-        # the parser reads FINITETOPO_* defaults, so building it can fail too
         args = build_parser().parse_args(argv)
+        for flag, (name, cast, fallback) in ENV_DEFAULTS.items():
+            if flag in vars(args) and vars(args)[flag] is None:
+                setattr(args, flag, _env(name, cast, fallback))
         _check_out(args.out)
         if args.format == "dot" and args.command in ("verify", "collapse", "fixtures"):
             raise InputError(f"{args.command} has no dot output")

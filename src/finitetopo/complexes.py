@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb
 from typing import Iterable
 
 from .errors import InputError, ValidationError
@@ -234,46 +233,72 @@ class RegularCWComplex:
 def cw_from_face_poset(p: Poset, dim: dict[str, int]) -> RegularCWComplex:
     """Validate that (p, dim) presents a regular CW complex whose cells are simplices.
 
-    Each cell's down-set must be a boolean lattice with binomial rank counts,
-    and cover edges must raise dimension by exactly one.
+    p must be a simplicial poset (`simplicial_cells`) and each cell's
+    dimension one less than the number of its vertices, so a cover edge
+    raises dimension by exactly one.
     """
     if set(dim) != set(p.elements):
         raise ValidationError("dimension map must cover exactly the cells of the poset")
     for c, d in dim.items():
         if d < 0:
             raise ValidationError(f"cell {c!r} has negative dimension")
-    for a, b in p.cover_pairs:
-        if dim[b] != dim[a] + 1:
-            raise ValidationError(f"cover pair {a!r} < {b!r} does not raise dimension by one")
-    for c in p.elements:
-        d = dim[c]
-        below = p.down_set(c)
-        verts = {e: frozenset(x for x in below.members if dim[x] == 0 and p.le(x, e)) for e in below}
-        if len(verts[c]) != d + 1:
-            raise ValidationError(f"cell {c!r} of dimension {d} has {len(verts[c])} vertices below it")
-        by_rank: dict[int, int] = {}
-        for e in below:
-            by_rank[dim[e]] = by_rank.get(dim[e], 0) + 1
-        for k in range(d + 1):
-            if by_rank.get(k, 0) != comb(d + 1, k + 1):
-                raise ValidationError(
-                    f"cell {c!r}: {by_rank.get(k, 0)} faces of dimension {k}, expected {comb(d + 1, k + 1)}"
-                )
-        if len(set(verts.values())) != len(below):
-            raise ValidationError(f"cell {c!r}: two faces share the same vertex set")
-        for e in below:
-            for f in below:
-                if (verts[e] <= verts[f]) != p.le(e, f):
-                    raise ValidationError(f"cell {c!r}: face order disagrees with vertex inclusion")
+    for i, (k, _) in simplicial_cells(p, p.full_mask()).items():
+        c = p.elements[i]
+        if dim[c] != k - 1:
+            raise ValidationError(f"cell {c!r} of dimension {dim[c]} has {k} vertices below it")
     return RegularCWComplex(p, dict(dim))
+
+
+def simplicial_cells(p: Poset, mask: int) -> dict[int, tuple[int, list[int]]]:
+    """Each member x of mask with the number k of its vertices (the minimal
+    members below it) and its facets, in the index order of the vertex
+    each one lacks, when mask is a simplicial poset.
+
+    The down-set D of x inside mask must hold 2^k - 1 elements, no two
+    with the same vertex set; then y -> V(y) is an order isomorphism from D
+    onto the non-empty subsets of V(x) (if V(y) ⊆ V(z), the element below z
+    with y's vertex set is y).  Given the counts, the vertex sets in D
+    differ once the facets of x (the y with k - 1 vertices) lack k different
+    vertices: by induction on k their down-sets hold an element for each
+    proper subset, and with x that is all of D.  When D lies inside mask the
+    facets are covers of x.  Raises ValidationError naming the first
+    member that fails.
+    """
+    down = p._down
+    members = list(_iter_bits(mask))
+    below = [down[i] & mask for i in members]
+    vertices = sum(d for i, d in zip(members, below) if d == 1 << i)  # the minimal members, a bit each
+    verts, sizes = {}, {}
+    for i, d in zip(members, below):
+        v = verts[i] = d & vertices
+        k = sizes[i] = v.bit_count()
+        if d.bit_count() != (1 << k) - 1:
+            raise ValidationError(f"cell {p.elements[i]!r} has {d.bit_count()} faces; "
+                                  f"a simplex on a vertex set of size {k} has {(1 << k) - 1}")
+    cells = {}
+    for i, d in zip(members, below):
+        v, k = verts[i], sizes[i]
+        lacking = {}
+        if k > 1:
+            rest = p._pred_masks[i] if d == down[i] else d ^ (1 << i)
+            while rest:
+                j = rest.bit_length() - 1
+                rest ^= 1 << j
+                if sizes[j] == k - 1:
+                    lacking[v ^ verts[j]] = j
+            if len(lacking) != k:
+                raise ValidationError(f"cell {p.elements[i]!r}: two faces share the same vertex set")
+        cells[i] = (k, [lacking[b] for b in sorted(lacking)])
+    return cells
 
 
 @dataclass(frozen=True)
 class ChainComplexPresentation:
-    """Integer boundary matrices of a simplicial complex or of a poset's
-    order complex, and the number of faces in each degree.  A simplex of a
-    complex is oriented by the lexicographic order of its vertices, a
-    chain of a poset from bottom to top."""
+    """Integer boundary matrices of a simplicial complex, of a poset's
+    order complex or of a simplicial poset's cells, and the number of
+    faces in each degree.  A simplex of a complex is oriented by the
+    lexicographic order of its vertices, a chain of a poset from bottom to
+    top, a cell by the index order of its vertices."""
 
     sizes: tuple[int, ...]
     boundaries: tuple["IntegerMatrix", ...]  # boundaries[k-1] maps degree k to k-1
@@ -311,6 +336,45 @@ def chain_complex(k: SimplicialComplex | Poset, mask: int | None = None) -> Chai
             column[g] = sign
             columns.append(column)
         boundaries.append(IntegerMatrix.from_columns(sizes[d - 1], columns))
+    return _checked(sizes, boundaries)
+
+
+def cellular_chain_complex(p: Poset, mask: int | None = None) -> ChainComplexPresentation | None:
+    """The cellular chain complex of p (restricted to mask, if given) when
+    it is a simplicial poset, else None.
+
+    A simplicial poset is the face poset of a regular CW complex whose
+    cells are simplices, and its order complex subdivides that complex
+    (Björner, Europ. J. Combin. 5, 1984), so both have the same homology;
+    here there is one generator per element, not one per chain.  Cells of
+    degree d are the members with d + 1 vertices, in index order.  The
+    column of a cell x lists its facets: the facet opposite the i-th
+    vertex of x, in index order, is the y below x whose vertex set lacks
+    just that vertex, with sign (-1)^i.
+    """
+    from .homology import IntegerMatrix
+
+    if mask is None:
+        mask = p.full_mask()
+    try:
+        cells = simplicial_cells(p, mask)
+    except ValidationError:
+        return None
+    by_dim: list[list[int]] = [[] for _ in range(max((k for k, _ in cells.values()), default=0))]
+    for i, (k, _) in cells.items():
+        by_dim[k - 1].append(i)
+    index = {i: j for row in by_dim for j, i in enumerate(row)}
+    boundaries = [
+        IntegerMatrix.from_columns(len(by_dim[d - 1]), [
+            {index[j]: -1 if n % 2 else 1 for n, j in enumerate(cells[i][1])} for i in by_dim[d]
+        ])
+        for d in range(1, len(by_dim))
+    ]
+    return _checked(tuple(map(len, by_dim)), boundaries)
+
+
+def _checked(sizes: tuple[int, ...], boundaries: list) -> ChainComplexPresentation:
+    """The presentation, once ∂∂=0 holds on every pair of boundary matrices."""
     for a, b in zip(boundaries, boundaries[1:]):
         if not a.compose(b).is_zero():
             raise ValidationError("boundary composition is non-zero")

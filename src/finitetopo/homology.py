@@ -6,8 +6,13 @@ a boundary matrix is built that way, one column per face, as in Bauer's
 Ripser (J. Appl. Comput. Topol. 5, 2021), each read off the column of
 the face's prefix in a chain tree, with no face names (`chain_complex`);
 the product, Smith normal form and the fraction-free rank all read the
-columns as stored.  Smith normal form runs in two phases, after Dumas,
-Saunders and Villard (J. Symbolic Comput. 32, 2001): phase 1 eliminates
+columns as stored.  A poset whose every down-set is the face lattice of
+a simplex (a simplicial poset: face posets, subdivisions, nerves,
+completions) skips the order complex: its cellular chain complex has one
+generator per element (`cellular_chain_complex`), and the same homology.
+
+Smith normal form runs in two phases, after Dumas, Saunders and
+Villard (J. Symbolic Comput. 32, 2001): phase 1 eliminates
 every ±1 pivot by sparse Schur-complement steps, first every ±1 that is
 alone in its row or its column (a singleton pass, which makes no
 update), then the rest by sweeps over the columns in index order until
@@ -26,7 +31,7 @@ columns are left out of ∂k without changing its rank or an invariant
 factor.  Rows that phase 2 pivots on are never cleared: their pivots are
 not units, and over Z such a column need not be a combination.
 
-Two checks stay on.  `chain_complex` tests ∂∂=0 on every pair of
+Two checks stay on.  Both builders test ∂∂=0 on every pair of
 boundary matrices with `IntegerMatrix.compose`, a sparse product summed
 one column at a time.  On every matrix up to 50x50 the rank is
 re-derived by `fraction_free_rank`, a sparse elimination over Q in
@@ -421,17 +426,21 @@ def profile_from_chain_complex(chain, reduced: bool = False) -> HomologyProfile:
 
 @lru_cache(maxsize=8192)
 def _poset_homology(p, mask: int, reduced: bool) -> HomologyProfile:
-    from .complexes import chain_complex
+    from .complexes import cellular_chain_complex, chain_complex
 
-    return profile_from_chain_complex(chain_complex(p, mask), reduced)
+    chain = cellular_chain_complex(p, mask)
+    if chain is None:
+        chain = chain_complex(p, mask)
+    return profile_from_chain_complex(chain, reduced)
 
 
 def homology(obj, reduced: bool = False) -> HomologyProfile:
     """Homology of a poset, simplicial complex, or regular CW complex.
 
-    A poset's boundary matrices come straight from its chains, which are
-    the simplices of its order complex, and a CW complex is taken through
-    its face poset, so no incidence numbers are ever needed.
+    A simplicial poset gets its cellular chain complex, one generator per
+    element; any other poset gets the chain complex of its order complex,
+    read straight from its chains.  A regular CW complex here has simplex
+    cells, so it is its face poset's cellular complex.
     """
     from .complexes import RegularCWComplex, SimplicialComplex, chain_complex
     from .poset import Poset

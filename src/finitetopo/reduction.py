@@ -26,13 +26,14 @@ from .complexes import (
     SimplicialComplex,
     barycentric_complex,
     barycentric_poset,
+    chain_complex,
     chain_tree,
     chains_of,
     face_poset,
     order_complex,
 )
 from .errors import InputError, ReplayError
-from .homology import _poset_homology, homology, same_homology
+from .homology import _poset_homology, homology, profile_from_chain_complex, same_homology
 from .poset import ElementSet, Poset, _iter_bits, extremum
 
 DEFAULT_BUDGET = 100_000
@@ -450,13 +451,15 @@ def verify_dictionary(obj) -> DictionaryReport:
     order complex of the opposite poset is the same complex, and the core's
     dismantling certificate translates into a simplicial collapse of the
     order complex that replays.  For a simplicial complex: barycentric
-    invariance and agreement with the face poset's homology.
+    invariance and agreement with the face poset's homology.  The
+    subdivided or face-poset side is taken through its order complex: its
+    cellular complex would be the other side's chain complex again.
     """
     checks: dict[str, bool] = {}
     detail: dict = {}
 
     def agree(a, b) -> bool:
-        equal, _ = same_homology(homology(a), homology(b))
+        equal, _ = same_homology(homology(a), profile_from_chain_complex(chain_complex(b)))
         return equal
 
     if isinstance(obj, Poset):

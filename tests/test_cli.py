@@ -379,7 +379,24 @@ class TestInputErrorsExitThree:
 
     def test_bad_budget_environment_value(self, capsys, monkeypatch):
         monkeypatch.setenv("FINITETOPO_BUDGET", "abc")
-        self.expect_input_error(capsys, "homology", "six-cycle")
+        self.expect_input_error(capsys, "verify", "thm-a", "certified-relation")
+
+    def test_bad_seed_environment_value(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("FINITETOPO_SEED", "abc")
+        self.expect_input_error(capsys, "fixtures", "generate", "--recipe", "poset", "--dir", str(tmp_path))
+
+    def test_bad_format_environment_value(self, capsys, monkeypatch):
+        monkeypatch.setenv("FINITETOPO_FORMAT", "xml")
+        assert main(["homology", "six-cycle"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad value 'xml' for FINITETOPO_FORMAT\n"
+
+    @pytest.mark.parametrize("variable", ["FINITETOPO_BUDGET", "FINITETOPO_SEED"])
+    def test_a_command_without_the_flag_ignores_its_variable(self, capsys, monkeypatch, variable):
+        monkeypatch.setenv(variable, "abc")
+        code, doc = run_json(capsys, "homology", "six-cycle")
+        assert code == 0 and doc["status"] == "Certified"
 
     @pytest.mark.parametrize("argv", [
         ["mapper", "circle-60", "--epsilon", "0.15", "--intervals", "abc"],

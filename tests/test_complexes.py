@@ -236,6 +236,9 @@ class TestChainTree:
         assert _in_order(chain.boundaries) == _in_order(boundaries)
 
 
+TRIANGLE = face_poset(SimplicialComplex([("a", "b", "c")]))
+
+
 class TestRegularCW:
     def test_complex_as_cw_round_trip(self):
         k = triangle_boundary()
@@ -249,6 +252,30 @@ class TestRegularCW:
         p = Poset(["v", "c"], [("v", "c")])
         with pytest.raises(ValidationError):
             cw_from_face_poset(p, {"v": 0, "c": 2})
+
+    @pytest.mark.parametrize("p, dim, message", [
+        (Poset(["a", "b", "c", "e"], [("a", "e"), ("b", "e"), ("c", "e")]), {"a": 0, "b": 0, "c": 0, "e": 1},
+         "cell 'e' has 4 faces; a simplex on a vertex set of size 3 has 7"),
+        (Poset(["x"]), {"x": 1}, "cell 'x' of dimension 1 has 1 vertices below it"),
+        (Poset(["a", "b", "c", "ab", "bc", "t"],
+               [("a", "ab"), ("b", "ab"), ("b", "bc"), ("c", "bc"), ("ab", "t"), ("bc", "t")]),
+         {"a": 0, "b": 0, "c": 0, "ab": 1, "bc": 1, "t": 2},
+         "cell 't' has 6 faces; a simplex on a vertex set of size 3 has 7"),
+        (Poset(["a", "b", "c", "ab1", "ab2", "bc", "t"],
+               [("a", "ab1"), ("b", "ab1"), ("a", "ab2"), ("b", "ab2"), ("b", "bc"), ("c", "bc"),
+                ("ab1", "t"), ("ab2", "t"), ("bc", "t")]),
+         {"a": 0, "b": 0, "c": 0, "ab1": 1, "ab2": 1, "bc": 1, "t": 2},
+         "cell 't': two faces share the same vertex set"),
+        (Poset(TRIANGLE.elements, [*TRIANGLE.cover_pairs, ("a", "b,c")]), {c: c.count(",") for c in TRIANGLE},
+         "cell 'b,c' has 4 faces; a simplex on a vertex set of size 3 has 7"),
+        (Poset(["a", "b", "a,b"], [("a", "a,b"), ("b", "a,b")]), {"a": 0, "b": 0, "a,b": 2},
+         "cell 'a,b' of dimension 2 has 2 vertices below it"),
+    ], ids=["wrong-vertex-count", "vertices-against-dimension", "wrong-binomial-counts", "shared-vertex-set",
+            "order-disagrees-with-inclusion", "cover-not-raising-dimension"])
+    def test_cw_from_face_poset_rejects(self, p, dim, message):
+        with pytest.raises(ValidationError) as caught:
+            cw_from_face_poset(p, dim)
+        assert str(caught.value) == message
 
     def test_order_complex_of_cw_is_subdivision(self):
         k = SimplicialComplex([("a", "b", "c")])

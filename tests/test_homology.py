@@ -11,6 +11,7 @@ from finitetopo import (
     IntegerMatrix,
     Poset,
     SimplicialComplex,
+    ValidationError,
     barycentric_poset,
     chain_complex,
     euler_characteristic,
@@ -23,7 +24,7 @@ from finitetopo import (
     smith_normal_form,
 )
 from finitetopo import fixtures as fx
-from finitetopo.complexes import chain_tree, chains_of
+from finitetopo.complexes import cellular_chain_complex, chain_tree, chains_of
 from finitetopo.cylinder import build_cylinder, source_local_data, target_local_data
 from finitetopo.homology import (
     _eliminate_unit_pivots,
@@ -32,6 +33,7 @@ from finitetopo.homology import (
     certified_homology,
     profile_from_chain_complex,
 )
+from finitetopo.poset import reach_of
 from finitetopo.reduction import _chains_in, triviality_oracle
 from tests.reference_snf import reference_smith_normal_form
 from tests.test_complexes import as_cw, complexes, triangle_boundary
@@ -468,6 +470,7 @@ def _rows_and_cols(m: IntegerMatrix) -> tuple[dict[int, dict[int, int]], dict[in
 # -- the fraction-free cross-check ---------------------------------------------
 
 homology_module = importlib.import_module("finitetopo.homology")
+complexes_module = importlib.import_module("finitetopo.complexes")
 
 
 def assert_rank_matches_reference(m: IntegerMatrix) -> None:
@@ -702,3 +705,144 @@ def test_homology_never_reads_entries(monkeypatch):
             triviality_oracle(source_local_data(r, y))
         for x in r.source.elements:
             triviality_oracle(target_local_data(r, x))
+
+
+# -- the cellular chain complex of a simplicial poset ---------------------------
+
+
+def is_simplicial_by_definition(p: Poset, mask: int) -> bool:
+    """Every principal down-set inside mask is isomorphic, by its vertex
+    sets, to the non-empty subsets of its minimal members under inclusion."""
+    members = [e for i, e in enumerate(p.elements) if mask >> i & 1]
+    minimal = [e for e in members if not any(f != e and p.le(f, e) for f in members)]
+    vertices = {e: frozenset(m for m in minimal if p.le(m, e)) for e in members}
+    for x in members:
+        down = [y for y in members if p.le(y, x)]
+        if len({vertices[y] for y in down}) != len(down) or len(down) != 2 ** len(vertices[x]) - 1:
+            return False
+        if any(p.le(y, z) != (vertices[y] <= vertices[z]) for y in down for z in down):
+            return False
+    return True
+
+
+@st.composite
+def graded_posets_with_a_mask(draw) -> tuple[Poset, int]:
+    """Up to four ranks of a few elements each, every element above a
+    random non-empty set of the rank below (sometimes also above one two
+    ranks down), with the full mask or a random one."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    ranks = [[f"r{k}x{i}" for i in range(rng.randint(1, 4))] for k in range(rng.randint(1, 4))]
+    pairs = [(x, y) for below, row in zip(ranks, ranks[1:]) for y in row
+             for x in rng.sample(below, rng.randint(1, len(below)))]
+    if len(ranks) > 2 and rng.random() < 0.2:
+        pairs.append((rng.choice(ranks[0]), rng.choice(ranks[2])))
+    p = Poset([e for row in ranks for e in row], pairs)
+    return p, draw(st.sampled_from([p.full_mask(), rng.randint(0, p.full_mask())]))
+
+
+@st.composite
+def simplicial_posets_with_a_mask(draw) -> tuple[Poset, int]:
+    """The face poset of a random complex or its barycentric poset, with the
+    full mask, a random down-closed mask (a subcomplex) or any mask."""
+    if draw(st.booleans()):
+        p = face_poset(draw(complexes()))
+    else:
+        p = barycentric_poset(face_poset(draw(complexes(max_vertices=4))))
+    mask = draw(st.integers(0, p.full_mask()))
+    return p, draw(st.sampled_from([p.full_mask(), reach_of(p._down, mask), mask]))
+
+
+def two_cells_on_one_boundary() -> Poset:
+    """Two 2-cells on the same three edges: a 2-sphere whose every down-set
+    is a triangle's face lattice, though no face poset, since both 2-cells
+    have the vertex set {a, b, c}."""
+    edges = ["ab", "ac", "bc"]
+    return Poset(["a", "b", "c", *edges, "t1", "t2"],
+                 [(v, e) for e in edges for v in e] + [(e, t) for e in edges for t in ("t1", "t2")])
+
+
+def count_only_impostor() -> Poset:
+    """A cell over {a, b, c} with two edges on {a, b} and none on {a, c}: its
+    down-set has the seven elements of a triangle's faces, but two of them
+    share a vertex set."""
+    edges = {"ab1": "ab", "ab2": "ab", "bc": "bc"}
+    return Poset(["a", "b", "c", *edges, "t"],
+                 [(v, e) for e, vs in edges.items() for v in vs] + [(e, "t") for e in edges])
+
+
+@given(graded_posets_with_a_mask())
+@example((count_only_impostor(), count_only_impostor().full_mask()))
+@example((two_cells_on_one_boundary(), two_cells_on_one_boundary().full_mask()))
+def test_the_cellular_path_is_taken_exactly_on_simplicial_posets(case):
+    p, mask = case
+    assert (cellular_chain_complex(p, mask) is not None) == is_simplicial_by_definition(p, mask)
+
+
+@given(simplicial_posets_with_a_mask())
+@example((face_poset(fx.projective_plane()), face_poset(fx.projective_plane()).full_mask()))
+def test_cellular_profile_is_the_order_complex_profile(case):
+    """A subcomplex is simplicial; any other mask may fall back.  Either
+    way the profile is that of the order complex."""
+    p, mask = case
+    cellular = cellular_chain_complex(p, mask)
+    if mask == reach_of(p._down, mask):
+        assert cellular is not None
+    expected = profile_from_chain_complex(chain_complex(p, mask))
+    if cellular is not None:
+        assert sum(cellular.sizes) == mask.bit_count()
+        assert profile_from_chain_complex(cellular) == expected
+    _poset_homology.cache_clear()
+    assert _poset_homology(p, mask, False) == expected
+
+
+@given(complexes())
+@example(fx.projective_plane())
+@example(fx.boundary_delta(3))
+def test_cellular_complex_of_a_face_poset_is_the_complex_chain_complex(k: SimplicialComplex):
+    """Cells and vertices in index order, facets signed (-1)^i by the vertex
+    they lack: the same matrices, entry for entry, as the complex's own."""
+    cellular = cellular_chain_complex(face_poset(k))
+    chain = chain_complex(k)
+    assert cellular.sizes == chain.sizes
+    assert [d.to_dense() for d in cellular.boundaries] == [d.to_dense() for d in chain.boundaries]
+
+
+@pytest.mark.parametrize("p", [
+    count_only_impostor(),
+    Poset(["a", "b", "c"], [("a", "b"), ("b", "c")]),
+    Poset(["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")]),
+    build_cylinder(fx.get_fixture("certified-relation").build()).poset,
+], ids=["count-only-impostor", "chain", "diamond", "relation-cylinder"])
+def test_a_poset_that_is_not_simplicial_falls_back(monkeypatch, p: Poset):
+    built = []
+    order_complex_chains = complexes_module.chain_complex
+    monkeypatch.setattr(complexes_module, "chain_complex", lambda q, mask=None: built.append(q) or order_complex_chains(q, mask))
+    assert cellular_chain_complex(p) is None
+    _poset_homology.cache_clear()
+    assert homology(p) == profile_from_chain_complex(order_complex_chains(p))
+    assert built == [p]
+
+
+def test_a_simplicial_poset_that_is_no_face_poset_takes_the_cellular_path():
+    p = two_cells_on_one_boundary()
+    cellular = cellular_chain_complex(p)
+    assert cellular.sizes == (3, 3, 2)
+    _poset_homology.cache_clear()
+    assert homology(p).describe() == profile_from_chain_complex(cellular).describe() == "H0=Z H1=0 H2=Z"
+    assert homology(p) == profile_from_chain_complex(chain_complex(p))
+
+
+def test_every_cellular_pair_and_small_matrix_is_checked(monkeypatch):
+    """∂∂=0 on every pair of cellular boundaries, and the fraction-free
+    rank on every one up to 50x50 (RP²: 6x15 and 15x10)."""
+    products, ranks = [], []
+    compose, rank = IntegerMatrix.compose, homology_module.fraction_free_rank
+    monkeypatch.setattr(IntegerMatrix, "compose", lambda a, b: products.append((a.rows, b.cols)) or compose(a, b))
+    monkeypatch.setattr(homology_module, "fraction_free_rank", lambda m: ranks.append((m.rows, m.cols)) or rank(m))
+    _poset_homology.cache_clear()
+    assert homology(face_poset(fx.projective_plane())).describe() == "H0=Z H1=Z/2 H2=0"
+    assert products == [(6, 10)]
+    assert sorted(ranks) == [(6, 15), (15, 10)]
+    monkeypatch.setattr(IntegerMatrix, "is_zero", lambda m: False)
+    with pytest.raises(ValidationError, match="boundary composition is non-zero"):
+        cellular_chain_complex(face_poset(fx.boundary_delta(2)))

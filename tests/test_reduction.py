@@ -18,6 +18,7 @@ from finitetopo import (
     collapse_search,
     collapse_to_simplicial,
     core,
+    face_poset,
     find_beat_points,
     find_gamma_points,
     find_weak_points,
@@ -32,6 +33,7 @@ from finitetopo import (
     verify_homology_equivalence,
     verify_nerve_theorem,
 )
+import finitetopo.complexes as complexes_mod
 import finitetopo.nerve as nerve_mod
 from finitetopo import fixtures as fx
 from finitetopo.cylinder import build_cylinder
@@ -321,6 +323,25 @@ class TestVerifyDictionary:
     def test_rejects_other_inputs(self):
         with pytest.raises(InputError):
             verify_dictionary(42)
+
+    def test_subdivided_and_face_poset_sides_take_the_order_complex(self, monkeypatch):
+        """The cellular complex of face_poset(K) is K's own chain complex, so
+        each comparison takes one side through its order complex: with a
+        cellular builder that raises on every poset but the subject itself,
+        both verdicts stay Certified."""
+        torus = fx.REGISTRY["torus"].build()
+        subject = face_poset(torus)
+        cellular = complexes_mod.cellular_chain_complex
+
+        def refused(p, mask=None):
+            raise AssertionError("cellular path taken")
+
+        _poset_homology.cache_clear()
+        monkeypatch.setattr(complexes_mod, "cellular_chain_complex", refused)
+        assert verify_dictionary(torus).status == "Certified"
+        monkeypatch.setattr(complexes_mod, "cellular_chain_complex",
+                            lambda p, mask=None: cellular(p, mask) if p == subject else refused(p))
+        assert verify_dictionary(subject).status == "Certified"
 
 
 # -- randomized reduction laws ------------------------------------------------
