@@ -611,9 +611,19 @@ def _write_output(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+# built once per process: parsing reads the parser and never changes it
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
+    """Run one command line and return its exit code.
+
+    Every call parses with the one parser built when the module is
+    loaded, so a caller that runs many commands in one process (the tests,
+    code that embeds the CLI) does not rebuild its ten subcommands each
+    time."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         for flag, (name, cast, fallback) in ENV_DEFAULTS.items():
             if flag in vars(args) and vars(args)[flag] is None:
                 setattr(args, flag, _env(name, cast, fallback))

@@ -174,8 +174,21 @@ def target_local_data(r: Relation, x: str) -> ElementSet:
 
 
 def _check_side(side: str, r: Relation, elements, local_data, budget: int) -> HypothesisReport:
-    """Triviality verdicts for the local data of the elements this side's collapse deletes."""
-    return HypothesisReport(side, {e: triviality_oracle(local_data(r, e), budget) for e in elements})
+    """Triviality verdicts for the local data of the elements this side's collapse deletes.
+
+    Many elements share one local datum, and a verdict depends only on the
+    subspace and the budget, so the oracle runs once per distinct mask
+    and every element with that mask gets the same verdict.  Each verdict
+    was screened by homology when it was made."""
+    by_mask: dict[int, TrivialityVerdict] = {}
+    verdicts = {}
+    for e in elements:
+        data = local_data(r, e)
+        verdict = by_mask.get(data.mask)
+        if verdict is None:
+            verdict = by_mask[data.mask] = triviality_oracle(data, budget)
+        verdicts[e] = verdict
+    return HypothesisReport(side, verdicts)
 
 
 def check_source_retraction(r: Relation, budget: int = DEFAULT_BUDGET) -> HypothesisReport:

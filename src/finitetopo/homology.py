@@ -105,23 +105,32 @@ class IntegerMatrix:
         """The product self·other, one column at a time.
 
         Column c of the product is the sum of w times column k of self over
-        the entries (k, w) of other's column c; it is summed in a dict
-        keyed by row, and only its non-zero sums are kept (none is copied
-        when all are zero, as in every column of ∂k·∂k+1).  Both factors
-        are read by column as stored.  The cost is nnz(other) times the
-        largest column of self: for boundary matrices ∂k·∂k+1 that is
-        nnz(∂k+1)·(k+1).
+        the entries (k, w) of other's column c; it is summed in one list
+        indexed by row, shared by every column, and the rows it touched
+        are read off and reset to zero after each column.  Only non-zero
+        sums are kept (none is copied when all are zero, as in every
+        column of ∂k·∂k+1).  Both factors are read by column as stored.
+        The cost is nnz(other) times the largest column of self: for
+        boundary matrices ∂k·∂k+1 that is nnz(∂k+1)·(k+1).
         """
         if self.cols != other.rows:
             raise ValueError("shape mismatch in composition")
         left = self.columns
+        sums = [0] * self.rows
         product: list[dict[int, int]] = []
         for column in other.columns:
-            sums: dict[int, int] = {}
+            touched: list[int] = []
             for k, w in column.items():
                 for r, v in left[k].items():
-                    sums[r] = sums.get(r, 0) + v * w
-            product.append({r: total for r, total in sums.items() if total} if any(sums.values()) else {})
+                    if not sums[r]:
+                        touched.append(r)
+                    sums[r] += v * w
+            kept = {}
+            for r in touched:
+                if sums[r]:
+                    kept[r] = sums[r]
+                    sums[r] = 0
+            product.append(kept)
         return IntegerMatrix.from_columns(self.rows, product)
 
     def __eq__(self, other) -> bool:
@@ -150,13 +159,14 @@ def smith_normal_form(
     `pivot_rows` when it is given.  On matrices up to 50x50 the rank is
     re-derived independently, from m with every column.
     """
-    rows: dict[int, dict[int, int]] = {}
+    by_row: list[dict[int, int]] = [{} for _ in range(m.rows)]
     cols: dict[int, set[int]] = {}
     for c, column in enumerate(m.columns):
         if column and c not in clear:
             cols[c] = set(column)
             for r, v in column.items():
-                rows.setdefault(r, {})[c] = v
+                by_row[r][c] = v
+    rows = {r: row for r, row in enumerate(by_row) if row}
 
     pivots = _eliminate_unit_pivots(rows, cols)
     if pivot_rows is not None:
@@ -426,12 +436,25 @@ def profile_from_chain_complex(chain, reduced: bool = False) -> HomologyProfile:
 
 @lru_cache(maxsize=8192)
 def _poset_homology(p, mask: int, reduced: bool) -> HomologyProfile:
+    """Homology of the subspace of p that mask spans, cached per (p, mask,
+    reduced).  Only the unreduced profile is computed from a chain
+    complex; the reduced one is read off it through the same cache, so a
+    subspace screened reduced and later compared unreduced (a whole side
+    of a relation, say) is reduced once.  For a non-empty mask the reduced
+    b0 is b0 − 1 and every other Betti number and all torsion stay; the
+    empty mask has no reduced homology at all, as in
+    `profile_from_chain_complex`."""
+    if reduced:
+        plain = _poset_homology(p, mask, False)
+        if not plain.betti:
+            return HomologyProfile((), (), True)
+        return HomologyProfile((plain.betti[0] - 1,) + plain.betti[1:], plain.torsion, True)
     from .complexes import cellular_chain_complex, chain_complex
 
     chain = cellular_chain_complex(p, mask)
     if chain is None:
         chain = chain_complex(p, mask)
-    return profile_from_chain_complex(chain, reduced)
+    return profile_from_chain_complex(chain)
 
 
 def homology(obj, reduced: bool = False) -> HomologyProfile:
@@ -455,11 +478,21 @@ def homology(obj, reduced: bool = False) -> HomologyProfile:
 
 
 def euler_characteristic(obj) -> int:
-    from .complexes import RegularCWComplex, SimplicialComplex, chain_tree
-    from .poset import Poset
+    """χ of a poset's order complex, or of a complex from its f-vector.
+
+    A poset's chains are counted with signs, not listed: along a linear
+    extension, e(x) = 1 − Σ_{y<x} e(y) is the alternating count of the
+    chains whose top is x (x alone, or x on top of a chain below it, one
+    degree up), and χ = Σ e(x).  The count is independent of homology and
+    of the cellular test, so the two can audit each other."""
+    from .complexes import RegularCWComplex, SimplicialComplex
+    from .poset import Poset, _iter_bits
 
     if isinstance(obj, Poset):
-        return sum((-1) ** k * len(top) for k, (_, top) in enumerate(chain_tree(obj)))
+        signed = [0] * len(obj)
+        for i in obj._order:
+            signed[i] = 1 - sum(signed[j] for j in _iter_bits(obj._down[i] & ~(1 << i)))
+        return sum(signed)
     if isinstance(obj, (SimplicialComplex, RegularCWComplex)):
         return sum((-1) ** k * n for k, n in enumerate(obj.f_vector()))
     raise TypeError(f"cannot compute the Euler characteristic of {type(obj).__name__}")

@@ -201,7 +201,13 @@ class EpsilonGrid:
     their bit in ``poset``, a poset on the cloud's identifiers: each
     point's coordinates and the key of its cell.  The cell side is taken
     from the largest |coordinate| of the whole cloud; see
-    `epsilon_components`."""
+    `epsilon_components`.
+
+    ``near`` maps each occupied cell of the whole cloud to the occupied
+    cells (itself included) whose key differs from its own by at most one
+    in every coordinate, looked up once among the 3^d offsets.  It is None
+    when there are fewer occupied cells than offsets, as in high
+    dimensions; then each subset tests its own cells pairwise."""
 
     def __init__(self, pc: PointCloud, poset: Poset, epsilon: float):
         if not (math.isfinite(epsilon) and epsilon > 0):
@@ -209,8 +215,19 @@ class EpsilonGrid:
         largest = max(map(abs, itertools.chain.from_iterable(pc.coords)), default=0.0)
         side = epsilon * (1 + 1e-9) + 4 * (math.ulp(largest) + math.ulp(epsilon))
         self.poset, self.epsilon = poset, epsilon
-        self.coords = [pc.coord(e) for e in poset.elements]
+        try:
+            self.coords = [pc.coords[pc._index[e]] for e in poset.elements]
+        except KeyError as exc:
+            raise InputError(f"unknown point {exc.args[0]!r}") from None
         self.keys = [tuple([math.floor(v / side) for v in row]) for row in self.coords]
+        occupied = set(self.keys)
+        self.near: dict[tuple[int, ...], list[tuple[int, ...]]] | None = None
+        if 3**pc.dimension <= len(occupied):
+            offsets = list(itertools.product((-1, 0, 1), repeat=pc.dimension))
+            self.near = {
+                key: [n for n in (tuple(map(operator.add, key, off)) for off in offsets) if n in occupied]
+                for key in occupied
+            }
 
 
 def epsilon_components(grid: EpsilonGrid, sub: ElementSet) -> list[ElementSet]:
@@ -253,7 +270,10 @@ def epsilon_components(grid: EpsilonGrid, sub: ElementSet) -> list[ElementSet]:
         cells.setdefault(keys[i], {})[i] = coords[i]
     if not cells:
         return []
-    near = _touching_cells(cells)
+    if grid.near is not None:
+        near = {key: [cells[n] for n in grid.near[key] if n in cells] for key in cells}
+    else:
+        near = {key: [cells[n] for n in cells if all(abs(x - y) <= 1 for x, y in zip(key, n))] for key in cells}
     out: list[ElementSet] = []
     for start in members:
         if start not in cells[keys[start]]:
@@ -272,25 +292,6 @@ def epsilon_components(grid: EpsilonGrid, sub: ElementSet) -> list[ElementSet]:
         # every lower bit was seen before start, so start is the least member
         out.append(ElementSet(grid.poset, comp))
     return out
-
-
-def _touching_cells(cells: dict[tuple[int, ...], dict]) -> dict[tuple[int, ...], list[dict]]:
-    """For each occupied cell, the occupied cells (itself included) whose
-    index differs from its own by at most one in every coordinate: looked
-    up among the 3^d offsets, or found by testing every occupied cell when
-    there are fewer of those than offsets, as in high dimensions."""
-    keys = list(cells)
-    dim = len(keys[0])
-    if 3**dim <= len(keys):
-        offsets = list(itertools.product((-1, 0, 1), repeat=dim))
-        return {
-            key: [cells[n] for n in (tuple(map(operator.add, key, off)) for off in offsets) if n in cells]
-            for key in keys
-        }
-    return {
-        key: [cells[n] for n in keys if all(abs(x - y) <= 1 for x, y in zip(key, n))]
-        for key in keys
-    }
 
 
 @dataclass(eq=False)

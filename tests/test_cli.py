@@ -7,11 +7,11 @@ import pytest
 
 import finitetopo.cylinder as cylinder_mod
 import finitetopo.nerve as nerve_mod
-from finitetopo import Poset, Relation
+from finitetopo import Poset, Relation, face_poset
 from finitetopo import cli
 from finitetopo import fixtures as fx
 from finitetopo.cli import main
-from finitetopo.formats import relation_to_json
+from finitetopo.formats import poset_to_json, relation_to_json
 from tests.test_cylinder import bound_degree_lookups
 
 
@@ -226,6 +226,18 @@ class TestHomologyCommand:
         code, doc = run_json(capsys, "homology", str(path))
         assert code == 0
         assert doc["homology"][0]["betti"] == [1, 1]
+
+    def test_euler_characteristic_of_a_large_face_poset(self, capsys, tmp_path):
+        """The face poset of ∂Δ¹⁰ has 2,046 elements and more than 10⁹
+        chains; its Euler characteristic is counted without listing them."""
+        path = tmp_path / "sphere.json"
+        path.write_text(json.dumps(poset_to_json(face_poset(fx.boundary_delta(9)))))
+        start = time.process_time()
+        code, doc = run_json(capsys, "homology", str(path))
+        assert time.process_time() - start < 5
+        assert code == 0
+        assert doc["homology"][0]["betti"] == [1] + [0] * 8 + [1]
+        assert doc["detail"]["euler_characteristic"] == 0
 
 
 class TestReductionCommands:
@@ -515,6 +527,16 @@ def test_each_command_takes_exactly_its_flags():
         name: sorted(s for action in parser._actions for s in action.option_strings if s not in ("-h", "--help"))
         for name, parser in commands.choices.items()
     } == OPTIONS
+
+
+def test_main_parses_with_one_parser_per_process(monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("a parser was built for one call")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    for _ in range(2):
+        code, doc = run_json(capsys, "verify", "thm-a", "certified-relation")
+        assert code == 0 and doc["status"] == "Certified"
 
 
 class TestFixturesCommand:

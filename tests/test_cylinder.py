@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,10 +25,12 @@ from finitetopo import (
     verify_equivalence,
     verify_homology_equivalence,
 )
+from finitetopo import cylinder
 from finitetopo import fixtures as fx
 from finitetopo.certificates import TrivialityVerdict
 from finitetopo.cylinder import HypothesisReport
 from finitetopo.homology import HomologyProfile
+from finitetopo.reduction import triviality_oracle
 from tests.test_poset import least, posets
 
 
@@ -47,6 +51,10 @@ def bound_degree_lookups(monkeypatch, limit: int = 1000) -> None:
 
 def fence_map():
     return fx._fence_map()
+
+
+def full_relation(src: Poset, tgt: Poset) -> Relation:
+    return Relation.of(src, tgt, [(x, y) for x in src.elements for y in tgt.elements])
 
 
 class TestRelation:
@@ -169,6 +177,28 @@ class TestHypothesisCheckers:
         assert d["side"] == "target"
         assert d["status"] == "Refuted"
         assert set(d["verdicts"]) == set(r.source.elements)
+
+    @pytest.mark.parametrize("relation", [
+        fx.get_fixture("thm-a-refutation").build(),
+        fx.get_fixture("certified-relation").build(),
+        fx.beat_retraction_relation(random.Random(7), 7),
+        full_relation(*fence_map()[:2]),
+    ], ids=["thm-a-refutation", "certified-relation", "beat-retraction-7", "full-relation"])
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_one_oracle_call_per_distinct_local_datum(self, monkeypatch, relation, side):
+        """Elements whose local data are one subspace share one verdict, and
+        the report is the one that asks the oracle once per element."""
+        check, local_data, elements = {
+            "source": (check_source_retraction, source_local_data, relation.target.elements),
+            "target": (check_target_retraction, target_local_data, relation.source.elements),
+        }[side]
+        asked = []
+        monkeypatch.setattr(cylinder, "triviality_oracle", lambda s, budget: asked.append(s.mask) or triviality_oracle(s, budget))
+        report = check(relation)
+        masks = [local_data(relation, e).mask for e in elements]
+        assert sorted(asked) == sorted(set(masks))
+        per_element = HypothesisReport(side, {e: triviality_oracle(local_data(relation, e)) for e in elements})
+        assert report.to_json_dict() == per_element.to_json_dict()
 
 
 class TestCollapseCertificates:
@@ -317,7 +347,7 @@ def test_image_and_preimage_are_the_pair_scan(src: Poset, tgt: Poset, data):
 @settings(max_examples=30)
 def test_full_relation_cylinder_is_join_like(src: Poset, tgt: Poset, rnd):
     # the full relation makes every source element related to every target
-    r = Relation.of(src, tgt, [(x, y) for x in src.elements for y in tgt.elements])
+    r = full_relation(src, tgt)
     cyl = build_cylinder(r)
     for x in src.elements:
         for y in tgt.elements:

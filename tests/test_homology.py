@@ -33,11 +33,11 @@ from finitetopo.homology import (
     certified_homology,
     profile_from_chain_complex,
 )
-from finitetopo.poset import reach_of
+from finitetopo.poset import ElementSet, reach_of
 from finitetopo.reduction import _chains_in, triviality_oracle
 from tests.reference_snf import reference_smith_normal_form
 from tests.test_complexes import as_cw, complexes, triangle_boundary
-from tests.test_poset import posets
+from tests.test_poset import posets, posets_and_masks
 
 
 class TestIntegerMatrix:
@@ -378,6 +378,16 @@ def test_compose_is_the_dense_product(rows: int, inner: int, cols: int, data):
     assert (c.rows, c.cols) == (rows, cols)
     assert c.to_dense() == [[sum(a[r][k] * b[k][j] for k in range(inner)) for j in range(cols)] for r in range(rows)]
     assert all(v for column in c.columns for v in column.values())
+
+
+def test_compose_keeps_a_row_that_cancels_and_returns():
+    """A running sum that passes through zero inside one column is still
+    read off at the end, and nothing carries over to the next column."""
+    left = IntegerMatrix.from_dense([[1, -1, 1], [2, 0, -2]])
+    right = IntegerMatrix.from_dense([[1, 1], [1, 0], [1, 0]])
+    product = left.compose(right)
+    assert product.to_dense() == [[1, 1], [0, 2]]
+    assert product.columns == [{0: 1}, {0: 1, 1: 2}]
 
 
 @given(integer_matrices(max_side=6))
@@ -846,3 +856,56 @@ def test_every_cellular_pair_and_small_matrix_is_checked(monkeypatch):
     monkeypatch.setattr(IntegerMatrix, "is_zero", lambda m: False)
     with pytest.raises(ValidationError, match="boundary composition is non-zero"):
         cellular_chain_complex(face_poset(fx.boundary_delta(2)))
+
+
+# -- one profile per (poset, mask) -------------------------------------------
+
+
+@given(posets_and_masks(count=1))
+@example((Poset([]), 0))
+@example((Poset(["a"]), 0))
+@example((Poset(["a"]), 1))
+@example((face_poset(fx.projective_plane()), face_poset(fx.projective_plane()).full_mask()))
+def test_reduced_profile_is_the_builder_reduced_profile(case):
+    """Read off the unreduced profile, the reduced one is what the chain
+    complex gives when reduced directly: b0 − 1 on a non-empty mask, no
+    degrees at all on the empty one, torsion unchanged."""
+    p, mask = case
+    chain = cellular_chain_complex(p, mask) or chain_complex(p, mask)
+    _poset_homology.cache_clear()
+    assert _poset_homology(p, mask, True) == profile_from_chain_complex(chain, reduced=True)
+    assert _poset_homology(p, mask, False) == profile_from_chain_complex(chain)
+
+
+def test_one_chain_complex_per_subspace(monkeypatch):
+    """The reduced and the unreduced profile of one (poset, mask) reduce
+    its chain complex once, in either order."""
+    reduced_calls = []
+    profile = homology_module.profile_from_chain_complex
+    monkeypatch.setattr(
+        homology_module, "profile_from_chain_complex", lambda chain: reduced_calls.append(chain) or profile(chain)
+    )
+    p = face_poset(fx.projective_plane())
+    for first in (True, False):
+        _poset_homology.cache_clear()
+        reduced_calls.clear()
+        assert _poset_homology(p, p.full_mask(), first).reduced is first
+        assert _poset_homology(p, p.full_mask(), not first).reduced is not first
+        assert len(reduced_calls) == 1
+
+
+@given(posets_and_masks(count=1))
+@example((Poset([]), 0))
+def test_euler_characteristic_is_the_signed_chain_count(case):
+    """The recurrence over a linear extension gives the alternating count
+    of all chains, here of the subposet a random mask spans."""
+    p, mask = case
+    q = ElementSet(p, mask).induced()
+    assert euler_characteristic(q) == sum((-1) ** k * len(top) for k, (_, top) in enumerate(chain_tree(q)))
+
+
+def test_euler_characteristic_of_a_large_face_poset_lists_no_chain(monkeypatch):
+    """The face poset of ∂Δ¹⁰ has 2,046 elements and more than 10⁹ chains."""
+    monkeypatch.setattr(complexes_module, "chain_tree", None)
+    assert euler_characteristic(face_poset(fx.boundary_delta(9))) == 0
+    assert euler_characteristic(face_poset(fx.boundary_delta(8))) == 2
