@@ -647,15 +647,15 @@ def main(argv=None) -> int:
         return report.exit_code
     except (InputError, ValidationError, ReplayError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return Status.ERROR.exit_code
     except NotCertified as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return Status.UNKNOWN.exit_code
     except Exception as exc:
         # a failed soundness check or any other crash is not a verdict:
         # exit 1 stays reserved for Refuted
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return Status.ERROR.exit_code
 
 
 if __name__ == "__main__":

@@ -335,7 +335,7 @@ def chain_complex(k: SimplicialComplex | Poset, mask: int | None = None) -> Chai
             column = {ext[h * n + t]: s for h, s in below[g].items()}
             column[g] = sign
             columns.append(column)
-        boundaries.append(IntegerMatrix.from_columns(sizes[d - 1], columns))
+        boundaries.append(IntegerMatrix(sizes[d - 1], columns))
     return _checked(sizes, boundaries)
 
 
@@ -365,7 +365,7 @@ def cellular_chain_complex(p: Poset, mask: int | None = None) -> ChainComplexPre
         by_dim[k - 1].append(i)
     index = {i: j for row in by_dim for j, i in enumerate(row)}
     boundaries = [
-        IntegerMatrix.from_columns(len(by_dim[d - 1]), [
+        IntegerMatrix(len(by_dim[d - 1]), [
             {index[j]: -1 if n % 2 else 1 for n, j in enumerate(cells[i][1])} for i in by_dim[d]
         ])
         for d in range(1, len(by_dim))

@@ -16,13 +16,13 @@ homotopy type and equal homology.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Optional
 
 from .certificates import ReductionCertificate, ReductionStep, StatementReport, Status, TrivialityVerdict
 from .errors import InputError, NotCertified, ValidationError
 from .homology import HomologyProfile, _poset_homology, certified_homology
 from .poset import ElementSet, Poset, reach_of
-from .reduction import DEFAULT_BUDGET, triviality_oracle
+from .reduction import DEFAULT_BUDGET, shared_oracle
 
 SOURCE_PREFIX = "X:"
 TARGET_PREFIX = "Y:"
@@ -69,19 +69,17 @@ class Relation:
                 raise InputError(f"map is not monotone: {a!r} < {b!r} but f({a!r}) is not below f({b!r})")
         return cls(source, target, frozenset((x, f[x]) for x in source.elements))
 
-    def image(self, members: ElementSet | Iterable[str]) -> ElementSet:
-        """The target elements related to some member of the source."""
-        return ElementSet(self.target, reach_of(self._image, _mask_in(self.source, members)))
+    def image(self, members: ElementSet) -> ElementSet:
+        """The target elements related to some member of an element set of the source."""
+        if members.poset is not self.source and members.poset != self.source:
+            raise InputError("image takes an element set of the relation's source")
+        return ElementSet(self.target, reach_of(self._image, members.mask))
 
-    def preimage(self, members: ElementSet | Iterable[str]) -> ElementSet:
-        """The source elements related to some member of the target."""
-        return ElementSet(self.source, reach_of(self._preimage, _mask_in(self.target, members)))
-
-
-def _mask_in(p: Poset, members: ElementSet | Iterable[str]) -> int:
-    if isinstance(members, ElementSet) and members.poset is p:
-        return members.mask
-    return p._mask_of(members)
+    def preimage(self, members: ElementSet) -> ElementSet:
+        """The source elements related to some member of an element set of the target."""
+        if members.poset is not self.target and members.poset != self.target:
+            raise InputError("preimage takes an element set of the relation's target")
+        return ElementSet(self.source, reach_of(self._preimage, members.mask))
 
 
 def source_name(x: str) -> str:
@@ -94,17 +92,27 @@ def target_name(y: str) -> str:
 
 @dataclass(frozen=True)
 class CylinderPoset:
+    """The two factors side by side: a prefix keeps each factor's identifier
+    order and "X:" sorts before "Y:", so source element i is bit i and target
+    element j is bit |X|+j.  That layout is checked when the cylinder is made."""
+
     poset: Poset
     relation: Relation
     retraction_certificate: Optional[ReductionCertificate] = None
 
+    def __post_init__(self):
+        r = self.relation
+        layout = tuple(map(source_name, r.source.elements)) + tuple(map(target_name, r.target.elements))
+        if self.poset.elements != layout:
+            raise ValidationError("cylinder elements are not the source's then the target's, in identifier order")
+
     @property
     def source_part(self) -> ElementSet:
-        return self.poset.subset({source_name(x) for x in self.relation.source.elements})
+        return ElementSet(self.poset, (1 << len(self.relation.source)) - 1)
 
     @property
     def target_part(self) -> ElementSet:
-        return self.poset.subset({target_name(y) for y in self.relation.target.elements})
+        return ElementSet(self.poset, self.poset.full_mask() ^ self.source_part.mask)
 
 
 def build_cylinder(r: Relation) -> CylinderPoset:
@@ -174,21 +182,10 @@ def target_local_data(r: Relation, x: str) -> ElementSet:
 
 
 def _check_side(side: str, r: Relation, elements, local_data, budget: int) -> HypothesisReport:
-    """Triviality verdicts for the local data of the elements this side's collapse deletes.
-
-    Many elements share one local datum, and a verdict depends only on the
-    subspace and the budget, so the oracle runs once per distinct mask
-    and every element with that mask gets the same verdict.  Each verdict
-    was screened by homology when it was made."""
-    by_mask: dict[int, TrivialityVerdict] = {}
-    verdicts = {}
-    for e in elements:
-        data = local_data(r, e)
-        verdict = by_mask.get(data.mask)
-        if verdict is None:
-            verdict = by_mask[data.mask] = triviality_oracle(data, budget)
-        verdicts[e] = verdict
-    return HypothesisReport(side, verdicts)
+    """Triviality verdicts for the local data of the elements this side's
+    collapse deletes; elements with one local datum share one verdict."""
+    ask = shared_oracle(budget)
+    return HypothesisReport(side, {e: ask(local_data(r, e)) for e in elements})
 
 
 def check_source_retraction(r: Relation, budget: int = DEFAULT_BUDGET) -> HypothesisReport:
@@ -214,23 +211,26 @@ _SIDES = {"source": (source_name, target_name, "down"), "target": (target_name, 
 
 
 def _gamma_collapse(side: str, c: CylinderPoset, report: HypothesisReport, deleted, local_data) -> ReductionCertificate:
-    """Gamma-delete the other factor's elements in the given order.  Each one's
-    punctured set facing `side` must coincide with its local data; both are
-    computed and compared at every step."""
+    """Gamma-delete the other factor's elements in the given order.  At every
+    step, the punctured set facing `side` among the elements still there,
+    `reach[i] & alive`, must be the local datum's mask shifted to the kept
+    side's bits; both masks are computed and compared."""
     if report.status is not Status.CERTIFIED:
         raise NotCertified(f"{side} retraction is {report.status}", failing=report.failing or None)
     kept_name, deleted_name, direction = _SIDES[side]
-    punctured = c.poset.punctured_down if direction == "down" else c.poset.punctured_up
-    removed: set[str] = set()
+    p = c.poset
+    reach = p._down if direction == "down" else p._up
+    shift = 0 if side == "source" else len(c.relation.source)
+    alive = p.full_mask()
     steps = []
     for e in deleted:
         name = deleted_name(e)
-        punct = {m for m in punctured(name) if m not in removed}
-        if punct != {kept_name(k) for k in local_data(c.relation, e)}:
+        i = p._index[name]
+        alive &= ~(1 << i)
+        if reach[i] & alive != local_data(c.relation, e).mask << shift:
             raise ValidationError(f"punctured {direction}-set of {name!r} does not match its local {side} data")
         evidence = _certificate_of(report.verdicts[e], e).rename(kept_name)
         steps.append(ReductionStep("gamma-" + direction, (name,), evidence=evidence))
-        removed.add(name)
     return ReductionCertificate(tuple(steps))
 
 

@@ -51,25 +51,12 @@ from math import gcd
 
 
 class IntegerMatrix:
-    """Sparse integer matrix stored by column: columns[c] maps a row to a
-    non-zero value.  `entries`, the (row, col) view, is a copy built on
-    request; nothing in the package reads it."""
+    """Sparse integer matrix stored by column: column c is columns[c], a
+    dict from a row in 0..rows-1 to a non-zero value.  `entries`, the
+    (row, col) view, is a copy built on request; nothing in the package
+    reads it."""
 
-    def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], int] | None = None):
-        columns: list[dict[int, int]] = [{} for _ in range(cols)]
-        for (r, c), v in (entries or {}).items():
-            if v != 0:
-                if not (0 <= r < rows and 0 <= c < cols):
-                    raise ValueError(f"entry {(r, c)} outside a {rows}x{cols} matrix")
-                columns[c][r] = v
-        self.rows = rows
-        self.cols = cols
-        self.columns = columns
-
-    @classmethod
-    def from_columns(cls, rows: int, columns: list[dict[int, int]]) -> "IntegerMatrix":
-        """The matrix whose column c is columns[c]; every row lies in
-        0..rows-1 and every value is non-zero."""
+    def __init__(self, rows: int, columns: list[dict[int, int]]):
         used = set().union(*columns)  # empty for every product ∂k·∂k+1, which then has no values
         values = itertools.chain.from_iterable(map(dict.values, columns))
         if used and (min(used) < 0 or max(used) >= rows or not all(values)):
@@ -77,9 +64,7 @@ class IntegerMatrix:
             for c, col in enumerate(columns):
                 if col and (min(col) < 0 or max(col) >= rows or 0 in col.values()):
                     raise ValueError(f"column {c} has a row outside 0..{rows - 1} or a zero value")
-        m = cls.__new__(cls)
-        m.rows, m.cols, m.columns = rows, len(columns), columns
-        return m
+        self.rows, self.cols, self.columns = rows, len(columns), columns
 
     @property
     def entries(self) -> dict[tuple[int, int], int]:
@@ -87,9 +72,8 @@ class IntegerMatrix:
 
     @classmethod
     def from_dense(cls, data: list[list[int]]) -> "IntegerMatrix":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        return cls(rows, cols, {(r, c): v for r, row in enumerate(data) for c, v in enumerate(row)})
+        cols = len(data[0]) if data else 0
+        return cls(len(data), [{r: row[c] for r, row in enumerate(data) if row[c]} for c in range(cols)])
 
     def to_dense(self) -> list[list[int]]:
         out = [[0] * self.cols for _ in range(self.rows)]
@@ -131,7 +115,7 @@ class IntegerMatrix:
                     kept[r] = sums[r]
                     sums[r] = 0
             product.append(kept)
-        return IntegerMatrix.from_columns(self.rows, product)
+        return IntegerMatrix(self.rows, product)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntegerMatrix):
@@ -406,7 +390,7 @@ class HomologyProfile:
         return " ".join(parts) if parts else "(empty)"
 
 
-def profile_from_chain_complex(chain, reduced: bool = False) -> HomologyProfile:
+def profile_from_chain_complex(chain) -> HomologyProfile:
     """Betti numbers and torsion from the boundary matrices, top degree first.
 
     Clearing (the twist of Chen and Kerber, restricted to unit pivots):
@@ -418,7 +402,7 @@ def profile_from_chain_complex(chain, reduced: bool = False) -> HomologyProfile:
     never cleared.
     """
     if not chain.sizes:
-        return HomologyProfile((), (), reduced)
+        return HomologyProfile((), ())
     factor_lists: list[tuple[int, ...]] = []
     cleared: set[int] = set()
     for b in reversed(chain.boundaries):
@@ -427,11 +411,17 @@ def profile_from_chain_complex(chain, reduced: bool = False) -> HomologyProfile:
         cleared = pivot_rows
     factor_lists.reverse()
     ranks = [0] + [len(f) for f in factor_lists] + [0]
-    betti = [n - ranks[k] - ranks[k + 1] for k, n in enumerate(chain.sizes)]
-    if reduced:
-        betti[0] -= 1
+    betti = tuple(n - ranks[k] - ranks[k + 1] for k, n in enumerate(chain.sizes))
     torsion = tuple(tuple(d for d in f if d > 1) for f in factor_lists) + ((),)
-    return HomologyProfile(tuple(betti), torsion, reduced)
+    return HomologyProfile(betti, torsion)
+
+
+def _reduced(plain: HomologyProfile) -> HomologyProfile:
+    """The reduced profile: b̃0 = b0 − 1 on a non-empty complex, every other
+    Betti number and all torsion unchanged; the empty complex has no degrees."""
+    if not plain.betti:
+        return HomologyProfile((), (), True)
+    return HomologyProfile((plain.betti[0] - 1,) + plain.betti[1:], plain.torsion, True)
 
 
 @lru_cache(maxsize=8192)
@@ -440,15 +430,9 @@ def _poset_homology(p, mask: int, reduced: bool) -> HomologyProfile:
     reduced).  Only the unreduced profile is computed from a chain
     complex; the reduced one is read off it through the same cache, so a
     subspace screened reduced and later compared unreduced (a whole side
-    of a relation, say) is reduced once.  For a non-empty mask the reduced
-    b0 is b0 − 1 and every other Betti number and all torsion stay; the
-    empty mask has no reduced homology at all, as in
-    `profile_from_chain_complex`."""
+    of a relation, say) is reduced once."""
     if reduced:
-        plain = _poset_homology(p, mask, False)
-        if not plain.betti:
-            return HomologyProfile((), (), True)
-        return HomologyProfile((plain.betti[0] - 1,) + plain.betti[1:], plain.torsion, True)
+        return _reduced(_poset_homology(p, mask, False))
     from .complexes import cellular_chain_complex, chain_complex
 
     chain = cellular_chain_complex(p, mask)
@@ -471,7 +455,8 @@ def homology(obj, reduced: bool = False) -> HomologyProfile:
     if isinstance(obj, Poset):
         return _poset_homology(obj, obj.full_mask(), reduced)
     if isinstance(obj, SimplicialComplex):
-        return profile_from_chain_complex(chain_complex(obj), reduced)
+        plain = profile_from_chain_complex(chain_complex(obj))
+        return _reduced(plain) if reduced else plain
     if isinstance(obj, RegularCWComplex):
         return _poset_homology(obj.poset, obj.poset.full_mask(), reduced)
     raise TypeError(f"cannot compute homology of {type(obj).__name__}")

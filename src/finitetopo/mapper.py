@@ -297,7 +297,6 @@ def epsilon_components(grid: EpsilonGrid, sub: ElementSet) -> list[ElementSet]:
 @dataclass(eq=False)
 class MapperResult:
     cloud: PointCloud
-    filter_values: tuple[float, ...]
     intervals: list[tuple[float, float]]
     parts: dict[str, frozenset[str]]
     epsilon: float
@@ -352,7 +351,6 @@ def mapper_completion(
     comp_nerve = SimplicialComplex(intersecting_families(vertices))
     return MapperResult(
         pc,
-        values,
         spans,
         {name: frozenset(pc.ids[k] for k in ks) for name, ks in positions.items()},
         epsilon,

@@ -38,7 +38,7 @@ from .cylinder import EquivalenceReport, Relation, verify_equivalence
 from .errors import InputError, ValidationError
 from .homology import HomologyProfile, certified_homology
 from .poset import ElementSet, Poset
-from .reduction import DEFAULT_BUDGET, triviality_oracle
+from .reduction import DEFAULT_BUDGET, shared_oracle
 
 ComponentSplitter = Callable[[ElementSet], list[ElementSet]]
 
@@ -205,11 +205,12 @@ def classify_cover(c: AnyCover, budget: int = DEFAULT_BUDGET) -> CoverClassifica
     whole: dict[str, TrivialityVerdict] = {}
     comps: dict[str, TrivialityVerdict] = {}
     all_connected = True
+    ask = shared_oracle(budget)
     for jid, w in c.intersections().items():
         pieces = w.components()
         verdicts = []
         for piece in pieces:
-            v = triviality_oracle(piece, budget)
+            v = ask(piece)
             comps[component_label(jid, piece)] = v
             verdicts.append(v)
         if len(pieces) == 1:
@@ -379,9 +380,8 @@ def verify_nerve_theorem(c: AnyCover, variant: str, budget: int = DEFAULT_BUDGET
         sub = trivial_subnerve(c, classification)
         if not sub.decided:
             return NerveTheoremReport(variant, Status.UNKNOWN, classification, {"undecided": list(sub.undecided)})
-        membership_verdicts: dict[str, TrivialityVerdict] = {}
-        for x in c.base.elements:
-            membership_verdicts[x] = triviality_oracle(point_subnerve(sub, x), budget)
+        ask = shared_oracle(budget)
+        membership_verdicts = {x: ask(point_subnerve(sub, x)) for x in c.base.elements}
         status = Status.of_verdicts(membership_verdicts.values())
         if status is not Status.CERTIFIED:
             bad = sorted(x for x, v in membership_verdicts.items() if v.is_nontrivial)

@@ -187,10 +187,6 @@ class Poset:
         i = self._lookup(e)
         return ElementSet(self, self._down[i] & ~(1 << i))
 
-    def punctured_up(self, e: str) -> "ElementSet":
-        i = self._lookup(e)
-        return ElementSet(self, self._up[i] & ~(1 << i))
-
     def maximal_elements(self) -> tuple[str, ...]:
         return tuple(e for i, e in enumerate(self.elements) if self._succ_masks[i] == 0)
 

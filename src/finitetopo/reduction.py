@@ -244,6 +244,23 @@ def triviality_oracle(s: Poset | ElementSet, budget: int = DEFAULT_BUDGET) -> Tr
     return is_collapsible(s, budget)
 
 
+def shared_oracle(budget: int) -> Callable[[ElementSet], TrivialityVerdict]:
+    """`ask(element_set)`: the oracle's verdict, decided once per distinct
+    (poset, mask) while `ask` is kept.  A verdict depends only on the
+    poset, the mask and the budget, so subspaces that coincide share one;
+    the table lives for one call of a statement, never for the process."""
+    verdicts: dict[tuple[Poset, int], TrivialityVerdict] = {}
+
+    def ask(s: ElementSet) -> TrivialityVerdict:
+        key = s.poset, s.mask
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = triviality_oracle(s, budget)
+        return verdict
+
+    return ask
+
+
 def find_gamma_points(
     p: Poset, budget: int = DEFAULT_BUDGET
 ) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
@@ -253,12 +270,13 @@ def find_gamma_points(
     """
     gammas = []
     unknowns = []
+    ask = shared_oracle(budget)
     mask = p.full_mask()
     for i, e in enumerate(p.elements):
         for side, sub in _punctured(p, mask, i):
             if not sub:
                 continue
-            verdict = triviality_oracle(ElementSet(p, sub), budget)
+            verdict = ask(ElementSet(p, sub))
             if verdict.is_trivial:
                 gammas.append((e, "gamma-" + side))
             elif verdict.is_unknown:

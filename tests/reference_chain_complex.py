@@ -36,5 +36,5 @@ def reference_chain_complex(k: SimplicialComplex | Poset, mask: int | None = Non
     boundaries = []
     for d in range(1, len(bases)):
         columns = [{index[d - 1][f[:i] + f[i + 1:]]: (-1) ** i for i in range(d + 1)} for f in bases[d]]
-        boundaries.append(IntegerMatrix.from_columns(len(bases[d - 1]), columns))
+        boundaries.append(IntegerMatrix(len(bases[d - 1]), columns))
     return tuple(map(len, bases)), tuple(boundaries)

@@ -179,7 +179,9 @@ class TestChainComplex:
         for a complex and for a poset (a face poset has a 2-chain)."""
         d1, d2 = chain_complex(k).boundaries[:2]
         key = data.draw(st.sampled_from(sorted(d2.entries)))
-        bad = IntegerMatrix(d2.rows, d2.cols, {**d2.entries, key: -d2.entries[key]})
+        columns = [dict(column) for column in d2.columns]
+        columns[key[1]][key[0]] *= -1
+        bad = IntegerMatrix(d2.rows, columns)
         assert {c for _, c in d1.compose(bad).entries} == {key[1]}
         compose = IntegerMatrix.compose
         with pytest.MonkeyPatch.context() as mp:

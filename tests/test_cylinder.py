@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -25,10 +26,10 @@ from finitetopo import (
     verify_equivalence,
     verify_homology_equivalence,
 )
-from finitetopo import cylinder
+from finitetopo import reduction
 from finitetopo import fixtures as fx
 from finitetopo.certificates import TrivialityVerdict
-from finitetopo.cylinder import HypothesisReport
+from finitetopo.cylinder import CylinderPoset, HypothesisReport
 from finitetopo.homology import HomologyProfile
 from finitetopo.reduction import triviality_oracle
 from tests.test_poset import least, posets
@@ -77,8 +78,19 @@ class TestRelation:
     def test_image_preimage(self):
         src, tgt, f = fence_map()
         r = Relation.from_monotone_map(src, tgt, f)
-        assert set(r.image(["a", "c"])) == {"u"}
-        assert set(r.preimage(["u"])) == {"a", "c"}
+        assert set(r.image(src.subset(["a", "c"]))) == {"u"}
+        assert set(r.preimage(tgt.subset(["u"]))) == {"a", "c"}
+
+    def test_image_preimage_take_an_element_set_of_their_factor(self):
+        """A set of the other factor is refused, not read as bits of this one;
+        a set of an equal poset has the same bits."""
+        src, tgt, f = fence_map()
+        r = Relation.from_monotone_map(src, tgt, f)
+        with pytest.raises(InputError, match="image takes an element set of the relation's source"):
+            r.image(tgt.subset(["u", "v"]))
+        with pytest.raises(InputError, match="preimage takes an element set of the relation's target"):
+            r.preimage(src.subset(["a", "b", "c"]))
+        assert set(r.image(Poset(src.elements, src.cover_pairs).subset(["b"]))) == {"v"}
 
 
 class TestBuildCylinder:
@@ -133,7 +145,7 @@ class TestLocalData:
         for y in r.target.elements:
             hull = source_local_data(r, y)
             assert hull.is_down_set()
-            assert set(r.preimage(r.target.down_set(y).members)) <= set(hull)
+            assert set(r.preimage(r.target.down_set(y))) <= set(hull)
 
     def test_target_side_is_closure_of_image(self):
         r = fx._certified_relation()
@@ -193,7 +205,7 @@ class TestHypothesisCheckers:
             "target": (check_target_retraction, target_local_data, relation.source.elements),
         }[side]
         asked = []
-        monkeypatch.setattr(cylinder, "triviality_oracle", lambda s, budget: asked.append(s.mask) or triviality_oracle(s, budget))
+        monkeypatch.setattr(reduction, "triviality_oracle", lambda s, budget: asked.append(s.mask) or triviality_oracle(s, budget))
         report = check(relation)
         masks = [local_data(relation, e).mask for e in elements]
         assert sorted(asked) == sorted(set(masks))
@@ -213,6 +225,24 @@ class TestCollapseCertificates:
         tgt_final = replay_poset_certificate(cyl.poset, to_tgt)
         assert set(src_final.elements) == set(cyl.source_part)
         assert set(tgt_final.elements) == set(cyl.target_part)
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_a_punctured_set_that_misses_its_local_datum_is_refused(self, side):
+        """Dropping one cross cover pair X:x < Y:y from the cylinder leaves the
+        layout intact, and the first deleted element whose punctured set then
+        misses its local datum is that pair's end on the deleted side."""
+        r = fx._certified_relation()
+        cyl = build_cylinder(r)
+        x, y = min(pair for pair in cyl.poset.cover_pairs if pair[0].startswith("X:") and pair[1].startswith("Y:"))
+        broken = CylinderPoset(Poset(cyl.poset.elements, cyl.poset.cover_pairs - {(x, y)}), r)
+        collapse, check, name, direction = {
+            "source": (collapse_cylinder_to_source, check_source_retraction, y, "down"),
+            "target": (collapse_cylinder_to_target, check_target_retraction, x, "up"),
+        }[side]
+        collapse(cyl, check(r))
+        message = f"punctured {direction}-set of {name!r} does not match its local {side} data"
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            collapse(broken, check(r))
 
     def test_uncertified_side_raises(self):
         # the refutation fixture's target side fails at x
@@ -331,16 +361,16 @@ class TestVerifyHomologyEquivalence:
 @given(posets(max_size=6), posets(max_size=6), st.data())
 def test_image_and_preimage_are_the_pair_scan(src: Poset, tgt: Poset, data):
     """Image and preimage read off the per-element masks agree with their
-    definition by a scan over every pair, for element sets and for names."""
+    definition by a scan over every pair, and are element sets of the other factor."""
     pairs = data.draw(st.sets(st.tuples(st.sampled_from(src.elements), st.sampled_from(tgt.elements))))
     r = Relation.of(src, tgt, pairs)
     xs = data.draw(st.sets(st.sampled_from(src.elements)))
     ys = data.draw(st.sets(st.sampled_from(tgt.elements)))
     image = {y for x, y in pairs if x in xs}
     preimage = {x for x, y in pairs if y in ys}
-    assert set(r.image(src.subset(xs))) == set(r.image(xs)) == image
-    assert set(r.preimage(tgt.subset(ys))) == set(r.preimage(ys)) == preimage
-    assert r.image(xs).poset is tgt and r.preimage(ys).poset is src
+    assert set(r.image(src.subset(xs))) == image
+    assert set(r.preimage(tgt.subset(ys))) == preimage
+    assert r.image(src.subset(xs)).poset is tgt and r.preimage(tgt.subset(ys)).poset is src
 
 
 @given(posets(max_size=5), posets(max_size=5), st.randoms(use_true_random=False))
@@ -380,3 +410,47 @@ def test_generated_relations_certify_and_match_homology(seed: int):
     rep = verify_equivalence(r)
     assert rep.status is Status.CERTIFIED
     assert same_homology(homology(r.source), homology(r.target))[0]
+
+
+# identifiers whose order is not the order of numbers, of case, or of a
+# bare prefix: digits, mixed case, and names that start with "X:" or "Y:"
+ODD_NAMES = st.text(alphabet="019aAzZXY:", min_size=1, max_size=4) | st.sampled_from(["X:", "X:a", "Y:X:b", "10", "9"])
+
+
+@st.composite
+def posets_with_odd_names(draw, max_size: int = 5) -> Poset:
+    names = sorted(draw(st.sets(ODD_NAMES, max_size=max_size)))
+    if not names:
+        return Poset([])
+    pairs = draw(st.sets(st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(lambda ab: ab[0] < ab[1])))
+    return Poset(names, pairs)
+
+
+@given(posets_with_odd_names(), posets_with_odd_names(), st.data())
+def test_cylinder_puts_the_factors_side_by_side(src: Poset, tgt: Poset, data):
+    """Source element i is bit i of the cylinder and target element j is bit
+    |X|+j, whatever the identifiers; the parts and the local data shifted to
+    their side's bits are the element sets built from the prefixed names."""
+    pairs = ()
+    if src and tgt:
+        pairs = data.draw(st.sets(st.tuples(st.sampled_from(src.elements), st.sampled_from(tgt.elements))))
+    r = Relation.of(src, tgt, pairs)
+    cyl = build_cylinder(r)
+    p = cyl.poset
+    assert p.elements == tuple("X:" + x for x in src.elements) + tuple("Y:" + y for y in tgt.elements)
+    assert cyl.source_part == p.subset("X:" + x for x in src.elements)
+    assert cyl.target_part == p.subset("Y:" + y for y in tgt.elements)
+    for y in tgt.elements:
+        assert source_local_data(r, y).mask == p.subset("X:" + x for x in source_local_data(r, y)).mask
+    for x in src.elements:
+        assert target_local_data(r, x).mask << len(src) == p.subset("Y:" + y for y in target_local_data(r, x)).mask
+
+
+def test_a_cylinder_must_keep_the_factors_side_by_side():
+    r = Relation.from_monotone_map(*fence_map())
+    cyl = build_cylinder(r)
+    swapped = Poset(["X:u", "X:v", "Y:a", "Y:b", "Y:c"])
+    with pytest.raises(ValidationError, match="not the source's then the target's"):
+        CylinderPoset(swapped, r)
+    with pytest.raises(ValidationError, match="not the source's then the target's"):
+        CylinderPoset(cyl.poset, Relation.of(r.target, r.source, ()))

@@ -13,6 +13,9 @@ that mentions it.
 - A public method or property of a package class (no leading underscore)
   counts as used when some such code reads `.name` as an attribute or holds
   the string "name".
+- So does a field of a package dataclass, private or not: the constructor
+  sets it, so only a read keeps it (a report reads its `HOMOLOGY` fields by
+  their strings).
 
 A use of `.name` cannot say which class it reaches, so one class's method
 would keep a same-named method of another class alive.  `SHARED` lists
@@ -117,18 +120,28 @@ def public_methods(tree: ast.Module) -> list[str]:
 @lru_cache(maxsize=None)
 def uses() -> tuple[Counter, set[str]]:
     """The words of the code of every running file, and the attribute
-    names and strings that code holds."""
+    names that code reads and the strings it holds."""
     words: Counter = Counter()
     attributes: set[str] = set()
     for path in running_files():
         tree = code(path)
         words.update(re.findall(r"\w+", ast.unparse(tree)))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 attributes.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 attributes.add(node.value)
     return words, attributes
+
+
+def dataclass_fields(tree: ast.Module) -> list[str]:
+    """"Class.field" for each annotated field of a top-level dataclass."""
+    classes = [c for c in tree.body if isinstance(c, ast.ClassDef)]
+    return [
+        c.name + "." + node.target.id
+        for c in classes if any("dataclass" in ast.unparse(d) for d in c.decorator_list)
+        for node in c.body if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    ]
 
 
 def dead_module_level_names() -> list[str]:
@@ -143,6 +156,13 @@ def dead_methods() -> list[str]:
     _, attributes = uses()
     return sorted(
         name for tree in package_modules() for name in public_methods(tree) if name.split(".")[1] not in attributes
+    )
+
+
+def dead_fields() -> list[str]:
+    _, attributes = uses()
+    return sorted(
+        name for tree in package_modules() for name in dataclass_fields(tree) if name.split(".")[1] not in attributes
     )
 
 
@@ -166,9 +186,14 @@ def test_every_public_method_and_property_is_used():
     assert [name for name in dead_methods() if name not in ALLOWED] == []
 
 
+def test_every_dataclass_field_is_read():
+    assert [name for name in dead_fields() if name not in ALLOWED] == []
+
+
 def test_every_allowed_name_is_still_defined_and_still_uncalled():
     """An entry whose name gained a caller, or went away, is stale."""
-    assert sorted(name for name in dead_module_level_names() + dead_methods() if name in ALLOWED) == sorted(ALLOWED)
+    dead = dead_module_level_names() + dead_methods() + dead_fields()
+    assert sorted(name for name in dead if name in ALLOWED) == sorted(ALLOWED)
 
 
 def test_every_shared_method_name_is_listed():

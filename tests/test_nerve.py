@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 from functools import reduce
@@ -361,3 +362,51 @@ def test_nerve_statements_read_the_table_of_intersections(monkeypatch):
     )
     assert result.completion_homology.betti == (1, 1)
     assert len(tables) == len(built) + 1
+
+
+def record_oracle_calls(monkeypatch) -> list:
+    """Every (poset, mask) the oracle decides, asked through its module-level name."""
+    reduction = importlib.import_module("finitetopo.reduction")
+    oracle, asked = reduction.triviality_oracle, []
+    record = lambda s, budget: asked.append((s.poset, s.mask)) or oracle(s, budget)
+    monkeypatch.setattr(reduction, "triviality_oracle", record)
+    return asked
+
+
+def unshared(monkeypatch):
+    """Make the nerve statements ask the oracle once per subspace they meet, repeats included."""
+    oracle = importlib.import_module("finitetopo.reduction").triviality_oracle
+    monkeypatch.setattr(nerve_module, "shared_oracle", lambda budget: lambda s: oracle(s, budget))
+
+
+def test_classification_asks_once_per_distinct_piece(monkeypatch):
+    """Of the seven pieces of this cover's intersections, five are distinct
+    subspaces: the oracle decides those five, and the report is the one that
+    asks once per piece."""
+    cover = fx.random_good_cover(random.Random(0), 10)
+    pieces = [(piece.poset, piece.mask) for w in cover.intersections().values() for piece in w.components()]
+    assert (len(pieces), len(set(pieces))) == (7, 5)
+    asked = record_oracle_calls(monkeypatch)
+    shared = classify_cover(cover)
+    assert sorted(mask for _, mask in asked) == sorted({mask for _, mask in pieces})
+    unshared(monkeypatch)
+    assert classify_cover(cover).to_json_dict() == shared.to_json_dict()
+
+
+def test_membership_loop_asks_once_per_distinct_family(monkeypatch):
+    """The x-zero statement's ten membership families are five subspaces of
+    the trivial subnerve: the oracle decides each once, and the report is the
+    one that asks once per element."""
+    cover = fx.random_good_cover(random.Random(0), 10)
+    sub = trivial_subnerve(cover, classify_cover(cover))
+    families = [(f.poset, f.mask) for f in (point_subnerve(sub, x) for x in cover.base.elements)]
+    assert (len(families), len(set(families))) == (10, 5)
+    asked = record_oracle_calls(monkeypatch)
+    shared = verify_nerve_theorem(cover, "x-zero")
+    assert shared.status is Status.CERTIFIED
+    # the cylinder's local data live in the base and in the opposite of the subnerve
+    assert sub.poset not in (cover.base, sub.poset.opposite())
+    memberships = [key for key in asked if key[0] == sub.poset]
+    assert sorted(key[1] for key in memberships) == sorted({mask for _, mask in families})
+    unshared(monkeypatch)
+    assert verify_nerve_theorem(cover, "x-zero").to_json_dict() == shared.to_json_dict()

@@ -23,6 +23,11 @@ def greatest(s: ElementSet) -> str | None:
     return next((m for m in s if all(s.poset.le(x, m) for x in s)), None)
 
 
+def punctured_up(p: Poset, e: str) -> ElementSet:
+    """The members strictly above e: its up-set without its down-set."""
+    return ElementSet(p, p.up_set(e).mask & ~p.down_set(e).mask)
+
+
 def least(s: ElementSet) -> str | None:
     """The member of s below every member, if there is one, read off le()."""
     return next((m for m in s if all(s.poset.le(m, x) for x in s)), None)
@@ -89,7 +94,7 @@ class TestOrderQueries:
         assert set(p.down_set("b")) == {"a", "b"}
         assert set(p.up_set("b")) == {"b", "d"}
         assert set(p.punctured_down("d")) == {"a", "b", "c"}
-        assert set(p.punctured_up("a")) == {"b", "c", "d"}
+        assert set(punctured_up(p, "a")) == {"b", "c", "d"}
 
     def test_closure_and_open_hull(self):
         p = diamond()
