@@ -56,15 +56,16 @@ from .nerve import (
     verify_corollary_completion,
     verify_nerve_theorem,
 )
-from .poset import Poset
+from .poset import ElementSet, Poset
 from .reduction import (
     DEFAULT_BUDGET,
+    Oracle,
     core,
     find_beat_points,
     find_gamma_points,
     find_weak_points,
     collapse_search,
-    triviality_oracle,
+    shared_oracle,
     verify_dictionary,
 )
 from .report import RunReport
@@ -146,34 +147,36 @@ def _as_cover(obj: Any, where: str):
 
 # ----------------------------------------------------------- verify targets
 
-def _homology_version(obj: Any, params: Dict[str, Any], budget: int, where: str):
+def _homology_version(obj: Any, params: Dict[str, Any], ask: Oracle, where: str):
     r = _as_relation(obj, where)
     return verify_homology_equivalence(r, json_scalar(params.get("degree", 1), int, "degree", where))
 
 
 def _nerve(variant: str):
-    return lambda obj, _, budget, where: verify_nerve_theorem(_as_cover(obj, where), variant, budget)
+    return lambda obj, _, ask, where: verify_nerve_theorem(_as_cover(obj, where), variant, ask)
 
 
-def _completion_corollary(obj: Any, params: Dict[str, Any], budget: int, where: str):
+def _completion_corollary(obj: Any, params: Dict[str, Any], ask: Oracle, where: str):
     cover = _as_cover(obj, where)
     if not isinstance(cover, ComplexCover):
         raise InputError(f"{where}: the completion corollary takes a complex cover")
-    return verify_corollary_completion(cover, budget)
+    return verify_corollary_completion(cover, ask)
 
 
-def _dictionary(obj: Any, params: Dict[str, Any], budget: int, where: str):
+def _dictionary(obj: Any, params: Dict[str, Any], ask: Oracle, where: str):
     if not isinstance(obj, (Poset, SimplicialComplex)):
         raise InputError(f"{where}: the dictionary checks take a poset or a complex")
     return verify_dictionary(obj)
 
 
-# theorem id -> (check taking input, params, budget and where; detail key).
-# Each check returns a report that yields its own certificates and homology.
+# theorem id -> (check taking input, params, verdict table and where; detail
+# key).  run_theorem makes one table per statement from the budget, so no
+# subspace is decided twice within it.  Each check returns a report that
+# yields its own certificates and homology.
 STATEMENTS = {
-    "prop-2.4": (lambda o, _, b, w: verify_source_retraction(_as_relation(o, w), b), "hypotheses"),
-    "prop-2.5": (lambda o, _, b, w: verify_target_retraction(_as_relation(o, w), b), "hypotheses"),
-    "thm-a": (lambda o, _, b, w: verify_equivalence(_as_relation(o, w), b), "equivalence"),
+    "prop-2.4": (lambda o, _, a, w: verify_source_retraction(_as_relation(o, w), a), "hypotheses"),
+    "prop-2.5": (lambda o, _, a, w: verify_target_retraction(_as_relation(o, w), a), "hypotheses"),
+    "thm-a": (lambda o, _, a, w: verify_equivalence(_as_relation(o, w), a), "equivalence"),
     "prop-homology": (_homology_version, "homology_version"),
     "nerve-good": (_nerve("good-poset"), "nerve_theorem"),
     "nerve-x0": (_nerve("x-zero"), "nerve_theorem"),
@@ -190,7 +193,7 @@ def run_theorem(theorem: str, obj: Any, params: Dict[str, Any],
     if theorem not in STATEMENTS:
         raise InputError(f"unknown theorem id {theorem!r}; expected one of {', '.join(THEOREMS)}")
     check, key = STATEMENTS[theorem]
-    rep = check(obj, params, budget, where)
+    rep = check(obj, params, shared_oracle(budget), where)
     report.detail[key] = rep.to_json_dict()
     report.set_status(rep.status)
     for label, certificate, target in rep.certificates():
@@ -313,9 +316,10 @@ def cmd_reduce(args) -> Tuple[RunReport, Any]:
     p = _load_poset(args.input, report)
     beats = find_beat_points(p)
     weaks = find_weak_points(p)
-    gammas, unknowns = find_gamma_points(p, args.budget)
+    ask = shared_oracle(args.budget)
+    gammas, unknowns = find_gamma_points(p, ask)
     q, cert = core(p)
-    verdict = triviality_oracle(p, args.budget)
+    verdict = ask(ElementSet(p, p.full_mask()))
     report.detail.update({
         "beat_points": [list(t) for t in beats],
         "weak_points": [list(t) for t in weaks],
@@ -377,7 +381,7 @@ def cmd_nerve(args) -> Tuple[RunReport, Any]:
     _, obj = _load_input(args.input, report)
     cover = _as_cover(obj, args.input)
     nerve_complex = cover.nerve()
-    cls = classify_cover(cover, args.budget)
+    cls = classify_cover(cover, shared_oracle(args.budget))
     report.detail["nerve"] = complex_to_json(nerve_complex)
     report.detail["classification"] = cls.to_json_dict()
     report.add_homology("nerve", profile_json(homology(nerve_complex)))

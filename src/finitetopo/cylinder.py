@@ -22,7 +22,7 @@ from .certificates import ReductionCertificate, ReductionStep, StatementReport, 
 from .errors import InputError, NotCertified, ValidationError
 from .homology import HomologyProfile, _poset_homology, certified_homology
 from .poset import ElementSet, Poset, reach_of
-from .reduction import DEFAULT_BUDGET, shared_oracle
+from .reduction import Oracle, shared_oracle
 
 SOURCE_PREFIX = "X:"
 TARGET_PREFIX = "Y:"
@@ -181,23 +181,23 @@ def target_local_data(r: Relation, x: str) -> ElementSet:
     return r.image(r.source.up_set(x)).closure()
 
 
-def _check_side(side: str, r: Relation, elements, local_data, budget: int) -> HypothesisReport:
-    """Triviality verdicts for the local data of the elements this side's
-    collapse deletes; elements with one local datum share one verdict."""
-    ask = shared_oracle(budget)
+def _check_side(side: str, r: Relation, elements, local_data, ask: Optional[Oracle]) -> HypothesisReport:
+    """Triviality verdicts, from the table `ask`, for the local data of the
+    elements this side's collapse deletes."""
+    ask = ask or shared_oracle()
     return HypothesisReport(side, {e: ask(local_data(r, e)) for e in elements})
 
 
-def check_source_retraction(r: Relation, budget: int = DEFAULT_BUDGET) -> HypothesisReport:
+def check_source_retraction(r: Relation, ask: Optional[Oracle] = None) -> HypothesisReport:
     """Certify that every target element's local source data is homotopy trivial.
 
     When certified, the cylinder collapses onto its source part.
     """
-    return _check_side("source", r, r.target.elements, source_local_data, budget)
+    return _check_side("source", r, r.target.elements, source_local_data, ask)
 
 
-def check_target_retraction(r: Relation, budget: int = DEFAULT_BUDGET) -> HypothesisReport:
-    return _check_side("target", r, r.source.elements, target_local_data, budget)
+def check_target_retraction(r: Relation, ask: Optional[Oracle] = None) -> HypothesisReport:
+    return _check_side("target", r, r.source.elements, target_local_data, ask)
 
 
 def _certificate_of(verdict: TrivialityVerdict, element: str) -> ReductionCertificate:
@@ -215,6 +215,8 @@ def _gamma_collapse(side: str, c: CylinderPoset, report: HypothesisReport, delet
     step, the punctured set facing `side` among the elements still there,
     `reach[i] & alive`, must be the local datum's mask shifted to the kept
     side's bits; both masks are computed and compared."""
+    if report.side != side:
+        raise InputError(f"the collapse onto the {side} takes the {side} report, not the {report.side} one")
     if report.status is not Status.CERTIFIED:
         raise NotCertified(f"{side} retraction is {report.status}", failing=report.failing or None)
     kept_name, deleted_name, direction = _SIDES[side]
@@ -251,15 +253,15 @@ def _with_collapse(r: Relation, report: HypothesisReport, collapse, cyl: Optiona
     return replace(report, collapse=collapse(cyl, report), cylinder=cyl)
 
 
-def verify_source_retraction(r: Relation, budget: int = DEFAULT_BUDGET) -> HypothesisReport:
+def verify_source_retraction(r: Relation, ask: Optional[Oracle] = None) -> HypothesisReport:
     """Proposition 2.4: certified source local data collapse the cylinder
     onto its source; the report carries that collapse."""
-    return _with_collapse(r, check_source_retraction(r, budget), collapse_cylinder_to_source)
+    return _with_collapse(r, check_source_retraction(r, ask), collapse_cylinder_to_source)
 
 
-def verify_target_retraction(r: Relation, budget: int = DEFAULT_BUDGET) -> HypothesisReport:
+def verify_target_retraction(r: Relation, ask: Optional[Oracle] = None) -> HypothesisReport:
     """Proposition 2.5: the same onto the target."""
-    return _with_collapse(r, check_target_retraction(r, budget), collapse_cylinder_to_target)
+    return _with_collapse(r, check_target_retraction(r, ask), collapse_cylinder_to_target)
 
 
 @dataclass(frozen=True)
@@ -309,15 +311,16 @@ class EquivalenceReport(StatementReport):
         return {**out, **self.homology_json()}
 
 
-def verify_equivalence(r: Relation, budget: int = DEFAULT_BUDGET) -> EquivalenceReport:
+def verify_equivalence(r: Relation, ask: Optional[Oracle] = None) -> EquivalenceReport:
     """Certify both retractions; a certified relation forces equal homology.
 
     A certified report carries both gamma certificates, and the homology
     comparison is asserted: a certified instance with differing homology is
     a soundness failure, not a report entry.
     """
-    src = check_source_retraction(r, budget)
-    tgt = check_target_retraction(r, budget)
+    ask = ask or shared_oracle()
+    src = check_source_retraction(r, ask)
+    tgt = check_target_retraction(r, ask)
     status = Status.of_verdicts([*src.verdicts.values(), *tgt.verdicts.values()])
     if status is not Status.CERTIFIED:
         return EquivalenceReport(status, src, tgt)

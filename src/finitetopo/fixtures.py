@@ -28,7 +28,7 @@ from .formats import KINDS, load_json_file
 from .mapper import PointCloud, circle_sample, figure_eight_sample
 from .nerve import ComplexCover, PosetCover, classify_cover
 from .poset import Poset
-from .reduction import find_beat_points
+from .reduction import find_beat_points, shared_oracle
 
 @dataclass(frozen=True)
 class Fixture:
@@ -400,7 +400,7 @@ def _random_cover(rng: random.Random, max_size: int, tries: int, wanted: str) ->
         cover = _star_union_cover(rng, p)
         if cover is None or len(cover.parts) < 2:
             continue
-        cls = classify_cover(cover, 20_000)
+        cls = classify_cover(cover, shared_oracle(20_000))
         if cls.status == wanted:
             return cover
         if cls.is_good and good is None:

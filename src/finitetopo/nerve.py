@@ -38,7 +38,7 @@ from .cylinder import EquivalenceReport, Relation, verify_equivalence
 from .errors import InputError, ValidationError
 from .homology import HomologyProfile, certified_homology
 from .poset import ElementSet, Poset
-from .reduction import DEFAULT_BUDGET, shared_oracle
+from .reduction import Oracle, shared_oracle
 
 ComponentSplitter = Callable[[ElementSet], list[ElementSet]]
 
@@ -200,31 +200,20 @@ class CoverClassification:
         }
 
 
-def classify_cover(c: AnyCover, budget: int = DEFAULT_BUDGET) -> CoverClassification:
+def classify_cover(c: AnyCover, ask: Optional[Oracle] = None) -> CoverClassification:
+    """Every intersection and each of its components, decided through the
+    table `ask`; a connected intersection is its one component."""
     c = _as_poset_cover(c)
-    whole: dict[str, TrivialityVerdict] = {}
-    comps: dict[str, TrivialityVerdict] = {}
-    all_connected = True
-    ask = shared_oracle(budget)
+    ask = ask or shared_oracle()
+    whole, comps = {}, {}
     for jid, w in c.intersections().items():
-        pieces = w.components()
-        verdicts = []
-        for piece in pieces:
-            v = ask(piece)
-            comps[component_label(jid, piece)] = v
-            verdicts.append(v)
-        if len(pieces) == 1:
-            whole[jid] = verdicts[0]
-        else:
-            all_connected = False
-            whole[jid] = TrivialityVerdict(
-                "nontrivial", "disconnected", detail={"components": len(pieces)}
-            )
+        whole[jid] = ask(w)
+        comps.update((component_label(jid, piece), ask(piece)) for piece in w.components())
     if any(v.is_nontrivial for v in comps.values()):
         status = "neither"
     elif any(v.is_unknown for v in comps.values()):
         status = "unknown"
-    elif all_connected:
+    elif len(comps) == len(whole):  # every intersection has one component
         status = "good"
     else:
         status = "quasi-good"
@@ -355,18 +344,20 @@ class NerveTheoremReport(StatementReport):
         return {**out, **self.homology_json()}
 
 
-def verify_nerve_theorem(c: AnyCover, variant: str, budget: int = DEFAULT_BUDGET) -> NerveTheoremReport:
+def verify_nerve_theorem(c: AnyCover, variant: str, ask: Optional[Oracle] = None) -> NerveTheoremReport:
     """Check one nerve statement by building its relation into the nerve side.
 
     good-poset: a good cover's nerve poset.  x-zero: the trivial subnerve,
     additionally requiring every element's membership family to be trivial.
     quasi-good: the completion.  Refuted means some hypothesis is certified
-    non-trivial; unknown means some verdict ran out of budget.
+    non-trivial; unknown means some verdict ran out of budget.  Every
+    hypothesis of the statement is decided through the one table `ask`.
     """
     if variant not in NERVE_VARIANTS:
         raise InputError(f"unknown nerve theorem variant {variant!r}; expected one of {NERVE_VARIANTS}")
     c = _as_poset_cover(c)
-    classification = classify_cover(c, budget)
+    ask = ask or shared_oracle()
+    classification = classify_cover(c, ask)
     comp: Optional[CompletionPoset] = None
     member_of = c.intersections()
 
@@ -380,7 +371,6 @@ def verify_nerve_theorem(c: AnyCover, variant: str, budget: int = DEFAULT_BUDGET
         sub = trivial_subnerve(c, classification)
         if not sub.decided:
             return NerveTheoremReport(variant, Status.UNKNOWN, classification, {"undecided": list(sub.undecided)})
-        ask = shared_oracle(budget)
         membership_verdicts = {x: ask(point_subnerve(sub, x)) for x in c.base.elements}
         status = Status.of_verdicts(membership_verdicts.values())
         if status is not Status.CERTIFIED:
@@ -400,7 +390,7 @@ def verify_nerve_theorem(c: AnyCover, variant: str, budget: int = DEFAULT_BUDGET
 
     # each element is related to the nerve-side cells whose set holds it
     pairs = [(x, lab) for lab in target.elements for x in member_of[lab]]
-    eq = verify_equivalence(Relation.of(c.base, target.opposite(), pairs), budget)
+    eq = verify_equivalence(Relation.of(c.base, target.opposite(), pairs), ask)
     profiles = certified_homology("nerve theorem certified", c.base, target, eq.status is Status.CERTIFIED)
     return NerveTheoremReport(variant, eq.status, classification, {}, eq, *profiles, comp)
 
@@ -427,7 +417,7 @@ class CompletionCorollaryReport(StatementReport):
         return {**out, **self.homology_json()}
 
 
-def verify_corollary_completion(c: ComplexCover, budget: int = DEFAULT_BUDGET) -> CompletionCorollaryReport:
+def verify_corollary_completion(c: ComplexCover, ask: Optional[Oracle] = None) -> CompletionCorollaryReport:
     """Quasi-good cover of a complex: the completion CW complex matches the base.
 
     Delegates the homotopy content to the quasi-good nerve check over the
@@ -436,7 +426,7 @@ def verify_corollary_completion(c: ComplexCover, budget: int = DEFAULT_BUDGET) -
     """
     if not isinstance(c, ComplexCover):
         raise InputError("completion corollary expects a cover of a simplicial complex")
-    inner = verify_nerve_theorem(c.poset_cover(), "quasi-good", budget)
+    inner = verify_nerve_theorem(c.poset_cover(), "quasi-good", ask)
     cw = (completion_poset(c) if inner.completion is None else inner.completion).as_cw()
     profiles = certified_homology("completion corollary certified", c.base, cw, inner.status is Status.CERTIFIED)
     return CompletionCorollaryReport(inner.status, inner, cw, *profiles)

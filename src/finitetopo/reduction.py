@@ -244,11 +244,14 @@ def triviality_oracle(s: Poset | ElementSet, budget: int = DEFAULT_BUDGET) -> Tr
     return is_collapsible(s, budget)
 
 
-def shared_oracle(budget: int) -> Callable[[ElementSet], TrivialityVerdict]:
-    """`ask(element_set)`: the oracle's verdict, decided once per distinct
-    (poset, mask) while `ask` is kept.  A verdict depends only on the
-    poset, the mask and the budget, so subspaces that coincide share one;
-    the table lives for one call of a statement, never for the process."""
+Oracle = Callable[[ElementSet], TrivialityVerdict]
+
+
+def shared_oracle(budget: int = DEFAULT_BUDGET) -> Oracle:
+    """The table `ask(element_set)`: the oracle's verdict, decided once per
+    distinct (poset, mask), which is all a verdict depends on besides the
+    budget.  The command that reads the budget makes one table per
+    statement and passes it down; a statement called without one makes it."""
     verdicts: dict[tuple[Poset, int], TrivialityVerdict] = {}
 
     def ask(s: ElementSet) -> TrivialityVerdict:
@@ -261,16 +264,14 @@ def shared_oracle(budget: int) -> Callable[[ElementSet], TrivialityVerdict]:
     return ask
 
 
-def find_gamma_points(
-    p: Poset, budget: int = DEFAULT_BUDGET
-) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
+def find_gamma_points(p: Poset, ask: Optional[Oracle] = None) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
     """(element, kind) pairs whose punctured set is homotopy trivial.
 
     Sides whose verdict is Unknown are reported separately, never classified.
     """
     gammas = []
     unknowns = []
-    ask = shared_oracle(budget)
+    ask = ask or shared_oracle()
     mask = p.full_mask()
     for i, e in enumerate(p.elements):
         for side, sub in _punctured(p, mask, i):

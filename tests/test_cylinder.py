@@ -31,7 +31,7 @@ from finitetopo import fixtures as fx
 from finitetopo.certificates import TrivialityVerdict
 from finitetopo.cylinder import CylinderPoset, HypothesisReport
 from finitetopo.homology import HomologyProfile
-from finitetopo.reduction import triviality_oracle
+from finitetopo.reduction import shared_oracle, triviality_oracle
 from tests.test_poset import least, posets
 
 
@@ -271,6 +271,24 @@ class TestCollapseCertificates:
             collapse(build_cylinder(other), report=good)
 
     @pytest.mark.parametrize("side", ["source", "target"])
+    def test_report_of_the_other_side_is_refused(self, side):
+        """On the identity relation of the fence a < b > c both sides certify
+        and the other side's report names exactly the elements to delete;
+        the collapse still refuses it instead of emitting steps that replay
+        rejects."""
+        fence = Poset(["a", "b", "c"], [("a", "b"), ("c", "b")])
+        r = Relation.of(fence, fence, [(x, x) for x in fence.elements])
+        collapse, other, wrong = {
+            "source": (collapse_cylinder_to_source, "target", check_target_retraction),
+            "target": (collapse_cylinder_to_target, "source", check_source_retraction),
+        }[side]
+        report = wrong(r)
+        assert report.status is Status.CERTIFIED
+        message = f"the collapse onto the {side} takes the {side} report, not the {other} one"
+        with pytest.raises(InputError, match="^" + re.escape(message) + "$"):
+            collapse(build_cylinder(r), report)
+
+    @pytest.mark.parametrize("side", ["source", "target"])
     def test_trivial_verdict_without_certificate_is_rejected(self, side):
         # a hand-built report that says "trivial" everywhere but carries no
         # evidence: the collapse has nothing to attach to its gamma steps
@@ -303,7 +321,7 @@ class TestVerifyEquivalence:
         disc = fx.REGISTRY["collapsible-noncontractible"].build()
         point = Poset(["w"])
         r = Relation.of(disc, point, [(x, "w") for x in disc.elements])
-        rep = verify_equivalence(r, budget=1)
+        rep = verify_equivalence(r, shared_oracle(1))
         assert rep.status is Status.UNKNOWN
 
     def test_certified_report_replays_on_its_cylinder(self):

@@ -201,3 +201,11 @@ def test_every_shared_method_name_is_listed():
     shared = shared_method_names()
     assert {name: owners for name, owners in shared.items() if name not in SHARED} == {}
     assert sorted(name for name in SHARED if name not in shared) == []
+
+
+def test_the_statement_layer_never_names_the_budget():
+    """cylinder.py and nerve.py take a table of verdicts, never a budget: the
+    command that reads the budget makes the table."""
+    for name in ("cylinder.py", "nerve.py"):
+        words = set(re.findall(r"\w+", ast.unparse(code(PACKAGE / name))))
+        assert words & {"budget", "DEFAULT_BUDGET"} == set(), name

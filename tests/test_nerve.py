@@ -1,7 +1,8 @@
 import importlib
 import itertools
 import random
-from functools import reduce
+from collections import Counter
+from functools import partial, reduce
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from finitetopo import (
 from finitetopo import fixtures as fx
 from finitetopo import nerve as nerve_module
 from finitetopo.nerve import NERVE_VARIANTS, intersecting_families
+from finitetopo.reduction import DEFAULT_BUDGET, triviality_oracle
 from tests.test_poset import greatest
 
 
@@ -373,10 +375,10 @@ def record_oracle_calls(monkeypatch) -> list:
     return asked
 
 
-def unshared(monkeypatch):
-    """Make the nerve statements ask the oracle once per subspace they meet, repeats included."""
-    oracle = importlib.import_module("finitetopo.reduction").triviality_oracle
-    monkeypatch.setattr(nerve_module, "shared_oracle", lambda budget: lambda s: oracle(s, budget))
+def unshared():
+    """A table that shares nothing: a statement given it asks the oracle once
+    per subspace it meets, repeats included."""
+    return lambda s: triviality_oracle(s, DEFAULT_BUDGET)
 
 
 def test_classification_asks_once_per_distinct_piece(monkeypatch):
@@ -389,8 +391,7 @@ def test_classification_asks_once_per_distinct_piece(monkeypatch):
     asked = record_oracle_calls(monkeypatch)
     shared = classify_cover(cover)
     assert sorted(mask for _, mask in asked) == sorted({mask for _, mask in pieces})
-    unshared(monkeypatch)
-    assert classify_cover(cover).to_json_dict() == shared.to_json_dict()
+    assert classify_cover(cover, unshared()).to_json_dict() == shared.to_json_dict()
 
 
 def test_membership_loop_asks_once_per_distinct_family(monkeypatch):
@@ -408,5 +409,37 @@ def test_membership_loop_asks_once_per_distinct_family(monkeypatch):
     assert sub.poset not in (cover.base, sub.poset.opposite())
     memberships = [key for key in asked if key[0] == sub.poset]
     assert sorted(key[1] for key in memberships) == sorted({mask for _, mask in families})
-    unshared(monkeypatch)
-    assert verify_nerve_theorem(cover, "x-zero").to_json_dict() == shared.to_json_dict()
+    assert verify_nerve_theorem(cover, "x-zero", unshared()).to_json_dict() == shared.to_json_dict()
+
+
+def statements(cover) -> list:
+    """(name, check taking a table or nothing) for every statement the cover
+    can be put to: each nerve variant, and the corollary on a complex cover."""
+    checks = [(variant, partial(verify_nerve_theorem, cover, variant)) for variant in NERVE_VARIANTS]
+    if isinstance(cover, ComplexCover):
+        checks.append(("cor-completion", partial(verify_corollary_completion, cover)))
+    return checks
+
+
+# name -> a builder of the cover, each draw from a fresh seeded rng
+COVERS = {
+    **{name: partial(lambda n: fx.get_fixture(n).build(), name) for name in SHIPPED_COVERS},
+    **{f"{kind}-{seed}": partial(lambda d, s: d(random.Random(s), 10), draw, seed)
+       for kind, draw in (("good", fx.random_good_cover), ("quasi-good", fx.random_quasi_good_cover))
+       for seed in range(3)},
+}
+
+
+@pytest.mark.parametrize("cover", COVERS.values(), ids=COVERS.keys())
+def test_no_statement_decides_a_subspace_twice(monkeypatch, cover):
+    """The classification, the membership families and the relation's local
+    data of one statement are decided through one table: no (poset, mask)
+    reaches the oracle twice, and the report is the one a table that shares
+    nothing gives."""
+    cover = cover()
+    asked = record_oracle_calls(monkeypatch)
+    for name, check in statements(cover):
+        asked.clear()
+        shared = check()
+        assert [key for key, n in Counter(asked).items() if n > 1] == [], name
+        assert check(unshared()).to_json_dict() == shared.to_json_dict(), name
