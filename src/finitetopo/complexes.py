@@ -318,6 +318,7 @@ def chain_complex(k: SimplicialComplex | Poset, mask: int | None = None) -> Chai
     A poset (restricted to mask, if given) gives the chain complex of its
     order complex without building that complex.
     """
+    # lazy here and in cellular_chain_complex: homology imports this module, the one import cycle in the package
     from .homology import IntegerMatrix
 
     tree = chain_tree(k, mask)

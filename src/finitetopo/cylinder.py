@@ -20,7 +20,7 @@ from typing import Optional
 
 from .certificates import ReductionCertificate, ReductionStep, StatementReport, Status, TrivialityVerdict
 from .errors import InputError, NotCertified, ValidationError
-from .homology import HomologyProfile, _poset_homology, certified_homology
+from .homology import HomologyProfile, certified_homology, homology
 from .poset import ElementSet, Poset, reach_of
 from .reduction import Oracle, shared_oracle
 
@@ -353,7 +353,7 @@ def _reduced_vanishes_through(members: ElementSet, n: int) -> bool:
     degree, of which there are at most the dimension, lies above n."""
     if not members.mask:
         return False
-    return all(k > n for k in _poset_homology(members.poset, members.mask, True).nonzero_degrees())
+    return all(k > n for k in homology(members, reduced=True).nonzero_degrees())
 
 
 def verify_homology_equivalence(r: Relation, n: int) -> HomologyEquivalenceReport:

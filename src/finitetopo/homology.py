@@ -10,6 +10,8 @@ columns as stored.  A poset whose every down-set is the face lattice of
 a simplex (a simplicial poset: face posets, subdivisions, nerves,
 completions) skips the order complex: its cellular chain complex has one
 generator per element (`cellular_chain_complex`), and the same homology.
+`homology()` is the one entry point, also for the subspace an element set
+spans; it caches one unreduced profile per (poset, mask).
 
 Smith normal form runs in two phases, after Dumas, Saunders and
 Villard (J. Symbolic Comput. 32, 2001): phase 1 eliminates
@@ -48,6 +50,9 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+
+from . import complexes
+from .poset import ElementSet, Poset, _iter_bits
 
 
 class IntegerMatrix:
@@ -425,41 +430,34 @@ def _reduced(plain: HomologyProfile) -> HomologyProfile:
 
 
 @lru_cache(maxsize=8192)
-def _poset_homology(p, mask: int, reduced: bool) -> HomologyProfile:
-    """Homology of the subspace of p that mask spans, cached per (p, mask,
-    reduced).  Only the unreduced profile is computed from a chain
-    complex; the reduced one is read off it through the same cache, so a
-    subspace screened reduced and later compared unreduced (a whole side
-    of a relation, say) is reduced once."""
-    if reduced:
-        return _reduced(_poset_homology(p, mask, False))
-    from .complexes import cellular_chain_complex, chain_complex
-
-    chain = cellular_chain_complex(p, mask)
+def _poset_homology(p: Poset, mask: int) -> HomologyProfile:
+    """Unreduced homology of the subspace of p that mask spans, from its
+    cellular chain complex when it is a simplicial poset, else from its
+    order complex's chains; cached per (p, mask), and `homology()` reads
+    the reduced profile off the same entry."""
+    chain = complexes.cellular_chain_complex(p, mask)
     if chain is None:
-        chain = chain_complex(p, mask)
+        chain = complexes.chain_complex(p, mask)
     return profile_from_chain_complex(chain)
 
 
 def homology(obj, reduced: bool = False) -> HomologyProfile:
-    """Homology of a poset, simplicial complex, or regular CW complex.
-
-    A simplicial poset gets its cellular chain complex, one generator per
-    element; any other poset gets the chain complex of its order complex,
-    read straight from its chains.  A regular CW complex here has simplex
-    cells, so it is its face poset's cellular complex.
+    """Homology of a poset, the subspace an element set of one spans (a
+    poset is its full element set), a simplicial complex, or a regular CW
+    complex, which here has simplex cells and so is its face poset's
+    cellular complex.  Every subspace is read through `_poset_homology`.
     """
-    from .complexes import RegularCWComplex, SimplicialComplex, chain_complex
-    from .poset import Poset
-
+    if isinstance(obj, complexes.RegularCWComplex):
+        obj = obj.poset
     if isinstance(obj, Poset):
-        return _poset_homology(obj, obj.full_mask(), reduced)
-    if isinstance(obj, SimplicialComplex):
-        plain = profile_from_chain_complex(chain_complex(obj))
-        return _reduced(plain) if reduced else plain
-    if isinstance(obj, RegularCWComplex):
-        return _poset_homology(obj.poset, obj.poset.full_mask(), reduced)
-    raise TypeError(f"cannot compute homology of {type(obj).__name__}")
+        obj = ElementSet(obj, obj.full_mask())
+    if isinstance(obj, ElementSet):
+        plain = _poset_homology(obj.poset, obj.mask)
+    elif isinstance(obj, complexes.SimplicialComplex):
+        plain = profile_from_chain_complex(complexes.chain_complex(obj))
+    else:
+        raise TypeError(f"cannot compute homology of {type(obj).__name__}")
+    return _reduced(plain) if reduced else plain
 
 
 def euler_characteristic(obj) -> int:
@@ -470,15 +468,12 @@ def euler_characteristic(obj) -> int:
     chains whose top is x (x alone, or x on top of a chain below it, one
     degree up), and χ = Σ e(x).  The count is independent of homology and
     of the cellular test, so the two can audit each other."""
-    from .complexes import RegularCWComplex, SimplicialComplex
-    from .poset import Poset, _iter_bits
-
     if isinstance(obj, Poset):
         signed = [0] * len(obj)
         for i in obj._order:
             signed[i] = 1 - sum(signed[j] for j in _iter_bits(obj._down[i] & ~(1 << i)))
         return sum(signed)
-    if isinstance(obj, (SimplicialComplex, RegularCWComplex)):
+    if isinstance(obj, (complexes.SimplicialComplex, complexes.RegularCWComplex)):
         return sum((-1) ** k * n for k, n in enumerate(obj.f_vector()))
     raise TypeError(f"cannot compute the Euler characteristic of {type(obj).__name__}")
 

@@ -33,7 +33,7 @@ from .complexes import (
     order_complex,
 )
 from .errors import InputError, ReplayError
-from .homology import _poset_homology, homology, profile_from_chain_complex, same_homology
+from .homology import homology, profile_from_chain_complex, same_homology
 from .poset import ElementSet, Poset, _iter_bits, extremum
 
 DEFAULT_BUDGET = 100_000
@@ -232,7 +232,7 @@ def triviality_oracle(s: Poset | ElementSet, budget: int = DEFAULT_BUDGET) -> Tr
     comps = s.components()
     if len(comps) > 1:
         return TrivialityVerdict("nontrivial", "disconnected", detail={"components": len(comps)})
-    prof = _poset_homology(p, mask, True)
+    prof = homology(s, reduced=True)
     degrees = prof.nonzero_degrees()
     if degrees:
         return TrivialityVerdict(
@@ -470,19 +470,23 @@ def verify_dictionary(obj) -> DictionaryReport:
     order complex of the opposite poset is the same complex, and the core's
     dismantling certificate translates into a simplicial collapse of the
     order complex that replays.  For a simplicial complex: barycentric
-    invariance and agreement with the face poset's homology.  The
-    subdivided or face-poset side is taken through its order complex: its
-    cellular complex would be the other side's chain complex again.
+    invariance and agreement with the face poset's homology.  The object's
+    homology is read once; the subdivided or face-poset side is taken
+    through its order complex, not `homology()`: its cellular complex would
+    be the object's own chain complex again.
     """
+    if not isinstance(obj, (Poset, SimplicialComplex)):
+        raise InputError(f"no correspondence checks for {type(obj).__name__}")
     checks: dict[str, bool] = {}
     detail: dict = {}
+    own = homology(obj)
 
-    def agree(a, b) -> bool:
-        equal, _ = same_homology(homology(a), profile_from_chain_complex(chain_complex(b)))
+    def agree(b) -> bool:
+        equal, _ = same_homology(own, profile_from_chain_complex(chain_complex(b)))
         return equal
 
     if isinstance(obj, Poset):
-        checks["barycentric-homology"] = agree(obj, barycentric_poset(obj))
+        checks["barycentric-homology"] = agree(barycentric_poset(obj))
         same_chains = order_complex(obj).faces == order_complex(obj.opposite()).faces
         checks["opposite-order-complex"] = same_chains
         q, cert = core(obj)
@@ -493,11 +497,9 @@ def verify_dictionary(obj) -> DictionaryReport:
         detail["core_size"] = len(q)
         detail["translated_steps"] = len(simplicial.steps)
         subject = "poset"
-    elif isinstance(obj, SimplicialComplex):
-        checks["barycentric-homology"] = agree(obj, barycentric_complex(obj))
-        checks["face-poset-homology"] = agree(obj, face_poset(obj))
-        subject = "complex"
     else:
-        raise InputError(f"no correspondence checks for {type(obj).__name__}")
+        checks["barycentric-homology"] = agree(barycentric_complex(obj))
+        checks["face-poset-homology"] = agree(face_poset(obj))
+        subject = "complex"
     status = Status.CERTIFIED if all(checks.values()) else Status.REFUTED
     return DictionaryReport(subject, checks, status, detail)

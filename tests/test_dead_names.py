@@ -63,6 +63,10 @@ SHARED = {
     "to_json_dict": "every report, verdict and certificate writes its own part of the run report",
 }
 
+PRIVATE_IMPORTS = {
+    "poset._iter_bits": "the bit loop that every module reading masks shares",
+}
+
 
 def code(path: Path) -> ast.Module:
     """The file's syntax tree without docstrings (comments never reach it)
@@ -209,3 +213,30 @@ def test_the_statement_layer_never_names_the_budget():
     for name in ("cylinder.py", "nerve.py"):
         words = set(re.findall(r"\w+", ast.unparse(code(PACKAGE / name))))
         assert words & {"budget", "DEFAULT_BUDGET"} == set(), name
+
+
+def package_imports(tree: ast.Module) -> list[ast.ImportFrom]:
+    return [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+
+
+def test_no_private_name_crosses_modules():
+    """A `_` name stays in its module, apart from the listed ones; an entry
+    that no module imports any more is stale."""
+    crossing = {
+        f"{node.module}.{alias.name}"
+        for path in PACKAGE.glob("*.py") for node in package_imports(code(path))
+        for alias in node.names if alias.name.startswith("_")
+    }
+    assert crossing == set(PRIVATE_IMPORTS)
+
+
+def test_the_one_import_cycle_is_read_lazily_in_complexes():
+    """Every other package import runs at load time, one way: homology
+    imports complexes, whose two builders read IntegerMatrix when called."""
+    lazy = [
+        (path.name, ast.unparse(node))
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function in ast.walk(code(path)) if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in package_imports(function)
+    ]
+    assert lazy == [("complexes.py", "from .homology import IntegerMatrix")] * 2

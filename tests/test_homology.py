@@ -117,8 +117,8 @@ class TestEmptyInputs:
 
     def test_empty_mask(self):
         p = face_poset(fx.projective_plane())
-        assert _poset_homology(p, 0, True) == HomologyProfile((), (), reduced=True)
-        assert _poset_homology(p, 0, False) == HomologyProfile((), ())
+        assert homology(ElementSet(p, 0), reduced=True) == HomologyProfile((), (), reduced=True)
+        assert homology(ElementSet(p, 0)) == HomologyProfile((), ())
 
     def test_empty_complex(self):
         chain = chain_complex(SimplicialComplex([]))
@@ -232,8 +232,8 @@ class TestEulerCharacteristic:
     def test_a_subset_is_not_answered_for_its_parent_poset(self):
         # an ElementSet's .poset is its parent, not the subset itself
         point = fx.six_cycle().subset(["x0"])
-        with pytest.raises(TypeError, match="ElementSet"):
-            homology(point)
+        assert homology(point) == homology(point.induced())
+        assert homology(point) != homology(fx.six_cycle())
         with pytest.raises(TypeError, match="ElementSet"):
             euler_characteristic(point)
         assert euler_characteristic(point.induced()) == 1
@@ -813,7 +813,7 @@ def test_cellular_profile_is_the_order_complex_profile(case):
         assert sum(cellular.sizes) == mask.bit_count()
         assert profile_from_chain_complex(cellular) == expected
     _poset_homology.cache_clear()
-    assert _poset_homology(p, mask, False) == expected
+    assert homology(ElementSet(p, mask)) == expected
 
 
 @given(complexes())
@@ -889,8 +889,8 @@ def test_reduced_profile_is_the_builder_reduced_profile(case):
     else:
         expected = HomologyProfile((), (), reduced=True)
     _poset_homology.cache_clear()
-    assert _poset_homology(p, mask, True) == expected
-    assert _poset_homology(p, mask, False) == plain
+    assert homology(ElementSet(p, mask), reduced=True) == expected
+    assert homology(ElementSet(p, mask)) == plain
 
 
 def test_one_chain_complex_per_subspace(monkeypatch):
@@ -902,12 +902,39 @@ def test_one_chain_complex_per_subspace(monkeypatch):
         homology_module, "profile_from_chain_complex", lambda chain: reduced_calls.append(chain) or profile(chain)
     )
     p = face_poset(fx.projective_plane())
+    s = ElementSet(p, p.full_mask())
     for first in (True, False):
         _poset_homology.cache_clear()
         reduced_calls.clear()
-        assert _poset_homology(p, p.full_mask(), first).reduced is first
-        assert _poset_homology(p, p.full_mask(), not first).reduced is not first
+        assert homology(s, reduced=first).reduced is first
+        assert homology(s, reduced=not first).reduced is not first
         assert len(reduced_calls) == 1
+
+
+@given(posets_and_masks(count=1), st.booleans())
+@example((Poset([]), 0), True)
+@example((fx.six_cycle(), 0b11), True)
+def test_a_subspace_has_the_homology_of_its_induced_poset(case, reduced):
+    p, mask = case
+    s = ElementSet(p, mask)
+    assert homology(s, reduced=reduced) == homology(s.induced(), reduced=reduced)
+
+
+@pytest.mark.parametrize("s", [
+    face_poset(fx.projective_plane()).down_set("1,2,3"),
+    ElementSet(build_cylinder(fx.get_fixture("certified-relation").build()).poset, 0b1011),
+], ids=["cellular", "order-complex"])
+def test_the_cache_holds_one_entry_per_subspace(monkeypatch, s: ElementSet):
+    """The reduced profile and then the unreduced one: one cache entry and
+    one chain complex, cellular or of the order complex."""
+    built = []
+    for name in ("cellular_chain_complex", "chain_complex"):
+        builder = getattr(complexes_module, name)
+        monkeypatch.setattr(complexes_module, name, lambda q, m=None, b=builder: built.append(b(q, m)) or built[-1])
+    _poset_homology.cache_clear()
+    assert homology(s, reduced=True).reduced and not homology(s).reduced
+    assert _poset_homology.cache_info().currsize == 1
+    assert len([chain for chain in built if chain is not None]) == 1
 
 
 @given(posets_and_masks(count=1))

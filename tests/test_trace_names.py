@@ -65,3 +65,25 @@ def test_a_traced_mapper_run_records_its_pull_back():
     finally:
         tracer.uninstall()
     assert [record[0] for record in tracer.spans].count("mapper.pullback") == 1
+
+
+def test_every_homology_read_records_a_span():
+    """The oracle's screen and each local datum of the homology version
+    read homology through homology(), which the tracer wraps."""
+    from finitetopo import cylinder, reduction
+    from finitetopo import fixtures as fx
+
+    importlib.import_module("finitetopo.cli")  # the tracer patches every traced module
+    tracer = _tracer_module().Tracer()
+    fixture = fx.get_fixture("homology-relation")
+    r = fixture.build()
+    tracer.install()
+    try:
+        reduction.triviality_oracle(fx.six_cycle().down_set("y0"))
+        cylinder.verify_homology_equivalence(r, fixture.params["degree"])
+    finally:
+        tracer.uninstall()
+    names = [record[0] for record in tracer.spans]
+    parents = [names[record[4]] for record in tracer.spans if record[0] == "homology.homology"]
+    # one read per local datum, then the two whole sides
+    assert parents == ["reduction.oracle"] + ["cylinder.verify"] * (len(r.source) + len(r.target) + 2)
