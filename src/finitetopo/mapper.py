@@ -27,7 +27,7 @@ from .errors import InputError
 from .formats import read_text_file
 from .homology import HomologyProfile, homology
 from .nerve import CompletionPoset, PosetCover, completion_poset, intersecting_families
-from .poset import ElementSet, Poset, _iter_bits
+from .poset import ElementSet, Poset, bit_list
 
 
 class PointCloud:
@@ -199,15 +199,16 @@ def pullback_cover(values: tuple[float, ...], spans: list[tuple[float, float]]) 
 class EpsilonGrid:
     """The points of a cloud in a uniform grid for one epsilon, indexed by
     their bit in ``poset``, a poset on the cloud's identifiers: each
-    point's coordinates and the key of its cell.  The cell side is taken
-    from the largest |coordinate| of the whole cloud; see
+    point's coordinates and the number of its cell.  The cell side is
+    taken from the largest |coordinate| of the whole cloud; see
     `epsilon_components`.
 
-    ``near`` maps each occupied cell of the whole cloud to the occupied
-    cells (itself included) whose key differs from its own by at most one
-    in every coordinate, looked up once among the 3^d offsets.  It is None
-    when there are fewer occupied cells than offsets, as in high
-    dimensions; then each subset tests its own cells pairwise."""
+    ``keys`` holds the key of each occupied cell, by number.  ``near``
+    lists for each occupied cell the occupied cells (itself included)
+    whose key differs from its own by at most one in every coordinate,
+    looked up once among the 3^d keys around it.  It is None when there
+    are fewer occupied cells than such keys, as in high dimensions; then
+    each subset tests its own cells pairwise."""
 
     def __init__(self, pc: PointCloud, poset: Poset, epsilon: float):
         if not (math.isfinite(epsilon) and epsilon > 0):
@@ -219,15 +220,17 @@ class EpsilonGrid:
             self.coords = [pc.coords[pc._index[e]] for e in poset.elements]
         except KeyError as exc:
             raise InputError(f"unknown point {exc.args[0]!r}") from None
-        self.keys = [tuple([math.floor(v / side) for v in row]) for row in self.coords]
-        occupied = set(self.keys)
-        self.near: dict[tuple[int, ...], list[tuple[int, ...]]] | None = None
-        if 3**pc.dimension <= len(occupied):
-            offsets = list(itertools.product((-1, 0, 1), repeat=pc.dimension))
-            self.near = {
-                key: [n for n in (tuple(map(operator.add, key, off)) for off in offsets) if n in occupied]
-                for key in occupied
-            }
+        # floor(v / side) for every coordinate, a column at a time
+        floors = [map(math.floor, map(operator.truediv, col, itertools.repeat(side))) for col in zip(*self.coords)]
+        number: dict[tuple[int, ...], int] = {}
+        self.cell = [number.setdefault(key, len(number)) for key in zip(*floors)]
+        self.keys = list(number)
+        self.near: list[list[int]] | None = None
+        if 3**pc.dimension <= len(number):
+            self.near = [
+                [number[n] for n in itertools.product(*[(k - 1, k, k + 1) for k in key]) if n in number]
+                for key in self.keys
+            ]
 
 
 def epsilon_components(grid: EpsilonGrid, sub: ElementSet) -> list[ElementSet]:
@@ -259,37 +262,44 @@ def epsilon_components(grid: EpsilonGrid, sub: ElementSet) -> list[ElementSet]:
 
     The search runs from each least unseen point.  Cells hold only unseen
     points, so each pop tests only the unseen points of its neighbouring
-    cells.
+    cells, and skips those cells it has emptied.  A component's mask is
+    built once, when its queue is empty.
     """
     if sub.poset is not grid.poset:
         raise InputError("the element set is not a subset of the grid's points")
-    coords, keys, epsilon = grid.coords, grid.keys, grid.epsilon
-    members = list(_iter_bits(sub.mask))
-    cells: dict[tuple[int, ...], dict[int, tuple[float, ...]]] = {}
+    coords, cell_of, epsilon = grid.coords, grid.cell, grid.epsilon
+    members = bit_list(sub.mask)
+    cells: dict[int, dict[int, tuple[float, ...]]] = {}
     for i in members:
-        cells.setdefault(keys[i], {})[i] = coords[i]
+        cells.setdefault(cell_of[i], {})[i] = coords[i]
     if not cells:
         return []
     if grid.near is not None:
-        near = {key: [cells[n] for n in grid.near[key] if n in cells] for key in cells}
+        near = {c: [cells[n] for n in grid.near[c] if n in cells] for c in cells}
     else:
-        near = {key: [cells[n] for n in cells if all(abs(x - y) <= 1 for x, y in zip(key, n))] for key in cells}
+        keys = grid.keys
+        near = {c: [cells[n] for n in cells if all(abs(x - y) <= 1 for x, y in zip(keys[c], keys[n]))] for c in cells}
     out: list[ElementSet] = []
     for start in members:
-        if start not in cells[keys[start]]:
+        if start not in cells[cell_of[start]]:
             continue
-        del cells[keys[start]][start]
-        comp = 1 << start
+        del cells[cell_of[start]][start]
+        found = [start]
         queue = [start]
         while queue:
             cur = queue.pop()
             a = coords[cur]
-            hits = [(cell, q) for cell in near[keys[cur]] for q, b in cell.items() if math.dist(a, b) <= epsilon]
-            for cell, q in hits:
-                del cell[q]
-                comp |= 1 << q
-                queue.append(q)
+            for cell in near[cell_of[cur]]:
+                if cell:
+                    hits = [q for q, b in cell.items() if math.dist(a, b) <= epsilon]
+                    for q in hits:
+                        del cell[q]
+                    queue += hits
+                    found += hits
         # every lower bit was seen before start, so start is the least member
+        comp = 0
+        for q in found:
+            comp |= 1 << q
         out.append(ElementSet(grid.poset, comp))
     return out
 

@@ -13,6 +13,7 @@ bitmask per element, built when the poset is created.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -24,6 +25,16 @@ def _iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def bit_list(mask: int) -> list[int]:
+    """The bits of mask, ascending, as `_iter_bits` yields them.  One pass
+    over the binary digits: a long mask costs time linear in its length,
+    where each step of `_iter_bits` costs that much."""
+    return list(itertools.compress(itertools.count(), bin(mask)[:1:-1].encode().translate(_DIGIT_BITS)))
 
 
 def reach_of(reach: list[int] | tuple[int, ...], mask: int) -> int:
@@ -45,18 +56,22 @@ def extremum(reach: list[int], subset: int) -> int | None:
 
 class Poset:
     def __init__(self, elements: Iterable[str], relations: Iterable[tuple[str, str]] = ()):
-        elems = sorted(set(elements))
+        # deduplicated in input order, so that sorted input sorts in one pass
+        elems = sorted(dict.fromkeys(elements))
         for e in elems:
             if not isinstance(e, str) or e == "":
                 raise InputError(f"element identifiers must be non-empty strings, got {e!r}")
         self.elements: tuple[str, ...] = tuple(elems)
-        self._index: dict[str, int] = {e: i for i, e in enumerate(self.elements)}
         n = len(self.elements)
+        self._index: dict[str, int] = dict(zip(self.elements, range(n)))
 
-        succ: list[set[int]] = [set() for _ in range(n)]
+        # an element with no successor shares one empty set
+        succ: list[set[int] | frozenset[int]] = [frozenset()] * n
         for a, b in relations:
             ia, ib = self._lookup(a), self._lookup(b)
             if ia != ib:
+                if not succ[ia]:
+                    succ[ia] = set()
                 succ[ia].add(ib)
 
         order = self._topological_order(succ)
@@ -71,6 +86,9 @@ class Poset:
         # the union over its successors j of j and j's strict up-set, and a
         # cover of i is an element of it that no such up-set holds
         for i in reversed(order):
+            # an element with no successor has no strict up-set and no cover
+            if not succ[i]:
+                continue
             m = implied = 0
             for j in succ[i]:
                 m |= strict[j] | 1 << j
@@ -81,12 +99,14 @@ class Poset:
             for j in _iter_bits(covers):
                 self._pred_masks[j] |= 1 << i
                 hasse.append((self.elements[i], self.elements[j]))
-        self._up = [m | 1 << i for i, m in enumerate(strict)]
+        # an element related to nothing keeps its own bit as both sets
         self._down = down = [1 << i for i in range(n)]
+        self._up = [m | b if m else b for m, b in zip(strict, down)]
         # in topological order a down-set is complete before it is passed on
         for i in order:
-            for j in succ[i]:
-                down[j] |= down[i]
+            if succ[i]:
+                for j in succ[i]:
+                    down[j] |= down[i]
         self.cover_pairs: frozenset[tuple[str, str]] = frozenset(hasse)
         # posets key the homology and order complex caches; hash once
         self._hash = hash((self.elements, self.cover_pairs))
@@ -97,12 +117,11 @@ class Poset:
         except KeyError:
             raise InputError(f"unknown element {e!r}") from None
 
-    def _topological_order(self, succ: list[set[int]]) -> list[int]:
+    def _topological_order(self, succ: list[set[int] | frozenset[int]]) -> list[int]:
         n = len(self.elements)
         indeg = [0] * n
-        for i in range(n):
-            for j in succ[i]:
-                indeg[j] += 1
+        for j in itertools.chain.from_iterable(succ):
+            indeg[j] += 1
         # the least ready index comes next; those ready from the start are
         # a stack, least on top, and only those a pop releases need a heap
         ready = [i for i in reversed(range(n)) if indeg[i] == 0]
@@ -111,15 +130,16 @@ class Poset:
         while ready or released:
             i = heapq.heappop(released) if released and (not ready or released[0] < ready[-1]) else ready.pop()
             order.append(i)
-            for j in succ[i]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    heapq.heappush(released, j)
+            if succ[i]:
+                for j in succ[i]:
+                    indeg[j] -= 1
+                    if indeg[j] == 0:
+                        heapq.heappush(released, j)
         if len(order) < n:
             raise InputError("relations contain a cycle: " + " <= ".join(self._find_cycle(succ, indeg)))
         return order
 
-    def _find_cycle(self, succ: list[set[int]], indeg: list[int]) -> list[str]:
+    def _find_cycle(self, succ: list[set[int] | frozenset[int]], indeg: list[int]) -> list[str]:
         stuck = {i for i in range(len(self.elements)) if indeg[i] > 0}
         start = min(stuck)
         seen: dict[int, int] = {}

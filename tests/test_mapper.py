@@ -331,6 +331,64 @@ class TestGridMatchesReference:
             assert components(pc, pc.ids, epsilon) == reference_epsilon_components(pc, pc.ids, epsilon)
 
 
+def dense_cloud(epsilon: float) -> PointCloud:
+    """680 points, ten or more to most cells of side epsilon: an arc and a
+    chain at spacing epsilon / 10, and a blob of 200 points in a square of
+    side 2 epsilon.  The arc (ids a...) has radius 6 epsilon and is
+    jittered by up to epsilon / 50; the chain (ids c...) runs along the
+    x-axis with a gap of 1.5 epsilon after its 120th point."""
+    import random
+
+    rng = random.Random(17)
+
+    def jitter() -> float:
+        return rng.uniform(-0.02, 0.02) * epsilon
+
+    ids, rows = [], []
+    for k in range(240):
+        angle = k * 0.1 / 6
+        ids.append(f"a{k:03d}")
+        rows.append((6 * epsilon * math.cos(angle) + jitter(), 6 * epsilon * math.sin(angle) + jitter()))
+    for k in range(240):
+        ids.append(f"c{k:03d}")
+        rows.append((20 * epsilon + k * 0.1 * epsilon + (1.5 * epsilon if k >= 120 else 0.0), 0.0))
+    for k in range(200):
+        ids.append(f"b{k:03d}")
+        rows.append((-20 * epsilon + rng.uniform(0, 2) * epsilon, rng.uniform(0, 2) * epsilon))
+    return PointCloud(ids, rows)
+
+
+class TestDenseCells:
+    """Many points to a cell, so that the search empties a cell while
+    points of the cells next to it are still queued; the components equal
+    those of the all-pairs search in `tests/reference_epsilon.py`."""
+
+    @pytest.mark.parametrize("epsilon", [0.06, 1.0, 1e6])
+    @pytest.mark.parametrize(
+        "selection, count",
+        [
+            ("arc", 1),
+            ("chain", 2),
+            ("blob", 1),
+            ("arc cut in two", 2),
+            ("everything", 4),
+        ],
+    )
+    def test_same_components_as_reference(self, epsilon, selection, count):
+        pc = dense_cloud(epsilon)
+        ids = {
+            "arc": [i for i in pc.ids if i[0] == "a"],
+            "chain": [i for i in pc.ids if i[0] == "c"],
+            "blob": [i for i in pc.ids if i[0] == "b"],
+            # 20 points, an arc of 2 epsilon, left out of the middle
+            "arc cut in two": [i for i in pc.ids if i[0] == "a" and not 100 <= int(i[1:]) < 120],
+            "everything": list(pc.ids),
+        }[selection]
+        mine = components(pc, ids, epsilon)
+        assert mine == reference_epsilon_components(pc, ids, epsilon)
+        assert len(mine) == count
+
+
 class TestMapperPipeline:
     def setup_method(self):
         self.result = mapper_completion(

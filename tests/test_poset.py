@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from finitetopo import ElementSet, InputError, Poset
 from finitetopo import fixtures as fx
+from finitetopo.poset import _iter_bits, bit_list
 
 
 def diamond() -> Poset:
@@ -288,33 +289,27 @@ def test_induced_is_the_restricted_order(p: Poset, data):
     assert q.cover_pairs == covers
 
 
-@given(shuffled_relations(max_size=12), st.data())
-def test_constructor_against_brute_force_closure(case, data):
-    """Every field the constructor fills agrees with the reflexive-transitive
-    closure of the input pairs and its transitive reduction, computed here
-    by brute force from the pairs; repeated, reflexive and implied pairs
-    are mixed into the input.  Bit i stands for the i-th identifier."""
-    names, pairs = case
-    ids = sorted(names)
+def _closure(ids: list[str], pairs) -> list[list[bool]]:
+    """le[i][j]: ids[i] <= ids[j] in the reflexive-transitive closure of the
+    pairs, by brute force."""
     n = len(ids)
+    le = [[i == j for j in range(n)] for i in range(n)]
+    for a, b in pairs:
+        le[ids.index(a)][ids.index(b)] = True
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                le[i][j] = le[i][j] or (le[i][k] and le[k][j])
+    return le
 
-    def closure(pairs):
-        le = [[i == j for j in range(n)] for i in range(n)]
-        for a, b in pairs:
-            le[ids.index(a)][ids.index(b)] = True
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    le[i][j] = le[i][j] or (le[i][k] and le[k][j])
-        return le
 
-    le = closure(pairs)
-    implied = [(ids[i], ids[j]) for i in range(n) for j in range(n) if le[i][j]]
-    extra = data.draw(st.lists(st.sampled_from(implied), max_size=2 * n))
-    pairs = data.draw(st.permutations(pairs + pairs[: data.draw(st.integers(0, len(pairs)))] + extra))
-    p = Poset(names, pairs)
-
-    le = closure(pairs)
+def assert_fields_by_brute_force(p: Poset, names, pairs) -> None:
+    """Every field the constructor fills agrees with the closure of the
+    pairs and its transitive reduction.  Bit i stands for the i-th
+    identifier."""
+    ids = sorted(set(names))
+    n = len(ids)
+    le = _closure(ids, pairs)
     lt = [[le[i][j] and i != j for j in range(n)] for i in range(n)]
     cover = [[lt[i][j] and not any(lt[i][k] and lt[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
 
@@ -326,12 +321,49 @@ def test_constructor_against_brute_force_closure(case, data):
     assert p._down == [mask(le[i][j] for i in range(n)) for j in range(n)]
     assert p._succ_masks == [mask(cover[i]) for i in range(n)]
     assert p._pred_masks == [mask(cover[i][j] for i in range(n)) for j in range(n)]
+    # the elements with a lower cover
+    assert p._nonminimal == mask(any(cover[i][j] for i in range(n)) for j in range(n))
     assert p.cover_pairs == {(ids[i], ids[j]) for i in range(n) for j in range(n) if cover[i][j]}
     # the least linear extension: the least index whose predecessors are all placed
     order: list[int] = []
     while len(order) < n:
         order.append(min(j for j in range(n) if j not in order and all(i in order for i in range(n) if lt[i][j])))
     assert p._order == tuple(order)
+
+
+@given(shuffled_relations(max_size=12), st.data())
+def test_constructor_against_brute_force_closure(case, data):
+    """Every field the constructor fills agrees with the reflexive-transitive
+    closure of the input pairs and its transitive reduction, computed here
+    by brute force from the pairs; repeated, reflexive and implied pairs
+    are mixed into the input."""
+    names, pairs = case
+    ids = sorted(names)
+    le = _closure(ids, pairs)
+    implied = [(a, b) for i, a in enumerate(ids) for j, b in enumerate(ids) if le[i][j]]
+    extra = data.draw(st.lists(st.sampled_from(implied), max_size=2 * len(ids)))
+    pairs = data.draw(st.permutations(pairs + pairs[: data.draw(st.integers(0, len(pairs)))] + extra))
+    assert_fields_by_brute_force(Poset(names, pairs), names, pairs)
+
+
+def test_constructor_on_elements_related_to_nothing():
+    """Elements in no relation, around and inside a chain: 50 isolated
+    elements on either side of the chain a < b < c, and one isolated element
+    that sorts between a and b, given in scrambled order."""
+    names = [f"z{k:02d}" for k in range(25)] + ["b", "a5", "c", "a"] + [f"0{k:02d}" for k in range(25)]
+    pairs = [("b", "c"), ("a", "b")]
+    p = Poset(names, pairs)
+    assert_fields_by_brute_force(p, names, pairs)
+    assert p.cover_pairs == {("a", "b"), ("b", "c")}
+    assert p._nonminimal == p._mask_of(["b", "c"])
+    assert p.linear_extension() == tuple(sorted(names))
+
+
+@given(st.one_of(st.integers(0, 2**70), st.integers(0, 2**5000)))
+@example(0)
+def test_bit_list_is_the_bit_loop(mask):
+    """The digit pass lists the bits the bit loop yields, in the same order."""
+    assert bit_list(mask) == list(_iter_bits(mask))
 
 
 @st.composite

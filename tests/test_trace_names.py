@@ -7,6 +7,10 @@ from pathlib import Path
 
 import pytest
 
+# the tracer patches every traced module, the command line's included, so
+# each test that installs it needs finitetopo.cli loaded, even run alone
+import finitetopo.cli  # noqa: F401
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -73,7 +77,6 @@ def test_every_homology_read_records_a_span():
     from finitetopo import cylinder, reduction
     from finitetopo import fixtures as fx
 
-    importlib.import_module("finitetopo.cli")  # the tracer patches every traced module
     tracer = _tracer_module().Tracer()
     fixture = fx.get_fixture("homology-relation")
     r = fixture.build()
