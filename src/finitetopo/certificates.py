@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Iterable, Iterator, Optional
 
+from .poset import ElementSet
+
 POSET_STEP_KINDS = ("up-beat", "down-beat", "up-weak", "down-weak", "gamma-up", "gamma-down")
 SIMPLICIAL_STEP_KIND = "simplicial-collapse"
 BEAT_KINDS = ("up-beat", "down-beat")
@@ -142,6 +144,10 @@ class TrivialityVerdict:
         if self.detail:
             out["detail"] = self.detail
         return out
+
+
+# a table of verdicts on the subspaces of a poset, as `reduction.shared_oracle` makes one
+Oracle = Callable[[ElementSet], TrivialityVerdict]
 
 
 class Status(str, Enum):

@@ -21,7 +21,7 @@ import sys
 from typing import Any, Dict, Optional, Tuple
 
 from . import fixtures as fixtures_mod
-from .certificates import Status
+from .certificates import Oracle, Status
 from .complexes import RegularCWComplex, SimplicialComplex, face_poset
 from .cylinder import (
     Relation,
@@ -59,7 +59,6 @@ from .nerve import (
 from .poset import ElementSet, Poset
 from .reduction import (
     DEFAULT_BUDGET,
-    Oracle,
     core,
     find_beat_points,
     find_gamma_points,

@@ -6,14 +6,16 @@ joining its sorted vertices with commas, so "a,b" is the edge on a and b.
 Boundary matrices are read off one chain tree (`chain_tree`), rooted at
 the empty face, in which a face is two ints: the index of its prefix (the
 face minus its top) one level down and its top.  No face is named on the
-way to homology.
+way to homology.  They are `IntegerMatrix` values, stored by column; the
+class lives here with its product, which the builders use for their ∂∂=0
+check, and `homology` only reads its columns.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable
 
 from .errors import InputError, ValidationError
@@ -50,7 +52,7 @@ class SimplicialComplex:
             out: set[tuple[str, ...]] = set()
             for f in self.facets:
                 for k in range(1, len(f) + 1):
-                    out.update(combinations(f, k))
+                    out.update(itertools.combinations(f, k))
             self._faces = frozenset(out)
         return self._faces
 
@@ -174,7 +176,7 @@ def face_poset(k: SimplicialComplex) -> Poset:
     pairs = []
     for f in k.faces:
         if len(f) > 1:
-            for sub in combinations(f, len(f) - 1):
+            for sub in itertools.combinations(f, len(f) - 1):
                 pairs.append((cell_id(sub), cell_id(f)))
     return Poset(elements, pairs)
 
@@ -292,6 +294,82 @@ def simplicial_cells(p: Poset, mask: int) -> dict[int, tuple[int, list[int]]]:
     return cells
 
 
+class IntegerMatrix:
+    """Sparse integer matrix stored by column: column c is columns[c], a
+    dict from a row in 0..rows-1 to a non-zero value.  `entries`, the
+    (row, col) view, is a copy built on request; nothing in the package
+    reads it."""
+
+    def __init__(self, rows: int, columns: list[dict[int, int]]):
+        used = set().union(*columns)  # empty for every product ∂k·∂k+1, which then has no values
+        values = itertools.chain.from_iterable(map(dict.values, columns))
+        if used and (min(used) < 0 or max(used) >= rows or not all(values)):
+            # the same test column by column, only to name the first bad one
+            for c, col in enumerate(columns):
+                if col and (min(col) < 0 or max(col) >= rows or 0 in col.values()):
+                    raise ValueError(f"column {c} has a row outside 0..{rows - 1} or a zero value")
+        self.rows, self.cols, self.columns = rows, len(columns), columns
+
+    @property
+    def entries(self) -> dict[tuple[int, int], int]:
+        return {(r, c): v for c, column in enumerate(self.columns) for r, v in column.items()}
+
+    @classmethod
+    def from_dense(cls, data: list[list[int]]) -> "IntegerMatrix":
+        cols = len(data[0]) if data else 0
+        return cls(len(data), [{r: row[c] for r, row in enumerate(data) if row[c]} for c in range(cols)])
+
+    def to_dense(self) -> list[list[int]]:
+        out = [[0] * self.cols for _ in range(self.rows)]
+        for c, column in enumerate(self.columns):
+            for r, v in column.items():
+                out[r][c] = v
+        return out
+
+    def is_zero(self) -> bool:
+        return not any(self.columns)
+
+    def compose(self, other: "IntegerMatrix") -> "IntegerMatrix":
+        """The product self·other, one column at a time.
+
+        Column c of the product is the sum of w times column k of self over
+        the entries (k, w) of other's column c; it is summed in one list
+        indexed by row, shared by every column, and the rows it touched
+        are read off and reset to zero after each column.  Only non-zero
+        sums are kept (none is copied when all are zero, as in every
+        column of ∂k·∂k+1).  Both factors are read by column as stored.
+        The cost is nnz(other) times the largest column of self: for
+        boundary matrices ∂k·∂k+1 that is nnz(∂k+1)·(k+1).
+        """
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch in composition")
+        left = self.columns
+        sums = [0] * self.rows
+        product: list[dict[int, int]] = []
+        for column in other.columns:
+            touched: list[int] = []
+            for k, w in column.items():
+                for r, v in left[k].items():
+                    if not sums[r]:
+                        touched.append(r)
+                    sums[r] += v * w
+            kept = {}
+            for r in touched:
+                if sums[r]:
+                    kept[r] = sums[r]
+                    sums[r] = 0
+            product.append(kept)
+        return IntegerMatrix(self.rows, product)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IntegerMatrix):
+            return NotImplemented
+        return (self.rows, self.cols, self.columns) == (other.rows, other.cols, other.columns)
+
+    def __repr__(self) -> str:
+        return f"IntegerMatrix({self.rows}x{self.cols}, {sum(map(len, self.columns))} non-zero)"
+
+
 @dataclass(frozen=True)
 class ChainComplexPresentation:
     """Integer boundary matrices of a simplicial complex, of a poset's
@@ -301,7 +379,7 @@ class ChainComplexPresentation:
     top, a cell by the index order of its vertices."""
 
     sizes: tuple[int, ...]
-    boundaries: tuple["IntegerMatrix", ...]  # boundaries[k-1] maps degree k to k-1
+    boundaries: tuple[IntegerMatrix, ...]  # boundaries[k-1] maps degree k to k-1
 
 
 def chain_complex(k: SimplicialComplex | Poset, mask: int | None = None) -> ChainComplexPresentation:
@@ -318,9 +396,6 @@ def chain_complex(k: SimplicialComplex | Poset, mask: int | None = None) -> Chai
     A poset (restricted to mask, if given) gives the chain complex of its
     order complex without building that complex.
     """
-    # lazy here and in cellular_chain_complex: homology imports this module, the one import cycle in the package
-    from .homology import IntegerMatrix
-
     tree = chain_tree(k, mask)
     if not tree:
         return ChainComplexPresentation((), ())
@@ -353,8 +428,6 @@ def cellular_chain_complex(p: Poset, mask: int | None = None) -> ChainComplexPre
     vertex of x, in index order, is the y below x whose vertex set lacks
     just that vertex, with sign (-1)^i.
     """
-    from .homology import IntegerMatrix
-
     if mask is None:
         mask = p.full_mask()
     try:

@@ -18,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .certificates import ReductionCertificate, ReductionStep, StatementReport, Status, TrivialityVerdict
+from .certificates import Oracle, ReductionCertificate, ReductionStep, StatementReport, Status, TrivialityVerdict
 from .errors import InputError, NotCertified, ValidationError
 from .homology import HomologyProfile, certified_homology, homology
 from .poset import ElementSet, Poset, reach_of
-from .reduction import Oracle, shared_oracle
 
 SOURCE_PREFIX = "X:"
 TARGET_PREFIX = "Y:"
@@ -181,14 +180,13 @@ def target_local_data(r: Relation, x: str) -> ElementSet:
     return r.image(r.source.up_set(x)).closure()
 
 
-def _check_side(side: str, r: Relation, elements, local_data, ask: Optional[Oracle]) -> HypothesisReport:
+def _check_side(side: str, r: Relation, elements, local_data, ask: Oracle) -> HypothesisReport:
     """Triviality verdicts, from the table `ask`, for the local data of the
     elements this side's collapse deletes."""
-    ask = ask or shared_oracle()
     return HypothesisReport(side, {e: ask(local_data(r, e)) for e in elements})
 
 
-def check_source_retraction(r: Relation, ask: Optional[Oracle] = None) -> HypothesisReport:
+def check_source_retraction(r: Relation, ask: Oracle) -> HypothesisReport:
     """Certify that every target element's local source data is homotopy trivial.
 
     When certified, the cylinder collapses onto its source part.
@@ -196,7 +194,7 @@ def check_source_retraction(r: Relation, ask: Optional[Oracle] = None) -> Hypoth
     return _check_side("source", r, r.target.elements, source_local_data, ask)
 
 
-def check_target_retraction(r: Relation, ask: Optional[Oracle] = None) -> HypothesisReport:
+def check_target_retraction(r: Relation, ask: Oracle) -> HypothesisReport:
     return _check_side("target", r, r.source.elements, target_local_data, ask)
 
 
@@ -253,13 +251,13 @@ def _with_collapse(r: Relation, report: HypothesisReport, collapse, cyl: Optiona
     return replace(report, collapse=collapse(cyl, report), cylinder=cyl)
 
 
-def verify_source_retraction(r: Relation, ask: Optional[Oracle] = None) -> HypothesisReport:
+def verify_source_retraction(r: Relation, ask: Oracle) -> HypothesisReport:
     """Proposition 2.4: certified source local data collapse the cylinder
     onto its source; the report carries that collapse."""
     return _with_collapse(r, check_source_retraction(r, ask), collapse_cylinder_to_source)
 
 
-def verify_target_retraction(r: Relation, ask: Optional[Oracle] = None) -> HypothesisReport:
+def verify_target_retraction(r: Relation, ask: Oracle) -> HypothesisReport:
     """Proposition 2.5: the same onto the target."""
     return _with_collapse(r, check_target_retraction(r, ask), collapse_cylinder_to_target)
 
@@ -311,14 +309,13 @@ class EquivalenceReport(StatementReport):
         return {**out, **self.homology_json()}
 
 
-def verify_equivalence(r: Relation, ask: Optional[Oracle] = None) -> EquivalenceReport:
+def verify_equivalence(r: Relation, ask: Oracle) -> EquivalenceReport:
     """Certify both retractions; a certified relation forces equal homology.
 
     A certified report carries both gamma certificates, and the homology
     comparison is asserted: a certified instance with differing homology is
     a soundness failure, not a report entry.
     """
-    ask = ask or shared_oracle()
     src = check_source_retraction(r, ask)
     tgt = check_target_retraction(r, ask)
     status = Status.of_verdicts([*src.verdicts.values(), *tgt.verdicts.values()])

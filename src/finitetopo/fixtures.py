@@ -371,10 +371,8 @@ def random_complex(rng: random.Random, max_vertices: int = 7) -> SimplicialCompl
     return SimplicialComplex(facets)
 
 
-def _star_union_cover(rng: random.Random, p: Poset) -> Optional[PosetCover]:
+def _star_union_cover(rng: random.Random, p: Poset) -> PosetCover:
     maxes = list(p.maximal_elements())
-    if not maxes:
-        return None
     rng.shuffle(maxes)
     groups: List[List[str]] = []
     for m in maxes:
@@ -398,7 +396,7 @@ def _random_cover(rng: random.Random, max_size: int, tries: int, wanted: str) ->
     for _ in range(tries):
         p = random_poset(rng, rng.randint(4, max_size), rng.uniform(0.2, 0.5))
         cover = _star_union_cover(rng, p)
-        if cover is None or len(cover.parts) < 2:
+        if len(cover.parts) < 2:
             continue
         cls = classify_cover(cover, shared_oracle(20_000))
         if cls.status == wanted:

@@ -1,12 +1,12 @@
 """Integer simplicial homology via Smith normal form.
 
 Everything is exact: Python integers, no floating point, no field
-shortcuts on the main path.  An `IntegerMatrix` is stored by column, and
-a boundary matrix is built that way, one column per face, as in Bauer's
-Ripser (J. Appl. Comput. Topol. 5, 2021), each read off the column of
-the face's prefix in a chain tree, with no face names (`chain_complex`);
-the product, Smith normal form and the fraction-free rank all read the
-columns as stored.  A poset whose every down-set is the face lattice of
+shortcuts on the main path.  A boundary matrix is an `IntegerMatrix`,
+stored by column and built in `complexes`, one column per face, as in
+Bauer's Ripser (J. Appl. Comput. Topol. 5, 2021), each read off the
+column of the face's prefix in a chain tree, with no face names
+(`chain_complex`); Smith normal form and the fraction-free rank here only
+read the columns as stored.  A poset whose every down-set is the face lattice of
 a simplex (a simplicial poset: face posets, subdivisions, nerves,
 completions) skips the order complex: its cellular chain complex has one
 generator per element (`cellular_chain_complex`), and the same homology.
@@ -33,9 +33,9 @@ columns are left out of ∂k without changing its rank or an invariant
 factor.  Rows that phase 2 pivots on are never cleared: their pivots are
 not units, and over Z such a column need not be a combination.
 
-Two checks stay on.  Both builders test ∂∂=0 on every pair of
-boundary matrices with `IntegerMatrix.compose`, a sparse product summed
-one column at a time.  On every matrix up to 50x50 the rank is
+Two checks stay on.  Both builders in `complexes` test ∂∂=0 on every
+pair of boundary matrices with `IntegerMatrix.compose`, a sparse product
+summed one column at a time.  On every matrix up to 50x50 the rank is
 re-derived by `fraction_free_rank`, a sparse elimination over Q in
 integers only, on the whole, uncleared matrix: an exact cross-check of
 both phases and of the clearing.  It is independent of phase 1: it shares
@@ -46,89 +46,13 @@ calls it, only the tests do.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
 from . import complexes
+from .complexes import IntegerMatrix
 from .poset import ElementSet, Poset, _iter_bits
-
-
-class IntegerMatrix:
-    """Sparse integer matrix stored by column: column c is columns[c], a
-    dict from a row in 0..rows-1 to a non-zero value.  `entries`, the
-    (row, col) view, is a copy built on request; nothing in the package
-    reads it."""
-
-    def __init__(self, rows: int, columns: list[dict[int, int]]):
-        used = set().union(*columns)  # empty for every product ∂k·∂k+1, which then has no values
-        values = itertools.chain.from_iterable(map(dict.values, columns))
-        if used and (min(used) < 0 or max(used) >= rows or not all(values)):
-            # the same test column by column, only to name the first bad one
-            for c, col in enumerate(columns):
-                if col and (min(col) < 0 or max(col) >= rows or 0 in col.values()):
-                    raise ValueError(f"column {c} has a row outside 0..{rows - 1} or a zero value")
-        self.rows, self.cols, self.columns = rows, len(columns), columns
-
-    @property
-    def entries(self) -> dict[tuple[int, int], int]:
-        return {(r, c): v for c, column in enumerate(self.columns) for r, v in column.items()}
-
-    @classmethod
-    def from_dense(cls, data: list[list[int]]) -> "IntegerMatrix":
-        cols = len(data[0]) if data else 0
-        return cls(len(data), [{r: row[c] for r, row in enumerate(data) if row[c]} for c in range(cols)])
-
-    def to_dense(self) -> list[list[int]]:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for c, column in enumerate(self.columns):
-            for r, v in column.items():
-                out[r][c] = v
-        return out
-
-    def is_zero(self) -> bool:
-        return not any(self.columns)
-
-    def compose(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        """The product self·other, one column at a time.
-
-        Column c of the product is the sum of w times column k of self over
-        the entries (k, w) of other's column c; it is summed in one list
-        indexed by row, shared by every column, and the rows it touched
-        are read off and reset to zero after each column.  Only non-zero
-        sums are kept (none is copied when all are zero, as in every
-        column of ∂k·∂k+1).  Both factors are read by column as stored.
-        The cost is nnz(other) times the largest column of self: for
-        boundary matrices ∂k·∂k+1 that is nnz(∂k+1)·(k+1).
-        """
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in composition")
-        left = self.columns
-        sums = [0] * self.rows
-        product: list[dict[int, int]] = []
-        for column in other.columns:
-            touched: list[int] = []
-            for k, w in column.items():
-                for r, v in left[k].items():
-                    if not sums[r]:
-                        touched.append(r)
-                    sums[r] += v * w
-            kept = {}
-            for r in touched:
-                if sums[r]:
-                    kept[r] = sums[r]
-                    sums[r] = 0
-            product.append(kept)
-        return IntegerMatrix(self.rows, product)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntegerMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.columns) == (other.rows, other.cols, other.columns)
-
-    def __repr__(self) -> str:
-        return f"IntegerMatrix({self.rows}x{self.cols}, {sum(map(len, self.columns))} non-zero)"
 
 
 _VERIFY_LIMIT = 50

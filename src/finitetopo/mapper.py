@@ -346,13 +346,8 @@ def mapper_completion(
     spans = _spans(pc, ic, values)
     positions = pullback_cover(values, spans)
     discrete = Poset(pc.ids, ())
-    # one grid for the run; the poset sorts the identifiers, so a point's
-    # bit need not be its position in the cloud
-    grid = EpsilonGrid(pc, discrete, epsilon)
-    bit = [discrete._index[pid] for pid in pc.ids]
-    cover = PosetCover(
-        discrete, {name: ElementSet(discrete, sum(1 << bit[k] for k in ks)) for name, ks in positions.items()}
-    )
+    grid = EpsilonGrid(pc, discrete, epsilon)  # one grid for the run
+    cover = PosetCover(discrete, {name: discrete.subset(pc.ids[k] for k in ks) for name, ks in positions.items()})
     comp = completion_poset(cover, lambda sub: epsilon_components(grid, sub))
     cw = comp.as_cw()
     plain = cover.nerve()

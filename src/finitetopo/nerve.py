@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional, Union
 
-from .certificates import StatementReport, Status, TrivialityVerdict
+from .certificates import Oracle, StatementReport, Status, TrivialityVerdict
 from .complexes import (
     RegularCWComplex,
     SimplicialComplex,
@@ -38,7 +38,6 @@ from .cylinder import EquivalenceReport, Relation, verify_equivalence
 from .errors import InputError, ValidationError
 from .homology import HomologyProfile, certified_homology
 from .poset import ElementSet, Poset
-from .reduction import Oracle, shared_oracle
 
 ComponentSplitter = Callable[[ElementSet], list[ElementSet]]
 
@@ -200,11 +199,10 @@ class CoverClassification:
         }
 
 
-def classify_cover(c: AnyCover, ask: Optional[Oracle] = None) -> CoverClassification:
+def classify_cover(c: AnyCover, ask: Oracle) -> CoverClassification:
     """Every intersection and each of its components, decided through the
     table `ask`; a connected intersection is its one component."""
     c = _as_poset_cover(c)
-    ask = ask or shared_oracle()
     whole, comps = {}, {}
     for jid, w in c.intersections().items():
         whole[jid] = ask(w)
@@ -344,7 +342,7 @@ class NerveTheoremReport(StatementReport):
         return {**out, **self.homology_json()}
 
 
-def verify_nerve_theorem(c: AnyCover, variant: str, ask: Optional[Oracle] = None) -> NerveTheoremReport:
+def verify_nerve_theorem(c: AnyCover, variant: str, ask: Oracle) -> NerveTheoremReport:
     """Check one nerve statement by building its relation into the nerve side.
 
     good-poset: a good cover's nerve poset.  x-zero: the trivial subnerve,
@@ -356,7 +354,6 @@ def verify_nerve_theorem(c: AnyCover, variant: str, ask: Optional[Oracle] = None
     if variant not in NERVE_VARIANTS:
         raise InputError(f"unknown nerve theorem variant {variant!r}; expected one of {NERVE_VARIANTS}")
     c = _as_poset_cover(c)
-    ask = ask or shared_oracle()
     classification = classify_cover(c, ask)
     comp: Optional[CompletionPoset] = None
     member_of = c.intersections()
@@ -417,7 +414,7 @@ class CompletionCorollaryReport(StatementReport):
         return {**out, **self.homology_json()}
 
 
-def verify_corollary_completion(c: ComplexCover, ask: Optional[Oracle] = None) -> CompletionCorollaryReport:
+def verify_corollary_completion(c: ComplexCover, ask: Oracle) -> CompletionCorollaryReport:
     """Quasi-good cover of a complex: the completion CW complex matches the base.
 
     Delegates the homotopy content to the quasi-good nerve check over the

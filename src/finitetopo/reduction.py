@@ -16,6 +16,7 @@ from .certificates import (
     BEAT_KINDS,
     GAMMA_KINDS,
     WEAK_KINDS,
+    Oracle,
     ReductionCertificate,
     ReductionStep,
     StatementReport,
@@ -183,7 +184,7 @@ def _collapse_dfs(start: Hashable, done: Callable[[Any], bool],
     return steps, nodes, complete
 
 
-def is_collapsible(s: Poset | ElementSet, budget: int = DEFAULT_BUDGET) -> TrivialityVerdict:
+def is_collapsible(s: Poset | ElementSet, budget: int) -> TrivialityVerdict:
     """Trivial iff a weak-point deletion sequence to a point is found within budget."""
     p, start = (s, s.full_mask()) if isinstance(s, Poset) else (s.poset, s.mask)
     if not start:
@@ -196,9 +197,7 @@ def is_collapsible(s: Poset | ElementSet, budget: int = DEFAULT_BUDGET) -> Trivi
     return TrivialityVerdict("unknown", reason, detail={"nodes": nodes})
 
 
-def collapse_search(
-    p: Poset, target: Iterable[str], budget: int = DEFAULT_BUDGET
-) -> tuple[Optional[ReductionCertificate], dict]:
+def collapse_search(p: Poset, target: Iterable[str], budget: int) -> tuple[Optional[ReductionCertificate], dict]:
     """Search for a weak-point deletion sequence from p onto the subposet on
     the target elements."""
     members = set(target)
@@ -214,7 +213,7 @@ def collapse_search(
     return ReductionCertificate(tuple(steps)), report
 
 
-def triviality_oracle(s: Poset | ElementSet, budget: int = DEFAULT_BUDGET) -> TrivialityVerdict:
+def triviality_oracle(s: Poset | ElementSet, budget: int) -> TrivialityVerdict:
     """Three-valued homotopy-triviality decision ladder on a poset, or on the
     subspace an element set of one spans, read off masks of its parent.
 
@@ -244,14 +243,12 @@ def triviality_oracle(s: Poset | ElementSet, budget: int = DEFAULT_BUDGET) -> Tr
     return is_collapsible(s, budget)
 
 
-Oracle = Callable[[ElementSet], TrivialityVerdict]
-
-
-def shared_oracle(budget: int = DEFAULT_BUDGET) -> Oracle:
+def shared_oracle(budget: int) -> Oracle:
     """The table `ask(element_set)`: the oracle's verdict, decided once per
     distinct (poset, mask), which is all a verdict depends on besides the
     budget.  The command that reads the budget makes one table per
-    statement and passes it down; a statement called without one makes it."""
+    statement and passes it down; every statement takes its table from
+    its caller and makes none."""
     verdicts: dict[tuple[Poset, int], TrivialityVerdict] = {}
 
     def ask(s: ElementSet) -> TrivialityVerdict:
@@ -264,14 +261,13 @@ def shared_oracle(budget: int = DEFAULT_BUDGET) -> Oracle:
     return ask
 
 
-def find_gamma_points(p: Poset, ask: Optional[Oracle] = None) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
+def find_gamma_points(p: Poset, ask: Oracle) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
     """(element, kind) pairs whose punctured set is homotopy trivial.
 
     Sides whose verdict is Unknown are reported separately, never classified.
     """
     gammas = []
     unknowns = []
-    ask = ask or shared_oracle()
     mask = p.full_mask()
     for i, e in enumerate(p.elements):
         for side, sub in _punctured(p, mask, i):

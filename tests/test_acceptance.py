@@ -50,6 +50,7 @@ from finitetopo import (
     verify_equivalence,
     verify_nerve_theorem,
 )
+from finitetopo.reduction import DEFAULT_BUDGET, shared_oracle
 from tests.test_homology import betti_by_rank
 from tests.test_poset import greatest
 
@@ -94,7 +95,7 @@ def test_criterion_1_two_part_cover_of_the_triangle_boundary(acceptance_log):
         assert k.facets == (("L", "T"),)
         assert homology(k, reduced=True).nonzero_degrees() == ()
 
-        rep = verify_corollary_completion(cov)
+        rep = verify_corollary_completion(cov, shared_oracle(DEFAULT_BUDGET))
         assert rep.status is Status.CERTIFIED
         assert rep.homology_equal is True
 
@@ -134,7 +135,7 @@ def test_criterion_3_certified_relations_and_the_refutation_fixture(acceptance_l
         rng = random.Random(20240303)
         for i in range(100):
             rel = fx.beat_retraction_relation(rng, rng.randint(2, 8))
-            rep = verify_equivalence(rel)
+            rep = verify_equivalence(rel, shared_oracle(DEFAULT_BUDGET))
             assert rep.status is Status.CERTIFIED, (i, rep.status)
             assert rep.to_source is not None and rep.to_target is not None
 
@@ -149,7 +150,7 @@ def test_criterion_3_certified_relations_and_the_refutation_fixture(acceptance_l
             LEDGER.append((cyl.poset, rep.to_source, f"relation {i} to_source"))
             LEDGER.append((cyl.poset, rep.to_target, f"relation {i} to_target"))
 
-        refuted = verify_equivalence(fx.REGISTRY["thm-a-refutation"].build())
+        refuted = verify_equivalence(fx.REGISTRY["thm-a-refutation"].build(), shared_oracle(DEFAULT_BUDGET))
         assert refuted.status is Status.REFUTED
         assert refuted.to_source is None and refuted.to_target is None
 
@@ -160,7 +161,7 @@ def test_criterion_4_nerve_theorems_on_seeded_covers(acceptance_log):
         for i in range(100):
             cov = fx.random_good_cover(rng)
             assert len(cov.base) <= 12
-            rep = verify_nerve_theorem(cov, "good-poset")
+            rep = verify_nerve_theorem(cov, "good-poset", shared_oracle(DEFAULT_BUDGET))
             assert rep.status is Status.CERTIFIED, (i, rep.status)
             assert rep.homology_equal is True
 
@@ -170,7 +171,7 @@ def test_criterion_4_nerve_theorems_on_seeded_covers(acceptance_log):
 
             # trivial subnerve keeps the whole nerve and every membership
             # family has a maximum
-            sub = trivial_subnerve(cov, classify_cover(cov))
+            sub = trivial_subnerve(cov, classify_cover(cov, shared_oracle(DEFAULT_BUDGET)))
             assert set(sub.poset.elements) == set(cov.nerve_poset().elements)
             for x in cov.base.elements:
                 assert greatest(point_subnerve(sub, x)) is not None, (i, x)
@@ -184,7 +185,7 @@ def test_criterion_4_nerve_theorems_on_seeded_covers(acceptance_log):
         for i in range(100):
             cov = fx.random_quasi_good_cover(rng)
             assert len(cov.base) <= 12
-            rep = verify_nerve_theorem(cov, "quasi-good")
+            rep = verify_nerve_theorem(cov, "quasi-good", shared_oracle(DEFAULT_BUDGET))
             assert rep.status is Status.CERTIFIED, (i, rep.status)
             assert rep.homology_equal is True
 
@@ -314,7 +315,7 @@ def test_criterion_6_every_certificate_is_stepwise_sound(acceptance_log):
     with criterion(acceptance_log, 6, "stepwise homology and Euler invariance of every certificate", budget=30.0):
         # the shipped disc fixture contributes weak point steps
         disc = fx.REGISTRY["collapsible-noncontractible"].build()
-        verdict = is_collapsible(disc)
+        verdict = is_collapsible(disc, DEFAULT_BUDGET)
         assert verdict.status == "trivial" and verdict.certificate is not None
         LEDGER.append((disc, verdict.certificate, "disc collapse"))
 

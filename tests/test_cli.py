@@ -7,11 +7,11 @@ import pytest
 
 import finitetopo.cylinder as cylinder_mod
 import finitetopo.nerve as nerve_mod
-from finitetopo import Poset, Relation, face_poset
+from finitetopo import Poset, PosetCover, Relation, face_poset
 from finitetopo import cli
 from finitetopo import fixtures as fx
 from finitetopo.cli import main
-from finitetopo.formats import poset_to_json, relation_to_json
+from finitetopo.formats import poset_cover_to_json, poset_to_json, relation_to_json
 from tests.test_cylinder import bound_degree_lookups
 
 
@@ -24,6 +24,28 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
+
+
+SHIPPED_FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "fixtures")
+
+
+def write_json(path, payload) -> str:
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def collapsible_disc() -> Poset:
+    """Contractible, but its core is not a point: only a collapse search
+    shows it trivial, so at budget 0 its verdict is unknown."""
+    return fx.get_fixture("collapsible-noncontractible").build()
+
+
+def doubled_disc_cover(tmp_path, **wrapper) -> str:
+    """A fixture file of the cover of that disc by two parts that are each
+    the whole disc: every intersection is the disc."""
+    disc = collapsible_disc()
+    cover = PosetCover(disc, {"U0": set(disc.elements), "U1": set(disc.elements)})
+    return write_json(tmp_path / "doubled-disc.json", {**wrapper, "kind": "poset-cover", "data": poset_cover_to_json(cover)})
 
 
 class TestVerify:
@@ -113,6 +135,18 @@ class TestVerify:
         assert code == 2
         assert doc["status"] == "Unknown"
 
+    def test_homology_version_names_the_failing_element(self, capsys):
+        code, doc = run_json(capsys, "verify", "prop-homology", "thm-a-refutation")
+        assert code == 1 and doc["status"] == "Refuted"
+        assert doc["detail"]["homology_version"]["failing"] == {"target": ["x"]}
+
+    def test_x_zero_with_an_undecided_intersection_is_unknown(self, capsys, tmp_path):
+        code, doc = run_json(capsys, "verify", "nerve-x0", doubled_disc_cover(tmp_path), "--budget", "0")
+        assert code == 2 and doc["status"] == "Unknown"
+        nerve = doc["detail"]["nerve_theorem"]
+        assert nerve["classification"]["status"] == "unknown"
+        assert nerve["detail"] == {"undecided": ["U0", "U0,U1", "U1"]}
+
     def test_zero_degree_reaches_the_cylinder_check(self, capsys):
         code, doc = run_json(capsys, "verify", "prop-homology", "certified-relation", "--degree", "0")
         assert code == 0
@@ -136,6 +170,37 @@ class TestBatch:
         entries = {e["name"]: e for e in doc["detail"]["fixtures"]}
         assert entries["thm-a-refutation"]["status"] == "Refuted"
         assert entries["thm-a-refutation"]["match"] is True
+
+    def test_a_theorem_id_skips_the_other_statements(self, capsys):
+        code, doc = run_json(capsys, "verify", "thm-a", "--batch", SHIPPED_FIXTURES)
+        assert code == 0 and doc["status"] == "Certified"
+        entries = doc["detail"]["fixtures"]
+        ran = sorted(e["name"] for e in entries if e["status"] != "Skipped")
+        assert ran == ["certified-relation", "thm-a-refutation"]
+        assert all(e["theorem"] != "thm-a" for e in entries if e["status"] == "Skipped")
+        assert doc["detail"]["counts"] == {"total": len(entries), "ran": 2, "mismatched": 0, "errors": 0}
+
+    def test_a_json_file_without_the_wrapper_is_an_error_entry(self, capsys, tmp_path):
+        write_json(tmp_path / "bare.json", poset_to_json(Poset("ab")))
+        code, doc = run_json(capsys, "verify", "--batch", str(tmp_path))
+        assert code == 3 and doc["status"] == "Error"
+        assert doc["detail"]["fixtures"] == [{"file": "bare.json", "status": "Error", "error": "not a fixture file"}]
+
+    def test_a_wrong_expected_status_refutes_the_batch(self, capsys, tmp_path):
+        payload = fx.fixture_payload(fx.get_fixture("certified-relation"))
+        write_json(tmp_path / "expects-refuted.json", {**payload, "expected_status": "Refuted"})
+        code, doc = run_json(capsys, "verify", "--batch", str(tmp_path))
+        assert code == 1 and doc["status"] == "Refuted"
+        (entry,) = doc["detail"]["fixtures"]
+        assert (entry["status"], entry["expected"], entry["match"]) == ("Certified", "Refuted", False)
+        assert doc["detail"]["counts"]["mismatched"] == 1
+
+    def test_an_unknown_run_with_no_expectation_leaves_the_batch_unknown(self, capsys, tmp_path):
+        doubled_disc_cover(tmp_path, name="doubled-disc", theorem="nerve-x0")
+        code, doc = run_json(capsys, "verify", "--batch", str(tmp_path), "--budget", "0")
+        assert code == 2 and doc["status"] == "Unknown"
+        (entry,) = doc["detail"]["fixtures"]
+        assert entry["status"] == "Unknown" and entry["expected"] is None and "match" not in entry
 
     def test_batch_on_empty_dir_is_input_error(self, capsys, tmp_path):
         code = main(["verify", "--batch", str(tmp_path)])
@@ -252,6 +317,24 @@ class TestReductionCommands:
         assert code == 1
         assert doc["detail"]["oracle"]["reason"] == "homology"
 
+    def test_reduce_reports_a_gamma_point_it_cannot_decide(self, capsys, tmp_path):
+        """With a top added, the top's punctured down-set is the disc, whose
+        verdict at budget 0 is unknown; every other punctured set is decided,
+        and the whole poset, a cone, is dismantlable."""
+        disc = collapsible_disc()
+        coned = Poset([*disc.elements, "top"], [*disc.cover_pairs, *((m, "top") for m in disc.maximal_elements())])
+        path = write_json(tmp_path / "coned.json", poset_to_json(coned))
+        code, doc = run_json(capsys, "reduce", path, "--budget", "0")
+        assert code == 0
+        assert doc["detail"]["gamma_unknown"] == [["top", "gamma-down"]]
+        assert doc["detail"]["oracle"]["reason"] == "dismantling"
+
+    def test_collapse_out_of_budget_is_unknown(self, capsys):
+        code, doc = run_json(capsys, "collapse", "collapsible-noncontractible", "--target", "a", "--budget", "0")
+        assert code == 2 and doc["status"] == "Unknown"
+        assert doc["detail"]["search"] == {"nodes": 1, "complete": False}
+        assert doc["certificates"] == []
+
     def test_core_of_core_fixture_is_identity(self, capsys):
         code, doc = run_json(capsys, "core", "six-cycle")
         assert code == 0
@@ -310,6 +393,13 @@ class TestNerveAndCompletion:
         code, doc = run_json(capsys, "nerve", "star-cover-six-cycle")
         assert code == 0
         assert doc["detail"]["classification"]["status"] == "good"
+
+    def test_nerve_with_an_undecided_intersection_is_unknown(self, capsys, tmp_path):
+        code, doc = run_json(capsys, "nerve", doubled_disc_cover(tmp_path), "--budget", "0")
+        assert code == 2 and doc["status"] == "Unknown"
+        classification = doc["detail"]["classification"]
+        assert classification["status"] == "unknown"
+        assert {v["reason"] for v in classification["intersections"].values()} == {"budget"}
 
     def test_completion_f_vector(self, capsys):
         code, doc = run_json(capsys, "completion", "example-3-12")

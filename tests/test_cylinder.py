@@ -31,7 +31,7 @@ from finitetopo import fixtures as fx
 from finitetopo.certificates import TrivialityVerdict
 from finitetopo.cylinder import CylinderPoset, HypothesisReport
 from finitetopo.homology import HomologyProfile
-from finitetopo.reduction import shared_oracle, triviality_oracle
+from finitetopo.reduction import DEFAULT_BUDGET, shared_oracle, triviality_oracle
 from tests.test_poset import least, posets
 
 
@@ -165,7 +165,7 @@ class TestHypothesisCheckers:
         # monotone maps always satisfy the target-side hypothesis
         src, tgt, f = fence_map()
         r = Relation.from_monotone_map(src, tgt, f)
-        rep = check_target_retraction(r)
+        rep = check_target_retraction(r, shared_oracle(DEFAULT_BUDGET))
         assert rep.status is Status.CERTIFIED
         assert rep.failing == []
 
@@ -173,19 +173,19 @@ class TestHypothesisCheckers:
         # the fiber over u is the disconnected pair {a, c}
         src, tgt, f = fence_map()
         r = Relation.from_monotone_map(src, tgt, f)
-        rep = check_source_retraction(r)
+        rep = check_source_retraction(r, shared_oracle(DEFAULT_BUDGET))
         assert rep.status is Status.REFUTED
         assert rep.failing == ["u"]
 
     def test_refutation_fixture_fails_target_side(self):
         r = fx._refutation_relation()
-        rep = check_target_retraction(r)
+        rep = check_target_retraction(r, shared_oracle(DEFAULT_BUDGET))
         assert rep.status is Status.REFUTED
         assert rep.failing == ["x"]
 
     def test_json_shape(self):
         r = fx._refutation_relation()
-        d = check_target_retraction(r).to_json_dict()
+        d = check_target_retraction(r, shared_oracle(DEFAULT_BUDGET)).to_json_dict()
         assert d["side"] == "target"
         assert d["status"] == "Refuted"
         assert set(d["verdicts"]) == set(r.source.elements)
@@ -206,10 +206,11 @@ class TestHypothesisCheckers:
         }[side]
         asked = []
         monkeypatch.setattr(reduction, "triviality_oracle", lambda s, budget: asked.append(s.mask) or triviality_oracle(s, budget))
-        report = check(relation)
+        report = check(relation, shared_oracle(DEFAULT_BUDGET))
         masks = [local_data(relation, e).mask for e in elements]
         assert sorted(asked) == sorted(set(masks))
-        per_element = HypothesisReport(side, {e: triviality_oracle(local_data(relation, e)) for e in elements})
+        verdicts = {e: triviality_oracle(local_data(relation, e), DEFAULT_BUDGET) for e in elements}
+        per_element = HypothesisReport(side, verdicts)
         assert report.to_json_dict() == per_element.to_json_dict()
 
 
@@ -217,8 +218,8 @@ class TestCollapseCertificates:
     def test_certified_relation_collapses_both_ways(self):
         r = fx._certified_relation()
         cyl = build_cylinder(r)
-        to_src = collapse_cylinder_to_source(cyl, check_source_retraction(r))
-        to_tgt = collapse_cylinder_to_target(cyl, check_target_retraction(r))
+        to_src = collapse_cylinder_to_source(cyl, check_source_retraction(r, shared_oracle(DEFAULT_BUDGET)))
+        to_tgt = collapse_cylinder_to_target(cyl, check_target_retraction(r, shared_oracle(DEFAULT_BUDGET)))
         assert len(to_src) == len(r.target)
         assert len(to_tgt) == len(r.source)
         src_final = replay_poset_certificate(cyl.poset, to_src)
@@ -239,22 +240,22 @@ class TestCollapseCertificates:
             "source": (collapse_cylinder_to_source, check_source_retraction, y, "down"),
             "target": (collapse_cylinder_to_target, check_target_retraction, x, "up"),
         }[side]
-        collapse(cyl, check(r))
+        collapse(cyl, check(r, shared_oracle(DEFAULT_BUDGET)))
         message = f"punctured {direction}-set of {name!r} does not match its local {side} data"
         with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
-            collapse(broken, check(r))
+            collapse(broken, check(r, shared_oracle(DEFAULT_BUDGET)))
 
     def test_uncertified_side_raises(self):
         # the refutation fixture's target side fails at x
         r = fx._refutation_relation()
         with pytest.raises(NotCertified, match="target retraction is Refuted"):
-            collapse_cylinder_to_target(build_cylinder(r), check_target_retraction(r))
+            collapse_cylinder_to_target(build_cylinder(r), check_target_retraction(r, shared_oracle(DEFAULT_BUDGET)))
 
     def test_uncertified_source_side_raises(self):
         # the fence map's fibre over u is disconnected
         r = Relation.from_monotone_map(*fence_map())
         with pytest.raises(NotCertified, match="source retraction is Refuted"):
-            collapse_cylinder_to_source(build_cylinder(r), check_source_retraction(r))
+            collapse_cylinder_to_source(build_cylinder(r), check_source_retraction(r, shared_oracle(DEFAULT_BUDGET)))
 
     @pytest.mark.parametrize("side", ["source", "target"])
     def test_stale_hypothesis_report_is_revalidated(self, side):
@@ -265,7 +266,7 @@ class TestCollapseCertificates:
             "source": (check_source_retraction, collapse_cylinder_to_source),
             "target": (check_target_retraction, collapse_cylinder_to_target),
         }[side]
-        good = check(r)
+        good = check(r, shared_oracle(DEFAULT_BUDGET))
         assert good.status is Status.CERTIFIED
         with pytest.raises((ValidationError, KeyError)):
             collapse(build_cylinder(other), report=good)
@@ -282,7 +283,7 @@ class TestCollapseCertificates:
             "source": (collapse_cylinder_to_source, "target", check_target_retraction),
             "target": (collapse_cylinder_to_target, "source", check_source_retraction),
         }[side]
-        report = wrong(r)
+        report = wrong(r, shared_oracle(DEFAULT_BUDGET))
         assert report.status is Status.CERTIFIED
         message = f"the collapse onto the {side} takes the {side} report, not the {other} one"
         with pytest.raises(InputError, match="^" + re.escape(message) + "$"):
@@ -302,14 +303,14 @@ class TestCollapseCertificates:
 
 class TestVerifyEquivalence:
     def test_certified(self):
-        rep = verify_equivalence(fx._certified_relation())
+        rep = verify_equivalence(fx._certified_relation(), shared_oracle(DEFAULT_BUDGET))
         assert rep.status is Status.CERTIFIED
         assert rep.homology_equal is True
         assert rep.to_source is not None and rep.to_target is not None
         assert rep.cylinder is not None
 
     def test_refuted(self):
-        rep = verify_equivalence(fx._refutation_relation())
+        rep = verify_equivalence(fx._refutation_relation(), shared_oracle(DEFAULT_BUDGET))
         assert rep.status is Status.REFUTED
         assert rep.to_source is None
         assert rep.cylinder is None
@@ -326,13 +327,13 @@ class TestVerifyEquivalence:
 
     def test_certified_report_replays_on_its_cylinder(self):
         r = fx._certified_relation()
-        rep = verify_equivalence(r)
+        rep = verify_equivalence(r, shared_oracle(DEFAULT_BUDGET))
         assert rep.cylinder.relation == r
         final = replay_poset_certificate(rep.cylinder.poset, rep.to_source)
         assert set(final.elements) == set(rep.cylinder.source_part)
 
     def test_certified_report_replays_on_rebuilt_cylinder(self):
-        rep = verify_equivalence(fx._certified_relation())
+        rep = verify_equivalence(fx._certified_relation(), shared_oracle(DEFAULT_BUDGET))
         cyl = build_cylinder(rep.cylinder.relation)
         final = replay_poset_certificate(cyl.poset, rep.to_target)
         assert set(final.elements) == set(cyl.target_part)
@@ -410,7 +411,7 @@ def test_generated_monotone_maps_always_certify_target_side(seed: int):
     rng = random.Random(seed)
     src, tgt, f = fx.random_monotone_map(rng, 6, 6)
     r = Relation.from_monotone_map(src, tgt, f)
-    rep = check_target_retraction(r)
+    rep = check_target_retraction(r, shared_oracle(DEFAULT_BUDGET))
     assert rep.status is Status.CERTIFIED
     cyl = mapping_cylinder(src, tgt, f)
     final = replay_poset_certificate(cyl.poset, cyl.retraction_certificate)
@@ -425,7 +426,7 @@ def test_generated_relations_certify_and_match_homology(seed: int):
 
     rng = random.Random(seed)
     r = fx.beat_retraction_relation(rng, 7)
-    rep = verify_equivalence(r)
+    rep = verify_equivalence(r, shared_oracle(DEFAULT_BUDGET))
     assert rep.status is Status.CERTIFIED
     assert same_homology(homology(r.source), homology(r.target))[0]
 

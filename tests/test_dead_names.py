@@ -207,12 +207,64 @@ def test_every_shared_method_name_is_listed():
     assert sorted(name for name in SHARED if name not in shared) == []
 
 
+# each statement's verdict table and each search's budget: the command
+# layer decides both, so no default stands in for that decision
+TAKEN_NOT_DEFAULTED = {
+    "check_source_retraction": "ask", "check_target_retraction": "ask",
+    "verify_source_retraction": "ask", "verify_target_retraction": "ask",
+    "verify_equivalence": "ask", "classify_cover": "ask", "verify_nerve_theorem": "ask",
+    "verify_corollary_completion": "ask", "find_gamma_points": "ask",
+    "shared_oracle": "budget", "triviality_oracle": "budget", "is_collapsible": "budget",
+    "collapse_search": "budget",
+}
+
+
+def package_files() -> list[Path]:
+    return sorted(PACKAGE.glob("*.py"))
+
+
+def test_every_table_and_budget_is_passed_in():
+    """No `ask` or `budget` parameter in the package has a default, the
+    listed ones among them, and no function makes a table of its own."""
+    taken, defaulted = {}, []
+    for path in package_files():
+        tree = code(path)
+        for name, function in functions(tree):
+            args = function.args
+            positional = args.posonlyargs + args.args
+            with_default = positional[len(positional) - len(args.defaults):] + [
+                a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for arg in positional + args.kwonlyargs:
+                if arg.arg in ("ask", "budget"):
+                    taken[name] = arg.arg
+                    if arg in with_default:
+                        defaulted.append(f"{path.name}:{name}({arg.arg})")
+        assert "or shared_oracle(" not in ast.unparse(tree), path.name
+    assert defaulted == []
+    assert {name: taken.get(name) for name in TAKEN_NOT_DEFAULTED} == TAKEN_NOT_DEFAULTED
+
+
 def test_the_statement_layer_never_names_the_budget():
     """cylinder.py and nerve.py take a table of verdicts, never a budget: the
-    command that reads the budget makes the table."""
+    command that reads the budget makes the table.  They import nothing
+    from reduction, whose search stays below them: the table's type,
+    `Oracle`, comes from certificates."""
     for name in ("cylinder.py", "nerve.py"):
-        words = set(re.findall(r"\w+", ast.unparse(code(PACKAGE / name))))
-        assert words & {"budget", "DEFAULT_BUDGET"} == set(), name
+        tree = code(PACKAGE / name)
+        words = set(re.findall(r"\w+", ast.unparse(tree)))
+        assert words & {"budget", "DEFAULT_BUDGET", "shared_oracle"} == set(), name
+        assert [node.module for node in package_imports(tree) if node.module == "reduction"] == [], name
+
+
+def test_only_the_command_layer_reads_the_default_budget():
+    """DEFAULT_BUDGET is defined in reduction.py and read in cli.py, where
+    the budget option falls back to it; the export in `__init__` is no read."""
+    named = {
+        path.name: n for path in running_files() if path.is_relative_to(PACKAGE)
+        for n in [re.findall(r"\w+", ast.unparse(code(path))).count("DEFAULT_BUDGET")] if n
+    }
+    assert named.keys() == {"reduction.py", "cli.py"}
+    assert named["reduction.py"] == 1
 
 
 def package_imports(tree: ast.Module) -> list[ast.ImportFrom]:
@@ -230,13 +282,32 @@ def test_no_private_name_crosses_modules():
     assert crossing == set(PRIVATE_IMPORTS)
 
 
-def test_the_one_import_cycle_is_read_lazily_in_complexes():
-    """Every other package import runs at load time, one way: homology
-    imports complexes, whose two builders read IntegerMatrix when called."""
+def test_no_package_import_sits_inside_a_function():
+    """Every package import runs when its module loads."""
     lazy = [
         (path.name, ast.unparse(node))
-        for path in sorted(PACKAGE.glob("*.py"))
+        for path in package_files()
         for function in ast.walk(code(path)) if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
         for node in package_imports(function)
     ]
-    assert lazy == [("complexes.py", "from .homology import IntegerMatrix")] * 2
+    assert lazy == []
+
+
+def test_the_module_import_graph_is_acyclic():
+    """Each module imports only modules below it: `from .x import` and
+    `from . import x` edges among the package's files leave no cycle."""
+    modules = {path.stem for path in package_files()}
+    edges = {
+        path.stem: {
+            target for node in package_imports(ast.parse(path.read_text()))
+            for target in ([node.module] if node.module else [alias.name for alias in node.names])
+            if target in modules
+        }
+        for path in package_files()
+    }
+    assert "complexes" in edges["homology"]  # the edges are read at all
+    done: set[str] = set()
+    while len(done) < len(edges):
+        ready = [m for m in edges if m not in done and edges[m] <= done]
+        assert ready, f"import cycle among {sorted(set(edges) - done)}"
+        done.update(ready)

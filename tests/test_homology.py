@@ -34,7 +34,7 @@ from finitetopo.homology import (
     profile_from_chain_complex,
 )
 from finitetopo.poset import ElementSet, reach_of
-from finitetopo.reduction import _chains_in, triviality_oracle
+from finitetopo.reduction import DEFAULT_BUDGET, _chains_in, triviality_oracle
 from tests.reference_snf import reference_smith_normal_form
 from tests.test_complexes import as_cw, complexes, triangle_boundary
 from tests.test_poset import posets, posets_and_masks
@@ -469,16 +469,26 @@ def test_non_unit_singletons_are_left_for_phase_two(m: IntegerMatrix):
     assert_matches_reference(m)
 
 
+def bidiagonal(n: int, cols: int) -> IntegerMatrix:
+    """1 on the diagonal and -1 just right of it, in n rows and n or n + 1 columns."""
+    return from_entries(n, cols, {**{(i, i): 1 for i in range(n)}, **{(i, i + 1): -1 for i in range(cols - 1)}})
+
+
 def test_singleton_pass_cascades():
     """A bidiagonal matrix of ±1 is taken out by singletons alone: each
-    deletion leaves the next singleton, so the sweep takes no pivot."""
+    deletion leaves the next singleton, so the sweep takes no pivot.  The
+    square one starts from a row singleton and cascades through rows; in
+    the wide one every row holds two entries, so it starts from its two
+    column singletons and cascades through columns.  (The square one's
+    transpose is itself with the indices reversed, so it would reach no
+    other line.)"""
     n = 6
-    m = from_entries(n, n, {**{(i, i): 1 for i in range(n)}, **{(i, i + 1): -1 for i in range(n - 1)}})
-    rows, cols = _rows_and_cols(m)
-    assert len(_unit_singletons(rows, cols)) == n
-    assert not rows and not cols
-    rows, cols = _rows_and_cols(m)
-    assert len(_eliminate_unit_pivots(rows, cols)) == n
+    for m in (bidiagonal(n, n), bidiagonal(n, n + 1)):
+        rows, cols = _rows_and_cols(m)
+        assert len(_unit_singletons(rows, cols)) == n
+        assert not rows and len(cols) == m.cols - n and not any(cols.values())
+        rows, cols = _rows_and_cols(m)
+        assert len(_eliminate_unit_pivots(rows, cols)) == n
 
 
 def _rows_and_cols(m: IntegerMatrix) -> tuple[dict[int, dict[int, int]], dict[int, set[int]]]:
@@ -723,9 +733,9 @@ def test_homology_never_reads_entries(monkeypatch):
     for name in ("certified-relation", "thm-a-refutation"):
         r = fx.get_fixture(name).build()
         for y in r.target.elements:
-            triviality_oracle(source_local_data(r, y))
+            triviality_oracle(source_local_data(r, y), DEFAULT_BUDGET)
         for x in r.source.elements:
-            triviality_oracle(target_local_data(r, x))
+            triviality_oracle(target_local_data(r, x), DEFAULT_BUDGET)
 
 
 # -- the cellular chain complex of a simplicial poset ---------------------------

@@ -37,6 +37,7 @@ from finitetopo.formats import (
     relation_from_json,
     relation_to_json,
 )
+from finitetopo.reduction import DEFAULT_BUDGET
 from finitetopo.report import content_hash, hash_json
 from tests.test_complexes import as_cw
 from tests.test_poset import diamond
@@ -110,7 +111,7 @@ class TestJsonRoundTrips:
 
     def test_certificate_with_nested_evidence(self):
         p = fx.REGISTRY["collapsible-noncontractible"].build()
-        v = is_collapsible(p)
+        v = is_collapsible(p, DEFAULT_BUDGET)
         data = v.certificate.to_json_dict()
         back = certificate_from_json(json.loads(json.dumps(data)))
         assert back == v.certificate

@@ -440,26 +440,30 @@ class TestMapperPipeline:
 
     @pytest.mark.parametrize("cloud", ["circle-60", "figure-eight-80"])
     def test_pipeline_turns_no_mask_into_names_and_back(self, cloud, monkeypatch):
-        """Parts, intersections and components stay masks of the cloud's
-        discrete poset: no identifier is looked up, and no mask of that
-        poset is spelled out as names."""
+        """Each part is built once from its points' identifiers; from there
+        on parts, intersections and components stay masks of the cloud's
+        discrete poset: no other mask is built from names, and no mask of
+        that poset is spelled out as names."""
         fixture = fx.get_fixture(cloud)
         pc, params = fixture.build(), fixture.params
-        names = Poset._names
+        names, mask_of = Poset._names, Poset._mask_of
+        built = []
 
-        def no_mask_of(poset, members):
-            raise AssertionError("a mask was built from names")
+        def counted_mask_of(poset, members):
+            built.append(len(poset))
+            return mask_of(poset, members)
 
         def guarded_names(poset, mask):
             if len(poset) == len(pc):
                 raise AssertionError("a mask of the cloud's poset was turned into names")
             return names(poset, mask)
 
-        monkeypatch.setattr(Poset, "_mask_of", no_mask_of)
+        monkeypatch.setattr(Poset, "_mask_of", counted_mask_of)
         monkeypatch.setattr(Poset, "_names", guarded_names)
         result = mapper_completion(
             pc, parse_filter(params["filter"]), IntervalCover(params["intervals"], params["overlap"]), params["epsilon"]
         )
+        assert built == [len(pc)] * len(result.parts)
         out = result.to_json_dict()
         golden = os.path.join(os.path.dirname(__file__), "golden", f"mapper-{cloud}-completion.json")
         with open(golden, encoding="utf-8") as fh:

@@ -30,7 +30,7 @@ from finitetopo import (
 from finitetopo import fixtures as fx
 from finitetopo import nerve as nerve_module
 from finitetopo.nerve import NERVE_VARIANTS, intersecting_families
-from finitetopo.reduction import DEFAULT_BUDGET, triviality_oracle
+from finitetopo.reduction import DEFAULT_BUDGET, shared_oracle, triviality_oracle
 from tests.test_poset import greatest
 
 
@@ -95,26 +95,26 @@ class TestComplexCover:
 
 class TestClassifyCover:
     def test_star_cover_is_good(self):
-        cls = classify_cover(star_cover())
+        cls = classify_cover(star_cover(), shared_oracle(DEFAULT_BUDGET))
         assert cls.status == "good"
         assert cls.is_good
         assert cls.failing == []
 
     def test_two_arc_cover_is_quasi_good_not_good(self):
-        cls = classify_cover(two_arc_cover())
+        cls = classify_cover(two_arc_cover(), shared_oracle(DEFAULT_BUDGET))
         assert cls.status == "quasi-good"
         assert not cls.is_good
 
     def test_single_part_circle_is_neither(self):
         p = fx.six_cycle()
         cov = PosetCover(p, {"A": list(p.elements)})
-        cls = classify_cover(cov)
+        cls = classify_cover(cov, shared_oracle(DEFAULT_BUDGET))
         assert cls.status == "neither"
         # failing is reported per component
         assert cls.failing == ["A|x0"]
 
     def test_json_shape(self):
-        d = classify_cover(star_cover()).to_json_dict()
+        d = classify_cover(star_cover(), shared_oracle(DEFAULT_BUDGET)).to_json_dict()
         assert d["status"] == "good"
         assert set(d["intersections"]) == {"U0", "U1", "U2", "U0,U1", "U0,U2", "U1,U2"}
 
@@ -122,24 +122,24 @@ class TestClassifyCover:
 class TestTrivialSubnerve:
     def test_star_cover_keeps_everything(self):
         cov = star_cover()
-        sub = trivial_subnerve(cov, classify_cover(cov))
+        sub = trivial_subnerve(cov, classify_cover(cov, shared_oracle(DEFAULT_BUDGET)))
         assert sub.decided
         assert set(sub.poset.elements) == set(cov.nerve_poset().elements)
 
     def test_two_arc_cover_drops_the_disconnected_intersection(self):
         cov = two_arc_cover()
-        sub = trivial_subnerve(cov, classify_cover(cov))
+        sub = trivial_subnerve(cov, classify_cover(cov, shared_oracle(DEFAULT_BUDGET)))
         assert set(cov.nerve_poset().elements) - set(sub.poset.elements) == {"A,B"}
 
     def test_point_subnerve_has_maximum_for_good_cover(self):
         cov = star_cover()
-        sub = trivial_subnerve(cov, classify_cover(cov))
+        sub = trivial_subnerve(cov, classify_cover(cov, shared_oracle(DEFAULT_BUDGET)))
         for x in cov.base.elements:
             assert greatest(point_subnerve(sub, x)) is not None
 
     def test_point_subnerve_unknown_element(self):
         cov = star_cover()
-        sub = trivial_subnerve(cov, classify_cover(cov))
+        sub = trivial_subnerve(cov, classify_cover(cov, shared_oracle(DEFAULT_BUDGET)))
         with pytest.raises(InputError):
             point_subnerve(sub, "zz")
 
@@ -184,27 +184,27 @@ class TestCompletionCW:
 class TestVerifyNerveTheorem:
     def test_unknown_variant(self):
         with pytest.raises(InputError, match="variant"):
-            verify_nerve_theorem(star_cover(), "bogus")
+            verify_nerve_theorem(star_cover(), "bogus", shared_oracle(DEFAULT_BUDGET))
 
     def test_good_poset_variant_certifies_star_cover(self):
-        rep = verify_nerve_theorem(star_cover(), "good-poset")
+        rep = verify_nerve_theorem(star_cover(), "good-poset", shared_oracle(DEFAULT_BUDGET))
         assert rep.status is Status.CERTIFIED
         assert rep.homology_equal is True
         assert rep.base_homology.betti == (1, 1)
         assert rep.nerve_homology.betti == (1, 1)
 
     def test_x_zero_variant_certifies_star_cover(self):
-        rep = verify_nerve_theorem(star_cover(), "x-zero")
+        rep = verify_nerve_theorem(star_cover(), "x-zero", shared_oracle(DEFAULT_BUDGET))
         assert rep.status is Status.CERTIFIED
         assert rep.homology_equal is True
 
     def test_quasi_good_variant_certifies_two_arc_cover(self):
-        rep = verify_nerve_theorem(two_arc_cover(), "quasi-good")
+        rep = verify_nerve_theorem(two_arc_cover(), "quasi-good", shared_oracle(DEFAULT_BUDGET))
         assert rep.status is Status.CERTIFIED
         assert rep.homology_equal is True
 
     def test_good_variant_rejects_merely_quasi_good_cover(self):
-        rep = verify_nerve_theorem(two_arc_cover(), "good-poset")
+        rep = verify_nerve_theorem(two_arc_cover(), "good-poset", shared_oracle(DEFAULT_BUDGET))
         assert rep.status is Status.REFUTED
         assert rep.detail["failing"] == ["A,B"]
 
@@ -212,11 +212,11 @@ class TestVerifyNerveTheorem:
         p = fx.six_cycle()
         cov = PosetCover(p, {"A": list(p.elements)})
         for variant in ("good-poset", "quasi-good"):
-            rep = verify_nerve_theorem(cov, variant)
+            rep = verify_nerve_theorem(cov, variant, shared_oracle(DEFAULT_BUDGET))
             assert rep.status is Status.REFUTED
 
     def test_certificates_replay_on_membership_cylinder(self):
-        rep = verify_nerve_theorem(star_cover(), "good-poset")
+        rep = verify_nerve_theorem(star_cover(), "good-poset", shared_oracle(DEFAULT_BUDGET))
         eq = rep.equivalence
         cyl = eq.cylinder
         base_final = replay_poset_certificate(cyl.poset, eq.to_source)
@@ -225,11 +225,11 @@ class TestVerifyNerveTheorem:
         assert set(nerve_final.elements) == set(cyl.target_part)
 
     def test_complex_cover_is_normalized(self):
-        rep = verify_nerve_theorem(fx.example_3_12_cover(), "quasi-good")
+        rep = verify_nerve_theorem(fx.example_3_12_cover(), "quasi-good", shared_oracle(DEFAULT_BUDGET))
         assert rep.status is Status.CERTIFIED
 
     def test_json_shape(self):
-        d = verify_nerve_theorem(star_cover(), "good-poset").to_json_dict()
+        d = verify_nerve_theorem(star_cover(), "good-poset", shared_oracle(DEFAULT_BUDGET)).to_json_dict()
         assert d["variant"] == "good-poset"
         assert d["status"] == "Certified"
         assert "equivalence" in d and "classification" in d
@@ -237,7 +237,7 @@ class TestVerifyNerveTheorem:
 
 class TestVerifyCorollaryCompletion:
     def test_example_3_12(self):
-        rep = verify_corollary_completion(fx.example_3_12_cover())
+        rep = verify_corollary_completion(fx.example_3_12_cover(), shared_oracle(DEFAULT_BUDGET))
         assert rep.status is Status.CERTIFIED
         assert rep.completion.f_vector() == (2, 2)
         assert rep.base_homology.betti == (1, 1)
@@ -283,13 +283,13 @@ def test_intersecting_families_of_masks_match_brute_force(named):
 @settings(max_examples=10)
 def test_random_good_covers_satisfy_both_statements(seed: int):
     cov = fx.random_good_cover(random.Random(seed))
-    cls = classify_cover(cov)
+    cls = classify_cover(cov, shared_oracle(DEFAULT_BUDGET))
     assert cls.is_good
     sub = trivial_subnerve(cov, cls)
     assert set(sub.poset.elements) == set(cov.nerve_poset().elements)
     for x in cov.base.elements:
         assert greatest(point_subnerve(sub, x)) is not None
-    rep = verify_nerve_theorem(cov, "good-poset")
+    rep = verify_nerve_theorem(cov, "good-poset", shared_oracle(DEFAULT_BUDGET))
     assert rep.status is Status.CERTIFIED and rep.homology_equal
 
 
@@ -297,7 +297,7 @@ def test_random_good_covers_satisfy_both_statements(seed: int):
 @settings(max_examples=10)
 def test_random_quasi_good_covers_match_completion(seed: int):
     cov = fx.random_quasi_good_cover(random.Random(seed))
-    rep = verify_nerve_theorem(cov, "quasi-good")
+    rep = verify_nerve_theorem(cov, "quasi-good", shared_oracle(DEFAULT_BUDGET))
     assert rep.status is Status.CERTIFIED and rep.homology_equal
 
 
@@ -353,12 +353,12 @@ def test_nerve_statements_read_the_table_of_intersections(monkeypatch):
 
     monkeypatch.setattr(nerve_module, "intersecting_families", counted)
     for cov in built:
-        classify_cover(cov)
+        classify_cover(cov, shared_oracle(DEFAULT_BUDGET))
         for variant in NERVE_VARIANTS:
-            verify_nerve_theorem(cov, variant)
+            verify_nerve_theorem(cov, variant, shared_oracle(DEFAULT_BUDGET))
         completion_poset(cov)
         if isinstance(cov, ComplexCover):
-            assert verify_corollary_completion(cov).status is Status.CERTIFIED
+            assert verify_corollary_completion(cov, shared_oracle(DEFAULT_BUDGET)).status is Status.CERTIFIED
     result = mapper_completion(
         cloud, parse_filter(params["filter"]), IntervalCover(params["intervals"], params["overlap"]), params["epsilon"]
     )
@@ -389,7 +389,7 @@ def test_classification_asks_once_per_distinct_piece(monkeypatch):
     pieces = [(piece.poset, piece.mask) for w in cover.intersections().values() for piece in w.components()]
     assert (len(pieces), len(set(pieces))) == (7, 5)
     asked = record_oracle_calls(monkeypatch)
-    shared = classify_cover(cover)
+    shared = classify_cover(cover, shared_oracle(DEFAULT_BUDGET))
     assert sorted(mask for _, mask in asked) == sorted({mask for _, mask in pieces})
     assert classify_cover(cover, unshared()).to_json_dict() == shared.to_json_dict()
 
@@ -399,11 +399,11 @@ def test_membership_loop_asks_once_per_distinct_family(monkeypatch):
     the trivial subnerve: the oracle decides each once, and the report is the
     one that asks once per element."""
     cover = fx.random_good_cover(random.Random(0), 10)
-    sub = trivial_subnerve(cover, classify_cover(cover))
+    sub = trivial_subnerve(cover, classify_cover(cover, shared_oracle(DEFAULT_BUDGET)))
     families = [(f.poset, f.mask) for f in (point_subnerve(sub, x) for x in cover.base.elements)]
     assert (len(families), len(set(families))) == (10, 5)
     asked = record_oracle_calls(monkeypatch)
-    shared = verify_nerve_theorem(cover, "x-zero")
+    shared = verify_nerve_theorem(cover, "x-zero", shared_oracle(DEFAULT_BUDGET))
     assert shared.status is Status.CERTIFIED
     # the cylinder's local data live in the base and in the opposite of the subnerve
     assert sub.poset not in (cover.base, sub.poset.opposite())
@@ -413,7 +413,7 @@ def test_membership_loop_asks_once_per_distinct_family(monkeypatch):
 
 
 def statements(cover) -> list:
-    """(name, check taking a table or nothing) for every statement the cover
+    """(name, check taking a table) for every statement the cover
     can be put to: each nerve variant, and the corollary on a complex cover."""
     checks = [(variant, partial(verify_nerve_theorem, cover, variant)) for variant in NERVE_VARIANTS]
     if isinstance(cover, ComplexCover):
@@ -440,6 +440,6 @@ def test_no_statement_decides_a_subspace_twice(monkeypatch, cover):
     asked = record_oracle_calls(monkeypatch)
     for name, check in statements(cover):
         asked.clear()
-        shared = check()
+        shared = check(shared_oracle(DEFAULT_BUDGET))
         assert [key for key, n in Counter(asked).items() if n > 1] == [], name
         assert check(unshared()).to_json_dict() == shared.to_json_dict(), name

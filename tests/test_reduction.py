@@ -39,7 +39,7 @@ import finitetopo.nerve as nerve_mod
 from finitetopo import fixtures as fx
 from finitetopo.cylinder import build_cylinder
 from finitetopo.homology import _poset_homology
-from finitetopo.reduction import DEFAULT_BUDGET
+from finitetopo.reduction import DEFAULT_BUDGET, shared_oracle
 from tests.test_poset import diamond, greatest, least, posets, punctured_up, shuffled_posets
 
 
@@ -101,7 +101,7 @@ class TestCore:
 class TestDismantlable:
     def test_chain_is_dismantlable(self):
         # the oracle tries a dismantling before any collapse search
-        v = triviality_oracle(chain(4))
+        v = triviality_oracle(chain(4), DEFAULT_BUDGET)
         assert v.is_trivial and v.reason == "dismantling"
         assert v.certificate is not None
         assert v.certificate.is_dismantling()
@@ -119,25 +119,25 @@ class TestWeakPoints:
 class TestGammaPoints:
     def test_gamma_subsumes_weak(self):
         p = weak_not_beat()
-        gammas, unknowns = find_gamma_points(p)
+        gammas, unknowns = find_gamma_points(p, shared_oracle(DEFAULT_BUDGET))
         assert ("x", "gamma-down") in gammas
         assert unknowns == []
 
     def test_circle_model_has_no_gamma_points(self):
-        gammas, unknowns = find_gamma_points(fx.six_cycle())
+        gammas, unknowns = find_gamma_points(fx.six_cycle(), shared_oracle(DEFAULT_BUDGET))
         assert gammas == [] and unknowns == []
 
 
 class TestCollapseSearch:
     def test_collapse_onto_subposet(self):
         p = chain(4)
-        cert, report = collapse_search(p, ["c0"])
+        cert, report = collapse_search(p, ["c0"], DEFAULT_BUDGET)
         assert cert is not None
         assert replay_poset_certificate(p, cert).elements == ("c0",)
 
     def test_unknown_target_element(self):
         with pytest.raises(InputError, match="not in the poset"):
-            collapse_search(chain(3), ["z"])
+            collapse_search(chain(3), ["z"], DEFAULT_BUDGET)
 
     def test_budget_exhaustion_is_reported(self):
         p = fx.REGISTRY["collapsible-noncontractible"].build()
@@ -150,33 +150,33 @@ class TestCollapseSearch:
 
         p = chain(1200)
         assert len(p) > sys.getrecursionlimit()
-        v = is_collapsible(p)
+        v = is_collapsible(p, DEFAULT_BUDGET)
         assert v.is_trivial
         assert len(v.certificate.steps) == 1199
         assert len(replay_poset_certificate(p, v.certificate)) == 1
-        cert, report = collapse_search(p, ["c0"])
+        cert, report = collapse_search(p, ["c0"], DEFAULT_BUDGET)
         assert replay_poset_certificate(p, cert).elements == ("c0",)
         assert report["complete"] is True
 
 
 class TestTrivialityOracle:
     def test_point(self):
-        v = triviality_oracle(Poset(["x"]))
+        v = triviality_oracle(Poset(["x"]), DEFAULT_BUDGET)
         assert v.is_trivial
 
     def test_disconnected(self):
-        v = triviality_oracle(Poset("ab"))
+        v = triviality_oracle(Poset("ab"), DEFAULT_BUDGET)
         assert v.is_nontrivial
         assert v.reason == "disconnected"
 
     def test_homology_obstruction(self):
-        v = triviality_oracle(fx.six_cycle())
+        v = triviality_oracle(fx.six_cycle(), DEFAULT_BUDGET)
         assert v.is_nontrivial
         assert v.reason == "homology"
         assert v.detail["degree"] == 1
 
     def test_empty(self):
-        assert triviality_oracle(Poset([])).is_nontrivial
+        assert triviality_oracle(Poset([]), DEFAULT_BUDGET).is_nontrivial
 
 
 class TestCollapsibleNoncontractibleFixture:
@@ -193,12 +193,12 @@ class TestCollapsibleNoncontractibleFixture:
 
     def test_not_dismantlable(self):
         # the oracle tries a dismantling first, so a collapse means there is none
-        v = triviality_oracle(self.p)
+        v = triviality_oracle(self.p, DEFAULT_BUDGET)
         assert v.is_trivial and v.reason == "collapse"
         assert len(core(self.p)[0]) == 22
 
     def test_collapsible_with_replaying_certificate(self):
-        v = is_collapsible(self.p)
+        v = is_collapsible(self.p, DEFAULT_BUDGET)
         assert v.is_trivial
         final = replay_poset_certificate(self.p, v.certificate)
         assert len(final) == 1
@@ -295,7 +295,7 @@ class TestCollapseTranslation:
 
     def test_collapse_certificate_with_a_weak_step_translates(self):
         p = fx.REGISTRY["collapsible-noncontractible"].build()
-        cert = is_collapsible(p).certificate
+        cert = is_collapsible(p, DEFAULT_BUDGET).certificate
         assert "down-weak" in {step.kind for step in cert.steps}
         simp = collapse_to_simplicial(p, cert)
         (vertex,) = replay_simplicial_certificate(order_complex(p), simp)
@@ -415,7 +415,7 @@ def test_weak_points_match_their_definition(p: Poset):
 @given(posets(max_size=6))
 @settings(max_examples=40)
 def test_weak_points_are_gamma_points(p: Poset):
-    gammas, unknowns = find_gamma_points(p)
+    gammas, unknowns = find_gamma_points(p, shared_oracle(DEFAULT_BUDGET))
     decided = set(gammas) | set(unknowns)
     rename = {"up-weak": "gamma-up", "down-weak": "gamma-down"}
     for e, kind in find_weak_points(p):
@@ -500,7 +500,7 @@ def test_no_oracle_path_builds_an_induced_poset(monkeypatch):
     posets += [build_cylinder(r).poset for r in relations]
     # the x-zero target, the trivial subnerve, is an induced poset of the
     # nerve poset: it is built before induced() is barred
-    subnerves = {id(c): nerve_mod.trivial_subnerve(c, classify_cover(c)) for c in covers}
+    subnerves = {id(c): nerve_mod.trivial_subnerve(c, classify_cover(c, shared_oracle(DEFAULT_BUDGET))) for c in covers}
 
     def barred(self, *members):
         raise AssertionError("an induced poset was built")
@@ -509,14 +509,14 @@ def test_no_oracle_path_builds_an_induced_poset(monkeypatch):
     monkeypatch.setattr(ElementSet, "induced", barred)
     monkeypatch.setattr(nerve_mod, "trivial_subnerve", lambda c, classification: subnerves[id(c)])
     for r in relations:
-        check_source_retraction(r)
-        check_target_retraction(r)
+        check_source_retraction(r, shared_oracle(DEFAULT_BUDGET))
+        check_target_retraction(r, shared_oracle(DEFAULT_BUDGET))
         verify_homology_equivalence(r, 1)
     for c in covers:
-        classify_cover(c)
-        verify_nerve_theorem(c, "x-zero")
+        classify_cover(c, shared_oracle(DEFAULT_BUDGET))
+        verify_nerve_theorem(c, "x-zero", shared_oracle(DEFAULT_BUDGET))
     for p in posets:
-        find_gamma_points(p)
+        find_gamma_points(p, shared_oracle(DEFAULT_BUDGET))
 
 
 def test_oracle_path_never_turns_names_into_masks(monkeypatch):
@@ -536,7 +536,7 @@ def test_oracle_path_never_turns_names_into_masks(monkeypatch):
     for p in posets:
         for e in p.elements:
             for sub in (p.down_set(e), p.up_set(e), p.punctured_down(e), punctured_up(p, e)):
-                triviality_oracle(sub)
-        find_gamma_points(p)
+                triviality_oracle(sub, DEFAULT_BUDGET)
+        find_gamma_points(p, shared_oracle(DEFAULT_BUDGET))
     for c in covers:
-        classify_cover(c)
+        classify_cover(c, shared_oracle(DEFAULT_BUDGET))

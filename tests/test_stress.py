@@ -25,6 +25,7 @@ from finitetopo import (
     verify_nerve_theorem,
 )
 from finitetopo.cli import main
+from finitetopo.reduction import DEFAULT_BUDGET, shared_oracle
 
 pytestmark = pytest.mark.slow
 
@@ -43,7 +44,7 @@ def test_relation_equivalence_sweep():
     rng = random.Random(777002)
     for i in range(400):
         rel = fx.beat_retraction_relation(rng, rng.randint(2, 10))
-        rep = verify_equivalence(rel)
+        rep = verify_equivalence(rel, shared_oracle(DEFAULT_BUDGET))
         assert rep.status is Status.CERTIFIED, (i, rep.status)
         cyl = build_cylinder(rel)
         down = replay_poset_certificate(cyl.poset, rep.to_source)
@@ -53,10 +54,10 @@ def test_relation_equivalence_sweep():
 def test_cover_sweep():
     rng = random.Random(777003)
     for i in range(250):
-        rep = verify_nerve_theorem(fx.random_good_cover(rng), "good-poset")
+        rep = verify_nerve_theorem(fx.random_good_cover(rng), "good-poset", shared_oracle(DEFAULT_BUDGET))
         assert rep.status is Status.CERTIFIED and rep.homology_equal, i
     for i in range(250):
-        rep = verify_nerve_theorem(fx.random_quasi_good_cover(rng), "quasi-good")
+        rep = verify_nerve_theorem(fx.random_quasi_good_cover(rng), "quasi-good", shared_oracle(DEFAULT_BUDGET))
         assert rep.status is Status.CERTIFIED and rep.homology_equal, i
 
 

@@ -82,7 +82,7 @@ def test_every_homology_read_records_a_span():
     r = fixture.build()
     tracer.install()
     try:
-        reduction.triviality_oracle(fx.six_cycle().down_set("y0"))
+        reduction.triviality_oracle(fx.six_cycle().down_set("y0"), reduction.DEFAULT_BUDGET)
         cylinder.verify_homology_equivalence(r, fixture.params["degree"])
     finally:
         tracer.uninstall()
