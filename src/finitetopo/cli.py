@@ -46,7 +46,7 @@ from .formats import (
     poset_to_json,
     read_text_file,
 )
-from .homology import HomologyProfile, euler_characteristic, homology
+from .homology import HomologyProfile, _poset_homology, euler_characteristic, homology
 from .mapper import IntervalCover, PointCloud, mapper_completion, parse_filter
 from .nerve import (
     ComplexCover,
@@ -624,7 +624,8 @@ def main(argv=None) -> int:
     Every call parses with the one parser built when the module is
     loaded, so a caller that runs many commands in one process (the tests,
     code that embeds the CLI) does not rebuild its ten subcommands each
-    time."""
+    time; it empties the homology cache, so no command reads another's."""
+    _poset_homology.cache_clear()
     try:
         args = _PARSER.parse_args(argv)
         for flag, (name, cast, fallback) in ENV_DEFAULTS.items():

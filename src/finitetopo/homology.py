@@ -11,7 +11,8 @@ a simplex (a simplicial poset: face posets, subdivisions, nerves,
 completions) skips the order complex: its cellular chain complex has one
 generator per element (`cellular_chain_complex`), and the same homology.
 `homology()` is the one entry point, also for the subspace an element set
-spans; it caches one unreduced profile per (poset, mask).
+spans; it caches one unreduced profile per order, which subspaces of
+any poset share, and each command (`cli.main`) starts with it empty.
 
 Smith normal form runs in two phases, after Dumas, Saunders and
 Villard (J. Symbolic Comput. 32, 2001): phase 1 eliminates
@@ -46,13 +47,13 @@ calls it, only the tests do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 
 from . import complexes
 from .complexes import IntegerMatrix
-from .poset import ElementSet, Poset, _iter_bits
+from .poset import ElementSet, Poset, _iter_bits, bit_list
 
 
 _VERIFY_LIMIT = 50
@@ -353,15 +354,36 @@ def _reduced(plain: HomologyProfile) -> HomologyProfile:
     return HomologyProfile((plain.betti[0] - 1,) + plain.betti[1:], plain.torsion, True)
 
 
+@dataclass(frozen=True)
+class _Order:
+    """A subspace's key in the homology cache: the up-set of each member
+    inside the mask, renumbered 0…k−1 in index order.  The builders read
+    nothing else, so equal orders give identical boundary matrices.  The
+    subspace rides along, outside comparison and hash, for a miss to build
+    from."""
+
+    up: tuple[int, ...]
+    subspace: ElementSet = field(compare=False)
+
+
+def _order(s: ElementSet) -> _Order:
+    p, mask = s.poset, s.mask
+    if mask == p.full_mask():
+        return _Order(tuple(p._up), s)
+    bit = {i: 1 << r for r, i in enumerate(bit_list(mask))}
+    return _Order(tuple(sum(bit[j] for j in _iter_bits(p._up[i] & mask)) for i in bit), s)
+
+
 @lru_cache(maxsize=8192)
-def _poset_homology(p: Poset, mask: int) -> HomologyProfile:
-    """Unreduced homology of the subspace of p that mask spans, from its
-    cellular chain complex when it is a simplicial poset, else from its
-    order complex's chains; cached per (p, mask), and `homology()` reads
-    the reduced profile off the same entry."""
-    chain = complexes.cellular_chain_complex(p, mask)
+def _poset_homology(order: _Order) -> HomologyProfile:
+    """Unreduced homology of a subspace, from its cellular chain complex
+    when it is a simplicial poset, else from its order complex's chains.
+    One entry per order: the first subspace of each order is built, with
+    every check, and later ones, the reduced profile too, read it."""
+    s = order.subspace
+    chain = complexes.cellular_chain_complex(s.poset, s.mask)
     if chain is None:
-        chain = complexes.chain_complex(p, mask)
+        chain = complexes.chain_complex(s.poset, s.mask)
     return profile_from_chain_complex(chain)
 
 
@@ -376,7 +398,7 @@ def homology(obj, reduced: bool = False) -> HomologyProfile:
     if isinstance(obj, Poset):
         obj = ElementSet(obj, obj.full_mask())
     if isinstance(obj, ElementSet):
-        plain = _poset_homology(obj.poset, obj.mask)
+        plain = _poset_homology(_order(obj))
     elif isinstance(obj, complexes.SimplicialComplex):
         plain = profile_from_chain_complex(complexes.chain_complex(obj))
     else:

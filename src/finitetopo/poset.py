@@ -56,12 +56,12 @@ def extremum(reach: list[int], subset: int) -> int | None:
 
 class Poset:
     def __init__(self, elements: Iterable[str], relations: Iterable[tuple[str, str]] = ()):
-        # deduplicated in input order, so that sorted input sorts in one pass
-        elems = sorted(dict.fromkeys(elements))
+        elems = list(elements)
         for e in elems:
             if not isinstance(e, str) or e == "":
                 raise InputError(f"element identifiers must be non-empty strings, got {e!r}")
-        self.elements: tuple[str, ...] = tuple(elems)
+        # deduplicated in input order, so that sorted input sorts in one pass
+        self.elements: tuple[str, ...] = tuple(sorted(dict.fromkeys(elems)))
         n = len(self.elements)
         self._index: dict[str, int] = dict(zip(self.elements, range(n)))
 

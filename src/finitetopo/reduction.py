@@ -337,9 +337,9 @@ def replay_poset_certificate(p: Poset, cert: ReductionCertificate) -> Poset:
 # -- simplicial collapses -----------------------------------------------------
 
 
-def _proper_cofaces(faces: set[tuple[str, ...]], s: tuple[str, ...]) -> list[tuple[str, ...]]:
-    ss = set(s)
-    return [t for t in faces if len(t) > len(s) and ss.issubset(t)]
+def _facets(t: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """The codimension-one faces of t; a vertex has none."""
+    return [t[:i] + t[i + 1:] for i in range(len(t))] if len(t) > 1 else []
 
 
 def simplex_token(simplex: Iterable[str]) -> str:
@@ -351,8 +351,18 @@ def token_simplex(token: str) -> tuple[str, ...]:
 
 
 def replay_simplicial_certificate(k: SimplicialComplex, cert: ReductionCertificate) -> frozenset:
-    """Re-verify freeness of every removed pair; returns the remaining faces."""
+    """Re-verify freeness of every removed pair; returns the remaining faces.
+
+    What free pairs leave is a complex, so t is the one proper coface of
+    s when it is the one codimension-one coface of s left (a coface t ∪ {w}
+    of t would leave s ∪ {w} beside it), read from an index of those
+    cofaces built once and updated as pairs go.
+    """
     faces = set(k.faces)
+    cofaces: dict[tuple[str, ...], set[tuple[str, ...]]] = {f: set() for f in faces}
+    for t in faces:
+        for f in _facets(t):
+            cofaces[f].add(t)
     for step in cert.steps:
         if step.kind != "simplicial-collapse":
             raise ReplayError(f"step kind {step.kind!r} is not a simplicial step")
@@ -360,11 +370,12 @@ def replay_simplicial_certificate(k: SimplicialComplex, cert: ReductionCertifica
         t = token_simplex(step.removed[1])
         if s not in faces or t not in faces:
             raise ReplayError(f"pair ({s}, {t}) is not present")
-        cof = _proper_cofaces(faces, s)
-        if cof != [t]:
+        if cofaces[s] != {t}:
             raise ReplayError(f"face {s} is not free with coface {t}")
-        faces.discard(s)
-        faces.discard(t)
+        for u in (s, t):
+            faces.remove(u)
+            for f in _facets(u):
+                cofaces[f].discard(u)
     return frozenset(faces)
 
 

@@ -720,6 +720,14 @@ class TestMalformedJson:
         assert main(["cylinder", "build", str(path)]) == 3
         assert capsys.readouterr().err.startswith(f"error: {path}: malformed relation JSON: ")
 
+    def test_a_poset_element_that_is_no_string_is_named(self, capsys, tmp_path):
+        """Identifiers are checked before they are sorted, so [1, "a"] is an
+        input error naming 1, not a failed comparison of int and str."""
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"elements": [1, "a"], "relations": []}))
+        assert main(["homology", str(path)]) == 3
+        assert capsys.readouterr().err == "error: element identifiers must be non-empty strings, got 1\n"
+
     def test_in_a_batch_the_file_is_one_input_error(self, capsys, tmp_path):
         (tmp_path / "bad.json").write_text(json.dumps(
             {"kind": "complex", "theorem": "dictionary", "expected_status": "Certified",

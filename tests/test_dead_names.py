@@ -65,6 +65,7 @@ SHARED = {
 
 PRIVATE_IMPORTS = {
     "poset._iter_bits": "the bit loop that every module reading masks shares",
+    "homology._poset_homology": "the homology cache, which cli.main empties when a command starts",
 }
 
 

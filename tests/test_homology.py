@@ -879,7 +879,14 @@ def test_every_cellular_pair_and_small_matrix_is_checked(monkeypatch):
         cellular_chain_complex(face_poset(fx.boundary_delta(2)))
 
 
-# -- one profile per (poset, mask) -------------------------------------------
+# -- one profile per order ---------------------------------------------------
+
+
+def hand_reduced(plain: HomologyProfile) -> HomologyProfile:
+    """b0 − 1 on a non-empty space, no degrees at all on the empty one."""
+    if not plain.betti:
+        return HomologyProfile((), (), reduced=True)
+    return HomologyProfile((plain.betti[0] - 1,) + plain.betti[1:], plain.torsion, reduced=True)
 
 
 @given(posets_and_masks(count=1))
@@ -892,20 +899,15 @@ def test_reduced_profile_is_the_builder_reduced_profile(case):
     complex's profile reduced by hand: b0 − 1 on a non-empty mask, no
     degrees at all on the empty one, torsion unchanged."""
     p, mask = case
-    chain = cellular_chain_complex(p, mask) or chain_complex(p, mask)
-    plain = profile_from_chain_complex(chain)
-    if mask:
-        expected = HomologyProfile((plain.betti[0] - 1,) + plain.betti[1:], plain.torsion, reduced=True)
-    else:
-        expected = HomologyProfile((), (), reduced=True)
+    plain = profile_from_chain_complex(cellular_chain_complex(p, mask) or chain_complex(p, mask))
     _poset_homology.cache_clear()
-    assert homology(ElementSet(p, mask), reduced=True) == expected
+    assert homology(ElementSet(p, mask), reduced=True) == hand_reduced(plain)
     assert homology(ElementSet(p, mask)) == plain
 
 
 def test_one_chain_complex_per_subspace(monkeypatch):
-    """The reduced and the unreduced profile of one (poset, mask) reduce
-    its chain complex once, in either order."""
+    """The reduced and the unreduced profile of one subspace read one
+    entry, its order's, and reduce its chain complex once, in either order."""
     reduced_calls = []
     profile = homology_module.profile_from_chain_complex
     monkeypatch.setattr(
@@ -925,9 +927,38 @@ def test_one_chain_complex_per_subspace(monkeypatch):
 @example((Poset([]), 0), True)
 @example((fx.six_cycle(), 0b11), True)
 def test_a_subspace_has_the_homology_of_its_induced_poset(case, reduced):
+    """Against the induced poset's own builders: s and s.induced() have one
+    order, so through `homology()` both would read the same entry."""
     p, mask = case
     s = ElementSet(p, mask)
-    assert homology(s, reduced=reduced) == homology(s.induced(), reduced=reduced)
+    q = s.induced()
+    plain = profile_from_chain_complex(cellular_chain_complex(q) or chain_complex(q))
+    assert homology(s, reduced=reduced) == (hand_reduced(plain) if reduced else plain)
+
+
+def brute_force_order(p: Poset, mask: int) -> frozenset:
+    """The order a mask spans, as the pairs (a, b) of member positions,
+    counted in index order, with the a-th member at most the b-th."""
+    members = [e for i, e in enumerate(p.elements) if mask >> i & 1]
+    return frozenset((a, b) for a, x in enumerate(members) for b, y in enumerate(members) if p.le(x, y))
+
+
+@given(posets_and_masks(count=6))
+@example((fx.six_cycle(), 0, 0b1, 0b10, 0b11, 0b101, fx.six_cycle().full_mask()))
+def test_the_cache_holds_one_entry_per_order(case):
+    """Random subspaces, every single element and the empty one: as many
+    entries as distinct orders.  A copy under new identifiers in the same
+    index order reads the same entries and gives identical profiles."""
+    p, *masks = case
+    masks += [1 << i for i in range(len(p))] + [0]
+    _poset_homology.cache_clear()
+    profiles = [homology(ElementSet(p, mask)) for mask in masks]
+    assert _poset_homology.cache_info().currsize == len({brute_force_order(p, mask) for mask in masks})
+    renamed = Poset(["z" + e for e in p.elements], [("z" + a, "z" + b) for a, b in p.cover_pairs])
+    entries, hits = _poset_homology.cache_info().currsize, _poset_homology.cache_info().hits
+    assert [homology(ElementSet(renamed, mask)) for mask in masks] == profiles
+    assert _poset_homology.cache_info().currsize == entries
+    assert _poset_homology.cache_info().hits == hits + len(masks)
 
 
 @pytest.mark.parametrize("s", [
@@ -935,8 +966,9 @@ def test_a_subspace_has_the_homology_of_its_induced_poset(case, reduced):
     ElementSet(build_cylinder(fx.get_fixture("certified-relation").build()).poset, 0b1011),
 ], ids=["cellular", "order-complex"])
 def test_the_cache_holds_one_entry_per_subspace(monkeypatch, s: ElementSet):
-    """The reduced profile and then the unreduced one: one cache entry and
-    one chain complex, cellular or of the order complex."""
+    """The reduced profile and then the unreduced one: one cache entry, for
+    the subspace's order, and one chain complex, cellular or of the order
+    complex."""
     built = []
     for name in ("cellular_chain_complex", "chain_complex"):
         builder = getattr(complexes_module, name)

@@ -56,6 +56,12 @@ class TestConstruction:
         with pytest.raises(InputError):
             Poset(["", "a"])
 
+    @pytest.mark.parametrize("elements, bad", [([1, "a"], "1"), (["a", None], "None"), ([["a"], "b"], r"\['a'\]")],
+                             ids=["int-and-string", "none", "unhashable"])
+    def test_a_non_string_identifier_is_named_before_sorting(self, elements, bad):
+        with pytest.raises(InputError, match=f"^element identifiers must be non-empty strings, got {bad}$"):
+            Poset(elements)
+
     def test_self_relation_is_ignored(self):
         p = Poset("ab", [("a", "a"), ("a", "b")])
         assert p.cover_pairs == frozenset({("a", "b")})

@@ -1,5 +1,7 @@
+import itertools
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +15,7 @@ from finitetopo import (
     ReductionStep,
     Relation,
     ReplayError,
+    SimplicialComplex,
     check_source_retraction,
     check_target_retraction,
     classify_cover,
@@ -39,7 +42,7 @@ import finitetopo.nerve as nerve_mod
 from finitetopo import fixtures as fx
 from finitetopo.cylinder import build_cylinder
 from finitetopo.homology import _poset_homology
-from finitetopo.reduction import DEFAULT_BUDGET, shared_oracle
+from finitetopo.reduction import DEFAULT_BUDGET, shared_oracle, simplex_token
 from tests.test_poset import diamond, greatest, least, posets, punctured_up, shuffled_posets
 
 
@@ -283,6 +286,45 @@ class TestSimplicialCollapse:
         tampered = ReductionCertificate(cert.steps[1:])
         with pytest.raises(ReplayError):
             replay_simplicial_certificate(order_complex(p), tampered)
+
+    @pytest.mark.parametrize("s, t", [("a", "ab"), ("a", "abc"), ("ab", "ac")])
+    def test_a_pair_that_is_not_free_is_refused(self, s, t):
+        """In the triangle abc the vertex a lies in two edges and the
+        triangle, and ac is no coface of ab."""
+        with pytest.raises(ReplayError, match="is not free"):
+            replay_simplicial_certificate(TRIANGLE, collapses((s, t)))
+
+    def test_a_pair_whose_coface_still_has_a_coface_is_refused(self):
+        """(b, ab) is refused while ab lies in abc; after the free pair
+        (bc, abc) it replays, and it cannot be removed twice."""
+        with pytest.raises(ReplayError, match="is not free"):
+            replay_simplicial_certificate(TRIANGLE, collapses(("b", "ab")))
+        left = replay_simplicial_certificate(TRIANGLE, collapses(("bc", "abc"), ("b", "ab")))
+        assert left == {("a",), ("c",), ("a", "c")}
+        with pytest.raises(ReplayError, match="is not present"):
+            replay_simplicial_certificate(TRIANGLE, collapses(("bc", "abc"), ("b", "ab"), ("b", "ab")))
+
+    @pytest.mark.slow
+    def test_the_boolean_lattice_b6_translates_and_replays_in_seconds(self):
+        """All 64 subsets of six points: the core's 63 beat steps become
+        9,365 free pairs over the 18,731 chains, each checked in order."""
+        subsets = [frozenset(c) for k in range(7) for c in itertools.combinations(range(6), k)]
+        name = {s: "s" + "".join(map(str, sorted(s))) for s in subsets}
+        p = Poset(name.values(), [(name[s - {j}], name[s]) for s in subsets for j in s])
+        start = time.process_time()
+        simp = collapse_to_simplicial(p, core(p)[1])
+        assert len(simp.steps) == 9365 and len(order_complex(p).faces) == 18731
+        assert time.process_time() - start < 5
+
+
+TRIANGLE = SimplicialComplex([("a", "b", "c")])
+
+
+def collapses(*pairs: tuple[str, str]) -> ReductionCertificate:
+    """Simplicial collapse steps, each face given by its vertex letters."""
+    return ReductionCertificate(tuple(
+        ReductionStep("simplicial-collapse", (simplex_token(s), simplex_token(t))) for s, t in pairs
+    ))
 
 
 class TestCollapseTranslation:
