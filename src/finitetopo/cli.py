@@ -21,7 +21,7 @@ import sys
 from typing import Any, Dict, Optional, Tuple
 
 from . import fixtures as fixtures_mod
-from .certificates import Oracle, Status
+from .certificates import Oracle, StatementReport, Status
 from .complexes import RegularCWComplex, SimplicialComplex, face_poset
 from .cylinder import (
     Relation,
@@ -41,6 +41,7 @@ from .formats import (
     dot_cw,
     dot_poset,
     json_scalar,
+    named,
     object_from_json,
     parse_text,
     poset_to_json,
@@ -98,14 +99,15 @@ def load_object(path: str) -> Tuple[Optional[dict], Any]:
 
     JSON files may be fixture wrappers or raw payloads; a `.csv` file is a
     point cloud; other text files hold either a poset (lines with '<') or a
-    complex (facet per line).
+    complex (facet per line).  Every input error names the file once.
     """
     if path.endswith(".json"):
         wrapper, data = read_fixture_file(path)
         return wrapper, object_from_json(wrapper["kind"] if wrapper else None, data, path)
-    if path.endswith(".csv"):
-        return None, PointCloud.from_csv(path)
-    return None, parse_text(read_text_file(path), path)
+    with named(path, "text"):
+        if path.endswith(".csv"):
+            return None, PointCloud.from_csv(path)
+        return None, parse_text(read_text_file(path), path)
 
 
 def _load_input(token: str, report: RunReport) -> Tuple[Optional[dict], Any]:
@@ -170,8 +172,8 @@ def _dictionary(obj: Any, params: Dict[str, Any], ask: Oracle, where: str):
 
 # theorem id -> (check taking input, params, verdict table and where; detail
 # key).  run_theorem makes one table per statement from the budget, so no
-# subspace is decided twice within it.  Each check returns a report that
-# yields its own certificates and homology.
+# subspace is decided twice within it, and keeps the statement's status and
+# certificates; single-file verify also prints its report under the key.
 STATEMENTS = {
     "prop-2.4": (lambda o, _, a, w: verify_source_retraction(_as_relation(o, w), a), "hypotheses"),
     "prop-2.5": (lambda o, _, a, w: verify_target_retraction(_as_relation(o, w), a), "hypotheses"),
@@ -187,18 +189,16 @@ THEOREMS = tuple(STATEMENTS)
 
 
 def run_theorem(theorem: str, obj: Any, params: Dict[str, Any],
-                budget: int, report: RunReport, where: str = "<input>") -> None:
-    """Run one verification target and fill the report in place."""
+                budget: int, report: RunReport, where: str = "<input>") -> StatementReport:
+    """Run one statement, put its status and certificates on the report,
+    and return the statement's own report for a caller that prints it."""
     if theorem not in STATEMENTS:
         raise InputError(f"unknown theorem id {theorem!r}; expected one of {', '.join(THEOREMS)}")
-    check, key = STATEMENTS[theorem]
-    rep = check(obj, params, shared_oracle(budget), where)
-    report.detail[key] = rep.to_json_dict()
+    rep = STATEMENTS[theorem][0](obj, params, shared_oracle(budget), where)
     report.set_status(rep.status)
     for label, certificate, target in rep.certificates():
         report.add_certificate(label, certificate, target)
-    for label, profile in rep.homology_profiles():
-        report.add_homology(label, profile_json(profile))
+    return rep
 
 
 def _run_fixture_file(path: str, budget: int, only: Optional[str]) -> Dict[str, Any]:
@@ -285,7 +285,10 @@ def cmd_verify(args) -> Tuple[RunReport, Any]:
     params: Dict[str, Any] = dict(wrapper.get("params") or {}) if wrapper else {}
     if args.degree is not None:
         params["degree"] = args.degree
-    run_theorem(args.theorem, obj, params, args.budget, report, args.input)
+    rep = run_theorem(args.theorem, obj, params, args.budget, report, args.input)
+    report.detail[STATEMENTS[args.theorem][1]] = rep.to_json_dict()
+    for label, profile in rep.homology_profiles():
+        report.add_homology(label, profile_json(profile))
     return report, None
 
 

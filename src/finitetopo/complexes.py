@@ -28,13 +28,14 @@ class SimplicialComplex:
     def __init__(self, simplices: Iterable[Iterable[str]]):
         seen: set[tuple[str, ...]] = set()
         for s in simplices:
-            t = tuple(sorted(set(s)))
-            if not t:
+            s = tuple(s)
+            if not s:
                 raise InputError("simplices must be non-empty")
-            for v in t:
+            # checked before they are hashed and sorted, to name a bad one
+            for v in s:
                 if not isinstance(v, str) or v == "":
                     raise InputError(f"vertex identifiers must be non-empty strings, got {v!r}")
-            seen.add(t)
+            seen.add(tuple(sorted(set(s))))
         # only a strictly larger simplex can contain another, so each one is
         # tested against the kept facets of larger size, largest size first
         facets: list[tuple[str, ...]] = []
@@ -103,9 +104,7 @@ def order_complex(p: Poset) -> SimplicialComplex:
         succs = p.cover_successors(chain[-1])
         if not succs:
             chains.append(chain)
-        else:
-            for s in succs:
-                stack.append(chain + (s,))
+        stack.extend(chain + (s,) for s in succs)
     return SimplicialComplex(chains)
 
 

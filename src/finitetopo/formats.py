@@ -26,15 +26,18 @@ def _lines(text: str):
 
 
 @contextmanager
-def malformed_json(kind: str, where: str):
-    """Turn a wrong type, a wrong length or a missing key met while building
-    an object from JSON data into an InputError that names the file."""
+def named(where: str, kind: str):
+    """Name the file once in an error met while building an object from its
+    data: an input error gains the prefix ``where:`` unless it has it, and a
+    wrong type, a wrong length or a missing key is malformed input of kind."""
     try:
         yield
-    except (InputError, ValidationError):
-        raise
+    except (InputError, ValidationError) as exc:
+        if str(exc).startswith(f"{where}:"):
+            raise
+        raise type(exc)(f"{where}: {exc}") from exc
     except (TypeError, ValueError, KeyError, AttributeError) as exc:
-        raise InputError(f"{where}: malformed {kind} JSON: {exc}") from exc
+        raise InputError(f"{where}: malformed {kind}: {exc}") from exc
 
 
 def _list(value, what: str, where: str) -> list:
@@ -143,9 +146,8 @@ def relation_to_json(r: Relation) -> dict:
 
 
 def relation_from_json(data, where: str = "<input>") -> Relation:
-    for key in ("source", "target", "pairs"):
-        if not isinstance(data, dict) or key not in data:
-            raise InputError(f"{where}: relation JSON needs 'source', 'target', 'pairs'")
+    if not isinstance(data, dict) or not {"source", "target", "pairs"} <= data.keys():
+        raise InputError(f"{where}: relation JSON needs 'source', 'target', 'pairs'")
     return Relation.of(
         poset_from_json(data["source"], where),
         poset_from_json(data["target"], where),
@@ -162,9 +164,8 @@ def monotone_map_to_json(m: tuple[Poset, Poset, dict]) -> dict:
 
 
 def monotone_map_from_json(data, where: str = "<input>") -> tuple[Poset, Poset, dict]:
-    for key in ("source", "target", "map"):
-        if not isinstance(data, dict) or key not in data:
-            raise InputError(f"{where}: monotone map needs 'source', 'target', 'map'")
+    if not isinstance(data, dict) or not {"source", "target", "map"} <= data.keys():
+        raise InputError(f"{where}: monotone map needs 'source', 'target', 'map'")
     return (
         poset_from_json(data["source"], where),
         poset_from_json(data["target"], where),
@@ -242,14 +243,14 @@ def object_from_json(kind: Optional[str], data, where: str) -> Any:
             raise InputError(f"{where}: unrecognized JSON shape")
     if not isinstance(kind, str) or kind not in KINDS:
         raise InputError(f"{where}: cannot build a {kind!r} fixture object")
-    with malformed_json(kind, where):
+    with named(where, f"{kind} JSON"):
         return KINDS[kind].read(data, where)
 
 
 # ----------------------------------------------------------- certificates
 
 def certificate_from_json(data, where: str = "<input>") -> ReductionCertificate:
-    with malformed_json("certificate", where):
+    with named(where, "certificate JSON"):
         return ReductionCertificate.from_json_dict(data)
 
 
@@ -313,7 +314,7 @@ def read_text_file(path: str) -> str:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
 

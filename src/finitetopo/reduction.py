@@ -329,9 +329,9 @@ def _replay_on_mask(p: Poset, mask: int, cert: ReductionCertificate) -> int:
     return mask
 
 
-def replay_poset_certificate(p: Poset, cert: ReductionCertificate) -> Poset:
-    """Re-verify every step's side condition and return the final subposet."""
-    return ElementSet(p, _replay_on_mask(p, p.full_mask(), cert)).induced()
+def replay_poset_certificate(p: Poset, cert: ReductionCertificate) -> ElementSet:
+    """Re-verify every step's side condition and return the final subspace."""
+    return ElementSet(p, _replay_on_mask(p, p.full_mask(), cert))
 
 
 # -- simplicial collapses -----------------------------------------------------

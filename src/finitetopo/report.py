@@ -55,10 +55,7 @@ class RunReport:
 
     def add_input(self, name: str, *, path: Optional[str] = None,
                   payload: Any = None) -> None:
-        if path is not None:
-            self.inputs[name] = hash_file(path)
-        else:
-            self.inputs[name] = hash_json(payload)
+        self.inputs[name] = hash_file(path) if path is not None else hash_json(payload)
 
     def set_status(self, status: str) -> None:
         self.status = Status(status)
@@ -71,7 +68,7 @@ class RunReport:
         self.homology.append({"label": label, **payload})
 
     def finalize(self) -> "RunReport":
-        """Replay all certificates and stamp timing.  Idempotent."""
+        """Replay every certificate to its final subspace; stamp timing.  Idempotent."""
         if self._finalized:
             return self
         failures: List[Dict[str, str]] = []

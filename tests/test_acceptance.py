@@ -123,7 +123,7 @@ def test_criterion_2_mapping_cylinders_retract_onto_the_target(acceptance_log):
             expected = ["X:" + x for x in reversed(src.linear_extension())]
             assert [s.removed[0] for s in cert.steps] == expected
 
-            left = replay_poset_certificate(cyl.poset, cert)
+            left = replay_poset_certificate(cyl.poset, cert).induced()
             assert set(left.elements) == set(cyl.target_part.members)
             ok, diffs = same_homology(homology(cyl.poset), homology(tgt))
             assert ok, (i, diffs)
@@ -140,9 +140,9 @@ def test_criterion_3_certified_relations_and_the_refutation_fixture(acceptance_l
             assert rep.to_source is not None and rep.to_target is not None
 
             cyl = build_cylinder(rel)
-            down = replay_poset_certificate(cyl.poset, rep.to_source)
+            down = replay_poset_certificate(cyl.poset, rep.to_source).induced()
             assert set(down.elements) == set(cyl.source_part.members)
-            up = replay_poset_certificate(cyl.poset, rep.to_target)
+            up = replay_poset_certificate(cyl.poset, rep.to_target).induced()
             assert set(up.elements) == set(cyl.target_part.members)
 
             ok, diffs = same_homology(rep.source_homology, rep.target_homology)
@@ -332,7 +332,7 @@ def test_criterion_6_every_certificate_is_stepwise_sound(acceptance_log):
             for i in range(1, len(cert.steps) + 1):
                 prefix = ReductionCertificate(cert.steps[:i])
                 if isinstance(obj, Poset):
-                    stage = replay_poset_certificate(obj, prefix)
+                    stage = replay_poset_certificate(obj, prefix).induced()
                 else:
                     stage = SimplicialComplex(replay_simplicial_certificate(obj, prefix))
                 ok, diffs = same_homology(homology(stage), base)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import time
@@ -8,7 +9,7 @@ import pytest
 import finitetopo.cylinder as cylinder_mod
 import finitetopo.nerve as nerve_mod
 from finitetopo import Poset, PosetCover, Relation, face_poset
-from finitetopo import cli
+from finitetopo import ReductionCertificate, ReductionStep, cli
 from finitetopo import fixtures as fx
 from finitetopo.cli import main
 from finitetopo.formats import poset_cover_to_json, poset_to_json, relation_to_json
@@ -249,6 +250,34 @@ class TestBatch:
         assert doc["detail"]["counts"]["errors"] == 1
         ran = [e for e in entries.values() if e["status"] != "Skipped"]
         assert ran and all(e["match"] for e in ran)
+
+    def test_a_tampered_certificate_makes_its_entry_an_error(self, capsys, monkeypatch, tmp_path):
+        """A batch prints no certificate, but it replays each one before it
+        reads the file's status: a certified statement whose collapse has a
+        wrong beat witness ends Error, not Certified."""
+        fx.write_fixture(fx.get_fixture("monotone-map-fence"), str(tmp_path))
+        check, key = cli.STATEMENTS["prop-2.5"]
+
+        def tampered(obj, params, ask, where):
+            rep = check(obj, params, ask, where)
+            x = rep.collapse.steps[0].removed[0]
+            wrong = ReductionStep("up-beat", (x,), witness=x)
+            return dataclasses.replace(rep, collapse=ReductionCertificate((wrong,) + rep.collapse.steps[1:]))
+
+        monkeypatch.setitem(cli.STATEMENTS, "prop-2.5", (tampered, key))
+        code, doc = run_json(capsys, "verify", "--batch", str(tmp_path))
+        assert code == 3 and doc["status"] == "Error"
+        (entry,) = doc["detail"]["fixtures"]
+        assert entry["status"] == "Error" and entry["expected"] == "Certified" and entry["match"] is False
+        assert doc["detail"]["counts"]["errors"] == 1
+
+    def test_each_entry_has_the_status_of_its_single_file_run(self, capsys):
+        code, doc = run_json(capsys, "verify", "--batch", SHIPPED_FIXTURES)
+        ran = [e for e in doc["detail"]["fixtures"] if e.get("theorem")]
+        assert code == 0 and ran
+        for entry in ran:
+            _, single = run_json(capsys, "verify", entry["theorem"], os.path.join(SHIPPED_FIXTURES, entry["file"]))
+            assert entry["status"] == single["status"], entry["file"]
 
 
 @pytest.mark.parametrize("fixture", [f for f in fx.all_fixtures() if f.theorem], ids=lambda f: f.name)
@@ -726,7 +755,33 @@ class TestMalformedJson:
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"elements": [1, "a"], "relations": []}))
         assert main(["homology", str(path)]) == 3
-        assert capsys.readouterr().err == "error: element identifiers must be non-empty strings, got 1\n"
+        assert capsys.readouterr().err == f"error: {path}: element identifiers must be non-empty strings, got 1\n"
+
+    @pytest.mark.parametrize("name, text, argv, tail", [
+        ("p.json", '{"elements": ["", "a"]}', ["homology", "{}"],
+         ": element identifiers must be non-empty strings, got ''"),
+        ("k.json", '{"facets": [[1, "a"]]}', ["homology", "{}"],
+         ": vertex identifiers must be non-empty strings, got 1"),
+        ("l.json", '{"facets": [[["a"], "b"]]}', ["homology", "{}"],
+         ": vertex identifiers must be non-empty strings, got ['a']"),
+        ("w.json", '{"kind": "poset", "data": {"elements": ["a"], "relations": [["a", "b"]]}}', ["homology", "{}"],
+         ": unknown element 'b'"),
+        ("r.json", '{"source": {"elements": ["a"]}, "target": {"elements": ["b"]}, "pairs": [["a", "c"]]}',
+         ["cylinder", "build", "{}"], ": relation pair mentions unknown target element 'c'"),
+        ("c.txt", "a < b\nb < a\n", ["homology", "{}"], ": relations contain a cycle: a <= b <= a"),
+        ("d.csv", "x,1\nx,2\n", ["mapper", "{}", "--epsilon", "0.1"], ": point identifiers must be unique"),
+        ("bad.json", "{", ["homology", "{}"], ":1: invalid JSON: Expecting property name enclosed in double quotes"),
+        ("e.csv", "p,1\nq,oops\n", ["mapper", "{}", "--epsilon", "0.1"], ":2: bad coordinate in ['q', 'oops']"),
+    ], ids=["poset-json", "complex-int", "complex-list", "fixture-json", "relation-json", "text", "csv",
+            "named-json", "named-csv"])
+    def test_an_input_error_names_its_file_once(self, capsys, tmp_path, name, text, argv, tail):
+        """An error raised while an object is built from a file names the
+        file; one that names it already is not prefixed again.  Vertices,
+        as elements, are checked before they are hashed and sorted."""
+        path = tmp_path / name
+        path.write_text(text)
+        assert main([a.format(path) for a in argv]) == 3
+        assert capsys.readouterr().err == f"error: {path}{tail}\n"
 
     def test_in_a_batch_the_file_is_one_input_error(self, capsys, tmp_path):
         (tmp_path / "bad.json").write_text(json.dumps(
@@ -736,7 +791,7 @@ class TestMalformedJson:
         assert code == 3
         (entry,) = doc["detail"]["fixtures"]
         assert entry["status"] == "Error" and "internal_error" not in entry
-        assert "malformed complex JSON" in entry["error"]
+        assert entry["error"] == f"{tmp_path / 'bad.json'}: vertex identifiers must be non-empty strings, got 1"
 
 
 class TestNonUtf8Input:

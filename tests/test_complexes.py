@@ -60,6 +60,12 @@ class TestSimplicialComplex:
         with pytest.raises(InputError):
             SimplicialComplex([()])
 
+    @pytest.mark.parametrize("facet, bad", [((1, "a"), "1"), ((["a"], "b"), r"\['a'\]"), (("a", ""), "''")],
+                             ids=["int-and-string", "unhashable", "empty"])
+    def test_a_non_string_vertex_is_named_before_sorting(self, facet, bad):
+        with pytest.raises(InputError, match=f"^vertex identifiers must be non-empty strings, got {bad}$"):
+            SimplicialComplex([facet])
+
     def test_comma_in_vertex_name_rejected_by_face_poset(self):
         k = SimplicialComplex([("a,b", "c")])
         with pytest.raises(InputError, match=","):

@@ -130,7 +130,7 @@ class TestMappingCylinder:
     def test_retraction_replays_onto_target_part(self):
         src, tgt, f = fence_map()
         cyl = mapping_cylinder(src, tgt, f)
-        final = replay_poset_certificate(cyl.poset, cyl.retraction_certificate)
+        final = replay_poset_certificate(cyl.poset, cyl.retraction_certificate).induced()
         assert set(final.elements) == set(cyl.target_part)
 
     def test_cylinder_has_target_homology(self):
@@ -222,8 +222,8 @@ class TestCollapseCertificates:
         to_tgt = collapse_cylinder_to_target(cyl, check_target_retraction(r, shared_oracle(DEFAULT_BUDGET)))
         assert len(to_src) == len(r.target)
         assert len(to_tgt) == len(r.source)
-        src_final = replay_poset_certificate(cyl.poset, to_src)
-        tgt_final = replay_poset_certificate(cyl.poset, to_tgt)
+        src_final = replay_poset_certificate(cyl.poset, to_src).induced()
+        tgt_final = replay_poset_certificate(cyl.poset, to_tgt).induced()
         assert set(src_final.elements) == set(cyl.source_part)
         assert set(tgt_final.elements) == set(cyl.target_part)
 
@@ -329,13 +329,13 @@ class TestVerifyEquivalence:
         r = fx._certified_relation()
         rep = verify_equivalence(r, shared_oracle(DEFAULT_BUDGET))
         assert rep.cylinder.relation == r
-        final = replay_poset_certificate(rep.cylinder.poset, rep.to_source)
+        final = replay_poset_certificate(rep.cylinder.poset, rep.to_source).induced()
         assert set(final.elements) == set(rep.cylinder.source_part)
 
     def test_certified_report_replays_on_rebuilt_cylinder(self):
         rep = verify_equivalence(fx._certified_relation(), shared_oracle(DEFAULT_BUDGET))
         cyl = build_cylinder(rep.cylinder.relation)
-        final = replay_poset_certificate(cyl.poset, rep.to_target)
+        final = replay_poset_certificate(cyl.poset, rep.to_target).induced()
         assert set(final.elements) == set(cyl.target_part)
 
 
@@ -414,7 +414,7 @@ def test_generated_monotone_maps_always_certify_target_side(seed: int):
     rep = check_target_retraction(r, shared_oracle(DEFAULT_BUDGET))
     assert rep.status is Status.CERTIFIED
     cyl = mapping_cylinder(src, tgt, f)
-    final = replay_poset_certificate(cyl.poset, cyl.retraction_certificate)
+    final = replay_poset_certificate(cyl.poset, cyl.retraction_certificate).induced()
     assert set(final.elements) == set(cyl.target_part)
     assert same_homology(homology(cyl.poset), homology(tgt))[0]
 

@@ -219,8 +219,8 @@ class TestVerifyNerveTheorem:
         rep = verify_nerve_theorem(star_cover(), "good-poset", shared_oracle(DEFAULT_BUDGET))
         eq = rep.equivalence
         cyl = eq.cylinder
-        base_final = replay_poset_certificate(cyl.poset, eq.to_source)
-        nerve_final = replay_poset_certificate(cyl.poset, eq.to_target)
+        base_final = replay_poset_certificate(cyl.poset, eq.to_source).induced()
+        nerve_final = replay_poset_certificate(cyl.poset, eq.to_target).induced()
         assert set(base_final.elements) == set(cyl.source_part)
         assert set(nerve_final.elements) == set(cyl.target_part)
 

@@ -90,3 +90,21 @@ def test_every_homology_read_records_a_span():
     parents = [names[record[4]] for record in tracer.spans if record[0] == "homology.homology"]
     # one read per local datum, then the two whole sides
     assert parents == ["reduction.oracle"] + ["cylinder.verify"] * (len(r.source) + len(r.target) + 2)
+
+
+def test_a_traced_batch_replays_every_certificate(tmp_path):
+    """A batch replays each certificate it attaches through
+    replay_poset_certificate, whose span lies below the file's finalize."""
+    from finitetopo.cli import main
+
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        assert main(["verify", "--batch", str(fixtures), "--out", str(tmp_path / "batch.json")]) == 0
+    finally:
+        tracer.uninstall()
+    names = [record[0] for record in tracer.spans]
+    replays = [record for record in tracer.spans if record[0] == "reduction.replay"
+               and names[record[4]] == "report.finalize"]
+    assert len(replays) == names.count("report.add_certificate") > 0
