@@ -149,8 +149,10 @@ def _as_cover(obj: Any, where: str):
 # ----------------------------------------------------------- verify targets
 
 def _homology_version(obj: Any, params: Dict[str, Any], ask: Oracle, where: str):
-    r = _as_relation(obj, where)
-    return verify_homology_equivalence(r, json_scalar(params.get("degree", 1), int, "degree", where))
+    r, n = _as_relation(obj, where), json_scalar(params.get("degree", 1), int, "degree", where)
+    if n < 0:
+        raise InputError(f"{where}: degree bound must be non-negative, got {n}")
+    return verify_homology_equivalence(r, n)
 
 
 def _nerve(variant: str):

@@ -29,31 +29,45 @@ TARGET_PREFIX = "Y:"
 
 @dataclass(frozen=True)
 class Relation:
-    """A relation from source to target.  Bit j of _image[i] says that
-    source element i is related to target element j; _preimage is its
-    transpose.  Both are built once, from the pairs, when the relation is
-    made."""
+    """A relation from source to target, with the local data of Theorem A
+    of every element, built once, from the pairs, when the relation is
+    made.  Bit j of _target_data[i] says that target element j lies in
+    the closure of the image of source element i's up-set; bit i of
+    _source_data[j] says that source element i lies in the open hull of
+    the preimage of target element j's down-set.
+
+    Image, preimage, closure and open hull preserve unions, and an up-set
+    is its element with the up-sets of its upper covers.  So, in reverse
+    linear-extension order, each element's target data is the closure of
+    its own image with the target data of its upper covers, and dually,
+    in linear-extension order, the source data: one pass over each factor."""
 
     source: Poset
     target: Poset
     pairs: frozenset[tuple[str, str]]
-    _image: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _preimage: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _source_data: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _target_data: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        image = [0] * len(self.source)
-        preimage = [0] * len(self.target)
+        source, target = self.source, self.target
+        image = [0] * len(source)
+        preimage = [0] * len(target)
         for x, y in self.pairs:
-            i = self.source._index.get(x)
+            i = source._index.get(x)
             if i is None:
                 raise InputError(f"relation pair mentions unknown source element {x!r}")
-            j = self.target._index.get(y)
+            j = target._index.get(y)
             if j is None:
                 raise InputError(f"relation pair mentions unknown target element {y!r}")
             image[i] |= 1 << j
             preimage[j] |= 1 << i
-        object.__setattr__(self, "_image", tuple(image))
-        object.__setattr__(self, "_preimage", tuple(preimage))
+        # in place: each entry turns into its element's local datum after its covers' entries
+        for i in reversed(source._order):
+            image[i] = reach_of(target._up, image[i]) | reach_of(image, source._succ_masks[i])
+        for j in target._order:
+            preimage[j] = reach_of(source._down, preimage[j]) | reach_of(preimage, target._pred_masks[j])
+        object.__setattr__(self, "_target_data", tuple(image))
+        object.__setattr__(self, "_source_data", tuple(preimage))
 
     @classmethod
     def of(cls, source: Poset, target: Poset, pairs) -> "Relation":
@@ -67,18 +81,6 @@ class Relation:
             if not target.le(f[a], f[b]):
                 raise InputError(f"map is not monotone: {a!r} < {b!r} but f({a!r}) is not below f({b!r})")
         return cls(source, target, frozenset((x, f[x]) for x in source.elements))
-
-    def image(self, members: ElementSet) -> ElementSet:
-        """The target elements related to some member of an element set of the source."""
-        if members.poset is not self.source and members.poset != self.source:
-            raise InputError("image takes an element set of the relation's source")
-        return ElementSet(self.target, reach_of(self._image, members.mask))
-
-    def preimage(self, members: ElementSet) -> ElementSet:
-        """The source elements related to some member of an element set of the target."""
-        if members.poset is not self.target and members.poset != self.target:
-            raise InputError("preimage takes an element set of the relation's target")
-        return ElementSet(self.source, reach_of(self._preimage, members.mask))
 
 
 def source_name(x: str) -> str:
@@ -171,13 +173,15 @@ class HypothesisReport(StatementReport):
 
 
 def source_local_data(r: Relation, y: str) -> ElementSet:
-    """Open hull in the source of the preimage of the target element's down-set."""
-    return r.preimage(r.target.down_set(y)).open_hull()
+    """Open hull in the source of the preimage of the target element's
+    down-set, read from the relation's table."""
+    return ElementSet(r.source, r._source_data[r.target._lookup(y)])
 
 
 def target_local_data(r: Relation, x: str) -> ElementSet:
-    """Closure in the target of the image of the source element's up-set."""
-    return r.image(r.source.up_set(x)).closure()
+    """Closure in the target of the image of the source element's up-set,
+    read from the relation's table."""
+    return ElementSet(r.target, r._target_data[r.source._lookup(x)])
 
 
 def _check_side(side: str, r: Relation, elements, local_data, ask: Oracle) -> HypothesisReport:

@@ -37,12 +37,12 @@ not units, and over Z such a column need not be a combination.
 Two checks stay on.  Both builders in `complexes` test ∂∂=0 on every
 pair of boundary matrices with `IntegerMatrix.compose`, a sparse product
 summed one column at a time.  On every matrix up to 50x50 the rank is
-re-derived by `fraction_free_rank`, a sparse elimination over Q in
-integers only, on the whole, uncleared matrix: an exact cross-check of
-both phases and of the clearing.  It is independent of phase 1: it shares
-no code with it, and its pivots need not be units.  `rank_mod_p` is a
-rank over Z/p that tells torsion apart from rank; nothing in the package
-calls it, only the tests do.
+re-derived by `fraction_free_rank`, a column reduction by lowest row over
+Q in integers only, on the whole, uncleared matrix: an exact cross-check
+of both phases and of the clearing.  It is independent of phase 1: it
+shares no code with it, reads every column, cleared or not, in stored
+order, and its pivots need not be units.  `rank_mod_p` is a rank over Z/p
+that tells torsion apart from rank; only the tests call it.
 """
 
 from __future__ import annotations
@@ -222,47 +222,46 @@ def _min_entry_factors(rows: dict[int, dict[int, int]]) -> list[int]:
 
 
 def fraction_free_rank(m: IntegerMatrix) -> int:
-    """Rank over the rationals by sparse elimination in integers only.
+    """Rank over the rationals by column reduction in integers only.
 
-    Rows are dicts.  Each step takes a row off as the pivot row, with any
-    non-zero entry p of it at column c; every other row holding column c,
-    with entry f there, becomes row·p − f·pivot_row (both divided first
-    by gcd(p, f)), is divided by the gcd of its entries, and is dropped
-    once empty.  The rank is the number of pivot rows.  Independent of
-    `smith_normal_form`: any pivot will do, unit or not, and no code is
-    shared with its phases.
+    The columns are read as stored, left to right (Edelsbrunner, Letscher
+    and Zomorodian, Discrete Comput. Geom. 28, 2002).  A column's pivot is
+    its lowest row.  While another column already holds that row as its
+    pivot, with entry p there where the column has f, the column becomes
+    a·col − b·pivot_col, with a = p/g and b = f/g for g = gcd(p, f), and is
+    divided by the gcd of its entries.  The rank is the number of pivot
+    columns.  A column is copied when it first changes, so m is never
+    mutated.  Independent of `smith_normal_form`: no code is shared with
+    its phases, the columns it leaves out are read too, the order is the
+    stored one and not phase 1's, and any pivot will do, unit or not.
     """
-    rows: dict[int, dict[int, int]] = {}
-    for c, column in enumerate(m.columns):
-        for r, v in column.items():
-            rows.setdefault(r, {})[c] = v
-    rank = 0
-    while rows:
-        _, pivot_row = rows.popitem()
-        c, p = next(iter(pivot_row.items()))
-        rank += 1
-        for r, row in list(rows.items()):
-            f = row.get(c)
-            if f is None:
-                continue
+    pivots: dict[int, dict[int, int]] = {}
+    for col in m.columns:
+        owned = False
+        while col:
+            low = max(col)
+            pivot_col = pivots.get(low)
+            if pivot_col is None:
+                pivots[low] = col
+                break
+            p, f = pivot_col[low], col[low]
             g = gcd(p, f)
             a, b = p // g, f // g
             if a in _UNITS:
-                b *= a  # a·row − b·pivot_row is a times row − (a·b)·pivot_row
+                b *= a  # a·col − b·pivot_col is a times col − (a·b)·pivot_col
+                col = col if owned else dict(col)
             else:
-                row = {k: a * v for k, v in row.items()}
-            for k, w in pivot_row.items():
-                v = row.get(k, 0) - b * w
+                col = {k: a * v for k, v in col.items()}
+            owned = True
+            for k, w in pivot_col.items():
+                v = col.get(k, 0) - b * w
                 if v:
-                    row[k] = v
+                    col[k] = v
                 else:
-                    del row[k]
-            if not row:
-                del rows[r]
-                continue
-            content = gcd(*row.values())
-            rows[r] = {k: v // content for k, v in row.items()} if content > 1 else row
-    return rank
+                    del col[k]
+            if col and (content := gcd(*col.values())) > 1:
+                col = {k: v // content for k, v in col.items()}
+    return len(pivots)
 
 
 def rank_mod_p(m: IntegerMatrix, p: int) -> int:

@@ -254,14 +254,8 @@ class ElementSet:
         i = self.poset._index.get(e)
         return i is not None and bool(self.mask >> i & 1)
 
-    def _hull(self, reach: list[int]) -> "ElementSet":
-        return ElementSet(self.poset, reach_of(reach, self.mask))
-
-    def closure(self) -> "ElementSet":
-        return self._hull(self.poset._up)
-
     def open_hull(self) -> "ElementSet":
-        return self._hull(self.poset._down)
+        return ElementSet(self.poset, reach_of(self.poset._down, self.mask))
 
     def is_down_set(self) -> bool:
         """Each lower cover of each non-minimal member is a member."""

@@ -567,6 +567,24 @@ class TestInputErrorsExitThree:
         assert code == 3
         assert doc["detail"]["fixtures"][0]["status"] == "Error"
 
+    @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+    def test_a_negative_degree_names_its_file_once(self, capsys, tmp_path, batch):
+        payload = fx.fixture_payload(fx.get_fixture("homology-relation"))
+        payload["params"] = {"degree": -1}
+        path = tmp_path / "negative-degree.json"
+        path.write_text(json.dumps(payload))
+        message = f"{path}: degree bound must be non-negative, got -1"
+        if batch:
+            code, doc = run_json(capsys, "verify", "--batch", str(tmp_path))
+            (entry,) = doc["detail"]["fixtures"]
+            assert entry["status"] == "Error" and "internal_error" not in entry
+            assert entry["error"] == message
+        else:
+            code = main(["verify", "prop-homology", str(path)])
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == f"error: {message}\n"
+        assert code == 3
+
     @pytest.mark.parametrize("key, value", [("params", ["x"]), ("theorem", ["thm-a"]), ("name", 5)],
                              ids=["params", "theorem", "name"])
     @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])

@@ -32,7 +32,8 @@ from finitetopo.certificates import TrivialityVerdict
 from finitetopo.cylinder import CylinderPoset, HypothesisReport
 from finitetopo.homology import HomologyProfile
 from finitetopo.reduction import DEFAULT_BUDGET, shared_oracle, triviality_oracle
-from tests.test_poset import least, posets
+from tests import reference_local_data as reference
+from tests.test_poset import least, posets, shuffled_posets
 
 
 def bound_degree_lookups(monkeypatch, limit: int = 1000) -> None:
@@ -78,8 +79,8 @@ class TestRelation:
     def test_image_preimage(self):
         src, tgt, f = fence_map()
         r = Relation.from_monotone_map(src, tgt, f)
-        assert set(r.image(src.subset(["a", "c"]))) == {"u"}
-        assert set(r.preimage(tgt.subset(["u"]))) == {"a", "c"}
+        assert set(reference.image(r, src.subset(["a", "c"]))) == {"u"}
+        assert set(reference.preimage(r, tgt.subset(["u"]))) == {"a", "c"}
 
     def test_image_preimage_take_an_element_set_of_their_factor(self):
         """A set of the other factor is refused, not read as bits of this one;
@@ -87,10 +88,10 @@ class TestRelation:
         src, tgt, f = fence_map()
         r = Relation.from_monotone_map(src, tgt, f)
         with pytest.raises(InputError, match="image takes an element set of the relation's source"):
-            r.image(tgt.subset(["u", "v"]))
+            reference.image(r, tgt.subset(["u", "v"]))
         with pytest.raises(InputError, match="preimage takes an element set of the relation's target"):
-            r.preimage(src.subset(["a", "b", "c"]))
-        assert set(r.image(Poset(src.elements, src.cover_pairs).subset(["b"]))) == {"v"}
+            reference.preimage(r, src.subset(["a", "b", "c"]))
+        assert set(reference.image(r, Poset(src.elements, src.cover_pairs).subset(["b"]))) == {"v"}
 
 
 class TestBuildCylinder:
@@ -116,7 +117,7 @@ class TestBuildCylinder:
         r = fx._certified_relation()
         cyl = build_cylinder(r)
         assert cyl.source_part.is_down_set()
-        assert cyl.target_part.closure() == cyl.target_part
+        assert reference.closure(cyl.target_part) == cyl.target_part
 
 
 class TestMappingCylinder:
@@ -145,13 +146,13 @@ class TestLocalData:
         for y in r.target.elements:
             hull = source_local_data(r, y)
             assert hull.is_down_set()
-            assert set(r.preimage(r.target.down_set(y))) <= set(hull)
+            assert set(reference.preimage(r, r.target.down_set(y))) <= set(hull)
 
     def test_target_side_is_closure_of_image(self):
         r = fx._certified_relation()
         for x in r.source.elements:
             closed = target_local_data(r, x)
-            assert closed.closure() == closed
+            assert reference.closure(closed) == closed
 
     def test_monotone_map_target_data_has_minimum(self):
         src, tgt, f = fence_map()
@@ -379,17 +380,51 @@ class TestVerifyHomologyEquivalence:
 
 @given(posets(max_size=6), posets(max_size=6), st.data())
 def test_image_and_preimage_are_the_pair_scan(src: Poset, tgt: Poset, data):
-    """Image and preimage read off the per-element masks agree with their
-    definition by a scan over every pair, and are element sets of the other factor."""
+    """The reference image and preimage, which the local-data tables are
+    checked against, agree with a scan over every pair, and are element
+    sets of the other factor."""
     pairs = data.draw(st.sets(st.tuples(st.sampled_from(src.elements), st.sampled_from(tgt.elements))))
     r = Relation.of(src, tgt, pairs)
     xs = data.draw(st.sets(st.sampled_from(src.elements)))
     ys = data.draw(st.sets(st.sampled_from(tgt.elements)))
     image = {y for x, y in pairs if x in xs}
     preimage = {x for x, y in pairs if y in ys}
-    assert set(r.image(src.subset(xs))) == image
-    assert set(r.preimage(tgt.subset(ys))) == preimage
-    assert r.image(src.subset(xs)).poset is tgt and r.preimage(tgt.subset(ys)).poset is src
+    assert set(reference.image(r, src.subset(xs))) == image
+    assert set(reference.preimage(r, tgt.subset(ys))) == preimage
+    assert reference.image(r, src.subset(xs)).poset is tgt and reference.preimage(r, tgt.subset(ys)).poset is src
+
+
+@given(st.one_of(posets(max_size=6), shuffled_posets()), st.one_of(posets(max_size=6), shuffled_posets()), st.data())
+def test_local_data_tables_are_the_definitions(src: Poset, tgt: Poset, data):
+    """Each element's local datum, read from the table its relation fills in
+    one pass over each factor, is the reference's, on relations drawn
+    from every pair, the empty relation and elements related to nothing
+    among them; the factors' orders run with and against identifier order."""
+    pairs = data.draw(st.sets(st.tuples(st.sampled_from(src.elements), st.sampled_from(tgt.elements))))
+    assert_local_data_are_the_definitions(Relation.of(src, tgt, pairs))
+
+
+def assert_local_data_are_the_definitions(r: Relation) -> None:
+    for y in r.target.elements:
+        assert source_local_data(r, y) == reference.source_local_data(r, y)
+    for x in r.source.elements:
+        assert target_local_data(r, x) == reference.target_local_data(r, x)
+
+
+def test_local_data_of_the_empty_relation_and_of_unrelated_elements():
+    """With no pair every local datum is empty; an element related to
+    nothing still gets the data of the elements above (or below) it."""
+    src, tgt, _ = fence_map()
+    empty = Relation.of(src, tgt, [])
+    assert_local_data_are_the_definitions(empty)
+    assert {source_local_data(empty, y).mask for y in tgt.elements} == {0}
+    assert {target_local_data(empty, x).mask for x in src.elements} == {0}
+    # a < b > c and u < v: only b is related, to u, so a and c, related to
+    # nothing, see b's closure {u, v}, and v, related to nothing, sees b's hull
+    r = Relation.of(src, tgt, [("b", "u")])
+    assert_local_data_are_the_definitions(r)
+    assert [set(target_local_data(r, x)) for x in "abc"] == [{"u", "v"}] * 3
+    assert [set(source_local_data(r, y)) for y in "uv"] == [{"a", "b", "c"}] * 2
 
 
 @given(posets(max_size=5), posets(max_size=5), st.randoms(use_true_random=False))

@@ -530,12 +530,65 @@ def test_fraction_free_rank_matches_reference_on_boundaries(p: Poset):
 
 
 def test_fraction_free_rank_divides_out_the_content():
-    # the last row is the first pivot row; the other two become (0, 4, 8),
-    # of content 4, and the second pivot then empties the row left over
+    # column 0 takes its lowest row, 2, as its pivot; column 1 minus column 0
+    # is (2, 2, 0), of content 2, and takes row 1; column 2 minus column 0 is
+    # (4, 4, 0), of content 4, which the reduced column 1 then empties
     m = IntegerMatrix.from_dense([[2, 4, 6], [6, 8, 10], [4, 4, 4]])
     assert fraction_free_rank(m) == reference_smith_normal_form(m)[1] == 2
-    # row 0 minus the pivot row 1 is (0, 2)
+    # column 1 plus column 0 is (2, 0), of content 2, and takes row 0
     assert fraction_free_rank(IntegerMatrix.from_dense([[1, 1], [1, -1]])) == 2
+
+
+@pytest.mark.parametrize("dense, rank", [
+    # column 1 meets column 0's pivot 2 at row 1 with 3, so a = 2 and b = 3:
+    # 2·col1 − 3·col0 is (−1, 0), which takes row 0
+    ([[1, 1], [2, 3]], 2),
+    # 2·col1 − 3·col0 is (−1, 0, 0), which takes row 0, and 2·col2 − 3·col0
+    # is (1, −4, 0), which takes row 1
+    ([[1, 1, 2], [0, 0, -2], [2, 3, 3]], 3),
+    # 4 meets 6 at row 1, so a = 2 and b = 3: 2·col1 − 3·col0 is zero
+    ([[2, 3], [4, 6]], 1),
+], ids=["full-rank", "three-columns", "dependent"])
+def test_fraction_free_rank_pivots_on_a_non_unit(dense, rank):
+    """A pivot p meeting an entry f with p / gcd(p, f) no unit scales the
+    column before the pivot column is taken off."""
+    m = IntegerMatrix.from_dense(dense)
+    assert fraction_free_rank(m) == reference_smith_normal_form(m)[1] == rank
+
+
+@pytest.mark.parametrize("dense, rank", [
+    # col1 − col0 is (2, 0), of content 2, and takes row 0
+    ([[1, 3], [1, 1]], 2),
+    # col1 − col0 is (3, 3, 0), of content 3, and col2 − col0 is (6, 6, 0), of
+    # content 6: both reduce to (1, 1, 0), and the second then cancels
+    ([[1, 4, 7], [2, 5, 8], [1, 1, 1]], 2),
+    # after a non-unit pivot: 2·col1 − 3·col0 is (−4, −10, 0), of content 2
+    ([[2, 1], [4, 1], [2, 3]], 2),
+], ids=["unit-step", "two-contents", "after-a-non-unit"])
+def test_fraction_free_rank_divides_a_column_by_its_content(dense, rank):
+    """A reduced column whose entries share a factor is divided by it."""
+    m = IntegerMatrix.from_dense(dense)
+    assert fraction_free_rank(m) == reference_smith_normal_form(m)[1] == rank
+
+
+@given(integer_matrices(max_side=10, entries=st.integers(-6, 6)))
+@example(IntegerMatrix.from_dense([[2, 4, 6], [6, 8, 10], [4, 4, 4]]))
+@example(IntegerMatrix.from_dense([[1, 1], [2, 3]]))
+def test_fraction_free_rank_leaves_the_columns_unchanged(m: IntegerMatrix):
+    """A column is copied when it first changes: every column of m is the
+    same dict with the same entries afterwards."""
+    columns, entries = list(m.columns), [dict(c) for c in m.columns]
+    fraction_free_rank(m)
+    assert all(a is b for a, b in zip(m.columns, columns)) and len(m.columns) == len(columns)
+    assert [dict(c) for c in m.columns] == entries
+
+
+def test_the_cross_check_catches_a_lost_phase_one_pivot(monkeypatch):
+    phase_one = homology_module._eliminate_unit_pivots
+    monkeypatch.setattr(homology_module, "_eliminate_unit_pivots", lambda rows, cols: phase_one(rows, cols)[:-1])
+    d2 = chain_complex(fx.projective_plane()).boundaries[1]
+    with pytest.raises(AssertionError, match="Smith rank disagrees"):
+        smith_normal_form(d2)
 
 
 def test_the_cross_check_catches_a_lost_factor(monkeypatch):
