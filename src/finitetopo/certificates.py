@@ -58,16 +58,6 @@ class ReductionStep:
             out["evidence"] = self.evidence.to_json_dict()
         return out
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ReductionStep":
-        ev = data.get("evidence")
-        return cls(
-            kind=data["kind"],
-            removed=tuple(data["removed"]),
-            witness=data.get("witness"),
-            evidence=ReductionCertificate.from_json_dict(ev) if ev is not None else None,
-        )
-
 
 @dataclass(frozen=True)
 class ReductionCertificate:
@@ -104,10 +94,6 @@ class ReductionCertificate:
 
     def to_json_dict(self) -> dict:
         return {"steps": [s.to_json_dict() for s in self.steps]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ReductionCertificate":
-        return cls(tuple(ReductionStep.from_json_dict(s) for s in data["steps"]))
 
 
 @dataclass(frozen=True)

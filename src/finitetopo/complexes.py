@@ -222,12 +222,7 @@ class RegularCWComplex:
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(row) for row in self.cells_by_dim())
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RegularCWComplex):
-            return NotImplemented
-        return self.poset == other.poset and self.dim == other.dim
-
-    def __hash__(self) -> int:
+    def __hash__(self) -> int:  # the generated hash would fail on the dim dict
         return hash((self.poset, tuple(sorted(self.dim.items()))))
 
 
@@ -312,18 +307,6 @@ class IntegerMatrix:
     @property
     def entries(self) -> dict[tuple[int, int], int]:
         return {(r, c): v for c, column in enumerate(self.columns) for r, v in column.items()}
-
-    @classmethod
-    def from_dense(cls, data: list[list[int]]) -> "IntegerMatrix":
-        cols = len(data[0]) if data else 0
-        return cls(len(data), [{r: row[c] for r, row in enumerate(data) if row[c]} for c in range(cols)])
-
-    def to_dense(self) -> list[list[int]]:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for c, column in enumerate(self.columns):
-            for r, v in column.items():
-                out[r][c] = v
-        return out
 
     def is_zero(self) -> bool:
         return not any(self.columns)

@@ -1,4 +1,4 @@
-"""Reading and writing posets, complexes, relations, covers, and certificates.
+"""Reading and writing posets, complexes, relations and covers.
 
 Text formats are line-oriented with "#" comments.  JSON formats carry the
 same data self-contained.  Parse errors cite the offending line.
@@ -10,7 +10,6 @@ import json
 from contextlib import contextmanager
 from typing import Any, Callable, NamedTuple, Optional
 
-from .certificates import ReductionCertificate
 from .complexes import RegularCWComplex, SimplicialComplex, cw_from_face_poset
 from .cylinder import Relation
 from .errors import InputError, ValidationError
@@ -67,22 +66,18 @@ def _tuples(value, what: str, where: str) -> list[tuple]:
 # ---------------------------------------------------------------- posets
 
 def parse_poset_text(text: str, where: str = "<input>") -> Poset:
-    """One relation per line, "a < b"; a bare identifier declares an
-    isolated element."""
+    """One relation per line, "a < b" or a chain "a < b < c"; a bare
+    identifier declares an isolated element.  No identifier holds a space."""
     elements: list[str] = []
     relations: list[tuple[str, str]] = []
     for no, line in _lines(text):
-        if "<" in line:
-            sides = [s.strip() for s in line.split("<")]
-            if len(sides) < 2 or not all(sides):
-                raise InputError(f"{where}:{no}: expected 'a < b', got {line!r}")
-            for a, b in zip(sides, sides[1:]):
-                relations.append((a, b))
-                elements.extend((a, b))
-        else:
-            if any(ch.isspace() for ch in line):
-                raise InputError(f"{where}:{no}: element identifiers cannot contain spaces: {line!r}")
-            elements.append(line)
+        sides = [s.strip() for s in line.split("<")]
+        if not all(sides):
+            raise InputError(f"{where}:{no}: expected 'a < b', got {line!r}")
+        if any(ch.isspace() for side in sides for ch in side):
+            raise InputError(f"{where}:{no}: element identifiers cannot contain spaces: {line!r}")
+        elements.extend(sides)
+        relations.extend(zip(sides, sides[1:]))
     return Poset(elements, relations)
 
 
@@ -245,13 +240,6 @@ def object_from_json(kind: Optional[str], data, where: str) -> Any:
         raise InputError(f"{where}: cannot build a {kind!r} fixture object")
     with named(where, f"{kind} JSON"):
         return KINDS[kind].read(data, where)
-
-
-# ----------------------------------------------------------- certificates
-
-def certificate_from_json(data, where: str = "<input>") -> ReductionCertificate:
-    with named(where, "certificate JSON"):
-        return ReductionCertificate.from_json_dict(data)
 
 
 # -------------------------------------------------------------------- DOT

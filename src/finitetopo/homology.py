@@ -41,8 +41,7 @@ re-derived by `fraction_free_rank`, a column reduction by lowest row over
 Q in integers only, on the whole, uncleared matrix: an exact cross-check
 of both phases and of the clearing.  It is independent of phase 1: it
 shares no code with it, reads every column, cleared or not, in stored
-order, and its pivots need not be units.  `rank_mod_p` is a rank over Z/p
-that tells torsion apart from rank; only the tests call it.
+order, and its pivots need not be units.
 """
 
 from __future__ import annotations
@@ -262,28 +261,6 @@ def fraction_free_rank(m: IntegerMatrix) -> int:
             if col and (content := gcd(*col.values())) > 1:
                 col = {k: v // content for k, v in col.items()}
     return len(pivots)
-
-
-def rank_mod_p(m: IntegerMatrix, p: int) -> int:
-    """Rank over the prime field GF(p); used only as an extra cross-check."""
-    a = [[v % p for v in row] for row in m.to_dense()]
-    rows, cols = m.rows, m.cols
-    rank = 0
-    for col in range(cols):
-        pivot_row = next((r for r in range(rank, rows) if a[r][col]), None)
-        if pivot_row is None:
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        inv = pow(a[rank][col], -1, p)
-        a[rank] = [(v * inv) % p for v in a[rank]]
-        for r in range(rows):
-            if r != rank and a[r][col]:
-                f = a[r][col]
-                a[r] = [(v - f * w) % p for v, w in zip(a[r], a[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
 
 
 @dataclass(frozen=True)

@@ -63,19 +63,22 @@ class PointCloud:
             raise InputError(f"unknown point {point_id!r}")
         return self.coords[self._index[point_id]]
 
-    def distance(self, a: str, b: str) -> float:
-        return math.dist(self.coord(a), self.coord(b))
-
     @classmethod
     def from_csv(cls, path: str) -> "PointCloud":
-        """One point per row; a leading non-numeric field is the identifier."""
+        """One point per row; a leading non-numeric field is the identifier.
+        Trailing empty cells are ignored; an empty cell before a value is an
+        input error."""
         ids: list[str] = []
         coords: list[list[float]] = []
         with io.StringIO(read_text_file(path), newline="") as fh:
             for row_no, row in enumerate(csv.reader(fh)):
-                cells = [c.strip() for c in row if c.strip()]
+                cells = [c.strip() for c in row]
+                while cells and not cells[-1]:
+                    cells.pop()
                 if not cells or cells[0].startswith("#"):
                     continue
+                if "" in cells:
+                    raise InputError(f"{path}:{row_no + 1}: empty cell in {row!r}")
                 try:
                     float(cells[0])
                     ident = f"p{len(ids):04d}"

@@ -393,13 +393,14 @@ def _desc(chains: Iterable[frozenset[int]]) -> list[frozenset[int]]:
 
 
 def collapse_to_simplicial(p: Poset, cert: ReductionCertificate) -> ReductionCertificate:
-    """Translate a beat/weak deletion sequence into simplicial collapses of the order complex.
+    """Translate a dismantling (beat steps only, as `core` certifies) into
+    simplicial collapses of the order complex.
 
-    Each poset step expands into the explicit free-face pairs that collapse
-    the star of the removed element.  The translation is replayed on the
-    order complex before it is returned, so every pair is checked free, in
-    order, and the replay must end at the order complex of the final
-    subposet.  Gamma steps carry no collapse data and are rejected.
+    Each beat step expands into the explicit free-face pairs that collapse
+    the star of the removed element onto its witness.  The translation is
+    replayed on the order complex before it is returned, so every pair is
+    checked free, in order, and the replay must end at the order complex of
+    the final subposet.  A weak or gamma step is an input error.
     """
     pairs: list[tuple[frozenset[int], frozenset[int]]] = []
     mask = p.full_mask()
@@ -408,36 +409,13 @@ def collapse_to_simplicial(p: Poset, cert: ReductionCertificate) -> ReductionCer
         i = p._index[x]
         if not mask & (1 << i):
             raise ReplayError(f"certificate removes {x!r} which is not present")
-        (_, up), (_, down) = _punctured(p, mask, i)
-        if step.kind in BEAT_KINDS:
-            # collapse every chain through i onto its w-extension
-            w = p._index[step.witness]  # type: ignore[arg-type]
-            for s in _desc(_chains_in(p, (up | down) & ~(1 << w))):
-                pairs.append((s | {i}, s | {i, w}))
-        elif step.kind in WEAK_KINDS:
-            side, other = (up, down) if step.kind == "up-weak" else (down, up)
-            ev = step.evidence
-            assert ev is not None
-            if not ev.is_dismantling():
-                raise InputError("weak step evidence must be a dismantling certificate")
-            # dismantle the link of i: each beat step of the evidence,
-            # joined with every chain of the other side
-            other_chains = _desc(_chains_in(p, other))
-            for bstep in ev.steps:
-                b = p._index[bstep.removed[0]]
-                wb = p._index[bstep.witness]  # type: ignore[arg-type]
-                star = side & (p._up[b] | p._down[b]) & ~(1 << b) & ~(1 << wb)
-                for s in _desc(_chains_in(p, star)):
-                    for u in other_chains:
-                        pairs.append((s | u | {b, i}, s | u | {b, wb, i}))
-                side ^= 1 << b
-            if side.bit_count() != 1:
-                raise ReplayError(f"weak evidence for {x!r} does not dismantle to a point")
-            q = side.bit_length() - 1
-            for u in other_chains:
-                pairs.append((u | {i}, u | {i, q}))
-        else:
+        if step.kind not in BEAT_KINDS:
             raise InputError(f"{step.kind} steps do not translate to simplicial collapses")
+        (_, up), (_, down) = _punctured(p, mask, i)
+        # collapse every chain through i onto its w-extension
+        w = p._index[step.witness]  # type: ignore[arg-type]
+        for s in _desc(_chains_in(p, (up | down) & ~(1 << w))):
+            pairs.append((s | {i}, s | {i, w}))
         mask ^= 1 << i
 
     def token(chain: frozenset[int]) -> str:

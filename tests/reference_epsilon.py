@@ -5,9 +5,14 @@ Kept only as a reference for the property tests, which compare its
 components with those of `epsilon_components`.
 """
 
+import math
 from typing import Iterable
 
 from finitetopo import PointCloud
+
+
+def distance(pc: PointCloud, a: str, b: str) -> float:
+    return math.dist(pc.coord(a), pc.coord(b))
 
 
 def reference_epsilon_components(pc: PointCloud, ids: Iterable[str], epsilon: float) -> list[frozenset[str]]:
@@ -24,7 +29,7 @@ def reference_epsilon_components(pc: PointCloud, ids: Iterable[str], epsilon: fl
         comp = {start}
         while queue:
             cur = queue.pop()
-            near = [q for q in unseen if pc.distance(cur, q) <= epsilon]
+            near = [q for q in unseen if distance(pc, cur, q) <= epsilon]
             for q in near:
                 unseen.discard(q)
                 comp.add(q)

@@ -40,7 +40,6 @@ from finitetopo import (
     order_complex,
     parse_filter,
     point_subnerve,
-    rank_mod_p,
     replay_poset_certificate,
     replay_simplicial_certificate,
     same_homology,
@@ -51,6 +50,7 @@ from finitetopo import (
     verify_nerve_theorem,
 )
 from finitetopo.reduction import DEFAULT_BUDGET, shared_oracle
+from tests.reference_rank import rank_mod_p
 from tests.test_homology import betti_by_rank
 from tests.test_poset import greatest
 

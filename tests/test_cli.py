@@ -790,8 +790,12 @@ class TestMalformedJson:
         ("d.csv", "x,1\nx,2\n", ["mapper", "{}", "--epsilon", "0.1"], ": point identifiers must be unique"),
         ("bad.json", "{", ["homology", "{}"], ":1: invalid JSON: Expecting property name enclosed in double quotes"),
         ("e.csv", "p,1\nq,oops\n", ["mapper", "{}", "--epsilon", "0.1"], ":2: bad coordinate in ['q', 'oops']"),
+        ("s.txt", "a b < c\n", ["homology", "{}"], ":1: element identifiers cannot contain spaces: 'a b < c'"),
+        ("t.txt", "x < y\na b\n", ["homology", "{}"], ":2: element identifiers cannot contain spaces: 'a b'"),
+        ("g.csv", "a,0,,0\nb,1,,0\nc,2,,5\n", ["mapper", "{}", "--epsilon", "0.5", "--filter", "y"],
+         ":1: empty cell in ['a', '0', '', '0']"),
     ], ids=["poset-json", "complex-int", "complex-list", "fixture-json", "relation-json", "text", "csv",
-            "named-json", "named-csv"])
+            "named-json", "named-csv", "space-on-a-relation-line", "space-on-a-bare-line", "csv-gap"])
     def test_an_input_error_names_its_file_once(self, capsys, tmp_path, name, text, argv, tail):
         """An error raised while an object is built from a file names the
         file; one that names it already is not prefixed again.  Vertices,

@@ -37,17 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "finitetopo"
 
-ALLOWED = {
-    "certificate_from_json": "reserved for the offline certificate audit (ROADMAP item 3)",
-    "ReductionCertificate.from_json_dict": "the certificate reader behind certificate_from_json, "
-                                           "for the offline certificate audit (ROADMAP item 3)",
-    "ReductionStep.from_json_dict": "reads a step, and its evidence back as a certificate, for "
-                                    "certificate_from_json (ROADMAP item 3)",
-    "IntegerMatrix.from_dense": "reserved for the sparse GF(p) witness work (ROADMAP item 8)",
-    "IntegerMatrix.to_dense": "the dense rows rank_mod_p reduces, kept with it until ROADMAP item 8",
-    "PointCloud.distance": "the reference implementation tests/reference_epsilon.py calls it",
-    "rank_mod_p": "criterion 7's rank path in tests/test_acceptance.py, kept until ROADMAP item 8",
-}
+ALLOWED: dict[str, str] = {}
 
 SHARED = {
     "certificates": "every statement report lists its collapses for the run report; "
@@ -56,8 +46,6 @@ SHARED = {
     "f_vector": "both complexes' f-vectors feed the Euler characteristic and the completion's JSON",
     "failing": "a refused collapse names the failing elements of its HypothesisReport; a refuted "
                "quasi-good statement names the failing components of its CoverClassification",
-    "from_json_dict": "both are allowlisted: the certificate reader behind certificate_from_json, "
-                      "where a certificate reads its steps and a step its evidence",
     "induced": "Poset.induced reads the members through ElementSet.induced",
     "nerve": "ComplexCover.nerve is the nerve of its poset cover",
     "to_json_dict": "every report, verdict and certificate writes its own part of the run report",

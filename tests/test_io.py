@@ -13,13 +13,11 @@ from finitetopo import (
     Status,
     TrivialityVerdict,
     core,
-    is_collapsible,
 )
 from finitetopo import fixtures as fx
 from finitetopo.cli import load_object
 from finitetopo.formats import (
     KINDS,
-    certificate_from_json,
     complex_cover_from_json,
     complex_cover_to_json,
     complex_from_json,
@@ -37,7 +35,6 @@ from finitetopo.formats import (
     relation_from_json,
     relation_to_json,
 )
-from finitetopo.reduction import DEFAULT_BUDGET
 from finitetopo.report import content_hash, hash_json
 from tests.test_complexes import as_cw
 from tests.test_poset import diamond
@@ -60,6 +57,12 @@ class TestPosetText:
     def test_bad_line_reports_location(self):
         with pytest.raises(InputError, match="input.txt:2"):
             parse_poset_text("a < b\n< c\n", where="input.txt")
+
+    @pytest.mark.parametrize("line", ["a b < c", "c < a b", "a < b < c d", "a b"])
+    def test_a_space_inside_an_identifier_is_refused(self, line):
+        """On a relation line as on a bare line: "a b < c" names no element "a b"."""
+        with pytest.raises(InputError, match="^input.txt:2: element identifiers cannot contain spaces: "):
+            parse_poset_text(f"x < y\n{line}\n", where="input.txt")
 
 
 class TestComplexText:
@@ -108,17 +111,6 @@ class TestJsonRoundTrips:
         cw = as_cw(SimplicialComplex([("a", "b", "c")]))
         back = cw_from_json(cw_to_json(cw))
         assert back == cw
-
-    def test_certificate_with_nested_evidence(self):
-        p = fx.REGISTRY["collapsible-noncontractible"].build()
-        v = is_collapsible(p, DEFAULT_BUDGET)
-        data = v.certificate.to_json_dict()
-        back = certificate_from_json(json.loads(json.dumps(data)))
-        assert back == v.certificate
-
-    def test_certificate_rejects_malformed_step(self):
-        with pytest.raises(InputError):
-            certificate_from_json({"steps": [{"kind": "up-beat"}]})
 
 
 class TestFileReaders:

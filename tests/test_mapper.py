@@ -23,7 +23,7 @@ from finitetopo import (
 )
 from finitetopo import fixtures as fx
 from finitetopo.mapper import _part_name, _spans
-from tests.reference_epsilon import reference_epsilon_components
+from tests.reference_epsilon import distance, reference_epsilon_components
 
 
 def components(pc: PointCloud, ids, epsilon: float) -> list[frozenset[str]]:
@@ -51,7 +51,7 @@ class TestPointCloud:
         assert len(pc) == 4
         assert pc.dimension == 2
         assert pc.coord("p1") == (1.0, 0.0)
-        assert pc.distance("p0", "p3") == pytest.approx(math.sqrt(2))
+        assert distance(pc, "p0", "p3") == pytest.approx(math.sqrt(2))
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(InputError):
@@ -71,6 +71,19 @@ class TestPointCloud:
         path.write_text("a,0,0\nb,nan,0\nc,0.1,0\nd,inf,1\n")
         with pytest.raises(InputError, match=r"cloud\.csv:2: point 'b' has a non-finite coordinate"):
             PointCloud.from_csv(str(path))
+
+    def test_csv_empty_cell_before_a_value_names_the_row(self, tmp_path):
+        """An empty cell is not skipped: the third column stays the third."""
+        path = tmp_path / "cloud.csv"
+        path.write_text("a,0,,0\nb,1,,0\nc,2,,5\n")
+        with pytest.raises(InputError, match=r"cloud\.csv:1: empty cell in \['a', '0', '', '0'\]"):
+            PointCloud.from_csv(str(path))
+
+    def test_csv_trailing_empty_cells_are_ignored(self, tmp_path):
+        path = tmp_path / "cloud.csv"
+        path.write_text("a,0,1,\nb,2,3,,\n,,\n")
+        pc = PointCloud.from_csv(str(path))
+        assert pc.ids == ("a", "b") and pc.coords == ((0.0, 1.0), (2.0, 3.0))
 
     def test_csv_round_trip(self, tmp_path):
         from finitetopo import fixtures as fx
@@ -308,7 +321,7 @@ class TestGridMatchesReference:
         # the distance rounds to epsilon exactly although the cells of side
         # epsilon would be two apart
         pc = PointCloud(["a", "b"], [(-5e-324, 0.0), (0.1, 0.0)])
-        assert pc.distance("a", "b") == 0.1
+        assert distance(pc, "a", "b") == 0.1
         assert components(pc, pc.ids, 0.1) == [frozenset({"a", "b"})]
 
     def test_diagonal_neighbours_are_linked(self):

@@ -335,13 +335,18 @@ class TestCollapseTranslation:
         final = replay_simplicial_certificate(order_complex(p), simp)
         assert final == frozenset(order_complex(q).faces)
 
-    def test_collapse_certificate_with_a_weak_step_translates(self):
+    @pytest.mark.parametrize("kind", ["down-weak", "gamma-down"])
+    def test_a_weak_or_gamma_step_is_refused(self, kind):
+        """Only beat steps translate: the collapse certificate's weak step,
+        or the same step as a gamma step, is an input error naming its kind."""
         p = fx.REGISTRY["collapsible-noncontractible"].build()
         cert = is_collapsible(p, DEFAULT_BUDGET).certificate
         assert "down-weak" in {step.kind for step in cert.steps}
-        simp = collapse_to_simplicial(p, cert)
-        (vertex,) = replay_simplicial_certificate(order_complex(p), simp)
-        assert len(vertex) == 1
+        steps = tuple(
+            ReductionStep(kind, s.removed, evidence=s.evidence) if s.kind == "down-weak" else s for s in cert.steps
+        )
+        with pytest.raises(InputError, match=f"^{kind} steps do not translate to simplicial collapses$"):
+            collapse_to_simplicial(p, ReductionCertificate(steps))
 
     def test_each_poset_step_becomes_a_collapse_run(self):
         p = chain(3)
