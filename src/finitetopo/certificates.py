@@ -8,7 +8,8 @@ up-weak      remove x; evidence dismantles the punctured up-set to a point
 down-weak    remove x; evidence dismantles the punctured down-set to a point
 gamma-up     remove x; evidence certifies the punctured up-set homotopy trivial
 gamma-down   remove x; evidence certifies the punctured down-set homotopy trivial
-simplicial-collapse   remove a free face and its unique proper coface
+simplicial-collapse   remove a free face and its unique proper coface; removed
+                      holds the face and its coface as tuples of sorted vertices
 
 The witness carried by a step is everything replay needs; replay never
 searches.
@@ -32,7 +33,7 @@ GAMMA_KINDS = ("gamma-up", "gamma-down")
 @dataclass(frozen=True)
 class ReductionStep:
     kind: str
-    removed: tuple[str, ...]
+    removed: tuple  # the removed element, or a simplicial step's face and coface
     witness: Optional[str] = None
     evidence: Optional["ReductionCertificate"] = None
 

@@ -33,7 +33,6 @@ from .cylinder import (
     verify_target_retraction,
 )
 from .errors import InputError, NotCertified, ReplayError, ValidationError
-from .fixtures import read_fixture_file
 from .formats import (
     complex_to_json,
     cw_to_json,
@@ -41,11 +40,10 @@ from .formats import (
     dot_cw,
     dot_poset,
     json_scalar,
-    named,
+    load_object,
     object_from_json,
-    parse_text,
     poset_to_json,
-    read_text_file,
+    read_fixture_file,
 )
 from .homology import HomologyProfile, _poset_homology, euler_characteristic, homology
 from .mapper import IntervalCover, PointCloud, mapper_completion, parse_filter
@@ -94,22 +92,6 @@ def profile_json(prof: HomologyProfile) -> Dict[str, Any]:
 
 # ------------------------------------------------------------ input loading
 
-def load_object(path: str) -> Tuple[Optional[dict], Any]:
-    """Load any supported input file into a domain object.
-
-    JSON files may be fixture wrappers or raw payloads; a `.csv` file is a
-    point cloud; other text files hold either a poset (lines with '<') or a
-    complex (facet per line).  Every input error names the file once.
-    """
-    if path.endswith(".json"):
-        wrapper, data = read_fixture_file(path)
-        return wrapper, object_from_json(wrapper["kind"] if wrapper else None, data, path)
-    with named(path, "text"):
-        if path.endswith(".csv"):
-            return None, PointCloud.from_csv(path)
-        return None, parse_text(read_text_file(path), path)
-
-
 def _load_input(token: str, report: RunReport) -> Tuple[Optional[dict], Any]:
     """Path, path with extension, or built in fixture name; records the
     hash of the file, or of the fixture's name, on the report.
@@ -123,11 +105,8 @@ def _load_input(token: str, report: RunReport) -> Tuple[Optional[dict], Any]:
             return loaded
     if token in fixtures_mod.REGISTRY:
         f = fixtures_mod.get_fixture(token)
-        wrapper = fixtures_mod.fixture_wrapper(f)
         report.add_input("input", payload=f.name)
-        if f.kind == "point-cloud":
-            return wrapper, f.build()
-        return wrapper, object_from_json(f.kind, fixtures_mod.fixture_payload(f)["data"], token)
+        return fixtures_mod.fixture_wrapper(f), f.build()
     raise InputError(f"no such file or fixture: {token}")
 
 
@@ -217,12 +196,6 @@ def _run_fixture_file(path: str, budget: int, only: Optional[str]) -> Dict[str, 
             entry["status"] = "Skipped"
             return entry
         expected = wrapper.get("expected_status")
-        if expected is not None:
-            try:
-                expected = Status(expected)
-            except ValueError:
-                words = ", ".join(s.value for s in Status)
-                raise InputError(f"{path}: expected_status {expected!r} is not one of {words}") from None
         obj = object_from_json(wrapper["kind"], data, path)
         sub = RunReport(f"verify {theorem}")
         params = wrapper.get("params") or {}
@@ -231,7 +204,7 @@ def _run_fixture_file(path: str, budget: int, only: Optional[str]) -> Dict[str, 
         entry["status"] = sub.status
         entry["expected"] = expected
         if expected is not None:
-            entry["match"] = sub.status is expected
+            entry["match"] = sub.status == expected
     except (InputError, ValidationError, ReplayError, NotCertified) as exc:
         entry.update(status=Status.ERROR, error=str(exc))
     except Exception as exc:

@@ -160,10 +160,6 @@ class HypothesisReport(StatementReport):
     def status(self) -> Status:
         return Status.of_verdicts(self.verdicts.values())
 
-    @property
-    def failing(self) -> list[str]:
-        return sorted(e for e, v in self.verdicts.items() if v.is_nontrivial)
-
     def to_json_dict(self) -> dict:
         return {
             "side": self.side,
@@ -220,7 +216,7 @@ def _gamma_collapse(side: str, c: CylinderPoset, report: HypothesisReport, delet
     if report.side != side:
         raise InputError(f"the collapse onto the {side} takes the {side} report, not the {report.side} one")
     if report.status is not Status.CERTIFIED:
-        raise NotCertified(f"{side} retraction is {report.status}", failing=report.failing or None)
+        raise NotCertified(f"{side} retraction is {report.status}")
     kept_name, deleted_name, direction = _SIDES[side]
     p = c.poset
     reach = p._down if direction == "down" else p._up

@@ -16,7 +16,3 @@ class ReplayError(ValueError):
 
 class NotCertified(RuntimeError):
     """A construction was requested whose precondition is not certified."""
-
-    def __init__(self, message, failing=None):
-        super().__init__(message)
-        self.failing = failing

@@ -3,8 +3,9 @@
 The registry holds small named objects with known behaviour: oracle
 calibration complexes, a refutation relation, covers whose nerves are
 understood, and the sample point clouds used by the mapper demo.  Each
-entry can be written to disk as a self-describing fixture file that the
-command line runner understands.
+entry can be written to disk as a self-describing fixture file (a point
+cloud as CSV) that the command line runner understands; `formats` reads
+those files back.
 
 Generators produce reproducible batches of posets, monotone maps,
 relations and covers from an explicit seed.  Construction recipes favour
@@ -24,8 +25,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from .complexes import SimplicialComplex, face_poset
 from .cylinder import Relation
 from .errors import InputError
-from .formats import KINDS, load_json_file
-from .mapper import PointCloud, circle_sample, figure_eight_sample
+from .formats import KINDS, point_cloud_to_csv
+from .mapper import circle_sample, figure_eight_sample
 from .nerve import ComplexCover, PosetCover, classify_cover
 from .poset import Poset
 from .reduction import find_beat_points, shared_oracle
@@ -239,35 +240,15 @@ def fixture_payload(f: Fixture) -> Dict[str, Any]:
     return dict(fixture_wrapper(f), description=f.description, data=KINDS[f.kind].write(f.build()))
 
 
-def read_fixture_file(path: str) -> Tuple[Optional[dict], Any]:
-    """Returns (fixture wrapper or None, raw payload)."""
-    data = load_json_file(path)
-    if isinstance(data, dict) and "kind" in data and "data" in data:
-        for key, kind, what in (("name", str, "a string"), ("theorem", str, "a string"), ("params", dict, "an object")):
-            if data.get(key) is not None and not isinstance(data[key], kind):
-                raise InputError(f"{path}: fixture {key!r} must be {what} or null, got {data[key]!r}")
-        return data, data["data"]
-    return None, data
-
-
-def _cloud_csv(f: Fixture) -> str:
-    cloud: PointCloud = f.build()
-    lines = [f"# fixture {f.name}: {f.description}"]
-    if f.params:
-        settings = " ".join(f"{k}={v}" for k, v in sorted(f.params.items()))
-        lines.append(f"# suggested settings: {settings}")
-    for pid in cloud.ids:
-        coords = ",".join(repr(c) for c in cloud.coord(pid))
-        lines.append(f"{pid},{coords}")
-    return "\n".join(lines) + "\n"
-
-
 def write_fixture(f: Fixture, directory: str) -> str:
     os.makedirs(directory, exist_ok=True)
     if f.kind == "point-cloud":
+        comments = [f"fixture {f.name}: {f.description}"]
+        if f.params:
+            comments.append("suggested settings: " + " ".join(f"{k}={v}" for k, v in sorted(f.params.items())))
         path = os.path.join(directory, f"{f.name}.csv")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_cloud_csv(f))
+            fh.write(point_cloud_to_csv(f.build(), comments))
         return path
     path = os.path.join(directory, f"{f.name}.json")
     with open(path, "w", encoding="utf-8") as fh:

@@ -1,18 +1,27 @@
-"""Reading and writing posets, complexes, relations and covers.
+"""Every reader of input, and the writers of posets, complexes,
+relations, covers and point clouds.
 
-Text formats are line-oriented with "#" comments.  JSON formats carry the
-same data self-contained.  Parse errors cite the offending line.
+Input is read here and nowhere else: the JSON kinds, the fixture file
+wrapper, the text formats and CSV point clouds.  Text formats are
+line-oriented with "#" comments.  JSON formats carry the same data
+self-contained.  Parse errors cite the offending file, and line or row
+where there is one.  DOT drawings and CSV clouds are written here too.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import math
 from contextlib import contextmanager
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Tuple
 
+from .certificates import Status
 from .complexes import RegularCWComplex, SimplicialComplex, cw_from_face_poset
 from .cylinder import Relation
 from .errors import InputError, ValidationError
+from .mapper import PointCloud
 from .nerve import ComplexCover, PosetCover
 from .poset import Poset
 
@@ -242,6 +251,47 @@ def object_from_json(kind: Optional[str], data, where: str) -> Any:
         return KINDS[kind].read(data, where)
 
 
+# ----------------------------------------------------------- point clouds
+
+def point_cloud_from_csv(text: str, where: str = "<input>") -> PointCloud:
+    """One point per row; a leading non-numeric field is the identifier.
+    Trailing empty cells are ignored; an empty cell before a value is an
+    input error."""
+    ids: list[str] = []
+    coords: list[list[float]] = []
+    for row_no, row in enumerate(csv.reader(io.StringIO(text, newline="")), 1):
+        cells = [c.strip() for c in row]
+        while cells and not cells[-1]:
+            cells.pop()
+        if not cells or cells[0].startswith("#"):
+            continue
+        if "" in cells:
+            raise InputError(f"{where}:{row_no}: empty cell in {row!r}")
+        try:
+            float(cells[0])
+            ident = f"p{len(ids):04d}"
+            values = cells
+        except ValueError:
+            ident = cells[0]
+            values = cells[1:]
+        try:
+            row_coords = [float(v) for v in values]
+        except ValueError as exc:
+            raise InputError(f"{where}:{row_no}: bad coordinate in {row!r}") from exc
+        if not all(map(math.isfinite, row_coords)):
+            raise InputError(f"{where}:{row_no}: point {ident!r} has a non-finite coordinate in {row!r}")
+        coords.append(row_coords)
+        ids.append(ident)
+    return PointCloud(ids, coords)
+
+
+def point_cloud_to_csv(cloud: PointCloud, comments: Iterable[str]) -> str:
+    """A "#" line per comment, then one row per point, identifier first."""
+    lines = [f"# {c}" for c in comments]
+    lines += [",".join([pid, *map(repr, row)]) for pid, row in zip(cloud.ids, cloud.coords)]
+    return "\n".join(lines) + "\n"
+
+
 # -------------------------------------------------------------------- DOT
 
 def _dot_quote(s: str) -> str:
@@ -306,3 +356,34 @@ def read_text_file(path: str) -> str:
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
 
+
+def read_fixture_file(path: str) -> Tuple[Optional[dict], Any]:
+    """Returns (fixture wrapper or None, raw payload); every wrapper key
+    that is present must have its type, and expected_status must be a
+    Status word."""
+    data = load_json_file(path)
+    if not (isinstance(data, dict) and "kind" in data and "data" in data):
+        return None, data
+    for key, kind, what in (("name", str, "a string"), ("theorem", str, "a string"), ("params", dict, "an object")):
+        if data.get(key) is not None and not isinstance(data[key], kind):
+            raise InputError(f"{path}: fixture {key!r} must be {what} or null, got {data[key]!r}")
+    words = [s.value for s in Status]
+    if data.get("expected_status") not in [None, *words]:
+        raise InputError(f"{path}: expected_status {data['expected_status']!r} is not one of {', '.join(words)}")
+    return data, data["data"]
+
+
+def load_object(path: str) -> Tuple[Optional[dict], Any]:
+    """Load any supported input file into a domain object.
+
+    JSON files may be fixture wrappers or raw payloads; a `.csv` file is a
+    point cloud; other text files hold either a poset (lines with '<') or a
+    complex (facet per line).  Every input error names the file once.
+    """
+    if path.endswith(".json"):
+        wrapper, data = read_fixture_file(path)
+        return wrapper, object_from_json(wrapper["kind"] if wrapper else None, data, path)
+    with named(path, "text"):
+        if path.endswith(".csv"):
+            return None, point_cloud_from_csv(read_text_file(path), path)
+        return None, parse_text(read_text_file(path), path)

@@ -7,13 +7,12 @@ completion instead keeps one cell per component of each intersection of
 parts, which can separate features the component nerve glues together.
 
 Components of a finite sample are defined by the epsilon-neighborhood
-graph at a single user-supplied scale; no clustering heuristics.
+graph at a single user-supplied scale; no clustering heuristics.  This
+module does no I/O: `formats` reads and writes point clouds as CSV.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 import operator
@@ -24,7 +23,6 @@ from typing import Iterable
 
 from .complexes import RegularCWComplex, SimplicialComplex
 from .errors import InputError
-from .formats import read_text_file
 from .homology import HomologyProfile, homology
 from .nerve import CompletionPoset, PosetCover, completion_poset, intersecting_families
 from .poset import ElementSet, Poset, bit_list
@@ -62,39 +60,6 @@ class PointCloud:
         if point_id not in self._index:
             raise InputError(f"unknown point {point_id!r}")
         return self.coords[self._index[point_id]]
-
-    @classmethod
-    def from_csv(cls, path: str) -> "PointCloud":
-        """One point per row; a leading non-numeric field is the identifier.
-        Trailing empty cells are ignored; an empty cell before a value is an
-        input error."""
-        ids: list[str] = []
-        coords: list[list[float]] = []
-        with io.StringIO(read_text_file(path), newline="") as fh:
-            for row_no, row in enumerate(csv.reader(fh)):
-                cells = [c.strip() for c in row]
-                while cells and not cells[-1]:
-                    cells.pop()
-                if not cells or cells[0].startswith("#"):
-                    continue
-                if "" in cells:
-                    raise InputError(f"{path}:{row_no + 1}: empty cell in {row!r}")
-                try:
-                    float(cells[0])
-                    ident = f"p{len(ids):04d}"
-                    values = cells
-                except ValueError:
-                    ident = cells[0]
-                    values = cells[1:]
-                try:
-                    row_coords = [float(v) for v in values]
-                except ValueError as exc:
-                    raise InputError(f"{path}:{row_no + 1}: bad coordinate in {row!r}") from exc
-                if not all(map(math.isfinite, row_coords)):
-                    raise InputError(f"{path}:{row_no + 1}: point {ident!r} has a non-finite coordinate in {row!r}")
-                coords.append(row_coords)
-                ids.append(ident)
-        return cls(ids, coords)
 
 
 @dataclass(frozen=True)
@@ -372,9 +337,9 @@ def mapper_completion(
     )
 
 
-def circle_sample(n: int = 60, seed: int = 7, radius: float = 1.0) -> PointCloud:
-    """Jittered points around a circle; adjacent spacing stays below 0.15
-    for the default 60 points, so epsilon = 0.15 links neighbors only."""
+def circle_sample(n: int = 60, seed: int = 7) -> PointCloud:
+    """Jittered points around the unit circle; adjacent spacing stays below
+    0.15 for the default 60 points, so epsilon = 0.15 links neighbors only."""
     import random
 
     rng = random.Random(seed)
@@ -382,7 +347,7 @@ def circle_sample(n: int = 60, seed: int = 7, radius: float = 1.0) -> PointCloud
     coords = []
     for k in range(n):
         angle = 2.0 * math.pi * k / n + rng.uniform(-0.01, 0.01)
-        r = radius + rng.uniform(-0.02, 0.02)
+        r = 1.0 + rng.uniform(-0.02, 0.02)
         ids.append(f"p{k:02d}")
         coords.append((r * math.cos(angle), r * math.sin(angle)))
     return PointCloud(ids, coords)

@@ -260,7 +260,6 @@ class CompletionPoset:
     CW complex whose cells are simplices.
     """
 
-    cover: PosetCover
     poset: Poset
     dim: dict[str, int]
     cells: dict[str, ElementSet]
@@ -305,7 +304,7 @@ def completion_poset(c: AnyCover, components: Optional[ComponentSplitter] = None
                     raise ValidationError(f"component {lab!r} lies in {len(containers)} components of {sub!r}")
                 if one_level:
                     relations.append((component_label(sub, containers[0]), lab))
-    return CompletionPoset(c, Poset(cells.keys(), relations), dim, cells)
+    return CompletionPoset(Poset(cells.keys(), relations), dim, cells)
 
 
 NERVE_VARIANTS = ("good-poset", "x-zero", "quasi-good")

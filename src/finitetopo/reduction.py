@@ -8,7 +8,6 @@ witness data, and no search is ever invoked.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Iterator, Optional
 
@@ -342,14 +341,6 @@ def _facets(t: tuple[str, ...]) -> list[tuple[str, ...]]:
     return [t[:i] + t[i + 1:] for i in range(len(t))] if len(t) > 1 else []
 
 
-def simplex_token(simplex: Iterable[str]) -> str:
-    return json.dumps(sorted(simplex), separators=(",", ":"))
-
-
-def token_simplex(token: str) -> tuple[str, ...]:
-    return tuple(json.loads(token))
-
-
 def replay_simplicial_certificate(k: SimplicialComplex, cert: ReductionCertificate) -> frozenset:
     """Re-verify freeness of every removed pair; returns the remaining faces.
 
@@ -366,8 +357,7 @@ def replay_simplicial_certificate(k: SimplicialComplex, cert: ReductionCertifica
     for step in cert.steps:
         if step.kind != "simplicial-collapse":
             raise ReplayError(f"step kind {step.kind!r} is not a simplicial step")
-        s = token_simplex(step.removed[0])
-        t = token_simplex(step.removed[1])
+        s, t = step.removed
         if s not in faces or t not in faces:
             raise ReplayError(f"pair ({s}, {t}) is not present")
         if cofaces[s] != {t}:
@@ -402,7 +392,10 @@ def collapse_to_simplicial(p: Poset, cert: ReductionCertificate) -> ReductionCer
     checked free, in order, and the replay must end at the order complex of
     the final subposet.  A weak or gamma step is an input error.
     """
-    pairs: list[tuple[frozenset[int], frozenset[int]]] = []
+    def face(chain: frozenset[int]) -> tuple[str, ...]:
+        return tuple(sorted(p.elements[j] for j in chain))
+
+    steps = []
     mask = p.full_mask()
     for step in cert.steps:
         x = step.removed[0]
@@ -415,15 +408,9 @@ def collapse_to_simplicial(p: Poset, cert: ReductionCertificate) -> ReductionCer
         # collapse every chain through i onto its w-extension
         w = p._index[step.witness]  # type: ignore[arg-type]
         for s in _desc(_chains_in(p, (up | down) & ~(1 << w))):
-            pairs.append((s | {i}, s | {i, w}))
+            steps.append(ReductionStep("simplicial-collapse", (face(s | {i}), face(s | {i, w}))))
         mask ^= 1 << i
-
-    def token(chain: frozenset[int]) -> str:
-        return simplex_token(p.elements[j] for j in chain)
-
-    out = ReductionCertificate(tuple(
-        ReductionStep("simplicial-collapse", (token(s), token(t))) for s, t in pairs
-    ))
+    out = ReductionCertificate(tuple(steps))
     remaining = replay_simplicial_certificate(order_complex(p), out)
     if remaining != order_complex(ElementSet(p, mask).induced()).faces:
         raise ReplayError("translated collapse does not end at the order complex of the final poset")

@@ -226,6 +226,17 @@ class TestBatch:
         assert entry["status"] == "Error"
         assert "expected_status" in entry["error"] and "match" not in entry
 
+    def test_single_file_verify_refuses_what_the_batch_refuses(self, capsys, tmp_path):
+        """One reader checks every wrapper key, for a single file as for a batch."""
+        payload = fx.fixture_payload(fx.get_fixture("certified-relation"))
+        path = write_json(tmp_path / "maybe.json", {**payload, "expected_status": "Maybe"})
+        message = f"{path}: expected_status 'Maybe' is not one of Certified, Refuted, Unknown, Error"
+        assert main(["verify", "thm-a", path]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        code, doc = run_json(capsys, "verify", "--batch", str(tmp_path))
+        (entry,) = doc["detail"]["fixtures"]
+        assert code == 3 and entry["error"] == message
+
     @pytest.mark.parametrize("exc", [
         AssertionError("certified relation with unequal homology"),
         RecursionError("maximum recursion depth exceeded"),
@@ -278,6 +289,19 @@ class TestBatch:
         for entry in ran:
             _, single = run_json(capsys, "verify", entry["theorem"], os.path.join(SHIPPED_FIXTURES, entry["file"]))
             assert entry["status"] == single["status"], entry["file"]
+
+
+@pytest.mark.parametrize("fixture", [f for f in fx.all_fixtures() if f.theorem], ids=lambda f: f.name)
+def test_a_fixture_name_and_its_shipped_file_give_one_report(capsys, fixture):
+    """A registry name runs the object it builds; its shipped file describes
+    the same object, so only the inputs and the timing differ."""
+    docs = [
+        run_json(capsys, "verify", fixture.theorem, token)
+        for token in (fixture.name, os.path.join(SHIPPED_FIXTURES, fixture.name + ".json"))
+    ]
+    for _, doc in docs:
+        del doc["inputs"], doc["timing"]
+    assert docs[0] == docs[1]
 
 
 @pytest.mark.parametrize("fixture", [f for f in fx.all_fixtures() if f.theorem], ids=lambda f: f.name)
@@ -697,9 +721,7 @@ class TestFixturesCommand:
             )
             assert code == 0
         for name in os.listdir(d1):
-            assert (
-                open(os.path.join(d1, name)).read() == open(os.path.join(d2, name)).read()
-            )
+            assert (tmp_path / "a" / name).read_text() == (tmp_path / "b" / name).read_text()
 
 
 class TestOutputPlumbing:

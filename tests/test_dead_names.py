@@ -21,7 +21,9 @@ A use of `.name` cannot say which class it reaches, so one class's method
 would keep a same-named method of another class alive.  `SHARED` lists
 every public method name that two package classes define, or that a class
 shares with a module-level name, each with the reason why every one of
-them runs; a collision that is not listed fails.
+them runs; a collision that is not listed fails.  `SHARED_FIELDS` does the
+same for a dataclass field whose name another dataclass field, or a public
+method, also has.
 
 `ALLOWED` names the few that are kept with no caller, each with its reason.
 An allowlisted function never runs, so a use inside its body does not
@@ -44,11 +46,36 @@ SHARED = {
                     "the StatementReport default yields none",
     "exit_code": "RunReport.exit_code is the exit code of its Status",
     "f_vector": "both complexes' f-vectors feed the Euler characteristic and the completion's JSON",
-    "failing": "a refused collapse names the failing elements of its HypothesisReport; a refuted "
-               "quasi-good statement names the failing components of its CoverClassification",
     "induced": "Poset.induced reads the members through ElementSet.induced",
     "nerve": "ComplexCover.nerve is the nerve of its poset cover",
     "to_json_dict": "every report, verdict and certificate writes its own part of the run report",
+}
+
+SHARED_FIELDS = {
+    "base_homology": "both nerve reports name it in HOMOLOGY, whose attributes "
+                     "StatementReport.homology_profiles reads by their strings",
+    "completion": "perfbench's mapper workload reads MapperResult.completion; the corollary reads "
+                  "its nerve report's completion and writes the f-vector of its own",
+    "completion_homology": "the mapper command reports MapperResult's; the corollary names its own in HOMOLOGY",
+    "components": "CoverClassification.components holds the verdicts its status and failing read; "
+                  "ElementSet.components splits a subspace",
+    "cylinder": "EquivalenceReport.cylinder reads its source report's cylinder, which the certificates "
+                "of both reports replay on",
+    "detail": "each verdict and report writes its detail into its JSON",
+    "dim": "RegularCWComplex.dim grades its cells, CompletionPoset.dim the completion's; "
+           "SimplicialComplex.dim bounds faces_by_dim",
+    "failing": "HomologyEquivalenceReport.failing is written into its JSON; a refuted quasi-good "
+               "statement names the failing components of its CoverClassification",
+    "homology_equal": "StatementReport.homology_json writes it for every report that has it",
+    "intervals": "IntervalCover.intervals is checked and spanned; MapperResult.intervals is written into its JSON",
+    "kind": "replay branches on a step's kind, a fixture file records its kind, a filter computes by its kind",
+    "nerve": "the mapper command draws MapperResult.nerve; both covers build their nerve",
+    "nerve_homology": "the mapper command reports MapperResult's; the nerve report names its own in HOMOLOGY",
+    "poset": "each CW complex, cylinder, subnerve, completion and subspace reads the poset it lies in",
+    "source_homology": "both cylinder reports share one HOMOLOGY, read by its strings",
+    "status": "run_theorem sets the run's status from its statement's, and each verdict and report "
+              "writes its status into its JSON",
+    "target_homology": "both cylinder reports share one HOMOLOGY, read by its strings",
 }
 
 PRIVATE_IMPORTS = {
@@ -171,6 +198,21 @@ def shared_method_names() -> dict[str, list[str]]:
     return {name: sorted(o) for name, o in owners.items() if len(o) > 1 and any("." in e for e in o)}
 
 
+def shared_field_names() -> dict[str, list[str]]:
+    """Each dataclass field name that two package dataclasses define, or
+    that a field shares with a public method: its owners."""
+    owners: defaultdict[str, list[str]] = defaultdict(list)
+    methods: set[str] = set()
+    for tree in package_modules():
+        for name in dataclass_fields(tree):
+            owners[name.split(".")[1]].append(name)
+        methods.update(public_methods(tree))
+    for name in methods:
+        if name.split(".")[1] in owners:
+            owners[name.split(".")[1]].append(name)
+    return {name: sorted(o) for name, o in owners.items() if len(o) > 1}
+
+
 def test_every_module_level_name_is_used():
     assert [name for name in dead_module_level_names() if name not in ALLOWED] == []
 
@@ -194,6 +236,14 @@ def test_every_shared_method_name_is_listed():
     shared = shared_method_names()
     assert {name: owners for name, owners in shared.items() if name not in SHARED} == {}
     assert sorted(name for name in SHARED if name not in shared) == []
+
+
+def test_every_shared_field_name_is_listed():
+    """A read of `.name` keeps every field of that name alive, so an
+    unlisted collision fails; an entry that no longer collides is stale."""
+    shared = shared_field_names()
+    assert {name: owners for name, owners in shared.items() if name not in SHARED_FIELDS} == {}
+    assert sorted(name for name in SHARED_FIELDS if name not in shared) == []
 
 
 # each statement's verdict table and each search's budget: the command
@@ -282,21 +332,42 @@ def test_no_package_import_sits_inside_a_function():
     assert lazy == []
 
 
+def imported_modules(path: Path) -> set[str]:
+    """The package modules a file imports by `from .x import` or `from . import x`."""
+    modules = {p.stem for p in package_files()}
+    return {
+        target for node in package_imports(ast.parse(path.read_text()))
+        for target in ([node.module] if node.module else [alias.name for alias in node.names])
+        if target in modules
+    }
+
+
 def test_the_module_import_graph_is_acyclic():
     """Each module imports only modules below it: `from .x import` and
     `from . import x` edges among the package's files leave no cycle."""
-    modules = {path.stem for path in package_files()}
-    edges = {
-        path.stem: {
-            target for node in package_imports(ast.parse(path.read_text()))
-            for target in ([node.module] if node.module else [alias.name for alias in node.names])
-            if target in modules
-        }
-        for path in package_files()
-    }
+    edges = {path.stem: imported_modules(path) for path in package_files()}
     assert "complexes" in edges["homology"]  # the edges are read at all
     done: set[str] = set()
     while len(done) < len(edges):
         ready = [m for m in edges if m not in done and edges[m] <= done]
         assert ready, f"import cycle among {sorted(set(edges) - done)}"
         done.update(ready)
+
+
+READERS = {"json.load", "json.loads", "csv.reader", "read_text_file", "load_json_file"}
+CORE = ("poset", "complexes", "homology", "certificates", "reduction", "cylinder", "nerve", "mapper")
+
+
+def reader_calls(path: Path) -> set[str]:
+    """The readers a file calls, by name or as an attribute of a module."""
+    called = {ast.unparse(node.func) for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)}
+    return {name for call in called for name in (call, call.rsplit(".", 1)[-1]) if name in READERS}
+
+
+def test_only_formats_parses_input():
+    """formats.py is the one module that reads input: no other module calls
+    a reader, and no core module imports formats."""
+    assert "csv.reader" in reader_calls(PACKAGE / "formats.py")  # the calls are read at all
+    calling = {path.name: reader_calls(path) for path in package_files() if path.name != "formats.py"}
+    assert {name: readers for name, readers in calling.items() if readers} == {}
+    assert [name for name in CORE if "formats" in imported_modules(PACKAGE / f"{name}.py")] == []

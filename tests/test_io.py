@@ -15,7 +15,6 @@ from finitetopo import (
     core,
 )
 from finitetopo import fixtures as fx
-from finitetopo.cli import load_object
 from finitetopo.formats import (
     KINDS,
     complex_cover_from_json,
@@ -26,6 +25,7 @@ from finitetopo.formats import (
     cw_to_json,
     dot_complex,
     dot_poset,
+    load_object,
     parse_complex_text,
     parse_poset_text,
     poset_cover_from_json,

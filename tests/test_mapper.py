@@ -22,6 +22,7 @@ from finitetopo import (
     pullback_cover,
 )
 from finitetopo import fixtures as fx
+from finitetopo.formats import point_cloud_from_csv, read_text_file
 from finitetopo.mapper import _part_name, _spans
 from tests.reference_epsilon import distance, reference_epsilon_components
 
@@ -70,29 +71,28 @@ class TestPointCloud:
         path = tmp_path / "cloud.csv"
         path.write_text("a,0,0\nb,nan,0\nc,0.1,0\nd,inf,1\n")
         with pytest.raises(InputError, match=r"cloud\.csv:2: point 'b' has a non-finite coordinate"):
-            PointCloud.from_csv(str(path))
+            point_cloud_from_csv(path.read_text(), str(path))
 
     def test_csv_empty_cell_before_a_value_names_the_row(self, tmp_path):
         """An empty cell is not skipped: the third column stays the third."""
         path = tmp_path / "cloud.csv"
         path.write_text("a,0,,0\nb,1,,0\nc,2,,5\n")
         with pytest.raises(InputError, match=r"cloud\.csv:1: empty cell in \['a', '0', '', '0'\]"):
-            PointCloud.from_csv(str(path))
+            point_cloud_from_csv(path.read_text(), str(path))
 
     def test_csv_trailing_empty_cells_are_ignored(self, tmp_path):
         path = tmp_path / "cloud.csv"
         path.write_text("a,0,1,\nb,2,3,,\n,,\n")
-        pc = PointCloud.from_csv(str(path))
+        pc = point_cloud_from_csv(path.read_text(), str(path))
         assert pc.ids == ("a", "b") and pc.coords == ((0.0, 1.0), (2.0, 3.0))
 
     def test_csv_round_trip(self, tmp_path):
-        from finitetopo import fixtures as fx
-
-        path = tmp_path / "cloud.csv"
-        fx.write_fixture(fx.get_fixture("circle-60"), str(tmp_path))
-        pc = PointCloud.from_csv(str(tmp_path / "circle-60.csv"))
+        path = fx.write_fixture(fx.get_fixture("circle-60"), str(tmp_path))
+        pc = point_cloud_from_csv(read_text_file(path), path)
         assert len(pc) == 60
         assert pc.dimension == 2
+        built = fx.get_fixture("circle-60").build()
+        assert (pc.ids, pc.coords) == (built.ids, built.coords)
 
 
 class TestFilters:

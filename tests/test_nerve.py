@@ -321,7 +321,7 @@ def test_completion_poset_matches_its_definition(cov):
     c the component's first element, of dimension |J|-1; a <= b exactly
     when J_a is in J_b and the component of b is in that of a."""
     comp = completion_poset(cov)
-    pc = comp.cover
+    pc = cov.poset_cover() if isinstance(cov, ComplexCover) else cov
     expected = {}
     for k in range(1, len(pc.parts) + 1):
         for J in itertools.combinations(sorted(pc.parts), k):

@@ -42,7 +42,7 @@ import finitetopo.nerve as nerve_mod
 from finitetopo import fixtures as fx
 from finitetopo.cylinder import build_cylinder
 from finitetopo.homology import _poset_homology
-from finitetopo.reduction import DEFAULT_BUDGET, shared_oracle, simplex_token
+from finitetopo.reduction import DEFAULT_BUDGET, shared_oracle
 from tests.test_poset import diamond, greatest, least, posets, punctured_up, shuffled_posets
 
 
@@ -323,7 +323,7 @@ TRIANGLE = SimplicialComplex([("a", "b", "c")])
 def collapses(*pairs: tuple[str, str]) -> ReductionCertificate:
     """Simplicial collapse steps, each face given by its vertex letters."""
     return ReductionCertificate(tuple(
-        ReductionStep("simplicial-collapse", (simplex_token(s), simplex_token(t))) for s, t in pairs
+        ReductionStep("simplicial-collapse", (tuple(sorted(s)), tuple(sorted(t)))) for s, t in pairs
     ))
 
 
