@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import InputError, ValidationError
+from .errors import InputError
 from .poset import Poset, _iter_bits
 
 
@@ -234,14 +234,14 @@ def cw_from_face_poset(p: Poset, dim: dict[str, int]) -> RegularCWComplex:
     raises dimension by exactly one.
     """
     if set(dim) != set(p.elements):
-        raise ValidationError("dimension map must cover exactly the cells of the poset")
+        raise InputError("dimension map must cover exactly the cells of the poset")
     for c, d in dim.items():
         if d < 0:
-            raise ValidationError(f"cell {c!r} has negative dimension")
+            raise InputError(f"cell {c!r} has negative dimension")
     for i, (k, _) in simplicial_cells(p, p.full_mask()).items():
         c = p.elements[i]
         if dim[c] != k - 1:
-            raise ValidationError(f"cell {c!r} of dimension {dim[c]} has {k} vertices below it")
+            raise InputError(f"cell {c!r} of dimension {dim[c]} has {k} vertices below it")
     return RegularCWComplex(p, dict(dim))
 
 
@@ -257,7 +257,7 @@ def simplicial_cells(p: Poset, mask: int) -> dict[int, tuple[int, list[int]]]:
     differ once the facets of x (the y with k - 1 vertices) lack k different
     vertices: by induction on k their down-sets hold an element for each
     proper subset, and with x that is all of D.  When D lies inside mask the
-    facets are covers of x.  Raises ValidationError naming the first
+    facets are covers of x.  Raises InputError naming the first
     member that fails.
     """
     down = p._down
@@ -269,8 +269,8 @@ def simplicial_cells(p: Poset, mask: int) -> dict[int, tuple[int, list[int]]]:
         v = verts[i] = d & vertices
         k = sizes[i] = v.bit_count()
         if d.bit_count() != (1 << k) - 1:
-            raise ValidationError(f"cell {p.elements[i]!r} has {d.bit_count()} faces; "
-                                  f"a simplex on a vertex set of size {k} has {(1 << k) - 1}")
+            raise InputError(f"cell {p.elements[i]!r} has {d.bit_count()} faces; "
+                             f"a simplex on a vertex set of size {k} has {(1 << k) - 1}")
     cells = {}
     for i, d in zip(members, below):
         v, k = verts[i], sizes[i]
@@ -283,7 +283,7 @@ def simplicial_cells(p: Poset, mask: int) -> dict[int, tuple[int, list[int]]]:
                 if sizes[j] == k - 1:
                     lacking[v ^ verts[j]] = j
             if len(lacking) != k:
-                raise ValidationError(f"cell {p.elements[i]!r}: two faces share the same vertex set")
+                raise InputError(f"cell {p.elements[i]!r}: two faces share the same vertex set")
         cells[i] = (k, [lacking[b] for b in sorted(lacking)])
     return cells
 
@@ -414,7 +414,7 @@ def cellular_chain_complex(p: Poset, mask: int | None = None) -> ChainComplexPre
         mask = p.full_mask()
     try:
         cells = simplicial_cells(p, mask)
-    except ValidationError:
+    except InputError:
         return None
     by_dim: list[list[int]] = [[] for _ in range(max((k for k, _ in cells.values()), default=0))]
     for i, (k, _) in cells.items():
@@ -433,5 +433,5 @@ def _checked(sizes: tuple[int, ...], boundaries: list) -> ChainComplexPresentati
     """The presentation, once ∂∂=0 holds on every pair of boundary matrices."""
     for a, b in zip(boundaries, boundaries[1:]):
         if not a.compose(b).is_zero():
-            raise ValidationError("boundary composition is non-zero")
+            raise AssertionError("boundary composition is non-zero")
     return ChainComplexPresentation(sizes, tuple(boundaries))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .certificates import Oracle, ReductionCertificate, ReductionStep, StatementReport, Status, TrivialityVerdict
-from .errors import InputError, NotCertified, ValidationError
+from .errors import InputError
 from .homology import HomologyProfile, certified_homology, homology
 from .poset import ElementSet, Poset, reach_of
 
@@ -105,7 +105,7 @@ class CylinderPoset:
         r = self.relation
         layout = tuple(map(source_name, r.source.elements)) + tuple(map(target_name, r.target.elements))
         if self.poset.elements != layout:
-            raise ValidationError("cylinder elements are not the source's then the target's, in identifier order")
+            raise AssertionError("cylinder elements are not the source's then the target's, in identifier order")
 
     @property
     def source_part(self) -> ElementSet:
@@ -200,7 +200,7 @@ def check_target_retraction(r: Relation, ask: Oracle) -> HypothesisReport:
 
 def _certificate_of(verdict: TrivialityVerdict, element: str) -> ReductionCertificate:
     if verdict.certificate is None:
-        raise ValidationError(f"the trivial verdict for {element!r} carries no certificate")
+        raise AssertionError(f"the trivial verdict for {element!r} carries no certificate")
     return verdict.certificate
 
 
@@ -209,14 +209,17 @@ _SIDES = {"source": (source_name, target_name, "down"), "target": (target_name, 
 
 
 def _gamma_collapse(side: str, c: CylinderPoset, report: HypothesisReport, deleted, local_data) -> ReductionCertificate:
-    """Gamma-delete the other factor's elements in the given order.  At every
-    step, the punctured set facing `side` among the elements still there,
-    `reach[i] & alive`, must be the local datum's mask shifted to the kept
-    side's bits; both masks are computed and compared."""
+    """Gamma-delete the other factor's elements, exactly those the report
+    decides, in the given order.  At every step, the punctured set facing
+    `side` among the elements still there, `reach[i] & alive`, must be the
+    local datum's mask shifted to the kept side's bits; both are compared."""
     if report.side != side:
         raise InputError(f"the collapse onto the {side} takes the {side} report, not the {report.side} one")
     if report.status is not Status.CERTIFIED:
-        raise NotCertified(f"{side} retraction is {report.status}")
+        raise InputError(f"{side} retraction is {report.status}")
+    if set(report.verdicts) != set(deleted):
+        raise InputError(f"the {side} report is for another relation: it and the collapse differ on "
+                         f"{sorted(set(report.verdicts) ^ set(deleted))}")
     kept_name, deleted_name, direction = _SIDES[side]
     p = c.poset
     reach = p._down if direction == "down" else p._up
@@ -228,7 +231,7 @@ def _gamma_collapse(side: str, c: CylinderPoset, report: HypothesisReport, delet
         i = p._index[name]
         alive &= ~(1 << i)
         if reach[i] & alive != local_data(c.relation, e).mask << shift:
-            raise ValidationError(f"punctured {direction}-set of {name!r} does not match its local {side} data")
+            raise AssertionError(f"punctured {direction}-set of {name!r} does not match its local {side} data")
         evidence = _certificate_of(report.verdicts[e], e).rename(kept_name)
         steps.append(ReductionStep("gamma-" + direction, (name,), evidence=evidence))
     return ReductionCertificate(tuple(steps))
@@ -241,7 +244,7 @@ def collapse_cylinder_to_source(c: CylinderPoset, report: HypothesisReport) -> R
 
 def collapse_cylinder_to_target(c: CylinderPoset, report: HypothesisReport) -> ReductionCertificate:
     """Gamma-delete the source part in reverse linear-extension order."""
-    return _gamma_collapse("target", c, report, reversed(c.relation.source.linear_extension()), target_local_data)
+    return _gamma_collapse("target", c, report, c.relation.source.linear_extension()[::-1], target_local_data)
 
 
 def _with_collapse(r: Relation, report: HypothesisReport, collapse, cyl: Optional[CylinderPoset] = None) -> HypothesisReport:

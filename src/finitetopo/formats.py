@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Optional, Tuple
 from .certificates import Status
 from .complexes import RegularCWComplex, SimplicialComplex, cw_from_face_poset
 from .cylinder import Relation
-from .errors import InputError, ValidationError
+from .errors import InputError
 from .mapper import PointCloud
 from .nerve import ComplexCover, PosetCover
 from .poset import Poset
@@ -40,10 +40,10 @@ def named(where: str, kind: str):
     wrong type, a wrong length or a missing key is malformed input of kind."""
     try:
         yield
-    except (InputError, ValidationError) as exc:
+    except InputError as exc:
         if str(exc).startswith(f"{where}:"):
             raise
-        raise type(exc)(f"{where}: {exc}") from exc
+        raise InputError(f"{where}: {exc}") from exc
     except (TypeError, ValueError, KeyError, AttributeError) as exc:
         raise InputError(f"{where}: malformed {kind}: {exc}") from exc
 
@@ -347,9 +347,9 @@ def load_json_file(path: str):
 
 
 def read_text_file(path: str) -> str:
-    """The file's text; it must be UTF-8."""
+    """The file's text; it must be UTF-8, and a byte order mark is dropped."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         raise InputError(f"{path}: cannot read: {exc.strerror or exc}") from exc

@@ -35,7 +35,7 @@ from .complexes import (
     face_poset,
 )
 from .cylinder import EquivalenceReport, Relation, verify_equivalence
-from .errors import InputError, ValidationError
+from .errors import InputError
 from .homology import HomologyProfile, certified_homology
 from .poset import ElementSet, Poset
 
@@ -247,7 +247,7 @@ def point_subnerve(sub: TrivialSubnerve, x: str) -> ElementSet:
     out = ElementSet(sub.poset, sum(
         1 << i for i, jid in enumerate(sub.poset.elements) if table[jid].mask & bit))
     if not out.is_down_set():
-        raise ValidationError(f"membership family of {x!r} is not open in the trivial subnerve")
+        raise AssertionError(f"membership family of {x!r} is not open in the trivial subnerve")
     return out
 
 
@@ -301,7 +301,7 @@ def completion_poset(c: AnyCover, components: Optional[ComponentSplitter] = None
             for sub, one_level in subfamilies:
                 containers = [p2 for p2 in split[sub] if piece.mask & ~p2.mask == 0]
                 if len(containers) != 1:
-                    raise ValidationError(f"component {lab!r} lies in {len(containers)} components of {sub!r}")
+                    raise AssertionError(f"component {lab!r} lies in {len(containers)} components of {sub!r}")
                 if one_level:
                     relations.append((component_label(sub, containers[0]), lab))
     return CompletionPoset(Poset(cells.keys(), relations), dim, cells)

@@ -1,9 +1,8 @@
-"""Run reports: the JSON envelope every CLI command emits.
-
-A report collects the command line, content hashes of the inputs, a
-status, any certificates produced, and homology payloads.  Finalizing
-the report replays every attached certificate; a report may only stay
-``Certified`` if all of them replay cleanly.
+"""Run reports: the JSON envelope every CLI command emits, with the command
+line, content hashes of the inputs, a status, the certificates produced,
+and homology payloads.  Finalizing replays every attached certificate: a
+`ReplayError` is recorded under ``replay_failures`` and turns a
+``Certified`` report into ``Error``; any other exception propagates.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from .certificates import ReductionCertificate, Status
-from .errors import ReplayError, ValidationError
+from .errors import ReplayError
 from .poset import Poset
 from .reduction import replay_poset_certificate
 
@@ -75,7 +74,7 @@ class RunReport:
         for label, certificate, target in self._certificates:
             try:
                 replay_poset_certificate(target, certificate)
-            except (ReplayError, ValidationError, ValueError) as exc:
+            except ReplayError as exc:
                 failures.append({"certificate": label, "error": str(exc)})
         if failures:
             self.detail["replay_failures"] = failures

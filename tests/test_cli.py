@@ -8,7 +8,8 @@ import pytest
 
 import finitetopo.cylinder as cylinder_mod
 import finitetopo.nerve as nerve_mod
-from finitetopo import Poset, PosetCover, Relation, face_poset
+import finitetopo.reduction as reduction_mod
+from finitetopo import IntegerMatrix, Poset, PosetCover, Relation, ReplayError, face_poset
 from finitetopo import ReductionCertificate, ReductionStep, cli
 from finitetopo import fixtures as fx
 from finitetopo.cli import main
@@ -816,8 +817,11 @@ class TestMalformedJson:
         ("t.txt", "x < y\na b\n", ["homology", "{}"], ":2: element identifiers cannot contain spaces: 'a b'"),
         ("g.csv", "a,0,,0\nb,1,,0\nc,2,,5\n", ["mapper", "{}", "--epsilon", "0.5", "--filter", "y"],
          ":1: empty cell in ['a', '0', '', '0']"),
+        ("rel.json", '{"source": {"elements": ["a"]}, "target": {"elements": ["b"]}, "pairs": [["a", "b"]]}',
+         ["homology", "{}"], ": homology takes a poset, complex, or CW complex"),
     ], ids=["poset-json", "complex-int", "complex-list", "fixture-json", "relation-json", "text", "csv",
-            "named-json", "named-csv", "space-on-a-relation-line", "space-on-a-bare-line", "csv-gap"])
+            "named-json", "named-csv", "space-on-a-relation-line", "space-on-a-bare-line", "csv-gap",
+            "homology-of-a-relation"])
     def test_an_input_error_names_its_file_once(self, capsys, tmp_path, name, text, argv, tail):
         """An error raised while an object is built from a file names the
         file; one that names it already is not prefixed again.  Vertices,
@@ -921,6 +925,31 @@ class TestInternalErrorsExitThree:
         assert captured.out == ""
         assert captured.err.startswith(f"error: internal error: {type(exc).__name__}: ")
         assert "Traceback" not in captured.err
+
+    def test_a_failed_boundary_check_is_no_input_error(self, capsys, monkeypatch):
+        """∂∂ = 0 is checked on matrices the package built itself, so its
+        failure is an internal error, alone and as a batch entry."""
+        monkeypatch.setattr(IntegerMatrix, "is_zero", lambda m: False)
+        assert main(["homology", os.path.join(SHIPPED_FIXTURES, "torus.json")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: internal error: AssertionError: boundary composition is non-zero\n"
+        code, doc = run_json(capsys, "verify", "--batch", SHIPPED_FIXTURES)
+        (torus,) = [e for e in doc["detail"]["fixtures"] if e["file"] == "torus.json"]
+        assert code == 3 and "error" not in torus
+        assert torus["internal_error"] == "AssertionError: boundary composition is non-zero"
+
+    def test_a_replay_error_outside_a_report_is_internal(self, capsys, monkeypatch):
+        """No command reads a certificate, so a ReplayError that reaches
+        `main` comes from the package's own translation."""
+        def refuse(*args):
+            raise ReplayError("face ('x0',) is not free with coface ('x0', 'y0')")
+
+        monkeypatch.setattr(reduction_mod, "replay_simplicial_certificate", refuse)
+        assert main(["verify", "dictionary", "six-cycle"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: internal error: ReplayError: face ('x0',) is not free with coface ('x0', 'y0')\n"
 
 
 class TestEachObjectBuiltOnce:

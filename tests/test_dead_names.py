@@ -31,6 +31,7 @@ count: what only it calls has no caller either and must be allowlisted too.
 """
 
 import ast
+import builtins
 import re
 from collections import Counter, defaultdict
 from functools import lru_cache
@@ -371,3 +372,30 @@ def test_only_formats_parses_input():
     calling = {path.name: reader_calls(path) for path in package_files() if path.name != "formats.py"}
     assert {name: readers for name, readers in calling.items() if readers} == {}
     assert [name for name in CORE if "formats" in imported_modules(PACKAGE / f"{name}.py")] == []
+
+
+def exception_classes() -> dict[str, list[str]]:
+    """The classes each package file defines, at any depth, whose bases
+    name a built-in exception or a package class that does, in turn."""
+    classes = [
+        (path.name, node) for path in package_files()
+        for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)
+    ]
+    known = {name for name, value in vars(builtins).items() if isinstance(value, type) and issubclass(value, BaseException)}
+    found: dict[str, list[str]] = defaultdict(list)
+    while True:
+        new = [(file, node.name) for file, node in classes
+               if node.name not in known and any(ast.unparse(b).rsplit(".", 1)[-1] in known for b in node.bases)]
+        if not new:
+            return dict(found)
+        for file, name in new:
+            found[file].append(name)
+            known.add(name)
+
+
+def test_errors_is_the_one_module_that_defines_exceptions():
+    """A failure is an input error, an `InputError`, or an internal error,
+    an `AssertionError` from a failed soundness check; a `ReplayError` is a
+    certificate that failed replay.  errors.py defines those two classes,
+    and no other module defines an exception class."""
+    assert exception_classes() == {"errors.py": ["InputError", "ReplayError"]}

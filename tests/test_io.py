@@ -145,6 +145,20 @@ class TestFileReaders:
         write = KINDS[f.kind].write
         assert write(from_plain) == write(from_wrapper) == fx.fixture_payload(f)["data"]
 
+    @pytest.mark.parametrize("name, text, view", [
+        ("cloud.csv", "0.0,0.0\n1.0,0.0\n0.0,1.0\n", lambda pc: (pc.ids, pc.coords)),
+        ("p.txt", "a < b\n", lambda p: p),
+        ("p.json", '{"elements": ["a", "b"], "relations": [["a", "b"]]}', lambda p: p),
+    ], ids=["csv", "text-poset", "json-poset"])
+    def test_a_byte_order_mark_is_dropped(self, tmp_path, name, text, view):
+        """A file saved with a UTF-8 byte order mark reads as the same file
+        without one: no identifier starts with U+FEFF and no parser sees it."""
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        (_, from_plain), (_, from_marked) = load_object(str(plain)), load_object(str(marked))
+        assert view(from_marked) == view(from_plain)
+
     def test_missing_file_becomes_input_error(self):
         for name in ("nope.json", "nope.txt"):
             with pytest.raises(InputError, match="cannot read"):
