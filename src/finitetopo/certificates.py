@@ -64,12 +64,6 @@ class ReductionStep:
 class ReductionCertificate:
     steps: tuple[ReductionStep, ...]
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def __iter__(self):
-        return iter(self.steps)
-
     def removed_elements(self) -> tuple[str, ...]:
         return tuple(e for s in self.steps for e in s.removed)
 

@@ -6,9 +6,7 @@ or Error for input problems and internal errors; ``Status.exit_code``
 turns it into 0, 1, 2 or 3.  Each statement has one entry point,
 `verify`.  Each flag sits only on the commands that read it: `--budget` on
 verify, reduce, collapse and nerve, `--seed` on fixtures, `--format` and
-`--out` on all.  FINITETOPO_BUDGET, FINITETOPO_SEED, FINITETOPO_FORMAT
-and FINITETOPO_OUT default the flag of that name and are read only by
-the commands that have it; an explicit flag always wins.
+`--out` on all.
 """
 
 from __future__ import annotations
@@ -67,19 +65,6 @@ from .reduction import (
     verify_dictionary,
 )
 from .report import RunReport
-
-ENV_PREFIX = "FINITETOPO_"
-
-
-def _env(name: str, cast, fallback):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except (TypeError, ValueError):
-        raise InputError(f"bad value {raw!r} for {ENV_PREFIX}{name}")
-
 
 def profile_json(prof: HomologyProfile) -> Dict[str, Any]:
     return {
@@ -170,7 +155,7 @@ THEOREMS = tuple(STATEMENTS)
 
 
 def run_theorem(theorem: str, obj: Any, params: Dict[str, Any],
-                budget: int, report: RunReport, where: str = "<input>") -> StatementReport:
+                budget: int, report: RunReport, where: str) -> StatementReport:
     """Run one statement, put its status and certificates on the report,
     and return the statement's own report for a caller that prints it."""
     if theorem not in STATEMENTS:
@@ -452,22 +437,6 @@ def non_negative_int(text: str) -> int:
     return value
 
 
-def format_name(text: str) -> str:
-    if text not in FORMATS:
-        raise ValueError(text)
-    return text
-
-
-# flag -> (environment variable, its reader, the default without either);
-# a variable is read only by the commands that have its flag
-ENV_DEFAULTS = {
-    "budget": ("BUDGET", non_negative_int, DEFAULT_BUDGET),
-    "seed": ("SEED", int, None),
-    "format": ("FORMAT", format_name, "json"),
-    "out": ("OUT", str, None),
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors are input errors: they exit 3, not argparse's 2 (Unknown)."""
 
@@ -477,9 +446,10 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     budget = _Parser(add_help=False)
-    budget.add_argument("--budget", type=non_negative_int, help="search node budget for oracle calls")
+    budget.add_argument("--budget", type=non_negative_int, default=DEFAULT_BUDGET,
+                        help="search node budget for oracle calls")
     common = _Parser(add_help=False)
-    common.add_argument("--format", choices=FORMATS)
+    common.add_argument("--format", choices=FORMATS, default="json")
     common.add_argument("--out", help="write output to this path instead of stdout")
 
     parser = _Parser(
@@ -609,9 +579,6 @@ def main(argv=None) -> int:
         cache.cache_clear()
     try:
         args = _PARSER.parse_args(argv)
-        for flag, (name, cast, fallback) in ENV_DEFAULTS.items():
-            if flag in vars(args) and vars(args)[flag] is None:
-                setattr(args, flag, _env(name, cast, fallback))
         _check_out(args.out)
         if args.format == "dot" and args.command in ("verify", "collapse", "fixtures"):
             raise InputError(f"{args.command} has no dot output")

@@ -56,12 +56,12 @@ def _list(value, what: str, where: str) -> list:
     return value
 
 
-_SCALARS = {bool: "true or false", int: "an integer", str: "a string"}
+_SCALARS = {int: "an integer", str: "a string"}
 
 
 def json_scalar(value, kind: type, what: str, where: str):
-    """A JSON boolean, integer or string, as kind says; nothing is coerced,
-    and true and false are not integers."""
+    """A JSON integer or string, as kind says; nothing is coerced, and
+    true and false are not integers."""
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise InputError(f"{where}: {what} must be {_SCALARS[kind]}, got {value!r}")
     return value
@@ -191,7 +191,7 @@ def poset_cover_from_json(data, where: str = "<input>") -> PosetCover:
         raise InputError(f"{where}: poset cover JSON needs 'poset' and 'parts'")
     base = poset_from_json(data["poset"], where)
     parts = {str(k): set(_list(v, f"part {k!r}", where)) for k, v in data["parts"].items()}
-    return PosetCover(base, parts, json_scalar(data.get("open_hulls", False), bool, "'open_hulls'", where))
+    return PosetCover(base, parts)
 
 
 def complex_cover_to_json(c: ComplexCover) -> dict:

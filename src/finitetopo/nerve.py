@@ -81,11 +81,10 @@ class PosetCover:
 
     The table, `intersections()`, is built once: the label "a,b" of each
     intersecting subfamily -> its intersection, by the number of parts,
-    then lexicographically.  Parts given as arbitrary subsets are rejected
-    unless open_hulls=True, which replaces each part by its open hull.
+    then lexicographically.  A part that is not a down-set is refused.
     """
 
-    def __init__(self, base: Poset, parts: dict, open_hulls: bool = False):
+    def __init__(self, base: Poset, parts: dict):
         self.base = base
         named: dict[str, ElementSet] = {}
         for name in sorted(parts):
@@ -93,12 +92,8 @@ class PosetCover:
             sub = parts[name] if isinstance(parts[name], ElementSet) else base.subset(parts[name])
             if sub.poset is not base and sub.poset != base:
                 raise InputError(f"cover part {name!r} belongs to a different poset")
-            if open_hulls:
-                sub = sub.open_hull()
-            elif not sub.is_down_set():
-                raise InputError(
-                    f"cover part {name!r} is not a down-set; pass open_hulls=True to take hulls"
-                )
+            if not sub.is_down_set():
+                raise InputError(f"cover part {name!r} is not a down-set")
             named[name] = sub
         missing = base.full_mask()
         for sub in named.values():

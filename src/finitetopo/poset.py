@@ -254,9 +254,6 @@ class ElementSet:
         i = self.poset._index.get(e)
         return i is not None and bool(self.mask >> i & 1)
 
-    def open_hull(self) -> "ElementSet":
-        return ElementSet(self.poset, reach_of(self.poset._down, self.mask))
-
     def is_down_set(self) -> bool:
         """Each lower cover of each non-minimal member is a member."""
         p, mask = self.poset, self.mask

@@ -399,14 +399,18 @@ def collapse_to_simplicial(p: Poset, cert: ReductionCertificate) -> ReductionCer
     mask = p.full_mask()
     for step in cert.steps:
         x = step.removed[0]
+        if x not in p._index:
+            raise ReplayError(f"certificate removes unknown element {x!r}")
         i = p._index[x]
         if not mask & (1 << i):
             raise ReplayError(f"certificate removes {x!r} which is not present")
         if step.kind not in BEAT_KINDS:
             raise InputError(f"{step.kind} steps do not translate to simplicial collapses")
+        if step.witness not in p._index:
+            raise ReplayError(f"witness {step.witness!r} is not an element")
         (_, up), (_, down) = _punctured(p, mask, i)
         # collapse every chain through i onto its w-extension
-        w = p._index[step.witness]  # type: ignore[arg-type]
+        w = p._index[step.witness]
         for s in _desc(_chains_in(p, (up | down) & ~(1 << w))):
             steps.append(ReductionStep("simplicial-collapse", (face(s | {i}), face(s | {i, w}))))
         mask ^= 1 << i

@@ -533,27 +533,6 @@ class TestInputErrorsExitThree:
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
 
-    def test_bad_budget_environment_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("FINITETOPO_BUDGET", "abc")
-        self.expect_input_error(capsys, "verify", "thm-a", "certified-relation")
-
-    def test_bad_seed_environment_value(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("FINITETOPO_SEED", "abc")
-        self.expect_input_error(capsys, "fixtures", "generate", "--recipe", "poset", "--dir", str(tmp_path))
-
-    def test_bad_format_environment_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("FINITETOPO_FORMAT", "xml")
-        assert main(["homology", "six-cycle"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: bad value 'xml' for FINITETOPO_FORMAT\n"
-
-    @pytest.mark.parametrize("variable", ["FINITETOPO_BUDGET", "FINITETOPO_SEED"])
-    def test_a_command_without_the_flag_ignores_its_variable(self, capsys, monkeypatch, variable):
-        monkeypatch.setenv(variable, "abc")
-        code, doc = run_json(capsys, "homology", "six-cycle")
-        assert code == 0 and doc["status"] == "Certified"
-
     @pytest.mark.parametrize("argv", [
         ["mapper", "circle-60", "--epsilon", "0.15", "--intervals", "abc"],
         ["verify", "thm-z", "certified-relation"],
@@ -576,9 +555,17 @@ class TestInputErrorsExitThree:
     def test_negative_budget_flag(self, capsys):
         self.expect_input_error(capsys, "nerve", "star-cover-six-cycle", "--budget", "-5")
 
-    def test_negative_budget_environment_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("FINITETOPO_BUDGET", "-5")
-        self.expect_input_error(capsys, "reduce", "six-cycle")
+    def test_a_cover_part_that_is_not_a_down_set(self, capsys, tmp_path):
+        """A cover file's parts are down-sets; nothing reads an `open_hulls` key."""
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps({
+            "poset": {"elements": ["a", "b", "c"], "relations": [["a", "c"], ["b", "c"]]},
+            "parts": {"U": ["c"], "V": ["a", "b"]}, "open_hulls": True,
+        }))
+        assert main(["nerve", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: cover part 'U' is not a down-set\n"
 
     @pytest.mark.parametrize("degree", [-1, "abc", 1.5, True])
     def test_bad_degree_in_fixture_params(self, capsys, tmp_path, degree):
@@ -733,16 +720,15 @@ class TestOutputPlumbing:
         doc = json.loads(target.read_text())
         assert doc["status"] == "Certified"
 
-    def test_format_env_fallback(self, capsys, monkeypatch):
+    def test_an_environment_variable_sets_no_option(self, capsys, monkeypatch, tmp_path):
+        """Options are flags: with FINITETOPO_BUDGET=0 this reduction would be
+        Unknown, and the other variables would move or reshape the report."""
+        monkeypatch.setenv("FINITETOPO_BUDGET", "0")
         monkeypatch.setenv("FINITETOPO_FORMAT", "text")
-        code, out = run(capsys, "homology", "point")
-        assert code == 0
-        assert out.startswith("command: homology")
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("FINITETOPO_FORMAT", "text")
-        code, doc = run_json(capsys, "homology", "point", "--format", "json")
-        assert code == 0
+        monkeypatch.setenv("FINITETOPO_OUT", str(tmp_path / "report.txt"))
+        code, doc = run_json(capsys, "reduce", "collapsible-noncontractible")
+        assert code == 0 and doc["status"] == "Certified"
+        assert list(tmp_path.iterdir()) == []
 
     def test_dot_unsupported_action_errors(self, capsys):
         code = main(["verify", "thm-a", "certified-relation", "--format", "dot"])
@@ -868,15 +854,10 @@ class TestNonUtf8Input:
 
 
 class TestJsonScalarsAreNotCoerced:
-    """A JSON field that holds a boolean, an integer or a string takes
-    exactly that: "no" is not false, true is not 1, and null is not the
-    element "None"."""
+    """A JSON field that holds an integer or a string takes exactly that:
+    true is not 1, and null is not the element "None"."""
 
     CASES = {
-        "open-hulls-as-string": (
-            ["nerve"], "poset-cover", "nerve-good", "'open_hulls' must be true or false, got 'no'",
-            {"poset": {"elements": ["a", "b", "c"], "relations": [["a", "c"], ["b", "c"]]},
-             "parts": {"U": ["c"]}, "open_hulls": "no"}),
         "cw-dimension-as-boolean": (
             ["homology"], "cw", "dictionary", "the dimension of cell 'a' must be an integer, got False",
             {"poset": {"elements": ["a", "b", "e"], "relations": [["a", "e"], ["b", "e"]]},

@@ -224,8 +224,8 @@ class TestCollapseCertificates:
         cyl = build_cylinder(r)
         to_src = collapse_cylinder_to_source(cyl, check_source_retraction(r, shared_oracle(DEFAULT_BUDGET)))
         to_tgt = collapse_cylinder_to_target(cyl, check_target_retraction(r, shared_oracle(DEFAULT_BUDGET)))
-        assert len(to_src) == len(r.target)
-        assert len(to_tgt) == len(r.source)
+        assert len(to_src.steps) == len(r.target)
+        assert len(to_tgt.steps) == len(r.source)
         src_final = replay_poset_certificate(cyl.poset, to_src).induced()
         tgt_final = replay_poset_certificate(cyl.poset, to_tgt).induced()
         assert set(src_final.elements) == set(cyl.source_part)

@@ -298,7 +298,7 @@ def test_the_statement_layer_never_names_the_budget():
 
 def test_only_the_command_layer_reads_the_default_budget():
     """DEFAULT_BUDGET is defined in reduction.py and read in cli.py, where
-    the budget option falls back to it; the export in `__init__` is no read."""
+    the `--budget` flag defaults to it; the export in `__init__` is no read."""
     named = {
         path.name: n for path in running_files() if path.is_relative_to(PACKAGE)
         for n in [re.findall(r"\w+", ast.unparse(code(path))).count("DEFAULT_BUDGET")] if n
@@ -399,3 +399,20 @@ def test_errors_is_the_one_module_that_defines_exceptions():
     certificate that failed replay.  errors.py defines those two classes,
     and no other module defines an exception class."""
     assert exception_classes() == {"errors.py": ["InputError", "ReplayError"]}
+
+
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_environment():
+    """A command's options are its flags: no module reads `os.environ` or
+    calls `os.getenv`, so a variable that the command line does not show
+    cannot change a verdict."""
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in package_files() for node in ast.walk(code(path))
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READS
+        or isinstance(node, ast.ImportFrom) and node.module == "os"
+        and {alias.name for alias in node.names} & ENVIRONMENT_READS
+    ]
+    assert reads == []

@@ -118,7 +118,7 @@ def test_report_matches_golden(name, argv, tmp_path):
 
 def test_batch_report_is_the_same_under_python_O():
     """No control flow rests on an `assert`, which `python -O` strips."""
-    env = {k: v for k, v in os.environ.items() if not k.startswith("FINITETOPO_")}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-O", "-m", "finitetopo.cli", "verify", "--batch", "fixtures/"],

@@ -53,12 +53,6 @@ class TestPosetCover:
         with pytest.raises(InputError, match="down-set"):
             PosetCover(p, {"A": ["y0"], "B": list(p.elements)})
 
-    def test_open_hulls_flag_repairs_parts(self):
-        p = fx.six_cycle()
-        cov = PosetCover(p, {"A": ["y0", "y1", "y2"], "B": ["x0", "x1", "x2"]}, True)
-        assert cov.parts["A"].is_down_set()
-        assert set(cov.parts["B"]) == {"x0", "x1", "x2"}
-
     def test_intersections(self):
         cov = star_cover()
         assert set(cov.intersections()["U0,U1"]) == {"x0"}

@@ -83,13 +83,13 @@ class TestCore:
     def test_chain_core_is_point(self):
         q, cert = core(chain(5))
         assert len(q) == 1
-        assert len(cert) == 4
+        assert len(cert.steps) == 4
 
     def test_circle_model_is_its_own_core(self):
         p = fx.six_cycle()
         q, cert = core(p)
         assert q == p
-        assert len(cert) == 0
+        assert len(cert.steps) == 0
 
     def test_core_certificate_replays_to_core(self):
         p = weak_not_beat()
@@ -192,7 +192,7 @@ class TestCollapsibleNoncontractibleFixture:
         assert len(self.p) == 25
         q, cert = core(self.p)
         assert len(q) == 22
-        assert len(cert) == 3
+        assert len(cert.steps) == 3
 
     def test_not_dismantlable(self):
         # the oracle tries a dismantling first, so a collapse means there is none
@@ -347,6 +347,17 @@ class TestCollapseTranslation:
         )
         with pytest.raises(InputError, match=f"^{kind} steps do not translate to simplicial collapses$"):
             collapse_to_simplicial(p, ReductionCertificate(steps))
+
+    @pytest.mark.parametrize("removed, witness, message", [
+        ("zz", "a", "certificate removes unknown element 'zz'"),
+        ("b", "zz", "witness 'zz' is not an element"),
+    ], ids=["removed", "witness"])
+    def test_an_unknown_name_is_refused_as_replay_does(self, removed, witness, message):
+        p = Poset(["a", "b", "c"], [("a", "b"), ("a", "c")])
+        cert = ReductionCertificate((ReductionStep("down-beat", (removed,), witness=witness),))
+        for check in (replay_poset_certificate, collapse_to_simplicial):
+            with pytest.raises(ReplayError, match=f"^{message}$"):
+                check(p, cert)
 
     def test_each_poset_step_becomes_a_collapse_run(self):
         p = chain(3)
